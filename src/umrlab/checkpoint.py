@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig, parameter_names
+from .encoder import Encoder, EncoderConfig, parameter_names, parameter_shapes
 from .errors import ContractError, FormatError, VersionError
 from .optim import OptimizerState
 from .tensor import Tensor
@@ -94,23 +94,29 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
     except ContractError as err:
         raise FormatError(f"invalid encoder config in checkpoint: {err}", config_offset)
     (count,) = r.unpack("<I", "tensor count")
-    expected = parameter_names(cfg)
+    expected = parameter_shapes(cfg)
     if count != len(expected):
         raise FormatError(
             f"checkpoint holds {count} tensors, config implies {len(expected)}",
             r.offset - 4,
         )
     params: dict[str, Tensor] = {}
-    for want in expected:
+    for want, want_shape in expected.items():
         (name_len,) = r.unpack("<H", "tensor name length")
         name = r.take(name_len, "tensor name").decode("utf-8")
         if name != want:
             raise FormatError(
                 f"tensor {name!r} out of order, expected {want!r}", r.offset - name_len
             )
+        shape_offset = r.offset
         (ndim,) = r.unpack("<B", "tensor rank")
         shape = r.unpack(f"<{ndim}I", "tensor shape")
-        n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
+        if shape != want_shape:
+            raise FormatError(
+                f"tensor {name!r} has shape {shape}, config implies {want_shape}",
+                shape_offset,
+            )
+        n_bytes = 8 * int(np.prod(shape))
         data = np.frombuffer(r.take(n_bytes, f"tensor {name} data"), dtype="<f8")
         params[name] = Tensor(data.reshape(shape), grad_tracked=True)
     (opt_flag,) = r.unpack("<B", "optimizer flag")

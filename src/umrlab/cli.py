@@ -55,7 +55,7 @@ _CONFIG_KEYS = {
     "stage", "epochs", "lr", "shards", "batch", "k",
     "tau0", "lam", "temp_mode", "alpha_mode",
     "distill_variant", "distill_tau", "distill_normalize",
-    "steps_per_epoch", "parallel", "scope", "k_eval",
+    "steps_per_epoch", "scope", "k_eval",
 }
 
 
@@ -141,7 +141,6 @@ def _train_config(
         distill_normalize=s.get("distill_normalize", False, bool),
         k=s.get("k", default_k if default_k is not None else encoder_cfg.k, int),
         steps_per_epoch=s.get("steps_per_epoch", None, int),
-        parallel_shards=s.get("parallel", False, bool),
     )
 
 
@@ -461,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distill-tau", dest="distill_tau", type=float, default=None)
     p.add_argument("--distill-normalize", dest="distill_normalize", action="store_const", const=True, default=None)
     p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
-    p.add_argument("--parallel", action="store_const", const=True, default=None)
     p.add_argument("--d-model", dest="d_model", type=int, default=None)
     p.add_argument("--n-heads", dest="n_heads", type=int, default=None)
     p.add_argument("--layers", type=int, default=None)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DatasetLookupError
+from .errors import ConfigurationError, ContractError, FormatError
 from .prompts import INSTRUCTION_IDS, RESERVED_IDS
 from .tasks import CANDIDATE_MODALITY, QUERY_MODALITY, TASKS
 
@@ -139,7 +139,6 @@ class Corpus:
     train: list[Sample]
     test: list[Sample]
     pools: dict[str, list[Candidate]] = field(repr=False)
-    gold: dict[int, int] = field(repr=False)
 
     def all_queries(self) -> list[Sample]:
         return sorted(self.train + self.test, key=lambda s: s.id)
@@ -157,36 +156,13 @@ class Corpus:
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        # one JSON object per record, keys in dataclass field order
         with open(directory / "queries.jsonl", "w", encoding="utf-8") as f:
             for s in self.all_queries():
-                f.write(
-                    json.dumps(
-                        {
-                            "id": s.id,
-                            "task": s.task,
-                            "dataset": s.dataset,
-                            "modality": s.modality,
-                            "tokens": list(s.tokens),
-                            "gold": s.gold,
-                            "instr": s.instr,
-                        }
-                    )
-                    + "\n"
-                )
+                f.write(json.dumps(vars(s)) + "\n")
         with open(directory / "candidates.jsonl", "w", encoding="utf-8") as f:
             for c in self.all_candidates():
-                f.write(
-                    json.dumps(
-                        {
-                            "id": c.id,
-                            "dataset": c.dataset,
-                            "modality": c.modality,
-                            "tokens": list(c.tokens),
-                            "concept": c.concept,
-                        }
-                    )
-                    + "\n"
-                )
+                f.write(json.dumps(vars(c)) + "\n")
         meta = {
             "seed": self.seed,
             "spec": asdict(self.spec),
@@ -198,44 +174,61 @@ class Corpus:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
+        """Read a saved corpus. Malformed JSON, missing keys, duplicate ids
+        and gold ids outside the query's own dataset raise FormatError with
+        the file name and the byte offset of the offending line."""
         directory = Path(directory)
-        with open(directory / "meta.json", encoding="utf-8") as f:
-            meta = json.load(f)
-        spec_dict = dict(meta["spec"])
-        spec_dict["tasks"] = tuple(spec_dict["tasks"])
-        spec = CorpusSpec(**spec_dict)
-        queries: list[Sample] = []
-        with open(directory / "queries.jsonl", encoding="utf-8") as f:
-            for line in f:
-                d = json.loads(line)
-                queries.append(
-                    Sample(
-                        id=d["id"],
-                        task=d["task"],
-                        dataset=d["dataset"],
-                        modality=d["modality"],
-                        tokens=tuple(d["tokens"]),
-                        gold=d["gold"],
-                        instr=d["instr"],
-                    )
-                )
+        meta_path = directory / "meta.json"
+        try:
+            meta = json.loads(meta_path.read_bytes())
+            spec_dict = dict(meta["spec"])
+            spec_dict["tasks"] = tuple(spec_dict["tasks"])
+            spec = CorpusSpec(**spec_dict)
+            seed, train_ids = meta["seed"], set(meta["train_ids"])
+        except json.JSONDecodeError as err:
+            raise FormatError(f"{meta_path.name}: {err.msg}", err.pos) from err
+        except (KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"{meta_path.name}: bad metadata ({err!r})", 0) from err
+
         pools: dict[str, list[Candidate]] = {}
-        gold = {q.id: q.gold for q in queries}
-        with open(directory / "candidates.jsonl", encoding="utf-8") as f:
-            for line in f:
-                d = json.loads(line)
-                c = Candidate(
-                    id=d["id"],
-                    dataset=d["dataset"],
-                    modality=d["modality"],
-                    tokens=tuple(d["tokens"]),
-                    concept=d["concept"],
+        dataset_of: dict[int, str] = {}
+        for offset, c in _read_records(directory / "candidates.jsonl", Candidate):
+            if c.id in dataset_of:
+                raise FormatError(f"candidates.jsonl: duplicate candidate id {c.id}", offset)
+            dataset_of[c.id] = c.dataset
+            pools.setdefault(c.dataset, []).append(c)
+        queries: list[Sample] = []
+        seen: set[int] = set()
+        for offset, q in _read_records(directory / "queries.jsonl", Sample):
+            if q.id in seen:
+                raise FormatError(f"queries.jsonl: duplicate query id {q.id}", offset)
+            if dataset_of.get(q.gold) != q.dataset:
+                raise FormatError(
+                    f"queries.jsonl: query {q.id} names gold {q.gold}, "
+                    f"which is no candidate of dataset {q.dataset!r}",
+                    offset,
                 )
-                pools.setdefault(c.dataset, []).append(c)
-        train_ids = set(meta["train_ids"])
+            seen.add(q.id)
+            queries.append(q)
         train = [q for q in queries if q.id in train_ids]
         test = [q for q in queries if q.id not in train_ids]
-        return cls(spec=spec, seed=meta["seed"], train=train, test=test, pools=pools, gold=gold)
+        return cls(spec=spec, seed=seed, train=train, test=test, pools=pools)
+
+
+def _read_records(path: Path, cls):
+    """Yield (byte offset, cls instance) for each line of a JSONL file whose
+    objects carry exactly the fields of ``cls``."""
+    offset = 0
+    with open(path, "rb") as f:
+        for line in f:
+            try:
+                fields = json.loads(line.decode("utf-8"))
+                fields["tokens"] = tuple(fields["tokens"])
+                record = cls(**fields)
+            except (ValueError, KeyError, TypeError) as err:
+                raise FormatError(f"{path.name}: bad record ({err!r})", offset) from err
+            yield offset, record
+            offset += len(line)
 
 
 def generate_corpus(spec: CorpusSpec, seed: int) -> Corpus:
@@ -250,7 +243,6 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> Corpus:
     train: list[Sample] = []
     test: list[Sample] = []
     pools: dict[str, list[Candidate]] = {}
-    gold: dict[int, int] = {}
     qid = 0
     cid = 0
     for ti, task in enumerate(spec.tasks):
@@ -293,24 +285,6 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> Corpus:
                 instr=INSTRUCTION_IDS[task],
             )
             qid += 1
-            gold[sample.id] = positive.id
             (test if concept in test_concepts else train).append(sample)
-    return Corpus(spec=spec, seed=seed, train=train, test=test, pools=pools, gold=gold)
+    return Corpus(spec=spec, seed=seed, train=train, test=test, pools=pools)
 
-
-def pools(corpus: Corpus, scope: str) -> dict[str, list[Candidate]]:
-    """Candidate pool per dataset tag: its own candidates (local) or the
-    union over all datasets (global)."""
-    if scope == "local":
-        return dict(corpus.pools)
-    if scope == "global":
-        everything = corpus.all_candidates()
-        return {dataset: everything for dataset in corpus.pools}
-    raise ContractError(f"scope must be 'local' or 'global', got {scope!r}")
-
-
-def pool_for(corpus: Corpus, dataset: str, scope: str) -> list[Candidate]:
-    table = pools(corpus, scope)
-    if dataset not in table:
-        raise DatasetLookupError(f"unknown dataset tag {dataset!r}")
-    return table[dataset]

@@ -47,31 +47,32 @@ class Embedding:
     vector: Tensor  # shape (1, d_model)
     source_layer: int
 
-    @property
-    def width(self) -> int:
-        return self.vector.shape[1]
 
-
-def _layer_param_names(i: int) -> list[str]:
-    base = f"layers.{i}."
+def _layer_param_shapes(d: int) -> list[tuple[str, tuple[int, ...]]]:
+    h = FFN_MULT * d
     return [
-        base + name
-        for name in (
-            "ln1.gain", "ln1.bias",
-            "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-            "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-            "ln2.gain", "ln2.bias",
-            "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
-        )
+        ("ln1.gain", (d,)), ("ln1.bias", (d,)),
+        ("attn.wq", (d, d)), ("attn.bq", (d,)), ("attn.wk", (d, d)), ("attn.bk", (d,)),
+        ("attn.wv", (d, d)), ("attn.bv", (d,)), ("attn.wo", (d, d)), ("attn.bo", (d,)),
+        ("ln2.gain", (d,)), ("ln2.bias", (d,)),
+        ("ffn.w1", (d, h)), ("ffn.b1", (h,)), ("ffn.w2", (h, d)), ("ffn.b2", (d,)),
     ]
+
+
+def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes in canonical order; checkpoints serialize in exactly
+    this order and are checked against these shapes on load."""
+    d = config.d_model
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq, d)}
+    for i in range(config.n_layers):
+        for name, shape in _layer_param_shapes(d):
+            shapes[f"layers.{i}.{name}"] = shape
+    return shapes
 
 
 def parameter_names(config: EncoderConfig) -> list[str]:
     """Canonical parameter order; checkpoints serialize in exactly this order."""
-    names = ["tok_emb", "pos_emb"]
-    for i in range(config.n_layers):
-        names.extend(_layer_param_names(i))
-    return names
+    return list(parameter_shapes(config))
 
 
 class Encoder:
@@ -86,35 +87,18 @@ class Encoder:
 
     @classmethod
     def init(cls, config: EncoderConfig, seed: int) -> "Encoder":
+        """Matrices ~ N(0, 0.02^2), drawn in canonical order; gains one,
+        biases zero."""
         rng = np.random.default_rng(seed)
-        d, h = config.d_model, FFN_MULT * config.d_model
-
-        def w(*shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape), grad_tracked=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape), grad_tracked=True)
-
-        def ones(*shape):
-            return Tensor(np.ones(shape), grad_tracked=True)
-
-        params: dict[str, Tensor] = {
-            "tok_emb": w(config.vocab_size, d),
-            "pos_emb": w(config.max_seq, d),
-        }
-        for i in range(config.n_layers):
-            base = f"layers.{i}."
-            params[base + "ln1.gain"] = ones(d)
-            params[base + "ln1.bias"] = zeros(d)
-            for proj in ("q", "k", "v", "o"):
-                params[base + f"attn.w{proj}"] = w(d, d)
-                params[base + f"attn.b{proj}"] = zeros(d)
-            params[base + "ln2.gain"] = ones(d)
-            params[base + "ln2.bias"] = zeros(d)
-            params[base + "ffn.w1"] = w(d, h)
-            params[base + "ffn.b1"] = zeros(h)
-            params[base + "ffn.w2"] = w(h, d)
-            params[base + "ffn.b2"] = zeros(d)
+        params: dict[str, Tensor] = {}
+        for name, shape in parameter_shapes(config).items():
+            if len(shape) == 2:
+                data = rng.normal(0.0, 0.02, size=shape)
+            elif name.endswith(".gain"):
+                data = np.ones(shape)
+            else:
+                data = np.zeros(shape)
+            params[name] = Tensor(data, grad_tracked=True)
         return cls(config, params)
 
     def with_params(self, params: dict[str, Tensor]) -> "Encoder":

@@ -41,7 +41,3 @@ class FormatError(UmrlabError):
 
 class VersionError(FormatError):
     """A persisted file has an unsupported format version."""
-
-
-class DatasetLookupError(UmrlabError):
-    """A dataset tag is not present in the corpus."""

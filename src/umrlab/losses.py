@@ -12,7 +12,6 @@ InfoNCE, bitwise.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from collections.abc import Sequence
@@ -27,20 +26,6 @@ from .tensor import Tensor
 TEMPERATURE_MODES = ("mac", "reverse", "off")
 ALPHA_MODES = ("fixed", "dynamic", "reverse")
 DISTILL_VARIANTS = ("mse", "cosine", "kl")
-
-_counter_lock = threading.Lock()
-_distill_calls = 0
-
-
-def distill_call_count() -> int:
-    return _distill_calls
-
-
-def reset_distill_call_count() -> None:
-    global _distill_calls
-    with _counter_lock:
-        _distill_calls = 0
-
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
@@ -189,9 +174,6 @@ def self_distill(
     temperature tau, mean over rows. Teacher inputs are detached; no
     gradient ever reaches them.
     """
-    global _distill_calls
-    with _counter_lock:
-        _distill_calls += 1
     if variant not in DISTILL_VARIANTS:
         raise ContractError(f"variant must be one of {DISTILL_VARIANTS}, got {variant!r}")
     shapes = {teacher_q.shape, student_q.shape, teacher_c.shape, student_c.shape}

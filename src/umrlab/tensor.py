@@ -407,19 +407,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _result("slice_rows", x.data[start:stop], (x,), vjp)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d("slice_cols", x)
-    if not (0 <= start <= stop <= x.shape[1]):
-        raise ContractError(f"slice_cols [{start}:{stop}] out of range for {x.shape}")
-
-    def vjp(dy):
-        g = np.zeros(x.shape)
-        g[:, start:stop] = dy
-        return (g,)
-
-    return _result("slice_cols", x.data[:, start:stop], (x,), vjp)
-
-
 def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Gather rows by index; scatter-add on backward (embedding lookup)."""
     _require_2d("take_rows", table)
@@ -435,17 +422,6 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         return (g,)
 
     return _result("take_rows", table.data[idx], (table,), vjp)
-
-
-def diag_part(x: Tensor) -> Tensor:
-    _require_2d("diag_part", x)
-    if x.shape[0] != x.shape[1]:
-        raise DimensionError(f"diag_part expects a square matrix, got {x.shape}")
-
-    def vjp(dy):
-        return (np.diag(dy),)
-
-    return _result("diag_part", np.diagonal(x.data).copy(), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ the single-process gradient of the same global batch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Sequence
 
@@ -64,7 +63,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     steps_per_epoch: int | None = None
-    parallel_shards: bool = False
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -295,17 +293,13 @@ def compute_global_grads(
         )
     shards = split_shards(batch, config.shards)
     depth = student.config.n_layers
-
-    def forward_shard(shard: ShardContext) -> tuple[Tensor, Tensor]:
-        q = _embed_block(student, shard.samples, "query", depth)
-        c = _embed_block(student, shard.positives, "candidate", depth)
-        return q, c
-
-    if config.parallel_shards and config.shards > 1:
-        with ThreadPoolExecutor(max_workers=config.shards) as pool:
-            locals_ = list(pool.map(forward_shard, shards))
-    else:
-        locals_ = [forward_shard(s) for s in shards]
+    locals_ = [
+        (
+            _embed_block(student, shard.samples, "query", depth),
+            _embed_block(student, shard.positives, "candidate", depth),
+        )
+        for shard in shards
+    ]
     q_blocks = [q.data for q, _ in locals_]
     c_blocks = [c.data for _, c in locals_]
 
@@ -320,19 +314,13 @@ def compute_global_grads(
         )
 
     tags = batch.tags
-
-    def loss_shard(shard: ShardContext):
-        q_local, c_local = locals_[shard.shard_id]
-        return _shard_loss(
+    results = [
+        _shard_loss(
             student, config, shard, q_blocks, c_blocks, q_local, c_local,
             tags, teacher_q, teacher_c, progress,
         )
-
-    if config.parallel_shards and config.shards > 1:
-        with ThreadPoolExecutor(max_workers=config.shards) as pool:
-            results = list(pool.map(loss_shard, shards))
-    else:
-        results = [loss_shard(s) for s in shards]
+        for shard, (q_local, c_local) in zip(shards, locals_)
+    ]
 
     reduced = all_reduce_grads([grads for grads, _ in results])
     return reduced, results[0][1]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,10 @@ from umrlab.datagen import (
     Corpus,
     CorpusSpec,
     generate_corpus,
-    pool_for,
-    pools,
     render,
     vocab_size_for,
 )
-from umrlab.errors import ConfigurationError, ContractError, DatasetLookupError
+from umrlab.errors import ConfigurationError, ContractError, FormatError
 from umrlab.prompts import RESERVED_IDS
 from umrlab.tasks import CANDIDATE_MODALITY, QUERY_MODALITY
 
@@ -131,33 +131,10 @@ class TestGenerateCorpus:
 
 
 class TestPools:
-    def test_local_vs_global(self, corpus):
-        local = pools(corpus, "local")
-        glob = pools(corpus, "global")
-        total = sum(len(p) for p in local.values())
-        for dataset in local:
-            assert len(glob[dataset]) == total
-            assert set(c.id for c in local[dataset]) <= set(c.id for c in glob[dataset])
-
-    def test_single_task_local_equals_global(self):
-        spec = CorpusSpec(n_concepts=5, tasks=("t2t",), test_fraction=0.2)
-        corpus = generate_corpus(spec, seed=0)
-        local = pools(corpus, "local")
-        glob = pools(corpus, "global")
-        assert [c.id for c in local["ds-t2t"]] == [c.id for c in glob["ds-t2t"]]
-
     def test_gold_present_in_both_scopes(self, corpus):
         sample = corpus.test[0]
-        for scope in ("local", "global"):
-            assert sample.gold in {c.id for c in pool_for(corpus, sample.dataset, scope)}
-
-    def test_unknown_dataset(self, corpus):
-        with pytest.raises(DatasetLookupError):
-            pool_for(corpus, "ds-nope", "local")
-
-    def test_bad_scope(self, corpus):
-        with pytest.raises(ContractError):
-            pools(corpus, "cosmic")
+        assert sample.gold in {c.id for c in corpus.pools[sample.dataset]}
+        assert sample.gold in {c.id for c in corpus.all_candidates()}
 
 
 class TestRoundTrip:
@@ -168,15 +145,13 @@ class TestRoundTrip:
         assert loaded.seed == corpus.seed
         assert [s.id for s in loaded.train] == [s.id for s in corpus.train]
         assert [s.id for s in loaded.test] == [s.id for s in corpus.test]
-        assert loaded.gold == corpus.gold
+        assert [s.gold for s in loaded.all_queries()] == [s.gold for s in corpus.all_queries()]
         assert {d: [c.id for c in p] for d, p in loaded.pools.items()} == {
             d: [c.id for c in p] for d, p in corpus.pools.items()
         }
         assert loaded.all_queries()[0].tokens == corpus.all_queries()[0].tokens
 
     def test_saved_files_are_jsonl_with_stable_keys(self, corpus, tmp_path):
-        import json
-
         corpus.save(tmp_path / "c")
         with open(tmp_path / "c" / "queries.jsonl") as f:
             first = json.loads(f.readline())
@@ -184,3 +159,55 @@ class TestRoundTrip:
         with open(tmp_path / "c" / "candidates.jsonl") as f:
             first = json.loads(f.readline())
         assert list(first.keys()) == ["id", "dataset", "modality", "tokens", "concept"]
+
+
+BAD = 5  # the line each case below rewrites
+
+
+def _rewrite(mutate):
+    def change(corpus, lines):
+        record = json.loads(lines[BAD])
+        mutate(corpus, record)
+        return (json.dumps(record) + "\n").encode()
+
+    return change
+
+
+def _other_dataset_candidate(corpus, query):
+    return next(c.id for c in corpus.all_candidates() if c.dataset != query["dataset"])
+
+
+BAD_LINES = {
+    "duplicate-query-id": ("queries.jsonl", lambda corpus, lines: lines[0]),
+    "duplicate-candidate-id": ("candidates.jsonl", lambda corpus, lines: lines[0]),
+    "gold-in-other-dataset": (
+        "queries.jsonl",
+        _rewrite(lambda corpus, r: r.update(gold=_other_dataset_candidate(corpus, r))),
+    ),
+    "gold-names-nothing": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(gold=10**9))),
+    "query-missing-key": ("queries.jsonl", _rewrite(lambda corpus, r: r.pop("tokens"))),
+    "candidate-missing-key": ("candidates.jsonl", _rewrite(lambda corpus, r: r.pop("dataset"))),
+    "bad-json": ("candidates.jsonl", lambda corpus, lines: b'{"id": 3,\n'),
+    "not-an-object": ("queries.jsonl", lambda corpus, lines: b"[1, 2]\n"),
+}
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("case", list(BAD_LINES))
+    def test_bad_line_reported_with_file_and_offset(self, corpus, tmp_path, case):
+        name, change = BAD_LINES[case]
+        corpus.save(tmp_path / "c")
+        path = tmp_path / "c" / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[BAD] = change(corpus, lines)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(FormatError, match=name) as err:
+            Corpus.load(tmp_path / "c")
+        assert err.value.offset == sum(len(line) for line in lines[:BAD])
+
+    @pytest.mark.parametrize("meta", [b'{"seed": 0,', b'{"seed": 0}', b"[]"])
+    def test_bad_meta_rejected(self, corpus, tmp_path, meta):
+        corpus.save(tmp_path / "c")
+        (tmp_path / "c" / "meta.json").write_bytes(meta)
+        with pytest.raises(FormatError, match="meta.json"):
+            Corpus.load(tmp_path / "c")

@@ -189,11 +189,6 @@ class TestExtract:
         assert np.array_equal(emb.vector.data[0], hidden.data[-1])
         assert emb.source_layer == 2
 
-    def test_width_matches_d_model(self):
-        enc = Encoder.init(SMALL, seed=1)
-        emb = embed(enc, small_tokens(), 2)
-        assert emb.width == SMALL.d_model
-
     def test_context_changes_embedding(self):
         enc = Encoder.init(SMALL, seed=2)
         e1 = embed(enc, small_tokens((40, 41)), 2)

@@ -283,16 +283,6 @@ class TestSelfDistill:
         assert tq not in grads
         assert sq in grads
 
-    def test_call_counter(self):
-        L.reset_distill_call_count()
-        x = rand_embeddings(2, 3, 0)
-        L.self_distill(x, x, x, x, "mse")
-        L.self_distill(x, x, x, x, "cosine")
-        assert L.distill_call_count() == 2
-        L.reset_distill_call_count()
-        assert L.distill_call_count() == 0
-
-
 class TestPretrainingLoss:
     def test_weighted_sum(self):
         lc, ld = Tensor(np.asarray(1.0)), Tensor(np.asarray(2.0))

@@ -229,6 +229,10 @@ class TestIndexIO:
 
 
 class TestEvaluate:
+    def test_unknown_scope_rejected(self, encoder, corpus):
+        with pytest.raises(ContractError):
+            evaluate(encoder, corpus, scopes=("cosmic",))
+
     def test_local_dominates_global(self, encoder, corpus):
         report = evaluate(encoder, corpus, scopes=("local", "global"), ks=(5,))
         cells = {}

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from umrlab import losses
+from umrlab import trainer
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
 from umrlab.encoder import Encoder, EncoderConfig, prune
 from umrlab.errors import AggregationError, ConfigurationError, DimensionError, FormatError, VersionError
-from umrlab.losses import AlphaSchedule, TemperatureSchedule
+from umrlab.losses import AlphaSchedule, TemperatureSchedule, self_distill
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.tensor import Tensor
 from umrlab.trainer import (
@@ -140,6 +140,16 @@ class TestAdam:
             adam_update(params, {"w": np.zeros(4)}, state)
 
 
+SHARD_CASES = {
+    "stage0": dict(stage=0),
+    "stage1-mse": dict(stage=1, alphas=AlphaSchedule.of("dynamic")),
+    "stage1-kl-normalized": dict(
+        stage=1, alphas=AlphaSchedule.of("dynamic"), distill_variant="kl", distill_normalize=True
+    ),
+    "stage2-mixed": dict(stage=2),
+}
+
+
 class TestTrainStep:
     def test_zero_lr_leaves_weights(self, corpus):
         cfg = config(0, lr=0.0)
@@ -149,16 +159,32 @@ class TestTrainStep:
         new, _, _ = train_step(enc, None, batch, cfg, opt, 0.0)
         assert new.param_bytes() == enc.param_bytes()
 
-    def test_shard_equivalence_gradients_and_weights(self, corpus):
+    @pytest.mark.parametrize("case", list(SHARD_CASES))
+    def test_shard_equivalence_gradients_and_weights(self, corpus, case):
+        overrides = dict(SHARD_CASES[case])
+        stage = overrides.pop("stage")
+        full = Encoder.init(ENC, seed=2)
         t2t = [s for s in corpus.train if s.task == "t2t"][:8]
-        batch = batch_from(corpus, t2t)
-        enc = Encoder.init(ENC, seed=2)
+        if stage == 0:
+            enc, teacher, samples, progress = full, None, t2t, 0.0
+        elif stage == 1:
+            enc, teacher, samples, progress = prune(full, 2), full, t2t, 0.5
+        else:
+            # interleaved so every shard holds both target modalities
+            images = [s for s in corpus.train if s.task == "t2i"][:4]
+            texts = [s for s in corpus.train if s.task != "t2i"][:4]
+            samples = [s for pair in zip(images, texts) for s in pair]
+            enc, teacher, progress = prune(full, 2), None, 0.5
+        batch = batch_from(corpus, samples)
+        if stage == 2:
+            assert set(batch.tags) == {"text", "image"}
         results = {}
         for shards in (1, 2, 4):
-            cfg = config(0, shards=shards, per_shard_batch=8 // shards)
-            grads, _ = compute_global_grads(enc, None, batch, cfg, 0.0)
+            cfg = config(stage, shards=shards, per_shard_batch=8 // shards, **overrides)
+            grads, breakdown = compute_global_grads(enc, teacher, batch, cfg, progress)
+            assert (breakdown["distill"] > 0.0) == (stage == 1)
             opt = OptimizerState.init(enc.params, cfg.lr)
-            stepped, _, _ = train_step(enc, None, batch, cfg, opt, 0.0)
+            stepped, _, _ = train_step(enc, teacher, batch, cfg, opt, progress)
             results[shards] = (grads, stepped)
         ref_grads, ref_model = results[1]
         for shards in (2, 4):
@@ -170,18 +196,6 @@ class TestTrainStep:
                 for n in ref_model.params
             )
             assert diff < 1e-10
-
-    def test_sequential_vs_parallel_bitwise(self, corpus):
-        t2t = [s for s in corpus.train if s.task == "t2t"][:8]
-        batch = batch_from(corpus, t2t)
-        enc = Encoder.init(ENC, seed=3)
-        outputs = []
-        for parallel in (False, True):
-            cfg = config(0, shards=4, per_shard_batch=2, parallel_shards=parallel)
-            opt = OptimizerState.init(enc.params, cfg.lr)
-            stepped, _, _ = train_step(enc, None, batch, cfg, opt, 0.0)
-            outputs.append(stepped.param_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_stage1_requires_teacher(self, corpus):
         cfg = config(1)
@@ -243,11 +257,17 @@ class TestRunStage:
         assert result.encoder.config.n_layers == cfg.k
         assert all(r.distill > 0.0 for r in result.curve)
 
-    def test_stage2_never_calls_distill(self, corpus):
+    def test_stage2_never_calls_distill(self, corpus, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return self_distill(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "self_distill", counting)
         enc = prune(Encoder.init(ENC, seed=7), 2)
-        losses.reset_distill_call_count()
         run_stage(corpus, config(2, epochs=1, steps_per_epoch=3), encoder=enc)
-        assert losses.distill_call_count() == 0
+        assert calls == []
 
     def test_stage_corpus_mismatch(self):
         spec = CorpusSpec(n_concepts=8, tasks=("t2i",), distractors=1, test_fraction=0.25)
@@ -339,3 +359,19 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("tok_emb", (2, 8)), ("layers.0.ffn.b1", (32, 1))],
+        ids=["extent", "rank"],
+    )
+    def test_shape_mismatch_rejected_at_shape_field(self, tmp_path, name, shape):
+        cfg = EncoderConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, max_seq=8, k=1)
+        params = dict(Encoder.init(cfg, seed=0).params)
+        params[name] = Tensor(np.zeros(shape), grad_tracked=True)
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, Encoder(cfg, params))
+        blob = path.read_bytes()
+        with pytest.raises(FormatError, match="config implies") as err:
+            load_checkpoint(path)
+        assert err.value.offset == blob.index(name.encode()) + len(name)
