@@ -4,6 +4,7 @@ Pre-norm blocks with bidirectional multi-head attention; embeddings are read
 from the retrieval token's hidden state at any layer depth. The first k
 layers of the full model and the pruned-to-k model are bit-identical by
 construction, which is what makes teacher/student weight surgery exact.
+Inference runs the same blocks without a tape (:func:`forward_raw`).
 """
 
 from __future__ import annotations
@@ -109,12 +110,7 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
-def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
-    """Hidden states after ``upto`` pre-norm blocks, shape (len, d_model).
-
-    No final layer norm is applied: intermediate-depth extraction reads the
-    residual stream directly.
-    """
+def _blocks(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     cfg = encoder.config
     if not 1 <= upto <= cfg.n_layers:
         raise ContractError(f"upto {upto} outside 1..{cfg.n_layers}")
@@ -139,61 +135,20 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     return h
 
 
-def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
-    """Tape-free twin of :func:`forward` for inference paths.
+def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
+    """Hidden states after ``upto`` pre-norm blocks, shape (len, d_model).
 
-    Mirrors the graph forward operation for operation so results are
-    bitwise identical (asserted in tests); exists because indexing large
-    candidate pools does not need gradients.
+    No final layer norm is applied: intermediate-depth extraction reads the
+    residual stream directly.
     """
-    cfg = encoder.config
-    if not 1 <= upto <= cfg.n_layers:
-        raise ContractError(f"upto {upto} outside 1..{cfg.n_layers}")
-    ids = np.asarray(tokens.ids, dtype=np.int64)
-    if ids.size > cfg.max_seq:
-        raise LengthError(f"sequence of {ids.size} tokens exceeds max_seq {cfg.max_seq}")
-    if ids.max() >= cfg.vocab_size or ids.min() < 0:
-        raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
-    p = {name: t.data for name, t in encoder.params.items()}
-    s, d = ids.size, cfg.d_model
-    n_heads = cfg.n_heads
-    dh = d // n_heads
-    inv_scale = 1.0 / np.sqrt(dh)
-    eps = 1e-5
+    return _blocks(encoder, tokens, upto)
 
-    def ln(x, gain, bias):
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
 
-    def attn(q, k, v):
-        q3 = q.reshape(s, n_heads, dh).transpose(1, 0, 2)
-        k3 = k.reshape(s, n_heads, dh).transpose(1, 0, 2)
-        v3 = v.reshape(s, n_heads, dh).transpose(1, 0, 2)
-        z = (q3 @ k3.transpose(0, 2, 1)) * inv_scale
-        z -= z.max(axis=2, keepdims=True)
-        e = np.exp(z)
-        a = e / e.sum(axis=2, keepdims=True)
-        return (a @ v3).transpose(1, 0, 2).reshape(s, d)
-
-    def gelu(x):
-        u = 0.7978845608028654 * (x + 0.044715 * x**3)
-        return 0.5 * x * (1.0 + np.tanh(u))
-
-    h = p["tok_emb"][ids] + p["pos_emb"][np.arange(s)]
-    for i in range(upto):
-        base = f"layers.{i}."
-        a = ln(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-        mixed = attn(
-            a @ p[base + "attn.wq"] + p[base + "attn.bq"],
-            a @ p[base + "attn.wk"] + p[base + "attn.bk"],
-            a @ p[base + "attn.wv"] + p[base + "attn.bv"],
-        )
-        h = h + (mixed @ p[base + "attn.wo"] + p[base + "attn.bo"])
-        f = ln(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
-        f = gelu(f @ p[base + "ffn.w1"] + p[base + "ffn.b1"])
-        h = h + (f @ p[base + "ffn.w2"] + p[base + "ffn.b2"])
-    return h
+def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
+    """:func:`forward` without a tape, for inference paths; returns the
+    read-only hidden-state array."""
+    with T.no_grad():
+        return _blocks(encoder, tokens, upto).data
 
 
 def embed_raw(encoder: Encoder, tokens: TokenSequence, upto: int | None = None) -> np.ndarray:

@@ -170,6 +170,24 @@ class TestRawForward:
                 b = forward_raw(enc, seq, upto)
                 assert a.tobytes() == b.tobytes()
 
+    def test_builds_no_tape_on_tracked_params(self, monkeypatch):
+        from umrlab.encoder import forward_raw
+
+        built = []
+        node = T._Node
+
+        def counting(*args):
+            built.append(args[0])
+            return node(*args)
+
+        monkeypatch.setattr(T, "_Node", counting)
+        enc = Encoder.init(SMALL, seed=3)
+        assert all(t.grad_tracked for t in enc.params.values())
+        forward_raw(enc, small_tokens(), 2)
+        assert built == []
+        forward(enc, small_tokens(), 2)
+        assert "attention" in built
+
     def test_embed_raw_matches_embed(self):
         from umrlab.encoder import embed_raw
 
