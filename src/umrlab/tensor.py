@@ -318,7 +318,7 @@ def log(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    u = _GELU_C * (x.data + _GELU_A * x.data**3)
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
     t = np.tanh(u)
     out = 0.5 * x.data * (1.0 + t)
 
