@@ -80,9 +80,14 @@ class Encoder:
     """Immutable weight bundle; training produces new Encoders."""
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
-        expected = parameter_names(config)
-        if list(params.keys()) != expected:
+        expected = parameter_shapes(config)
+        if list(params) != list(expected):
             raise ContractError("encoder parameter names/order do not match config")
+        for name, shape in expected.items():
+            if params[name].shape != shape:
+                raise ContractError(
+                    f"parameter {name!r} has shape {params[name].shape}, config implies {shape}"
+                )
         self.config = config
         self.params = dict(params)
 

@@ -87,6 +87,18 @@ class TestAssemblePrompt:
             TokenSequence(ids=(RET_TOKEN_ID, 5), ret_position=0)
 
 
+class TestEncoderInit:
+    @pytest.mark.parametrize(
+        "name,shape", [("tok_emb", (2, 8)), ("layers.0.ffn.b1", (32, 1))], ids=["extent", "rank"]
+    )
+    def test_wrong_shape_rejected(self, name, shape):
+        cfg = EncoderConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, max_seq=8, k=1)
+        params = dict(Encoder.init(cfg, seed=0).params)
+        params[name] = T.Tensor(np.zeros(shape), grad_tracked=True)
+        with pytest.raises(ContractError, match=f"{name!r} has shape"):
+            Encoder(cfg, params)
+
+
 class TestForward:
     def test_deterministic_across_runs(self):
         enc = Encoder.init(SMALL, seed=9)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -367,11 +368,15 @@ class TestCheckpoint:
     )
     def test_shape_mismatch_rejected_at_shape_field(self, tmp_path, name, shape):
         cfg = EncoderConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, max_seq=8, k=1)
-        params = dict(Encoder.init(cfg, seed=0).params)
-        params[name] = Tensor(np.zeros(shape), grad_tracked=True)
+        enc = Encoder.init(cfg, seed=0)
         path = tmp_path / "s.ckpt"
-        save_checkpoint(path, Encoder(cfg, params))
-        blob = path.read_bytes()
+        save_checkpoint(path, enc)
+        valid = path.read_bytes()
+        # rewrite the tensor's rank and extents in place; its data is never reached
+        at = valid.index(name.encode()) + len(name)
+        field = struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        blob = valid[:at] + field + valid[at + 1 + 4 * enc.params[name].ndim :]
+        path.write_bytes(blob)
         with pytest.raises(FormatError, match="config implies") as err:
             load_checkpoint(path)
         assert err.value.offset == blob.index(name.encode()) + len(name)
