@@ -74,8 +74,14 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 class Settings:
-    """flag > config file > default, with casting for config-file strings."""
+    """flag > config file > default, with strict casting for config-file strings."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -85,12 +91,17 @@ class Settings:
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag
-        if key in self.file:
-            raw = self.file[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw) if cast else raw
-        return default
+        if key not in self.file:
+            return default
+        raw = self.file[key]
+        if cast is None:
+            return raw
+        try:
+            return _BOOL_WORDS[raw.lower()] if cast is bool else cast(raw)
+        except (KeyError, ValueError):
+            raise ConfigurationError(
+                f"{self.args.config}: {key} = {raw!r} is not a valid {cast.__name__}"
+            ) from None
 
 
 def _corpus_spec(s: Settings) -> CorpusSpec:

@@ -223,6 +223,27 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_misspelled_bool_rejected(self, workdir, tmp_path, capsys):
+        root, corpus, _, _ = workdir
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("distill_normalize = ture\n")
+        code = main([
+            "train", "--stage", "0", "--corpus", str(corpus),
+            "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "distill_normalize" in err and str(cfg) in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_non_numeric_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text("concepts = abc\n")
+        code = main(["gen-data", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "concepts" in err and str(cfg) in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
