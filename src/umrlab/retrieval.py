@@ -143,7 +143,12 @@ class SeparationStats:
 
 
 def modality_separation(index: EmbeddingIndex) -> SeparationStats:
-    """Mean pairwise cosine within vs across modality groups (no self-pairs)."""
+    """Mean pairwise cosine within vs across modality groups (no self-pairs).
+
+    Computed in O(N*d) from the per-group vector sums S_g: the ordered pairs
+    i != j inside group g sum to |S_g|^2 - sum_i |v_i|^2, and the pairs across
+    groups to |sum_g S_g|^2 - sum_g |S_g|^2.
+    """
     codes = index.modality_codes
     present, counts = np.unique(codes, return_counts=True)
     if len(present) < 2:
@@ -151,11 +156,11 @@ def modality_separation(index: EmbeddingIndex) -> SeparationStats:
     if counts.min() < 2:
         raise ContractError("separation needs at least two candidates per modality")
     v = index.vectors.astype(np.float64)
-    sims = v @ v.T
-    same = codes[None, :] == codes[:, None]
-    off_diag = ~np.eye(len(index), dtype=bool)
-    intra = float(sims[same & off_diag].mean())
-    inter = float(sims[~same].mean())
+    sums = np.stack([v[codes == c].sum(axis=0) for c in present])
+    total = sums.sum(axis=0)
+    within = float((sums * sums).sum())
+    intra = (within - float((v * v).sum())) / float((counts * (counts - 1)).sum())
+    inter = (float(total @ total) - within) / float(len(index) ** 2 - (counts * counts).sum())
     return SeparationStats(intra=intra, inter=inter)
 
 
@@ -194,6 +199,9 @@ def write_pca_csv(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
+    wide = (index.ids < 0) | (index.ids > 0xFFFFFFFF)
+    if wide.any():
+        raise ContractError(f"candidate id {int(index.ids[wide][0])} does not fit the u32 id field")
     out = bytearray()
     out += INDEX_MAGIC
     out += struct.pack("<II", len(index), index.dim)

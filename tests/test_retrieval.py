@@ -192,6 +192,22 @@ class TestSeparation:
         with pytest.raises(ContractError):
             modality_separation(toy_index(np.eye(3), modalities=[0, 0, 1]))
 
+    def test_matches_all_pairs_reference(self):
+        rng = np.random.default_rng(4)
+        modalities = np.repeat([0, 1, 2], [7, 2, 12])
+        v = rng.normal(size=(len(modalities), 5))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[3] = 0.0
+        idx = toy_index(v, modalities=rng.permutation(modalities))
+        # brute force over the full N x N cosine matrix, self-pairs excluded
+        w = idx.vectors.astype(np.float64)
+        sims = w @ w.T
+        same = idx.modality_codes[:, None] == idx.modality_codes[None, :]
+        off_diag = ~np.eye(len(w), dtype=bool)
+        stats = modality_separation(idx)
+        assert stats.intra == pytest.approx(sims[same & off_diag].mean(), abs=1e-12)
+        assert stats.inter == pytest.approx(sims[~same].mean(), abs=1e-12)
+
 
 class TestIndexIO:
     def test_round_trip_preserves_search(self, index, encoder, corpus, tmp_path):
@@ -218,6 +234,14 @@ class TestIndexIO:
         with pytest.raises(FormatError) as err:
             load_index(p)
         assert err.value.offset is not None
+
+    @pytest.mark.parametrize("bad_id", [2**32, -1])
+    def test_id_outside_u32_rejected_before_writing(self, tmp_path, bad_id):
+        idx = toy_index(np.eye(2), ids=[0, bad_id])
+        p = tmp_path / "wide.idx"
+        with pytest.raises(ContractError, match=str(bad_id)):
+            save_index(idx, p)
+        assert not p.exists()
 
     def test_empty_index_file_valid(self, tmp_path):
         empty = toy_index(np.zeros((0, 4), dtype=np.float32), ids=[], modalities=[], datasets=[])
