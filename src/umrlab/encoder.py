@@ -115,6 +115,7 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
+# forward_raw calls this, not forward, so profilers that wrap forward see taped calls only
 def _blocks(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     cfg = encoder.config
     if not 1 <= upto <= cfg.n_layers:
@@ -150,8 +151,7 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
 
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
-    """:func:`forward` without a tape, for inference paths; returns the
-    read-only hidden-state array."""
+    """:func:`forward` without a tape, for inference; returns a read-only array."""
     with T.no_grad():
         return _blocks(encoder, tokens, upto).data
 
