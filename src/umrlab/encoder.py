@@ -4,11 +4,16 @@ Pre-norm blocks with bidirectional multi-head attention; embeddings are read
 from the retrieval token's hidden state at any layer depth. The first k
 layers of the full model and the pruned-to-k model are bit-identical by
 construction, which is what makes teacher/student weight surgery exact.
-Inference runs the same blocks without a tape (:func:`forward_raw`).
+
+Training runs one sequence per taped call (:func:`forward`). Inference runs
+the same blocks without a tape, either on one sequence (:func:`forward_raw`,
+the hidden-state view) or on a batch of equal-length sequences stacked as
+rows (:func:`embed_raw`), which shares each op's call cost across the batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,25 +120,37 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
-# forward_raw calls this, not forward, so profilers that wrap forward see taped calls only
-def _blocks(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
+# forward_raw and embed_raw call this, not forward, so profilers that wrap
+# forward see taped calls only
+def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tensor:
+    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model).
+
+    The sequences share every op as rows of one 2-D array; only attention
+    needs the sequence length, to keep each sequence to its own rows.
+    """
     cfg = encoder.config
     if not 1 <= upto <= cfg.n_layers:
         raise ContractError(f"upto {upto} outside 1..{cfg.n_layers}")
-    ids = list(tokens.ids)
-    if len(ids) > cfg.max_seq:
-        raise LengthError(f"sequence of {len(ids)} tokens exceeds max_seq {cfg.max_seq}")
+    if not batch:
+        raise ContractError("batch holds no sequences")
+    s = len(batch[0])
+    if any(len(tokens) != s for tokens in batch):
+        raise ContractError(f"batch sequence lengths differ: {sorted({len(t) for t in batch})}")
+    if s > cfg.max_seq:
+        raise LengthError(f"sequence of {s} tokens exceeds max_seq {cfg.max_seq}")
+    ids = [i for tokens in batch for i in tokens.ids]
     if max(ids) >= cfg.vocab_size or min(ids) < 0:
         raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
     p = encoder.params
-    h = T.add(T.take_rows(p["tok_emb"], ids), T.take_rows(p["pos_emb"], range(len(ids))))
+    positions = list(range(s)) * len(batch)
+    h = T.add(T.take_rows(p["tok_emb"], ids), T.take_rows(p["pos_emb"], positions))
     for i in range(upto):
         base = f"layers.{i}."
         a = T.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
         q = T.affine(a, p[base + "attn.wq"], p[base + "attn.bq"])
         k = T.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
         v = T.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
-        mixed = T.attention(q, k, v, cfg.n_heads)
+        mixed = T.attention(q, k, v, cfg.n_heads, s)
         h = T.add(h, T.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
         f = T.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
         f = T.gelu(T.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
@@ -147,19 +164,30 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     No final layer norm is applied: intermediate-depth extraction reads the
     residual stream directly.
     """
-    return _blocks(encoder, tokens, upto)
+    return _blocks(encoder, [tokens], upto)
 
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
-    """:func:`forward` without a tape, for inference; returns a read-only array."""
+    """:func:`forward` without a tape: the single-sequence hidden states,
+    shape (len, d_model), as a read-only array."""
     with T.no_grad():
-        return _blocks(encoder, tokens, upto).data
+        return _blocks(encoder, [tokens], upto).data
 
 
-def embed_raw(encoder: Encoder, tokens: TokenSequence, upto: int | None = None) -> np.ndarray:
-    """Tape-free [RET] embedding, shape (d_model,)."""
+def embed_raw(
+    encoder: Encoder, batch: Sequence[TokenSequence], upto: int | None = None
+) -> np.ndarray:
+    """Tape-free [RET] embeddings of equal-length sequences, shape (B, d_model).
+
+    Row b is bitwise equal to ``embed(encoder, batch[b], upto)``: the batch
+    only adds rows to each op, and attention stays within each sequence.
+    ``upto`` defaults to config.k.
+    """
     depth = encoder.config.k if upto is None else upto
-    return forward_raw(encoder, tokens, depth)[tokens.ret_position]
+    with T.no_grad():
+        hidden = _blocks(encoder, batch, depth).data
+    s = len(batch[0])
+    return hidden[s - 1 :: s]
 
 
 def extract_ret_embedding(hidden: Tensor, tokens: TokenSequence, source_layer: int) -> Embedding:

@@ -24,7 +24,11 @@ from .prompts import assemble_prompt
 from .tasks import MODALITIES, MODALITY_CODES
 
 INDEX_MAGIC = b"PUMAIDX1"
-_RECORD_PAD = b"\x00\x00"  # id(4) + modality(1) + dataset(1) -> pad to 8
+# Candidates per batched forward in build_index. Smaller chunks pay more
+# per-op call cost, larger ones fall out of cache: building 1,800 candidates
+# at d=32, k=3 took 548 / 508 / 520 / 654 / 839 ms (median of 7, 2 vCPUs) at
+# chunks of 8 / 32 / 64 / 128 / 300.
+EMBED_CHUNK = 32
 
 
 @dataclass
@@ -54,42 +58,50 @@ def _normalize(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int | None = None) -> EmbeddingIndex:
-    """Prompt, forward and normalize every candidate into a flat index."""
+    """Prompt, forward and normalize every candidate into a flat index.
+
+    Candidates with equal prompt lengths are embedded together, up to
+    EMBED_CHUNK per tape-free forward; rows stay in input order.
+    """
     depth = encoder.config.n_layers if k_layers is None else k_layers
     names = tuple(sorted({c.dataset for c in candidates}))
     if len(names) > 255:
         raise ContractError("dataset codes are u8; at most 255 datasets")
     code_of = {n: i for i, n in enumerate(names)}
-    n = len(candidates)
-    ids = np.zeros(n, dtype=np.int64)
-    modality = np.zeros(n, dtype=np.uint8)
-    dataset = np.zeros(n, dtype=np.uint8)
-    vectors = np.zeros((n, encoder.config.d_model), dtype=np.float32)
-    for row, cand in enumerate(candidates):
+    seqs = []
+    for cand in candidates:
         try:
-            seq = assemble_prompt(cand, "candidate", encoder.config.max_seq)
+            seqs.append(assemble_prompt(cand, "candidate", encoder.config.max_seq))
         except LengthError as err:
             raise LengthError(f"candidate {cand.id}: {err}") from None
-        vec = _normalize(embed_raw(encoder, seq, depth))
-        ids[row] = cand.id
-        modality[row] = MODALITY_CODES[cand.modality]
-        dataset[row] = code_of[cand.dataset]
-        vectors[row] = vec.astype(np.float32)
+    n = len(candidates)
+    ids = np.array([c.id for c in candidates], dtype=np.int64)
+    modality = np.array([MODALITY_CODES[c.modality] for c in candidates], dtype=np.uint8)
+    dataset = np.array([code_of[c.dataset] for c in candidates], dtype=np.uint8)
     if len(set(ids.tolist())) != n:
         raise ContractError("candidate ids must be unique")
+    by_length: dict[int, list[int]] = {}
+    for row, seq in enumerate(seqs):
+        by_length.setdefault(len(seq), []).append(row)
+    vectors = np.zeros((n, encoder.config.d_model), dtype=np.float32)
+    for rows in by_length.values():
+        for start in range(0, len(rows), EMBED_CHUNK):
+            chunk = rows[start : start + EMBED_CHUNK]
+            for row, vec in zip(chunk, embed_raw(encoder, [seqs[r] for r in chunk], depth)):
+                vectors[row] = _normalize(vec)
     return EmbeddingIndex(ids, modality, dataset, vectors, names)
 
 
 def embed_query(encoder: Encoder, sample: Sample, k_layers: int | None = None) -> np.ndarray:
     depth = encoder.config.n_layers if k_layers is None else k_layers
     seq = assemble_prompt(sample, "query", encoder.config.max_seq)
-    return _normalize(embed_raw(encoder, seq, depth))
+    return _normalize(embed_raw(encoder, [seq], depth)[0])
 
 
 def embed_candidate(encoder: Encoder, candidate: Candidate, k_layers: int | None = None) -> np.ndarray:
     depth = encoder.config.n_layers if k_layers is None else k_layers
     seq = assemble_prompt(candidate, "candidate", encoder.config.max_seq)
-    return _normalize(embed_raw(encoder, seq, depth))
+    return _normalize(embed_raw(encoder, [seq], depth)[0])
 
 
 def search_topk(
@@ -115,6 +127,13 @@ def search_topk(
     if ids.size == 0:
         return []
     scores = index.vectors[keep].astype(np.float64) @ query
+    if k < ids.size:
+        # only rows at least as good as the k-th best (ties and NaNs included)
+        # can make the top k; sort those alone
+        neg = -scores
+        kth = np.partition(neg, k - 1)[k - 1]
+        survivors = np.flatnonzero(~(neg > kth))
+        ids, scores = ids[survivors], scores[survivors]
     order = np.lexsort((ids, -scores))[:k]
     return [(int(ids[i]), float(scores[i])) for i in order]
 
@@ -198,23 +217,35 @@ def write_pca_csv(index: EmbeddingIndex, path: str | Path) -> None:
 # persistence
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One index record: u32 id, u8 modality, u8 dataset, 2 zero pad bytes,
+    then dim little-endian float32s."""
+    return np.dtype(
+        {
+            "names": ["id", "modality", "dataset", "vector"],
+            "formats": ["<u4", "u1", "u1", ("<f4", (dim,))],
+            "offsets": [0, 4, 5, 8],
+            "itemsize": 8 + 4 * dim,
+        }
+    )
+
+
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
     wide = (index.ids < 0) | (index.ids > 0xFFFFFFFF)
     if wide.any():
         raise ContractError(f"candidate id {int(index.ids[wide][0])} does not fit the u32 id field")
-    out = bytearray()
-    out += INDEX_MAGIC
-    out += struct.pack("<II", len(index), index.dim)
-    for i in range(len(index)):
-        out += struct.pack(
-            "<IBB", int(index.ids[i]), int(index.modality_codes[i]), int(index.dataset_codes[i])
-        )
-        out += _RECORD_PAD
-        out += index.vectors[i].astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    records = np.zeros(len(index), dtype=_record_dtype(index.dim))
+    records["id"] = index.ids
+    records["modality"] = index.modality_codes
+    records["dataset"] = index.dataset_codes
+    records["vector"] = index.vectors
+    header = INDEX_MAGIC + struct.pack("<II", len(index), index.dim)
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
+    """Read an index file, checking its length against the header before
+    allocating anything for the records."""
     blob = Path(path).read_bytes()
     if blob[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise FormatError("bad index magic", 0)
@@ -223,24 +254,23 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         raise FormatError("truncated index header", offset)
     count, dim = struct.unpack_from("<II", blob, offset)
     offset += 8
-    record = 4 + 1 + 1 + len(_RECORD_PAD) + 4 * dim
-    ids = np.zeros(count, dtype=np.int64)
-    modality = np.zeros(count, dtype=np.uint8)
-    dataset = np.zeros(count, dtype=np.uint8)
-    vectors = np.zeros((count, dim), dtype=np.float32)
-    for i in range(count):
-        if offset + record > len(blob):
-            raise FormatError(f"truncated index record {i}", offset)
-        cid, mod, ds = struct.unpack_from("<IBB", blob, offset)
-        ids[i] = cid
-        modality[i] = mod
-        dataset[i] = ds
-        start = offset + 8
-        vectors[i] = np.frombuffer(blob, dtype="<f4", count=dim, offset=start)
-        offset += record
-    if offset != len(blob):
-        raise FormatError("trailing bytes after index payload", offset)
-    return EmbeddingIndex(ids, modality, dataset, vectors, dataset_names=None)
+    record = 8 + 4 * dim
+    end = offset + count * record
+    if end > len(blob):
+        whole = (len(blob) - offset) // record
+        raise FormatError(f"truncated index record {whole}", offset + whole * record)
+    if end < len(blob):
+        raise FormatError("trailing bytes after index payload", end)
+    if dim >= 2**31:  # only an empty index gets here; numpy cannot shape the record
+        raise FormatError(f"index dim {dim} too large", offset - 4)
+    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=offset)
+    return EmbeddingIndex(
+        ids=records["id"].astype(np.int64),
+        modality_codes=records["modality"].copy(),
+        dataset_codes=records["dataset"].copy(),
+        vectors=records["vector"].astype(np.float32),
+        dataset_names=None,
+    )
 
 
 # ---------------------------------------------------------------------------

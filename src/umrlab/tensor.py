@@ -517,45 +517,46 @@ def cross_entropy_rows(scores: Tensor, target_probs: np.ndarray) -> Tensor:
     return _result("cross_entropy_rows", np.asarray(loss), (scores,), vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Tensor:
     """Bidirectional multi-head scaled dot-product attention, one fused node.
 
-    q, k, v are (seq, d_model); columns are split into n_heads equal slices.
+    q, k, v are (B*seq_len, d_model): B sequences of seq_len rows stacked in
+    order. Attention is block-diagonal, so each sequence attends only to its
+    own rows; columns are split into n_heads equal slices.
     """
     _require_2d("attention", q, k, v)
     if not (q.shape == k.shape == v.shape):
         raise DimensionError(
             f"attention operand shapes disagree: {q.shape}, {k.shape}, {v.shape}"
         )
-    s, d = q.shape
+    rows, d = q.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ContractError(f"n_heads {n_heads} must divide d_model {d}")
-    dh = d // n_heads
-    inv_scale = 1.0 / np.sqrt(dh)
+    if seq_len < 1 or rows % seq_len != 0:
+        raise ContractError(f"seq_len {seq_len} must divide the row count {rows}")
+    # (B*seq, d) -> (B, heads, seq, dh) through this shape and a transpose;
+    # the taped closure holds plain values, not helper functions
+    split_shape = (rows // seq_len, seq_len, n_heads, d // n_heads)
+    inv_scale = 1.0 / np.sqrt(split_shape[3])
 
-    def split(t):
-        # (seq, d) -> (heads, seq, dh)
-        return t.reshape(s, n_heads, dh).transpose(1, 0, 2)
-
-    q3, k3, v3 = split(q.data), split(k.data), split(v.data)
-    z = (q3 @ k3.transpose(0, 2, 1)) * inv_scale
-    z -= z.max(axis=2, keepdims=True)
+    q4, k4, v4 = (t.data.reshape(split_shape).transpose(0, 2, 1, 3) for t in (q, k, v))
+    z = (q4 @ k4.transpose(0, 1, 3, 2)) * inv_scale
+    z -= z.max(axis=3, keepdims=True)
     e = np.exp(z)
-    a = e / e.sum(axis=2, keepdims=True)
-    out3 = a @ v3
-    out = out3.transpose(1, 0, 2).reshape(s, d)
+    a = e / e.sum(axis=3, keepdims=True)
+    out = (a @ v4).transpose(0, 2, 1, 3).reshape(rows, d)
 
     def vjp(dy):
-        dy3 = dy.reshape(s, n_heads, dh).transpose(1, 0, 2)
-        dv3 = a.transpose(0, 2, 1) @ dy3
-        da = dy3 @ v3.transpose(0, 2, 1)
-        dz = (da - (da * a).sum(axis=2, keepdims=True)) * a * inv_scale
-        dq3 = dz @ k3
-        dk3 = dz.transpose(0, 2, 1) @ q3
+        dy4 = dy.reshape(split_shape).transpose(0, 2, 1, 3)
+        dv4 = a.transpose(0, 1, 3, 2) @ dy4
+        da = dy4 @ v4.transpose(0, 1, 3, 2)
+        dz = (da - (da * a).sum(axis=3, keepdims=True)) * a * inv_scale
+        dq4 = dz @ k4
+        dk4 = dz.transpose(0, 1, 3, 2) @ q4
 
-        def merge(t3):
-            return t3.transpose(1, 0, 2).reshape(s, d)
+        def merge(t4):
+            return t4.transpose(0, 2, 1, 3).reshape(rows, d)
 
-        return merge(dq3), merge(dk3), merge(dv3)
+        return merge(dq4), merge(dk4), merge(dv4)
 
     return _result("attention", out, (q, k, v), vjp)

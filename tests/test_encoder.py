@@ -206,8 +206,36 @@ class TestRawForward:
         enc = Encoder.init(SMALL, seed=3)
         seq = small_tokens()
         a = embed(enc, seq, 2).vector.data[0]
-        b = embed_raw(enc, seq, 2)
-        assert a.tobytes() == b.tobytes()
+        b = embed_raw(enc, [seq], 2)
+        assert b.shape == (1, SMALL.d_model)
+        assert a.tobytes() == b[0].tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_batch_rows_match_single_embeds(self, batch):
+        from umrlab.encoder import embed_raw
+
+        cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=3, max_seq=12, k=2)
+        enc = Encoder.init(cfg, seed=7)
+        rng = np.random.default_rng(batch)
+        seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=6)) for _ in range(batch)]
+        for upto in (1, 2, 3):
+            got = embed_raw(enc, seqs, upto)
+            assert got.shape == (batch, cfg.d_model)
+            for row, seq in zip(got, seqs):
+                assert row.tobytes() == embed(enc, seq, upto).vector.data[0].tobytes()
+
+    def test_unequal_lengths_rejected(self):
+        from umrlab.encoder import embed_raw
+
+        enc = Encoder.init(SMALL, seed=3)
+        with pytest.raises(ContractError, match="lengths differ"):
+            embed_raw(enc, [small_tokens((40,)), small_tokens((40, 41))], 2)
+
+    def test_empty_batch_rejected(self):
+        from umrlab.encoder import embed_raw
+
+        with pytest.raises(ContractError, match="no sequences"):
+            embed_raw(Encoder.init(SMALL, seed=3), [], 2)
 
 
 class TestExtract:

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,12 @@ from umrlab.encoder import Encoder, EncoderConfig, embed, forward
 from umrlab.errors import ContractError, FormatError
 from umrlab.prompts import assemble_prompt
 from umrlab.retrieval import (
+    EMBED_CHUNK,
     EmbeddingIndex,
     SeparationStats,
     build_index,
     config_fingerprint,
+    embed_candidate,
     embed_query,
     evaluate,
     load_index,
@@ -89,6 +94,36 @@ class TestBuildIndex:
         row = int(np.where(index.ids == cand.id)[0][0])
         assert index.vectors[row].tobytes() == want.tobytes()
 
+    def test_mixed_lengths_across_chunks_match_single_embeds(self):
+        spec = CorpusSpec(
+            n_concepts=40, tasks=("t2t", "i2i", "t2it"), text_vocab_size=60, image_vocab_size=60
+        )
+        cfg = EncoderConfig(
+            vocab_size=vocab_size_for(spec), d_model=8, n_heads=2, n_layers=2, max_seq=32, k=1
+        )
+        enc = Encoder.init(cfg, seed=5)
+        by_length: dict[int, list] = {}
+        for cand in generate_corpus(spec, seed=1).all_candidates():
+            by_length.setdefault(len(assemble_prompt(cand, "candidate")), []).append(cand)
+        assert sorted(by_length) == [13, 21, 29]
+        assert min(len(group) for group in by_length.values()) > EMBED_CHUNK
+        # round-robin over the three lengths, so no two neighbours share one
+        groups = [by_length[n] for n in (21, 13, 29)]
+        mixed = [c for trio in zip(*groups) for c in trio]
+        for depth in (1, 2):
+            idx = build_index(enc, mixed, k_layers=depth)
+            assert idx.ids.tolist() == [c.id for c in mixed]
+            want = np.stack([embed_candidate(enc, c, depth).astype(np.float32) for c in mixed])
+            assert idx.vectors.tobytes() == want.tobytes()
+
+
+def full_sort_topk(index, query, k, codes=None):
+    """search_topk's ranking by one lexsort over every kept row."""
+    keep = slice(None) if codes is None else np.isin(index.dataset_codes, codes)
+    ids = index.ids[keep]
+    scores = index.vectors[keep].astype(np.float64) @ query
+    return [(int(ids[i]), float(scores[i])) for i in np.lexsort((ids, -scores))[:k]]
+
 
 class TestSearch:
     def test_exact_match_on_orthonormal_rows(self):
@@ -120,6 +155,28 @@ class TestSearch:
             scores = idx.vectors.astype(np.float64) @ q
             oracle = sorted(zip(ids.tolist(), scores.tolist()), key=lambda p: (-p[1], p[0]))[:k]
             assert [i for i, _ in got] == [i for i, _ in oracle]
+
+    @pytest.mark.parametrize("values", ["normal", "ties", "nan-and-signed-zero"])
+    def test_partial_select_matches_full_sort(self, values):
+        rng = np.random.default_rng(len(values))
+        for _ in range(200):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            if values == "normal":
+                v, q = rng.normal(size=(n, d)), rng.normal(size=d)
+            elif values == "ties":
+                v, q = rng.integers(-2, 3, size=(n, d)), rng.integers(-1, 2, size=d).astype(float)
+            else:
+                v = rng.choice([0.0, -0.0, 1.0, -1.0, np.nan], size=(n, d))
+                q = rng.choice([0.0, -0.0, 1.0, 0.5], size=d)
+            codes = rng.integers(0, 2, size=n)
+            idx = toy_index(v, ids=rng.permutation(4 * n)[:n], datasets=codes, names=("a", "b"))
+            k = int(rng.integers(1, n + 2))
+            for scope in (None, [1]):
+                got = search_topk(idx, q, k, scope)
+                want = full_sort_topk(idx, q, k, scope)
+                assert [i for i, _ in got] == [i for i, _ in want]
+                scores = [np.array([s for _, s in hits]).tobytes() for hits in (got, want)]
+                assert scores[0] == scores[1]
 
     def test_scope_filter_and_empty_pool(self):
         idx = toy_index(np.eye(4), datasets=[0, 0, 1, 1], names=("ds-a", "ds-b"))
@@ -231,9 +288,10 @@ class TestIndexIO:
         save_index(index, p)
         blob = p.read_bytes()
         p.write_bytes(blob[: len(blob) - 5])
-        with pytest.raises(FormatError) as err:
+        last = len(index) - 1
+        with pytest.raises(FormatError, match=f"truncated index record {last}") as err:
             load_index(p)
-        assert err.value.offset is not None
+        assert err.value.offset == 16 + last * (8 + 4 * index.dim)
 
     @pytest.mark.parametrize("bad_id", [2**32, -1])
     def test_id_outside_u32_rejected_before_writing(self, tmp_path, bad_id):
@@ -242,6 +300,50 @@ class TestIndexIO:
         with pytest.raises(ContractError, match=str(bad_id)):
             save_index(idx, p)
         assert not p.exists()
+
+    @pytest.mark.parametrize("count,dim", [(2**32 - 1, 2**32 - 1), (50_000_000, 32)])
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, count, dim):
+        p = tmp_path / "huge.idx"
+        p.write_bytes(b"PUMAIDX1" + struct.pack("<II", count, dim))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated index record 0") as err:
+                load_index(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == 16
+        assert peak < 2**20
+
+    def test_dim_beyond_int32_rejected(self, tmp_path):
+        p = tmp_path / "wide.idx"
+        p.write_bytes(b"PUMAIDX1" + struct.pack("<II", 0, 2**31))
+        with pytest.raises(FormatError) as err:
+            load_index(p)
+        assert err.value.offset == 12
+
+    def test_trailing_bytes_rejected(self, index, tmp_path):
+        p = tmp_path / "long.idx"
+        save_index(index, p)
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes") as err:
+            load_index(p)
+        assert err.value.offset == size
+
+    def test_file_bytes_match_record_layout(self, index, tmp_path):
+        p = tmp_path / "pool.idx"
+        save_index(index, p)
+        want = bytearray(b"PUMAIDX1" + struct.pack("<II", len(index), index.dim))
+        for i in range(len(index)):
+            codes = (index.modality_codes[i], index.dataset_codes[i])
+            want += struct.pack("<IBB", index.ids[i], *codes)
+            want += b"\x00\x00" + index.vectors[i].astype("<f4").tobytes()
+        assert p.read_bytes() == bytes(want)
+        loaded = load_index(p)
+        assert loaded.ids.dtype == np.int64 and np.array_equal(loaded.ids, index.ids)
+        assert np.array_equal(loaded.modality_codes, index.modality_codes)
+        assert np.array_equal(loaded.dataset_codes, index.dataset_codes)
 
     def test_empty_index_file_valid(self, tmp_path):
         empty = toy_index(np.zeros((0, 4), dtype=np.float32), ids=[], modalities=[], datasets=[])

@@ -230,7 +230,12 @@ OPS_FOR_GRADCHECK = [
     ("softmax", lambda x: T.mean(T.mul(T.softmax_rows(x), T.softmax_rows(x))), [(3, 4)]),
     ("layer_norm", lambda x, g, b: T.mean(T.layer_norm_rows(x, g, b, eps=1e-5)), [(3, 4), (4,), (4,)]),
     ("l2norm", lambda x: T.mean(T.mul(T.l2_normalize_rows(x), T.l2_normalize_rows(x))), [(3, 4)]),
-    ("attention", lambda q, k, v: T.mean(T.attention(q, k, v, 2)), [(3, 4), (3, 4), (3, 4)]),
+    ("attention", lambda q, k, v: T.mean(T.attention(q, k, v, 2, 3)), [(3, 4), (3, 4), (3, 4)]),
+    (
+        "attention-batch2",
+        lambda q, k, v: T.mean(T.mul(T.attention(q, k, v, 2, 3), T.attention(q, k, v, 2, 3))),
+        [(6, 4), (6, 4), (6, 4)],
+    ),
     (
         "cross_entropy",
         lambda s: T.cross_entropy_rows(s, np.eye(3)),
