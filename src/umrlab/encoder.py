@@ -169,7 +169,9 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
     """:func:`forward` without a tape: the single-sequence hidden states,
-    shape (len, d_model), as a read-only array."""
+    shape (len, d_model), as a read-only array. Batched inference goes
+    through :func:`embed_raw`; this stays the per-sequence view that
+    profilers wrap."""
     with T.no_grad():
         return _blocks(encoder, [tokens], upto).data
 

@@ -261,7 +261,7 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         raise FormatError(f"truncated index record {whole}", offset + whole * record)
     if end < len(blob):
         raise FormatError("trailing bytes after index payload", end)
-    if dim >= 2**31:  # only an empty index gets here; numpy cannot shape the record
+    if record >= 2**31:  # numpy record sizes are C ints; only an empty index gets here
         raise FormatError(f"index dim {dim} too large", offset - 4)
     records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=offset)
     return EmbeddingIndex(

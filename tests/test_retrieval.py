@@ -315,9 +315,10 @@ class TestIndexIO:
         assert err.value.offset == 16
         assert peak < 2**20
 
-    def test_dim_beyond_int32_rejected(self, tmp_path):
+    @pytest.mark.parametrize("dim", [2**29, 2**32 - 1])
+    def test_empty_index_with_unrepresentable_dim_rejected(self, tmp_path, dim):
         p = tmp_path / "wide.idx"
-        p.write_bytes(b"PUMAIDX1" + struct.pack("<II", 0, 2**31))
+        p.write_bytes(b"PUMAIDX1" + struct.pack("<II", 0, dim))
         with pytest.raises(FormatError) as err:
             load_index(p)
         assert err.value.offset == 12
