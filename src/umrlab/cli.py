@@ -31,9 +31,10 @@ from .losses import (
     pretraining_loss,
     self_distill,
 )
+from .prompts import assemble_prompt
 from .retrieval import (
     build_index,
-    embed_candidate,
+    embed_prompts,
     embed_query,
     evaluate,
     load_index,
@@ -216,20 +217,17 @@ def cmd_prune(args) -> int:
 def cmd_embed(args) -> int:
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
-    if args.side == "candidate":
-        items = corpus.all_candidates()
-        vector_of = embed_candidate
-    else:
-        items = corpus.all_queries()
-        vector_of = embed_query
+    items = corpus.all_candidates() if args.side == "candidate" else corpus.all_queries()
     limit = min(args.limit, len(items)) if args.limit else len(items)
+    items = items[:limit]
+    seqs = [assemble_prompt(item, args.side, encoder.config.max_seq) for item in items]
+    vectors = embed_prompts(encoder, seqs, encoder.config.n_layers)
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
             ["id", "modality", "dataset"] + [f"v{i}" for i in range(encoder.config.d_model)]
         )
-        for item in items[:limit]:
-            vec = vector_of(encoder, item)
+        for item, vec in zip(items, vectors):
             writer.writerow([item.id, item.modality, item.dataset] + [f"{x:.8g}" for x in vec])
     print(f"wrote {limit} normalized {args.side} embeddings to {args.out}")
     return 0
@@ -277,7 +275,12 @@ def cmd_eval(args) -> int:
         dataset, _, value = item.partition("=")
         if not value:
             raise ConfigurationError(f"--k-override wants dataset=k, got {item!r}")
-        overrides[dataset] = int(value)
+        try:
+            overrides[dataset] = int(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"--k-override wants an integer k, got {item!r}"
+            ) from None
     settings_dict = {
         "checkpoint": args.checkpoint,
         "scopes": scopes,

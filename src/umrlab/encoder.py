@@ -5,10 +5,12 @@ from the retrieval token's hidden state at any layer depth. The first k
 layers of the full model and the pruned-to-k model are bit-identical by
 construction, which is what makes teacher/student weight surgery exact.
 
-Training runs one sequence per taped call (:func:`forward`). Inference runs
-the same blocks without a tape, either on one sequence (:func:`forward_raw`,
-the hidden-state view) or on a batch of equal-length sequences stacked as
-rows (:func:`embed_raw`), which shares each op's call cost across the batch.
+Every forward runs one block stack, :func:`_blocks`, over a batch of
+equal-length sequences stacked as rows, which shares each op's call cost
+across the batch. Training embeds a list of prompts with one taped call per
+prompt length (:func:`embed_batch`). Inference runs the same blocks without
+a tape, either on one sequence (:func:`forward_raw`, the hidden-state view)
+or on one equal-length batch (:func:`embed_raw`).
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
-# forward_raw and embed_raw call this, not forward, so profilers that wrap
-# forward see taped calls only
+# forward_raw, embed_raw and embed_batch call this, not forward, so
+# profilers that wrap forward see single-sequence taped calls only
 def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tensor:
     """Hidden states of B equal-length sequences stacked in order, (B*len, d_model).
 
@@ -190,6 +192,43 @@ def embed_raw(
         hidden = _blocks(encoder, batch, depth).data
     s = len(batch[0])
     return hidden[s - 1 :: s]
+
+
+def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
+    """Positions of ``seqs`` grouped by sequence length, groups in order of
+    each length's first appearance and positions ascending within a group."""
+    groups: dict[int, list[int]] = {}
+    for i, tokens in enumerate(seqs):
+        groups.setdefault(len(tokens), []).append(i)
+    return list(groups.values())
+
+
+def embed_batch(
+    encoder: Encoder, seqs: Sequence[TokenSequence], upto: int | None = None
+) -> Tensor:
+    """[RET] embeddings of sequences of any lengths, shape (N, d_model), row i
+    for ``seqs[i]``.
+
+    One :func:`_blocks` call per length group; the [RET] rows are gathered
+    back into input order by one ``take_rows``. Taped like :func:`embed`, and
+    tape-free under ``no_grad``. Values equal :func:`embed`'s bitwise;
+    gradients agree to roundoff, since weight-gradient row sums run over the
+    group's rows in one order. ``upto`` defaults to config.k.
+    """
+    if not seqs:
+        raise ContractError("no sequences to embed")
+    depth = encoder.config.k if upto is None else upto
+    groups = length_groups(seqs)
+    hidden = [_blocks(encoder, [seqs[i] for i in rows], depth) for rows in groups]
+    ret_row = [0] * len(seqs)
+    offset = 0
+    for rows in groups:
+        s = len(seqs[rows[0]])
+        for b, i in enumerate(rows):
+            ret_row[i] = offset + b * s + seqs[i].ret_position
+        offset += len(rows) * s
+    stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
+    return T.take_rows(stacked, ret_row)
 
 
 def extract_ret_embedding(hidden: Tensor, tokens: TokenSequence, source_layer: int) -> Embedding:

@@ -18,9 +18,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .datagen import Candidate, Corpus, Sample
-from .encoder import Encoder, embed_raw
+from .encoder import Encoder, embed_raw, length_groups
 from .errors import ContractError, FormatError, LengthError
-from .prompts import assemble_prompt
+from .prompts import TokenSequence, assemble_prompt
 from .tasks import MODALITIES, MODALITY_CODES
 
 INDEX_MAGIC = b"PUMAIDX1"
@@ -57,12 +57,26 @@ def _normalize(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return vec / max(norm, eps)
 
 
-def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int | None = None) -> EmbeddingIndex:
-    """Prompt, forward and normalize every candidate into a flat index.
+def embed_prompts(encoder: Encoder, seqs: Sequence[TokenSequence], depth: int) -> np.ndarray:
+    """Normalized tape-free embeddings of assembled prompts, shape (N, d_model),
+    row i for ``seqs[i]``.
 
-    Candidates with equal prompt lengths are embedded together, up to
-    EMBED_CHUNK per tape-free forward; rows stay in input order.
+    Prompts of equal length are embedded together, up to EMBED_CHUNK per
+    :func:`embed_raw` call. Row i is bitwise equal to what
+    :func:`embed_query` or :func:`embed_candidate` returns for its item.
     """
+    vectors = np.zeros((len(seqs), encoder.config.d_model))
+    for rows in length_groups(seqs):
+        for start in range(0, len(rows), EMBED_CHUNK):
+            chunk = rows[start : start + EMBED_CHUNK]
+            for row, vec in zip(chunk, embed_raw(encoder, [seqs[r] for r in chunk], depth)):
+                vectors[row] = _normalize(vec)
+    return vectors
+
+
+def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int | None = None) -> EmbeddingIndex:
+    """Prompt, forward and normalize every candidate into a flat index,
+    batched by prompt length through :func:`embed_prompts`."""
     depth = encoder.config.n_layers if k_layers is None else k_layers
     names = tuple(sorted({c.dataset for c in candidates}))
     if len(names) > 255:
@@ -80,15 +94,7 @@ def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int
     dataset = np.array([code_of[c.dataset] for c in candidates], dtype=np.uint8)
     if len(set(ids.tolist())) != n:
         raise ContractError("candidate ids must be unique")
-    by_length: dict[int, list[int]] = {}
-    for row, seq in enumerate(seqs):
-        by_length.setdefault(len(seq), []).append(row)
-    vectors = np.zeros((n, encoder.config.d_model), dtype=np.float32)
-    for rows in by_length.values():
-        for start in range(0, len(rows), EMBED_CHUNK):
-            chunk = rows[start : start + EMBED_CHUNK]
-            for row, vec in zip(chunk, embed_raw(encoder, [seqs[r] for r in chunk], depth)):
-                vectors[row] = _normalize(vec)
+    vectors = embed_prompts(encoder, seqs, depth).astype(np.float32)
     return EmbeddingIndex(ids, modality, dataset, vectors, names)
 
 

@@ -42,14 +42,20 @@ def no_grad():
 
 
 class _Node:
-    """One primitive application: op id, input refs, output ref, vjp."""
+    """One primitive application: op id, input refs, output id, vjp.
 
-    __slots__ = ("op", "inputs", "output", "vjp", "seq")
+    The node keeps only the id of its output, never a reference: the output
+    owns the node, so a reference back would make every tape a reference
+    cycle that lives until the cyclic collector runs. Dropping a step's root
+    then frees its whole tape at once.
+    """
+
+    __slots__ = ("op", "inputs", "output_id", "vjp", "seq")
 
     def __init__(self, op, inputs, output, vjp):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self.output_id = id(output)
         self.vjp = vjp
         self.seq = next(_seq)
 
@@ -57,7 +63,7 @@ class _Node:
 class Tensor:
     """Immutable dense array, optionally tracked for gradients."""
 
-    __slots__ = ("_data", "grad_tracked", "grad", "_node")
+    __slots__ = ("_data", "grad_tracked", "grad", "_node", "__weakref__")
 
     def __init__(self, data, grad_tracked: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -188,10 +194,12 @@ def backward(root: Tensor, populate: bool = True) -> dict[Tensor, np.ndarray]:
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
     graph = ComputeGraph.of(root)
+    # every node's output is alive here (the root, or an input of a later
+    # node), so its id cannot have been reused
     grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(root): root}
     for node in reversed(graph.nodes):
-        out_grad = grads.get(id(node.output))
+        out_grad = grads.get(node.output_id)
         if out_grad is None:
             continue
         for inp, g in zip(node.inputs, node.vjp(out_grad)):

@@ -12,10 +12,16 @@ shards so negatives span the global batch, and per-shard gradients are
 summed in shard-id order. Each shard computes the full global loss with
 only its own rows attached to the tape, so the shard-summed gradient equals
 the single-process gradient of the same global batch.
+
+A shard embeds each side of its slice with one taped call per prompt length
+(:func:`~umrlab.encoder.embed_batch`), so a step's forward cost grows with
+the number of distinct prompt lengths, not the number of prompts. Stage 1's
+frozen teacher embeds the batch's cache misses in one tape-free call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Sequence
@@ -24,7 +30,8 @@ import numpy as np
 
 from . import tensor as T
 from .datagen import Corpus, Sample, Candidate
-from .encoder import Encoder, EncoderConfig, embed, prune
+# embed is unused here; the benchmark tracer wraps trainer.embed as a call site
+from .encoder import Encoder, EncoderConfig, embed, embed_batch, prune
 from .errors import AggregationError, ConfigurationError, ContractError
 from .losses import (
     AlphaSchedule,
@@ -69,6 +76,8 @@ class TrainConfig:
             raise ConfigurationError(f"stage must be one of {STAGES}, got {self.stage}")
         if self.shards < 1 or self.per_shard_batch < 1:
             raise ConfigurationError("shards and per-shard batch must be >= 1")
+        if not math.isfinite(self.lr) or self.lr < 0:
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
         if not 1 <= self.k <= self.encoder.n_layers:
             raise ConfigurationError(
                 f"prune depth {self.k} outside 1..{self.encoder.n_layers}"
@@ -181,25 +190,26 @@ def _embed_block(
     upto: int,
     cache: dict | None = None,
 ) -> Tensor:
-    """Stack [RET] states for a list of samples/candidates into (N, d)."""
+    """Stack [RET] states for a list of samples/candidates into (N, d).
+
+    Without a cache the rows are taped. With one, each item is looked up once;
+    the misses are embedded in one tape-free call and stored, each row as
+    its own array so that no entry keeps the rest of the batch alive.
+    """
+    max_seq = encoder.config.max_seq
     if cache is None:
-        rows = [
-            embed(encoder, assemble_prompt(item, side, encoder.config.max_seq), upto).vector
-            for item in items
-        ]
-        return T.concat_rows(rows)
-    values = []
-    for item in items:
-        key = (side, item.id)
-        hit = cache.get(key)
-        if hit is None:
-            with T.no_grad():
-                hit = embed(
-                    encoder, assemble_prompt(item, side, encoder.config.max_seq), upto
-                ).vector.data
-            cache[key] = hit
-        values.append(hit)
-    return Tensor(np.concatenate(values, axis=0))
+        return embed_batch(encoder, [assemble_prompt(item, side, max_seq) for item in items], upto)
+    keys = [(side, item.id) for item in items]
+    rows = [cache.get(key) for key in keys]
+    missing = {key: item for key, item, row in zip(keys, items, rows) if row is None}
+    if missing:
+        seqs = [assemble_prompt(item, side, max_seq) for item in missing.values()]
+        with T.no_grad():
+            fresh = embed_batch(encoder, seqs, upto).data
+        for i, key in enumerate(missing):
+            cache[key] = fresh[i : i + 1].copy()
+        rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
+    return Tensor(np.concatenate(rows, axis=0))
 
 
 def _shard_loss(

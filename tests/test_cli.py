@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -61,6 +62,17 @@ class TestTrainArtifacts:
         assert code == 1
         assert "teacher" in capsys.readouterr().err
 
+    def test_non_finite_lr_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, _ = workdir
+        out = root / "nan.ckpt"
+        code = main([
+            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "--batch", "4", "--epochs", "1", "--lr", "nan",
+        ])
+        assert code == 1
+        assert "lr" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage2_runs_from_init(self, workdir):
         root, corpus, _, student = workdir
         out = root / "stage2.ckpt"
@@ -92,6 +104,31 @@ class TestPruneEmbedIndexSearch:
         lines = out.read_text().splitlines()
         assert len(lines) == 6
         assert lines[0].startswith("id,modality,dataset,v0")
+
+    @pytest.mark.parametrize("side", ["query", "candidate"])
+    def test_embed_csv_bytes_match_per_item_embeds(self, workdir, side):
+        from umrlab.checkpoint import load_checkpoint
+        from umrlab.datagen import Corpus
+        from umrlab.retrieval import embed_candidate, embed_query
+
+        root, corpus, _, student = workdir
+        out = root / f"all-{side}.csv"
+        assert main([
+            "embed", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--side", side, "--out", str(out),
+        ]) == 0
+        enc, _ = load_checkpoint(student)
+        data = Corpus.load(corpus)
+        items = data.all_queries() if side == "query" else data.all_candidates()
+        vector_of = embed_query if side == "query" else embed_candidate
+        ref = root / f"ref-{side}.csv"
+        with open(ref, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["id", "modality", "dataset"] + [f"v{i}" for i in range(enc.config.d_model)])
+            for item in items:
+                vec = vector_of(enc, item)
+                writer.writerow([item.id, item.modality, item.dataset] + [f"{x:.8g}" for x in vec])
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_index_and_search_agree(self, workdir, capsys):
         root, corpus, _, student = workdir
@@ -149,6 +186,16 @@ class TestEval:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         ks = {row[1]: row[3] for row in rows}
         assert ks["ds-t2i"] == "10" and ks["ds-t2t"] == "5"
+
+
+    def test_k_override_non_integer_is_diagnosed(self, workdir, capsys):
+        _, corpus, _, student = workdir
+        code = main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--scope", "local", "--k-override", "ds-t2i=x",
+        ])
+        assert code == 1
+        assert "ds-t2i=x" in capsys.readouterr().err
 
 
 class TestFlops:

@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,10 +10,12 @@ from umrlab.encoder import (
     Encoder,
     EncoderConfig,
     embed,
+    embed_batch,
     estimate_flops,
     extract_ret_embedding,
     forward,
     layer_stack_ratio,
+    length_groups,
     parameter_names,
     prune,
 )
@@ -236,6 +239,30 @@ class TestRawForward:
 
         with pytest.raises(ContractError, match="no sequences"):
             embed_raw(Encoder.init(SMALL, seed=3), [], 2)
+
+
+class TestBatchedEmbed:
+    def test_length_groups_in_first_seen_order(self):
+        seqs = [small_tokens(ids) for ids in ((40,), (40, 41), (41,), (40, 41, 42), (42, 43))]
+        assert length_groups(seqs) == [[0, 2], [1, 4], [3]]
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_rows_match_per_sequence_embeds(self, taped):
+        cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=3, max_seq=12, k=2)
+        enc = Encoder.init(cfg, seed=7)
+        rng = np.random.default_rng(3)
+        seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (3, 6, 3, 1, 6, 6)]
+        for upto in (1, 3):
+            with nullcontext() if taped else T.no_grad():
+                got = embed_batch(enc, seqs, upto)
+            assert got.shape == (len(seqs), cfg.d_model)
+            assert (got._node is not None) == taped
+            for row, seq in zip(got.data, seqs):
+                assert row.tobytes() == embed(enc, seq, upto).vector.data[0].tobytes()
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ContractError, match="no sequences"):
+            embed_batch(Encoder.init(SMALL, seed=3), [], 2)
 
 
 class TestExtract:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +196,26 @@ class TestBackward:
         with T.no_grad():
             y = T.exp(x)
         assert y._node is None and not y.grad_tracked
+
+
+class TestTapeLifetime:
+    def test_tape_freed_without_cyclic_collector(self):
+        x = T.Tensor(rand((3, 4), seed=1).data, grad_tracked=True)
+        w = T.Tensor(rand((4, 2), seed=2).data, grad_tracked=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = T.gelu(T.matmul(x, w))
+            probe = weakref.ref(hidden)
+            root = T.sum_all(T.mul(hidden, hidden))
+            del hidden
+            grads = T.backward(root)
+            assert probe() is not None
+            del root, grads
+            assert probe() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestFiniteDiff:

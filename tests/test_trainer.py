@@ -1,16 +1,19 @@
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from umrlab import tensor as T
 from umrlab import trainer
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
-from umrlab.encoder import Encoder, EncoderConfig, prune
+from umrlab.encoder import Encoder, EncoderConfig, embed, prune
 from umrlab.errors import AggregationError, ConfigurationError, DimensionError, FormatError, VersionError
 from umrlab.losses import AlphaSchedule, TemperatureSchedule, self_distill
 from umrlab.optim import OptimizerState, adam_update
+from umrlab.prompts import assemble_prompt
 from umrlab.tensor import Tensor
 from umrlab.trainer import (
     GlobalBatch,
@@ -160,6 +163,11 @@ class TestTrainStep:
         new, _, _ = train_step(enc, None, batch, cfg, opt, 0.0)
         assert new.param_bytes() == enc.param_bytes()
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ConfigurationError, match="lr"):
+            config(0, lr=lr)
+
     @pytest.mark.parametrize("case", list(SHARD_CASES))
     def test_shard_equivalence_gradients_and_weights(self, corpus, case):
         overrides = dict(SHARD_CASES[case])
@@ -230,6 +238,90 @@ class TestTrainStep:
             out[mode] = (stepped.param_bytes(), loss["total"])
         assert out["mac"][0] == out["off"][0]
         assert out["mac"][1] == out["off"][1]
+
+
+# one task per query/candidate length pair, so prompts run 13, 21 and 29
+# tokens on both sides
+MIXED_SPEC = CorpusSpec(
+    n_concepts=8,
+    tasks=("t2t", "i2i", "t2it", "it2t"),
+    text_vocab_size=60,
+    image_vocab_size=60,
+    distractors=0,
+    test_fraction=0.25,
+)
+MIXED_ENC = EncoderConfig(
+    vocab_size=vocab_size_for(MIXED_SPEC), d_model=8, n_heads=2, n_layers=3, max_seq=32, k=2
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_batch():
+    corpus = generate_corpus(MIXED_SPEC, seed=4)
+    by_task: dict[str, list] = {}
+    for sample in corpus.train:
+        by_task.setdefault(sample.task, []).append(sample)
+    # round-robin over the tasks, so neighbours differ in prompt length
+    samples = [s for four in zip(*(by_task[t] for t in MIXED_SPEC.tasks)) for s in four]
+    batch = batch_from(corpus, samples[:8])
+    for side, items in (("query", batch.samples), ("candidate", batch.positives)):
+        assert {len(assemble_prompt(item, side)) for item in items} == {13, 21, 29}
+    return batch
+
+
+def per_prompt_block(encoder, items, side, upto, cache=None):
+    """Reference for trainer._embed_block: one taped embed per prompt."""
+    assert cache is None
+    max_seq = encoder.config.max_seq
+    return T.concat_rows(
+        [embed(encoder, assemble_prompt(item, side, max_seq), upto).vector for item in items]
+    )
+
+
+class LookupCounter(dict):
+    def __init__(self):
+        super().__init__()
+        self.gets = Counter()
+
+    def get(self, key, default=None):
+        self.gets[key] += 1
+        return super().get(key, default)
+
+
+class TestBatchedEmbedding:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_gradients_match_per_prompt_reference(self, mixed_batch, shards, monkeypatch):
+        enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
+        cfg = config(2, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards)
+        grads, losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
+        monkeypatch.setattr(trainer, "_embed_block", per_prompt_block)
+        ref_grads, ref_losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
+        assert losses == ref_losses
+        # an absolute bound scaled to the step: some gradients, such as the
+        # key bias's, are zero in exact arithmetic and pure roundoff here
+        bound = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert np.abs(grads[name] - g).max() <= bound, name
+
+    def test_teacher_cache_one_lookup_per_item_and_rows_match_embed(self, mixed_batch):
+        teacher = Encoder.init(MIXED_ENC, seed=5)
+        student = prune(teacher, 2)
+        cfg = config(1, encoder=MIXED_ENC, shards=2, per_shard_batch=4)
+        items = [*mixed_batch.samples, *mixed_batch.positives]
+        sides = ["query"] * len(mixed_batch) + ["candidate"] * len(mixed_batch)
+        keys = [(side, item.id) for side, item in zip(sides, items)]
+        cache = LookupCounter()
+        first, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
+        assert cache.gets == Counter(keys) and set(cache) == set(keys)
+        for key, side, item in zip(keys, sides, items):
+            with T.no_grad():
+                prompt = assemble_prompt(item, side, MIXED_ENC.max_seq)
+                want = embed(teacher, prompt, MIXED_ENC.n_layers).vector.data
+            assert cache[key].shape == want.shape and cache[key].tobytes() == want.tobytes()
+            assert cache[key].flags.owndata
+        second, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
+        assert cache.gets == Counter(keys * 2)
+        assert all(first[n].tobytes() == second[n].tobytes() for n in first)
 
 
 class TestRunStage:
