@@ -103,7 +103,10 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
     params: dict[str, Tensor] = {}
     for want, want_shape in expected.items():
         (name_len,) = r.unpack("<H", "tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = r.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not valid UTF-8", r.offset - name_len) from None
         if name != want:
             raise FormatError(
                 f"tensor {name!r} out of order, expected {want!r}", r.offset - name_len

@@ -215,13 +215,15 @@ def cmd_prune(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ConfigurationError(f"--limit must be >= 0, got {args.limit}")
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
     items = corpus.all_candidates() if args.side == "candidate" else corpus.all_queries()
     limit = min(args.limit, len(items)) if args.limit else len(items)
     items = items[:limit]
     seqs = [assemble_prompt(item, args.side, encoder.config.max_seq) for item in items]
-    vectors = embed_prompts(encoder, seqs, encoder.config.n_layers)
+    vectors = embed_prompts(encoder, seqs)
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
@@ -371,7 +373,7 @@ def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
         def enc_loss(*tensors):
             model = Encoder(cfg, dict(zip(names, tensors)))
             emb = embed_graph(model, seq, 2)
-            return T.mean(T.mul(emb.vector, emb.vector))
+            return T.mean(T.mul(emb, emb))
 
         results.append(
             (f"encoder[{seed}]", check_gradients(enc_loss, [enc.params[n] for n in names]))
@@ -392,11 +394,16 @@ def cmd_grad_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     s = Settings(args)
+    try:
+        lambdas = [float(v) for v in args.lambdas.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--lambdas wants comma-separated numbers, got {args.lambdas!r}"
+        ) from None
     corpus = Corpus.load(args.corpus)
     init, _ = load_checkpoint(args.init)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lambdas = [float(v) for v in args.lambdas.split(",")]
     summary = []
     for lam in lambdas:
         schedule = TemperatureSchedule(

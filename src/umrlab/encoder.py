@@ -1,16 +1,18 @@
 """A small layer-stacked transformer retriever.
 
-Pre-norm blocks with bidirectional multi-head attention; embeddings are read
-from the retrieval token's hidden state at any layer depth. The first k
-layers of the full model and the pruned-to-k model are bit-identical by
-construction, which is what makes teacher/student weight surgery exact.
+Pre-norm blocks with bidirectional multi-head attention. The retrieval
+embedding is the [RET] token's hidden state, read at any layer depth. The
+first k layers of the full model and the pruned-to-k model are bit-identical
+by construction, which is what makes teacher/student weight surgery exact.
 
 Every forward runs one block stack, :func:`_blocks`, over a batch of
 equal-length sequences stacked as rows, which shares each op's call cost
-across the batch. Training embeds a list of prompts with one taped call per
-prompt length (:func:`embed_batch`). Inference runs the same blocks without
-a tape, either on one sequence (:func:`forward_raw`, the hidden-state view)
-or on one equal-length batch (:func:`embed_raw`).
+across the batch. :func:`embed_batch` is the one place that reads [RET]
+rows: one :func:`_blocks` call per prompt length, taped for training and
+tape-free under ``no_grad``. :func:`embed` (one sequence) and
+:func:`embed_raw` (tape-free, as an array) are calls of it.
+:func:`forward` and :func:`forward_raw` return every hidden state of one
+sequence, taped and tape-free.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, LengthError
+from .errors import ContractError, LengthError
 from .prompts import TokenSequence
 from .tensor import Tensor
 
@@ -46,14 +48,6 @@ class EncoderConfig:
             )
         if not 1 <= self.k <= self.n_layers:
             raise ContractError(f"k {self.k} outside 1..{self.n_layers}")
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A retrieval embedding: the [RET]-position hidden state, un-normalized."""
-
-    vector: Tensor  # shape (1, d_model)
-    source_layer: int
 
 
 def _layer_param_shapes(d: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -122,8 +116,8 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
-# forward_raw, embed_raw and embed_batch call this, not forward, so
-# profilers that wrap forward see single-sequence taped calls only
+# forward_raw and embed_batch call this, not forward, so profilers that
+# wrap forward see single-sequence taped calls only
 def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tensor:
     """Hidden states of B equal-length sequences stacked in order, (B*len, d_model).
 
@@ -171,27 +165,9 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
     """:func:`forward` without a tape: the single-sequence hidden states,
-    shape (len, d_model), as a read-only array. Batched inference goes
-    through :func:`embed_raw`; this stays the per-sequence view that
-    profilers wrap."""
+    shape (len, d_model), as a read-only array."""
     with T.no_grad():
         return _blocks(encoder, [tokens], upto).data
-
-
-def embed_raw(
-    encoder: Encoder, batch: Sequence[TokenSequence], upto: int | None = None
-) -> np.ndarray:
-    """Tape-free [RET] embeddings of equal-length sequences, shape (B, d_model).
-
-    Row b is bitwise equal to ``embed(encoder, batch[b], upto)``: the batch
-    only adds rows to each op, and attention stays within each sequence.
-    ``upto`` defaults to config.k.
-    """
-    depth = encoder.config.k if upto is None else upto
-    with T.no_grad():
-        hidden = _blocks(encoder, batch, depth).data
-    s = len(batch[0])
-    return hidden[s - 1 :: s]
 
 
 def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
@@ -207,13 +183,15 @@ def embed_batch(
     encoder: Encoder, seqs: Sequence[TokenSequence], upto: int | None = None
 ) -> Tensor:
     """[RET] embeddings of sequences of any lengths, shape (N, d_model), row i
-    for ``seqs[i]``.
+    for ``seqs[i]``, un-normalized.
 
     One :func:`_blocks` call per length group; the [RET] rows are gathered
-    back into input order by one ``take_rows``. Taped like :func:`embed`, and
-    tape-free under ``no_grad``. Values equal :func:`embed`'s bitwise;
-    gradients agree to roundoff, since weight-gradient row sums run over the
-    group's rows in one order. ``upto`` defaults to config.k.
+    back into input order by one ``take_rows``. Taped, and tape-free under
+    ``no_grad``. Row i is bitwise equal to the [RET] row of
+    ``forward(encoder, seqs[i], upto)``, since a batch only adds rows to each
+    op; gradients agree with per-sequence ones to roundoff, since
+    weight-gradient row sums run over the group's rows in one order.
+    ``upto`` defaults to config.k.
     """
     if not seqs:
         raise ContractError("no sequences to embed")
@@ -231,19 +209,17 @@ def embed_batch(
     return T.take_rows(stacked, ret_row)
 
 
-def extract_ret_embedding(hidden: Tensor, tokens: TokenSequence, source_layer: int) -> Embedding:
-    if hidden.shape[0] != len(tokens):
-        raise DimensionError(
-            f"hidden rows {hidden.shape[0]} != token count {len(tokens)}"
-        )
-    row = T.slice_rows(hidden, tokens.ret_position, tokens.ret_position + 1)
-    return Embedding(vector=row, source_layer=source_layer)
+def embed(encoder: Encoder, tokens: TokenSequence, upto: int | None = None) -> Tensor:
+    """Taped [RET] embedding of one sequence, shape (1, d_model)."""
+    return embed_batch(encoder, [tokens], upto)
 
 
-def embed(encoder: Encoder, tokens: TokenSequence, upto: int | None = None) -> Embedding:
-    """Forward + extract in one call; ``upto`` defaults to config.k."""
-    depth = encoder.config.k if upto is None else upto
-    return extract_ret_embedding(forward(encoder, tokens, depth), tokens, depth)
+def embed_raw(
+    encoder: Encoder, batch: Sequence[TokenSequence], upto: int | None = None
+) -> np.ndarray:
+    """Tape-free :func:`embed_batch` rows as a read-only array, shape (B, d_model)."""
+    with T.no_grad():
+        return embed_batch(encoder, batch, upto).data
 
 
 def prune(encoder: Encoder, k: int) -> Encoder:
@@ -269,8 +245,8 @@ def estimate_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
     """
     if not 0 <= k <= config.n_layers:
         raise ContractError(f"k {k} outside 0..{config.n_layers}")
-    if seq_len > config.max_seq:
-        raise ContractError(f"seq_len {seq_len} exceeds max_seq {config.max_seq}")
+    if not 1 <= seq_len <= config.max_seq:
+        raise ContractError(f"seq_len {seq_len} outside 1..{config.max_seq}")
     s, d = seq_len, config.d_model
     per_layer = 2 * s * d * (3 * d + d) + 2 * 2 * s * s * d + 2 * s * 2 * d * (FFN_MULT * d)
     return k * per_layer + 2 * s * d

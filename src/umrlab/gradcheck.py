@@ -70,7 +70,7 @@ def check_gradients(
     Returns the worst relative error over all inputs.
     """
     tracked = [Tensor(x.data, grad_tracked=True) for x in xs]
-    grads = backward(f(*tracked), populate=False)
+    grads = backward(f(*tracked))
     worst = 0.0
     for i, t in enumerate(tracked):
 

@@ -57,14 +57,16 @@ def _normalize(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return vec / max(norm, eps)
 
 
-def embed_prompts(encoder: Encoder, seqs: Sequence[TokenSequence], depth: int) -> np.ndarray:
+def embed_prompts(
+    encoder: Encoder, seqs: Sequence[TokenSequence], depth: int | None = None
+) -> np.ndarray:
     """Normalized tape-free embeddings of assembled prompts, shape (N, d_model),
-    row i for ``seqs[i]``.
+    row i for ``seqs[i]``. ``depth`` defaults to the encoder's full depth.
 
     Prompts of equal length are embedded together, up to EMBED_CHUNK per
-    :func:`embed_raw` call. Row i is bitwise equal to what
-    :func:`embed_query` or :func:`embed_candidate` returns for its item.
+    :func:`embed_raw` call, so a row does not depend on the other prompts.
     """
+    depth = encoder.config.n_layers if depth is None else depth
     vectors = np.zeros((len(seqs), encoder.config.d_model))
     for rows in length_groups(seqs):
         for start in range(0, len(rows), EMBED_CHUNK):
@@ -77,7 +79,6 @@ def embed_prompts(encoder: Encoder, seqs: Sequence[TokenSequence], depth: int) -
 def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int | None = None) -> EmbeddingIndex:
     """Prompt, forward and normalize every candidate into a flat index,
     batched by prompt length through :func:`embed_prompts`."""
-    depth = encoder.config.n_layers if k_layers is None else k_layers
     names = tuple(sorted({c.dataset for c in candidates}))
     if len(names) > 255:
         raise ContractError("dataset codes are u8; at most 255 datasets")
@@ -94,20 +95,16 @@ def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int
     dataset = np.array([code_of[c.dataset] for c in candidates], dtype=np.uint8)
     if len(set(ids.tolist())) != n:
         raise ContractError("candidate ids must be unique")
-    vectors = embed_prompts(encoder, seqs, depth).astype(np.float32)
+    vectors = embed_prompts(encoder, seqs, k_layers).astype(np.float32)
     return EmbeddingIndex(ids, modality, dataset, vectors, names)
 
 
 def embed_query(encoder: Encoder, sample: Sample, k_layers: int | None = None) -> np.ndarray:
-    depth = encoder.config.n_layers if k_layers is None else k_layers
-    seq = assemble_prompt(sample, "query", encoder.config.max_seq)
-    return _normalize(embed_raw(encoder, [seq], depth)[0])
+    return embed_prompts(encoder, [assemble_prompt(sample, "query", encoder.config.max_seq)], k_layers)[0]
 
 
 def embed_candidate(encoder: Encoder, candidate: Candidate, k_layers: int | None = None) -> np.ndarray:
-    depth = encoder.config.n_layers if k_layers is None else k_layers
-    seq = assemble_prompt(candidate, "candidate", encoder.config.max_seq)
-    return _normalize(embed_raw(encoder, [seq], depth)[0])
+    return embed_prompts(encoder, [assemble_prompt(candidate, "candidate", encoder.config.max_seq)], k_layers)[0]
 
 
 def search_topk(

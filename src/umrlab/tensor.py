@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -63,7 +63,7 @@ class _Node:
 class Tensor:
     """Immutable dense array, optionally tracked for gradients."""
 
-    __slots__ = ("_data", "grad_tracked", "grad", "_node", "__weakref__")
+    __slots__ = ("_data", "grad_tracked", "_node", "__weakref__")
 
     def __init__(self, data, grad_tracked: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -72,7 +72,6 @@ class Tensor:
         arr.flags.writeable = False
         self._data = arr
         self.grad_tracked = bool(grad_tracked)
-        self.grad: np.ndarray | None = None
         self._node: _Node | None = None
 
     @classmethod
@@ -84,7 +83,6 @@ class Tensor:
         arr.flags.writeable = False
         t._data = arr
         t.grad_tracked = grad_tracked
-        t.grad = None
         t._node = None
         return t
 
@@ -112,36 +110,9 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self._data)
 
-    def backward(self) -> dict["Tensor", np.ndarray]:
-        return backward(self)
-
     def __repr__(self) -> str:
         tag = ", tracked" if self.grad_tracked else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # arithmetic sugar; the named functions below are the real surface
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, grad_tracked: bool = False) -> Tensor:
-    return Tensor(data, grad_tracked=grad_tracked)
 
 
 def constant(data) -> Tensor:
@@ -185,11 +156,10 @@ class ComputeGraph:
         return cls(nodes)
 
 
-def backward(root: Tensor, populate: bool = True) -> dict[Tensor, np.ndarray]:
+def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(root)/d(leaf) for every grad-tracked leaf under root.
 
-    Returns a map keyed by tensor identity. When ``populate`` is set the
-    ``grad`` buffer of each tracked tensor is also filled in.
+    Returns a map keyed by tensor identity.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
@@ -208,14 +178,7 @@ def backward(root: Tensor, populate: bool = True) -> dict[Tensor, np.ndarray]:
             prev = grads.get(id(inp))
             grads[id(inp)] = g if prev is None else prev + g
             holders[id(inp)] = inp
-    out: dict[Tensor, np.ndarray] = {}
-    for key, g in grads.items():
-        t = holders[key]
-        if t.grad_tracked:
-            out[t] = g
-            if populate:
-                t.grad = g.copy()
-    return out
+    return {holders[key]: g for key, g in grads.items() if holders[key].grad_tracked}
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +271,6 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _result("add_scalar", x.data + float(c), (x,), vjp)
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def vjp(dy):
-        return (dy * out,)
-
-    return _result("exp", out, (x,), vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    def vjp(dy):
-        return (dy / x.data,)
-
-    return _result("log", np.log(x.data), (x,), vjp)
-
-
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
     u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
@@ -400,19 +347,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(dy[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
     return _result("concat_rows", np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d("slice_rows", x)
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise ContractError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
-
-    def vjp(dy):
-        g = np.zeros(x.shape)
-        g[start:stop] = dy
-        return (g,)
-
-    return _result("slice_rows", x.data[start:stop], (x,), vjp)
 
 
 def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:

@@ -32,7 +32,7 @@ from . import tensor as T
 from .datagen import Corpus, Sample, Candidate
 # embed is unused here; the benchmark tracer wraps trainer.embed as a call site
 from .encoder import Encoder, EncoderConfig, embed, embed_batch, prune
-from .errors import AggregationError, ConfigurationError, ContractError
+from .errors import AggregationError, ConfigurationError, ContractError, NumericDomainError
 from .losses import (
     AlphaSchedule,
     TemperatureSchedule,
@@ -233,21 +233,15 @@ def _shard_loss(
     c_global = gather_shards(c_parts)
     similarity = cosine_similarity_matrix(q_global, c_global)
     tau0 = config.temperature.tau0
-
     if config.stage == 2:
         tau_h = tau_hard_at(config.temperature, progress)
         contrastive = mac_loss(similarity, tags, tau_h, tau0, config.temperature.mode)
-        total = contrastive
-        breakdown = {
-            "contrastive": contrastive.item(),
-            "distill": 0.0,
-            "total": contrastive.item(),
-        }
-    elif config.stage == 1:
+    else:
         contrastive = infonce(similarity, tau0)
+    total, distill = contrastive, None
+    if config.stage == 1:
         alphas = alpha_at(config.alphas, progress)
         if alphas[1] == 0.0:
-            distill_value = 0.0
             total = T.scale(contrastive, alphas[0])
         else:
             sq, sc, tq, tc = q_global, c_global, teacher_q, teacher_c
@@ -257,23 +251,14 @@ def _shard_loss(
             distill = self_distill(
                 tq, sq, tc, sc, variant=config.distill_variant, tau=config.distill_tau
             )
-            distill_value = distill.item()
             total = pretraining_loss(contrastive, distill, alphas)
-        breakdown = {
-            "contrastive": contrastive.item(),
-            "distill": distill_value,
-            "total": total.item(),
-        }
-    else:
-        contrastive = infonce(similarity, tau0)
-        total = contrastive
-        breakdown = {
-            "contrastive": contrastive.item(),
-            "distill": 0.0,
-            "total": contrastive.item(),
-        }
+    breakdown = {
+        "contrastive": contrastive.item(),
+        "distill": 0.0 if distill is None else distill.item(),
+        "total": total.item(),
+    }
 
-    grad_map = T.backward(total, populate=False)
+    grad_map = T.backward(total)
     named = {}
     for name, p in student.params.items():
         g = grad_map.get(p)
@@ -345,11 +330,21 @@ def train_step(
     progress: float,
     teacher_cache: dict | None = None,
 ) -> tuple[Encoder, OptimizerState, dict[str, float]]:
-    """One global step: gradients via compute_global_grads, then Adam."""
+    """One global step: gradients via compute_global_grads, then Adam.
+
+    Raises NumericDomainError naming the first non-finite loss term or
+    updated parameter, so a diverged step never yields an encoder.
+    """
     reduced, breakdown = compute_global_grads(
         student, teacher, batch, config, progress, teacher_cache
     )
+    for term, value in breakdown.items():
+        if not math.isfinite(value):
+            raise NumericDomainError(f"{term} loss is {value}")
     new_params, new_state = adam_update(student.params, reduced, optimizer)
+    for name, p in new_params.items():
+        if not np.isfinite(p.data).all():
+            raise NumericDomainError(f"parameter {name!r} is non-finite after the update")
     return student.with_params(new_params), new_state, breakdown
 
 
@@ -406,9 +401,14 @@ def run_stage(
         for step in range(n_steps):
             chosen = [pool[i] for i in order[step * g : (step + 1) * g]]
             batch = batch_from(corpus, chosen)
-            model, optimizer, losses = train_step(
-                model, teacher, batch, config, optimizer, progress, teacher_cache
-            )
+            try:
+                model, optimizer, losses = train_step(
+                    model, teacher, batch, config, optimizer, progress, teacher_cache
+                )
+            except NumericDomainError as err:
+                raise NumericDomainError(
+                    f"stage {config.stage}, epoch {epoch}, step {step}: {err}"
+                ) from None
             for key in sums:
                 sums[key] += losses[key]
         alphas = alpha_at(config.alphas, progress) if config.stage == 1 else (1.0, 0.0)

@@ -73,6 +73,28 @@ class TestTrainArtifacts:
         assert "lr" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_weight_init_is_diagnosed(self, workdir, capsys):
+        from umrlab.checkpoint import load_checkpoint, save_checkpoint
+        from umrlab.tensor import Tensor
+
+        root, corpus, _, student = workdir
+        enc, _ = load_checkpoint(student)
+        params = dict(enc.params)
+        w1 = params["layers.0.ffn.w1"].data.copy()
+        w1[0, 0] = float("nan")
+        params["layers.0.ffn.w1"] = Tensor(w1, grad_tracked=True)
+        init = root / "nan-init.ckpt"
+        save_checkpoint(init, enc.with_params(params))
+        out, curve = root / "from-nan.ckpt", root / "from-nan.csv"
+        code = main([
+            "train", "--stage", "2", "--corpus", str(corpus), "--init", str(init),
+            "--out", str(out), "--curve", str(curve), "--batch", "4", "--epochs", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: stage 2, epoch 0, step 0: contrastive loss is nan")
+        assert not out.exists() and not curve.exists()
+
     def test_stage2_runs_from_init(self, workdir):
         root, corpus, _, student = workdir
         out = root / "stage2.ckpt"
@@ -93,6 +115,29 @@ class TestPruneEmbedIndexSearch:
 
         enc, _ = load_checkpoint(out)
         assert enc.config.n_layers == 1
+
+    def test_prune_non_utf8_name_is_diagnosed(self, workdir, capsys):
+        root, _, teacher, _ = workdir
+        blob = bytearray(teacher.read_bytes())
+        at = blob.index(b"tok_emb")
+        blob[at] = 0xFF
+        bad, out = root / "bad-name.ckpt", root / "bad-name-pruned.ckpt"
+        bad.write_bytes(bytes(blob))
+        code = main(["prune", "--in", str(bad), "--k", "1", "--out", str(out)])
+        assert code == 1
+        assert f"UTF-8 (at byte offset {at})" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_limit_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out = root / "neg.csv"
+        code = main([
+            "embed", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--side", "candidate", "--out", str(out), "--limit", "-1",
+        ])
+        assert code == 1
+        assert "--limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_embed_csv(self, workdir):
         root, corpus, _, student = workdir
@@ -205,6 +250,10 @@ class TestFlops:
         assert "0.4286" in out
         assert "0.473" in out
 
+    def test_zero_seq_is_diagnosed(self, capsys):
+        assert main(["flops", "--layers", "4", "--k", "2", "--seq", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: seq_len 0")
+
     def test_k_zero(self, capsys):
         assert main(["flops", "--layers", "4", "--k", "0", "--seq", "8", "--d-model", "16"]) == 0
         out = capsys.readouterr().out
@@ -234,6 +283,17 @@ class TestSweep:
         assert len(hashes) == 3
         for lam in ("0.2", "0.5", "0.7"):
             assert (out_dir / f"report-lam-{lam}.csv").exists()
+
+    def test_non_numeric_lambda_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out_dir = root / "bad-sweep"
+        code = main([
+            "sweep", "--corpus", str(corpus), "--init", str(student),
+            "--lambdas", "0.2,abc", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "0.2,abc" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestConfigFile:

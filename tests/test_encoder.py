@@ -9,10 +9,10 @@ from umrlab import tensor as T
 from umrlab.encoder import (
     Encoder,
     EncoderConfig,
+    _blocks,
     embed,
     embed_batch,
     estimate_flops,
-    extract_ret_embedding,
     forward,
     layer_stack_ratio,
     length_groups,
@@ -45,6 +45,11 @@ SMALL = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=2, max_seq=8
 
 def small_tokens(ids=(40, 41)):
     return assemble_prompt(Item(tokens=tuple(ids), modality="text"), "candidate")
+
+
+def per_sequence_ret_row(encoder, seq, upto):
+    """Reference [RET] row: one single-sequence forward, indexed in numpy."""
+    return forward(encoder, seq, upto).data[seq.ret_position]
 
 
 class TestAssemblePrompt:
@@ -208,7 +213,7 @@ class TestRawForward:
 
         enc = Encoder.init(SMALL, seed=3)
         seq = small_tokens()
-        a = embed(enc, seq, 2).vector.data[0]
+        a = embed(enc, seq, 2).data[0]
         b = embed_raw(enc, [seq], 2)
         assert b.shape == (1, SMALL.d_model)
         assert a.tobytes() == b[0].tobytes()
@@ -225,14 +230,12 @@ class TestRawForward:
             got = embed_raw(enc, seqs, upto)
             assert got.shape == (batch, cfg.d_model)
             for row, seq in zip(got, seqs):
-                assert row.tobytes() == embed(enc, seq, upto).vector.data[0].tobytes()
+                assert row.tobytes() == per_sequence_ret_row(enc, seq, upto).tobytes()
 
     def test_unequal_lengths_rejected(self):
-        from umrlab.encoder import embed_raw
-
         enc = Encoder.init(SMALL, seed=3)
         with pytest.raises(ContractError, match="lengths differ"):
-            embed_raw(enc, [small_tokens((40,)), small_tokens((40, 41))], 2)
+            _blocks(enc, [small_tokens((40,)), small_tokens((40, 41))], 2)
 
     def test_empty_batch_rejected(self):
         from umrlab.encoder import embed_raw
@@ -258,7 +261,7 @@ class TestBatchedEmbed:
             assert got.shape == (len(seqs), cfg.d_model)
             assert (got._node is not None) == taped
             for row, seq in zip(got.data, seqs):
-                assert row.tobytes() == embed(enc, seq, upto).vector.data[0].tobytes()
+                assert row.tobytes() == per_sequence_ret_row(enc, seq, upto).tobytes()
 
     def test_empty_list_rejected(self):
         with pytest.raises(ContractError, match="no sequences"):
@@ -270,15 +273,15 @@ class TestExtract:
         enc = Encoder.init(SMALL, seed=1)
         seq = small_tokens()
         hidden = forward(enc, seq, 2)
-        emb = extract_ret_embedding(hidden, seq, 2)
-        assert np.array_equal(emb.vector.data[0], hidden.data[-1])
-        assert emb.source_layer == 2
+        emb = embed(enc, seq, 2)
+        assert emb.shape == (1, SMALL.d_model)
+        assert np.array_equal(emb.data[0], hidden.data[-1])
 
     def test_context_changes_embedding(self):
         enc = Encoder.init(SMALL, seed=2)
         e1 = embed(enc, small_tokens((40, 41)), 2)
         e2 = embed(enc, small_tokens((41, 41)), 2)
-        assert not np.array_equal(e1.vector.data, e2.vector.data)
+        assert not np.array_equal(e1.data, e2.data)
 
 
 class TestPrune:
@@ -335,6 +338,11 @@ class TestFlops:
         two = estimate_flops(self.CFG, 14, 256) - emb
         assert two == 2 * one
 
+    @pytest.mark.parametrize("seq_len", [0, -1])
+    def test_empty_sequence_rejected(self, seq_len):
+        with pytest.raises(ContractError, match="seq_len"):
+            estimate_flops(self.CFG, 3, seq_len)
+
     def test_k_zero_is_embedding_only(self):
         assert estimate_flops(self.CFG, 0, 256) == 2 * 256 * 64
 
@@ -356,7 +364,7 @@ def test_encoder_gradients_match_finite_differences():
     def loss_fn(*tensors):
         model = Encoder(SMALL, dict(zip(names, tensors)))
         emb = embed(model, seq, 2)
-        return T.mean(T.mul(emb.vector, emb.vector))
+        return T.mean(T.mul(emb, emb))
 
     xs = [enc.params[n] for n in names]
     assert check_gradients(loss_fn, xs) < 1e-4

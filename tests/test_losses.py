@@ -279,7 +279,7 @@ class TestSelfDistill:
         tq = Tensor(np.ones((2, 3)), grad_tracked=True)
         sq = Tensor(np.zeros((2, 3)), grad_tracked=True)
         loss = L.self_distill(tq, sq, tq, sq, "mse")
-        grads = T.backward(loss, populate=False)
+        grads = T.backward(loss)
         assert tq not in grads
         assert sq in grads
 

@@ -125,17 +125,8 @@ class TestL2NormalizeRows:
 
 
 class TestElementwise:
-    def test_exp_zero(self):
-        assert T.exp(T.Tensor(np.zeros((1, 1)))).data == pytest.approx(np.array([[1.0]]))
-
     def test_mean(self):
         assert T.mean(T.Tensor([[2.0, 4.0, 6.0]])).item() == pytest.approx(4.0)
-
-    def test_log_exp_round_trip(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(3, 3))
-        back = T.log(T.exp(T.Tensor(x))).data
-        assert np.abs(back - x).max() < 1e-12
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -144,7 +135,8 @@ class TestElementwise:
     def test_concat_slice_round_trip(self):
         a, b = rand((2, 3), 1), rand((3, 3), 2)
         cat = T.concat_rows([a, b])
-        assert np.array_equal(T.slice_rows(cat, 2, 5).data, b.data)
+        assert np.array_equal(T.take_rows(cat, [2, 3, 4]).data, b.data)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -161,7 +153,7 @@ class TestBackward:
     def test_root_must_be_scalar(self):
         x = T.Tensor([[1.0, 2.0]], grad_tracked=True)
         with pytest.raises(ContractError):
-            T.backward(T.exp(x))
+            T.backward(T.gelu(x))
 
     def test_fanout_accumulates(self):
         x = T.Tensor([[2.0]], grad_tracked=True)
@@ -182,7 +174,7 @@ class TestBackward:
 
     def test_graph_topological_order(self):
         x = T.Tensor([[1.0, 2.0]], grad_tracked=True)
-        y = T.mean(T.exp(T.scale(x, 2.0)))
+        y = T.mean(T.gelu(T.scale(x, 2.0)))
         graph = T.ComputeGraph.of(y)
         seen = set()
         for node in graph.nodes:
@@ -194,7 +186,7 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = T.Tensor([[1.0]], grad_tracked=True)
         with T.no_grad():
-            y = T.exp(x)
+            y = T.gelu(x)
         assert y._node is None and not y.grad_tracked
 
 
@@ -230,9 +222,8 @@ class TestFiniteDiff:
         assert np.abs(got).max() == 0.0
 
     def test_non_finite_rejected(self):
-        with np.errstate(invalid="ignore"):  # log of a negative -> nan
-            with pytest.raises(NumericDomainError):
-                finite_diff_grad(lambda t: T.sum_all(T.log(t)), T.Tensor([[-1.0]]))
+        with pytest.raises(NumericDomainError):
+            finite_diff_grad(lambda t: T.sum_all(T.scale(t, np.inf)), T.Tensor([[-1.0]]))
 
 
 OPS_FOR_GRADCHECK = [
@@ -243,12 +234,9 @@ OPS_FOR_GRADCHECK = [
     ("sub", lambda a, b: T.mean(T.mul(T.sub(a, b), T.sub(a, b))), [(2, 3), (2, 3)]),
     ("mul", lambda a, b: T.mean(T.mul(a, b)), [(2, 3), (2, 3)]),
     ("scale", lambda x: T.mean(T.scale(x, -2.5)), [(2, 3)]),
-    ("exp", lambda x: T.mean(T.exp(x)), [(2, 3)]),
-    ("log", lambda x: T.mean(T.log(T.add_scalar(T.mul(x, x), 1.0))), [(2, 3)]),
     ("gelu", lambda x: T.mean(T.gelu(x)), [(3, 3)]),
     ("sum_rows", lambda x: T.mean_vec(T.sum_rows(T.mul(x, x))), [(3, 4)]),
     ("concat", lambda a, b: T.mean(T.mul(T.concat_rows([a, b]), T.concat_rows([a, b]))), [(2, 3), (1, 3)]),
-    ("slice_rows", lambda x: T.mean(T.slice_rows(x, 1, 3)), [(4, 2)]),
     ("take_rows", lambda x: T.mean(T.take_rows(x, [0, 2, 2, 1])), [(3, 3)]),
     ("softmax", lambda x: T.mean(T.mul(T.softmax_rows(x), T.softmax_rows(x))), [(3, 4)]),
     ("layer_norm", lambda x, g, b: T.mean(T.layer_norm_rows(x, g, b, eps=1e-5)), [(3, 4), (4,), (4,)]),

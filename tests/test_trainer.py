@@ -9,8 +9,15 @@ from umrlab import tensor as T
 from umrlab import trainer
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
-from umrlab.encoder import Encoder, EncoderConfig, embed, prune
-from umrlab.errors import AggregationError, ConfigurationError, DimensionError, FormatError, VersionError
+from umrlab.encoder import Encoder, EncoderConfig, forward, prune
+from umrlab.errors import (
+    AggregationError,
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    NumericDomainError,
+    VersionError,
+)
 from umrlab.losses import AlphaSchedule, TemperatureSchedule, self_distill
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.prompts import assemble_prompt
@@ -270,12 +277,13 @@ def mixed_batch():
 
 
 def per_prompt_block(encoder, items, side, upto, cache=None):
-    """Reference for trainer._embed_block: one taped embed per prompt."""
+    """Reference for trainer._embed_block: one taped forward per prompt."""
     assert cache is None
-    max_seq = encoder.config.max_seq
-    return T.concat_rows(
-        [embed(encoder, assemble_prompt(item, side, max_seq), upto).vector for item in items]
-    )
+    rows = []
+    for item in items:
+        seq = assemble_prompt(item, side, encoder.config.max_seq)
+        rows.append(T.take_rows(forward(encoder, seq, upto), [seq.ret_position]))
+    return T.concat_rows(rows)
 
 
 class LookupCounter(dict):
@@ -316,12 +324,46 @@ class TestBatchedEmbedding:
         for key, side, item in zip(keys, sides, items):
             with T.no_grad():
                 prompt = assemble_prompt(item, side, MIXED_ENC.max_seq)
-                want = embed(teacher, prompt, MIXED_ENC.n_layers).vector.data
+                hidden = forward(teacher, prompt, MIXED_ENC.n_layers).data
+                want = hidden[prompt.ret_position : prompt.ret_position + 1]
             assert cache[key].shape == want.shape and cache[key].tobytes() == want.tobytes()
             assert cache[key].flags.owndata
         second, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
         assert cache.gets == Counter(keys * 2)
         assert all(first[n].tobytes() == second[n].tobytes() for n in first)
+
+
+def plant_nan(encoder, name="layers.0.ffn.w1"):
+    params = dict(encoder.params)
+    data = params[name].data.copy()
+    data[0, 0] = np.nan
+    params[name] = Tensor(data, grad_tracked=True)
+    return encoder.with_params(params)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_nan_weight_stops_the_stage(self, corpus, stage, monkeypatch):
+        planted = plant_nan(Encoder.init(ENC, seed=12))
+        given = {}
+        if stage == 0:
+            monkeypatch.setattr(Encoder, "init", classmethod(lambda cls, cfg, seed: planted))
+        else:
+            given["teacher" if stage == 1 else "encoder"] = planted
+        with pytest.raises(
+            NumericDomainError, match=rf"^stage {stage}, epoch 0, step 0: contrastive loss is nan$"
+        ):
+            run_stage(corpus, config(stage, epochs=2), **given)
+
+    def test_non_finite_update_names_the_parameter(self, corpus, monkeypatch):
+        enc = Encoder.init(ENC, seed=13)
+        cfg = config(0)
+        batch = batch_from(corpus, [s for s in corpus.train if s.task == "t2t"][:4])
+        grads, losses = compute_global_grads(enc, None, batch, cfg, 0.0)
+        grads = dict(grads, **{"layers.1.attn.wq": np.full((8, 8), np.nan)})
+        monkeypatch.setattr(trainer, "compute_global_grads", lambda *args: (grads, losses))
+        with pytest.raises(NumericDomainError, match="'layers.1.attn.wq'"):
+            train_step(enc, None, batch, cfg, OptimizerState.init(enc.params, cfg.lr), 0.0)
 
 
 class TestRunStage:
@@ -436,6 +478,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset is not None
+
+    def test_non_utf8_name_rejected_at_name(self, tmp_path):
+        enc = Encoder.init(ENC, seed=10)
+        path = tmp_path / "u.ckpt"
+        save_checkpoint(path, enc)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"pos_emb")
+        blob[at] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
