@@ -220,7 +220,7 @@ def cmd_embed(args) -> int:
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
     items = corpus.all_candidates() if args.side == "candidate" else corpus.all_queries()
-    limit = min(args.limit, len(items)) if args.limit else len(items)
+    limit = len(items) if args.limit is None else min(args.limit, len(items))
     items = items[:limit]
     seqs = [assemble_prompt(item, args.side, encoder.config.max_seq) for item in items]
     vectors = embed_prompts(encoder, seqs)
@@ -292,26 +292,25 @@ def cmd_eval(args) -> int:
         "lam": s.get("lam", 0.2, float),
         "temp_mode": s.get("temp_mode", "mac"),
     }
+    index = build_index(encoder, corpus.all_candidates())
     report = evaluate(
         encoder, corpus, scopes=scopes, ks=ks, k_overrides=overrides,
-        checkpoint=str(args.checkpoint), settings=settings_dict,
+        checkpoint=str(args.checkpoint), settings=settings_dict, index=index,
     )
     for scope in scopes:
         print(f"mean recall ({scope}): {report.mean_recall(scope):.4f}")
     if args.out:
         report.to_csv(args.out)
         print(f"wrote report to {args.out}")
-    if args.separation or args.pca_out:
-        index = build_index(encoder, corpus.all_candidates())
-        if args.separation:
-            stats = modality_separation(index)
-            print(
-                f"modality separation: intra={stats.intra:.4f} "
-                f"inter={stats.inter:.4f} gap={stats.gap:.4f}"
-            )
-        if args.pca_out:
-            write_pca_csv(index, args.pca_out)
-            print(f"wrote PCA coordinates to {args.pca_out}")
+    if args.separation:
+        stats = modality_separation(index)
+        print(
+            f"modality separation: intra={stats.intra:.4f} "
+            f"inter={stats.inter:.4f} gap={stats.gap:.4f}"
+        )
+    if args.pca_out:
+        write_pca_csv(index, args.pca_out)
+        print(f"wrote PCA coordinates to {args.pca_out}")
     return 0
 
 
@@ -400,18 +399,16 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"--lambdas wants comma-separated numbers, got {args.lambdas!r}"
         ) from None
+    tau0, mode = s.get("tau0", 0.05, float), s.get("temp_mode", "mac")
+    schedules = [TemperatureSchedule(tau0=tau0, lam=lam, mode=mode) for lam in lambdas]
     corpus = Corpus.load(args.corpus)
     init, _ = load_checkpoint(args.init)
+    base = _train_config(s, 2, init.config, init.config.n_layers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for lam in lambdas:
-        schedule = TemperatureSchedule(
-            tau0=s.get("tau0", 0.05, float), lam=lam, mode=s.get("temp_mode", "mac")
-        )
-        config = dataclasses.replace(
-            _train_config(s, 2, init.config, init.config.n_layers), temperature=schedule
-        )
+    for lam, schedule in zip(lambdas, schedules):
+        config = dataclasses.replace(base, temperature=schedule)
         result = run_stage(corpus, config, encoder=init)
         settings_dict = {"lam": lam, "tau0": schedule.tau0, "mode": schedule.mode,
                          "seed": config.seed, "epochs": config.epochs}

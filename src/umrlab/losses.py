@@ -36,10 +36,10 @@ class TemperatureSchedule:
     mode: str = "mac"
 
     def __post_init__(self):
-        if self.tau0 <= 0:
-            raise ContractError(f"tau0 must be positive, got {self.tau0}")
-        if self.lam < 0:
-            raise ContractError(f"decay sparsity must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.tau0) and self.tau0 > 0):
+            raise ContractError(f"tau0 must be finite and positive, got {self.tau0}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ContractError(f"decay sparsity lam must be finite and >= 0, got {self.lam}")
         if self.mode not in TEMPERATURE_MODES:
             raise ContractError(f"mode must be one of {TEMPERATURE_MODES}, got {self.mode!r}")
 

@@ -59,7 +59,7 @@ def adam_update(
         m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        new_params[name] = Tensor(p.data - update, grad_tracked=p.grad_tracked)
+        new_params[name] = Tensor._wrap(p.data - update, p.grad_tracked)
         new_m[name] = m
         new_v[name] = v
     return new_params, OptimizerState(

@@ -332,12 +332,14 @@ def evaluate(
     checkpoint: str = "",
     settings: dict | None = None,
     queries: Sequence[Sample] | None = None,
+    index: EmbeddingIndex | None = None,
 ) -> EvalReport:
     """Recall over the test split, per (task, dataset, scope, k).
 
-    The index is built once over all candidates; scopes only change the
-    search filter. ``k_overrides`` replaces the requested k values for a
-    dataset tag (the Recall@10-style per-dataset convention).
+    The index is built once over all candidates, unless the caller passes
+    ``build_index(encoder, corpus.all_candidates())`` as ``index``; scopes
+    only change the search filter. ``k_overrides`` replaces the requested k
+    values for a dataset tag (the Recall@10-style per-dataset convention).
     """
     for scope in scopes:
         if scope not in ("local", "global"):
@@ -345,7 +347,8 @@ def evaluate(
     if encoder.config.d_model < 1 or not corpus.pools:
         raise ContractError("nothing to evaluate")
     overrides = k_overrides or {}
-    index = build_index(encoder, corpus.all_candidates())
+    if index is None:
+        index = build_index(encoder, corpus.all_candidates())
     test = list(queries) if queries is not None else list(corpus.test)
     by_dataset: dict[str, list[Sample]] = {}
     for q in test:

@@ -156,10 +156,30 @@ class ComputeGraph:
         return cls(nodes)
 
 
+class _RowGrad:
+    """The gradient of one gather: ``rows[j]`` flows to table row ``idx[j]``.
+
+    ``backward`` adds it into the table's gradient buffer instead of
+    materializing a dense table per gather.
+    """
+
+    __slots__ = ("idx", "rows")
+
+    def __init__(self, idx: np.ndarray, rows: np.ndarray):
+        self.idx = idx
+        self.rows = rows
+
+
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(root)/d(leaf) for every grad-tracked leaf under root.
 
-    Returns a map keyed by tensor identity.
+    Returns a map keyed by tensor identity. Contributions to a tensor are
+    summed in reverse tape order. A tensor reached only through gathers
+    keeps one dense buffer: its first gather scatters into zeros, and each
+    later gather sums its rows per distinct row first and adds those sums
+    into the buffer's rows. That is bitwise equal to adding one dense
+    scatter per gather, since rows a gather does not touch would only have
+    0.0 added, and a buffer built from sums never holds -0.0.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
@@ -168,6 +188,7 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     # node), so its id cannot have been reused
     grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(root): root}
+    gathered: set[int] = set()  # gradients so far built by gathers alone
     for node in reversed(graph.nodes):
         out_grad = grads.get(node.output_id)
         if out_grad is None:
@@ -175,10 +196,32 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
         for inp, g in zip(node.inputs, node.vjp(out_grad)):
             if g is None or not (inp.grad_tracked or inp._node is not None):
                 continue
-            prev = grads.get(id(inp))
-            grads[id(inp)] = g if prev is None else prev + g
-            holders[id(inp)] = inp
+            key = id(inp)
+            holders[key] = inp
+            prev = grads.get(key)
+            if isinstance(g, _RowGrad):
+                if key in gathered:
+                    _add_row_sums(prev, g)
+                    continue
+                dense = np.zeros(inp.shape)
+                np.add.at(dense, g.idx, g.rows)
+                if prev is None:
+                    grads[key] = dense
+                    gathered.add(key)
+                    continue
+                g = dense
+            grads[key] = g if prev is None else prev + g
+            gathered.discard(key)
     return {holders[key]: g for key, g in grads.items() if holders[key].grad_tracked}
+
+
+def _add_row_sums(buf: np.ndarray, g: _RowGrad) -> None:
+    """Sum a gather's rows per distinct row, in gather order, then add the
+    sums into those rows of ``buf``."""
+    uniq, inverse = np.unique(g.idx, return_inverse=True)
+    sums = np.zeros((len(uniq),) + g.rows.shape[1:])
+    np.add.at(sums, inverse, g.rows)
+    buf[uniq] += sums
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +402,7 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError(f"take_rows index out of range for table {table.shape}")
 
     def vjp(dy):
-        g = np.zeros(table.shape)
-        np.add.at(g, idx, dy)
-        return (g,)
+        return (_RowGrad(idx, dy),)
 
     return _result("take_rows", table.data[idx], (table,), vjp)
 

@@ -13,10 +13,12 @@ summed in shard-id order. Each shard computes the full global loss with
 only its own rows attached to the tape, so the shard-summed gradient equals
 the single-process gradient of the same global batch.
 
-A shard embeds each side of its slice with one taped call per prompt length
+A shard embeds the queries and positives of its slice together, with one
+taped call per prompt length across both sides
 (:func:`~umrlab.encoder.embed_batch`), so a step's forward cost grows with
-the number of distinct prompt lengths, not the number of prompts. Stage 1's
-frozen teacher embeds the batch's cache misses in one tape-free call.
+the number of distinct prompt lengths, not the number of prompts or sides.
+Stage 1's frozen teacher embeds the batch's cache misses from both sides in
+one tape-free call.
 """
 
 from __future__ import annotations
@@ -185,31 +187,38 @@ def all_reduce_grads(shard_grads: Sequence[dict[str, np.ndarray]]) -> dict[str, 
 
 def _embed_block(
     encoder: Encoder,
-    items: Sequence,
-    side: str,
+    samples: Sequence[Sample],
+    positives: Sequence[Candidate],
     upto: int,
     cache: dict | None = None,
-) -> Tensor:
-    """Stack [RET] states for a list of samples/candidates into (N, d).
+) -> tuple[Tensor, Tensor]:
+    """[RET] states of queries and their positives, as (len(samples), d) and
+    (len(positives), d).
 
-    Without a cache the rows are taped. With one, each item is looked up once;
-    the misses are embedded in one tape-free call and stored, each row as
-    its own array so that no entry keeps the rest of the batch alive.
+    Both sides go through one :func:`embed_batch` call, so prompts of equal
+    length share one forward whichever side they come from. Without a cache
+    the rows are taped. With one, each (side, id) is looked up once; the
+    misses of both sides are embedded in one tape-free call and stored, each
+    row as its own array so that no entry keeps the rest of the batch alive.
     """
     max_seq = encoder.config.max_seq
+    items = [("query", s) for s in samples] + [("candidate", c) for c in positives]
+    n = len(samples)
     if cache is None:
-        return embed_batch(encoder, [assemble_prompt(item, side, max_seq) for item in items], upto)
-    keys = [(side, item.id) for item in items]
+        seqs = [assemble_prompt(item, side, max_seq) for side, item in items]
+        both = embed_batch(encoder, seqs, upto)
+        return T.take_rows(both, range(n)), T.take_rows(both, range(n, len(items)))
+    keys = [(side, item.id) for side, item in items]
     rows = [cache.get(key) for key in keys]
-    missing = {key: item for key, item, row in zip(keys, items, rows) if row is None}
+    missing = {key: pair for key, pair, row in zip(keys, items, rows) if row is None}
     if missing:
-        seqs = [assemble_prompt(item, side, max_seq) for item in missing.values()]
+        seqs = [assemble_prompt(item, side, max_seq) for side, item in missing.values()]
         with T.no_grad():
             fresh = embed_batch(encoder, seqs, upto).data
         for i, key in enumerate(missing):
             cache[key] = fresh[i : i + 1].copy()
         rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
-    return Tensor(np.concatenate(rows, axis=0))
+    return Tensor(np.concatenate(rows[:n], axis=0)), Tensor(np.concatenate(rows[n:], axis=0))
 
 
 def _shard_loss(
@@ -288,24 +297,15 @@ def compute_global_grads(
         )
     shards = split_shards(batch, config.shards)
     depth = student.config.n_layers
-    locals_ = [
-        (
-            _embed_block(student, shard.samples, "query", depth),
-            _embed_block(student, shard.positives, "candidate", depth),
-        )
-        for shard in shards
-    ]
+    locals_ = [_embed_block(student, shard.samples, shard.positives, depth) for shard in shards]
     q_blocks = [q.data for q, _ in locals_]
     c_blocks = [c.data for _, c in locals_]
 
     teacher_q = teacher_c = None
     if config.stage == 1:
         cache = teacher_cache if teacher_cache is not None else {}
-        teacher_q = _embed_block(
-            teacher, batch.samples, "query", teacher.config.n_layers, cache
-        )
-        teacher_c = _embed_block(
-            teacher, batch.positives, "candidate", teacher.config.n_layers, cache
+        teacher_q, teacher_c = _embed_block(
+            teacher, batch.samples, batch.positives, teacher.config.n_layers, cache
         )
 
     tags = batch.tags

@@ -139,6 +139,16 @@ class TestPruneEmbedIndexSearch:
         assert "--limit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_limit_writes_header_only(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out = root / "none.csv"
+        assert main([
+            "embed", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--side", "query", "--out", str(out), "--limit", "0",
+        ]) == 0
+        assert out.read_text().splitlines() == ["id,modality,dataset," + ",".join(f"v{i}" for i in range(8))]
+        assert capsys.readouterr().out.startswith("wrote 0 ")
+
     def test_embed_csv(self, workdir):
         root, corpus, _, student = workdir
         out = root / "emb.csv"
@@ -220,6 +230,38 @@ class TestEval:
         assert "modality separation" in out
         assert pca.read_text().splitlines()[0] == "id,modality,x,y"
 
+    def test_separation_builds_the_index_once(self, workdir, monkeypatch, capsys):
+        import umrlab.cli
+        import umrlab.retrieval
+        from umrlab.checkpoint import load_checkpoint
+        from umrlab.datagen import Corpus
+
+        root, corpus, _, student = workdir
+        builds = []
+        build = umrlab.retrieval.build_index
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(umrlab.retrieval, "build_index", counting)
+        monkeypatch.setattr(umrlab.cli, "build_index", counting)
+        out = root / "sep-report.csv"
+        assert main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--scope", "local", "--scope", "global", "--k", "1", "--k", "5",
+            "--separation", "--out", str(out),
+        ]) == 0
+        assert len(builds) == 1
+        assert "modality separation" in capsys.readouterr().out
+        monkeypatch.setattr(umrlab.retrieval, "build_index", build)
+        enc, _ = load_checkpoint(student)
+        want = umrlab.retrieval.evaluate(
+            enc, Corpus.load(corpus), scopes=("local", "global"), ks=(1, 5)
+        )
+        rows = [line.split(",")[:5] for line in out.read_text().strip().splitlines()[1:]]
+        assert rows == [[r.task, r.dataset, r.scope, str(r.k), f"{r.recall:.6f}"] for r in want.rows]
+
     def test_k_override(self, workdir):
         root, corpus, _, student = workdir
         out = root / "override.csv"
@@ -293,6 +335,18 @@ class TestSweep:
         ])
         assert code == 1
         assert "0.2,abc" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_nan_lambda_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out_dir = root / "nan-sweep"
+        code = main([
+            "sweep", "--corpus", str(corpus), "--init", str(student),
+            "--lambdas", "0.2,nan", "--out-dir", str(out_dir),
+            "--epochs", "1", "--batch", "4", "--steps-per-epoch", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: decay sparsity lam must be finite")
         assert not out_dir.exists()
 
 

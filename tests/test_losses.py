@@ -219,6 +219,12 @@ class TestTemperatureSchedule:
         with pytest.raises(ContractError):
             L.TemperatureSchedule(lam=-1.0)
 
+    @pytest.mark.parametrize("field", ["tau0", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_schedules_rejected(self, field, value):
+        with pytest.raises(ContractError, match=rf"{field} must be finite"):
+            L.TemperatureSchedule(**{field: value})
+
 
 class TestAlphaSchedule:
     def test_dynamic_midpoint(self):

@@ -190,6 +190,43 @@ class TestBackward:
         assert y._node is None and not y.grad_tracked
 
 
+def scatter(shape, ids, rows):
+    out = np.zeros(shape)
+    np.add.at(out, ids, rows)
+    return out
+
+
+class TestGatherGradients:
+    def test_two_gathers_match_dense_per_gather_sums(self):
+        # rows 1 and 3 repeat inside each gather and across them; row 3's
+        # terms 1e16, 1, -1e16, 1 sum to 0 per gather first, and to 1 in any
+        # single pass over both gathers
+        table = T.Tensor(np.arange(10.0).reshape(5, 2), grad_tracked=True)
+        first, second = [1, 3, 1, 3, 0], [3, 1, 3, 2]
+        w1 = np.array([[1.0], [-1e16], [1e16], [1.0], [2.0]]) * [1.0, -3.0]
+        w2 = np.array([[1e16], [1.0], [1.0], [3.0]]) * [1.0, 0.5]
+        part1 = T.sum_all(T.mul(T.take_rows(table, first), T.Tensor(w1)))
+        part2 = T.sum_all(T.mul(T.take_rows(table, second), T.Tensor(w2)))
+        got = T.backward(T.add(part1, part2))[table]
+        # one dense scatter per gather, added in reverse tape order
+        want = scatter(table.shape, second, w2) + scatter(table.shape, first, w1)
+        assert got.tobytes() == want.tobytes()
+        for ids, rows in ((second + first, [w2, w1]), (first + second, [w1, w2])):
+            naive = scatter(table.shape, ids, np.concatenate(rows))
+            assert naive.tobytes() != want.tobytes()
+
+    def test_dense_use_then_gather_matches_dense_sum(self):
+        rng = np.random.default_rng(22)
+        table = T.Tensor(rng.normal(size=(4, 3)), grad_tracked=True)
+        w = rng.normal(size=(4, 3))
+        rows = rng.normal(size=(3, 3))
+        part1 = T.sum_all(T.mul(T.take_rows(table, [2, 0, 2]), T.Tensor(rows)))
+        part2 = T.sum_all(T.mul(table, T.Tensor(w)))
+        got = T.backward(T.add(part1, part2))[table]
+        want = w + scatter(table.shape, [2, 0, 2], rows)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestTapeLifetime:
     def test_tape_freed_without_cyclic_collector(self):
         x = T.Tensor(rand((3, 4), seed=1).data, grad_tracked=True)

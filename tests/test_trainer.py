@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from umrlab import encoder as encoder_module
 from umrlab import tensor as T
 from umrlab import trainer
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
@@ -129,8 +130,16 @@ class TestAdam:
 
         params = {"w": Tensor(np.ones(3), grad_tracked=True)}
         state = OptimizerState.init(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        for g in grads:
+        old_w, old_m, old_v = np.ones(3), np.zeros(3), np.zeros(3)
+        for t, g in enumerate(grads, start=1):
             params, state = adam_update(params, {"w": g}, state)
+            # the update as a vectorized expression, wrapped by the copying constructor
+            old_m = b1 * old_m + (1.0 - b1) * g
+            old_v = b2 * old_v + (1.0 - b2) * (g * g)
+            update = lr * (old_m / (1.0 - b1**t)) / (np.sqrt(old_v / (1.0 - b2**t)) + eps)
+            old_w = Tensor(old_w - update, grad_tracked=True).data
+            assert params["w"].data.tobytes() == old_w.tobytes()
+            assert params["w"].grad_tracked and not params["w"].data.flags.writeable
 
         w = [1.0, 1.0, 1.0]
         m = [0.0] * 3
@@ -276,14 +285,18 @@ def mixed_batch():
     return batch
 
 
-def per_prompt_block(encoder, items, side, upto, cache=None):
+def per_prompt_block(encoder, samples, positives, upto, cache=None):
     """Reference for trainer._embed_block: one taped forward per prompt."""
     assert cache is None
-    rows = []
-    for item in items:
-        seq = assemble_prompt(item, side, encoder.config.max_seq)
-        rows.append(T.take_rows(forward(encoder, seq, upto), [seq.ret_position]))
-    return T.concat_rows(rows)
+
+    def side_rows(items, side):
+        rows = []
+        for item in items:
+            seq = assemble_prompt(item, side, encoder.config.max_seq)
+            rows.append(T.take_rows(forward(encoder, seq, upto), [seq.ret_position]))
+        return T.concat_rows(rows)
+
+    return side_rows(samples, "query"), side_rows(positives, "candidate")
 
 
 class LookupCounter(dict):
@@ -310,6 +323,20 @@ class TestBatchedEmbedding:
         bound = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
         for name, g in ref_grads.items():
             assert np.abs(grads[name] - g).max() <= bound, name
+
+    def test_one_forward_per_prompt_length_across_both_sides(self, mixed_batch, monkeypatch):
+        lengths = []
+        blocks = encoder_module._blocks
+
+        def counting(enc, batch, upto):
+            lengths.append(len(batch[0]))
+            return blocks(enc, batch, upto)
+
+        monkeypatch.setattr(encoder_module, "_blocks", counting)
+        enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
+        cfg = config(2, encoder=MIXED_ENC, shards=1, per_shard_batch=8)
+        compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
+        assert sorted(lengths) == [13, 21, 29]
 
     def test_teacher_cache_one_lookup_per_item_and_rows_match_embed(self, mixed_batch):
         teacher = Encoder.init(MIXED_ENC, seed=5)
