@@ -10,7 +10,6 @@ retrieval index with Recall@k evaluation.
 from .encoder import Encoder, EncoderConfig, estimate_flops, prune
 from .datagen import Corpus, CorpusSpec, generate_corpus
 from .losses import (
-    AlphaSchedule,
     TemperatureSchedule,
     infonce,
     mac_loss,
@@ -20,7 +19,6 @@ from .tensor import Tensor, no_grad
 from .trainer import TrainConfig, run_stage, train_step
 
 __all__ = [
-    "AlphaSchedule",
     "Corpus",
     "CorpusSpec",
     "Encoder",

@@ -23,7 +23,9 @@ from .encoder import Encoder, EncoderConfig, estimate_flops, layer_stack_ratio, 
 from .errors import ConfigurationError, UmrlabError
 from .gradcheck import check_gradients
 from .losses import (
-    AlphaSchedule,
+    ALPHA_MODES,
+    DISTILL_VARIANTS,
+    TEMPERATURE_MODES,
     TemperatureSchedule,
     cosine_similarity_matrix,
     infonce,
@@ -53,10 +55,10 @@ _CONFIG_KEYS = {
     "seed", "concepts", "tasks", "noise", "distractors", "test_fraction",
     "text_vocab", "image_vocab", "n_t", "n_i",
     "d_model", "n_heads", "layers", "max_seq",
-    "stage", "epochs", "lr", "shards", "batch", "k",
+    "epochs", "lr", "shards", "batch", "k",
     "tau0", "lam", "temp_mode", "alpha_mode",
     "distill_variant", "distill_tau", "distill_normalize",
-    "steps_per_epoch", "scope", "k_eval",
+    "steps_per_epoch",
 }
 
 
@@ -131,6 +133,22 @@ def _encoder_config(s: Settings, vocab_size: int) -> EncoderConfig:
     )
 
 
+def _check_shape(s: Settings, source: str, cfg: EncoderConfig) -> None:
+    """Stages 1 and 2 take the encoder shape from a checkpoint; a shape
+    setting that disagrees with it is an error, not silently dropped."""
+    for key, have in (
+        ("d_model", cfg.d_model), ("n_heads", cfg.n_heads),
+        ("layers", cfg.n_layers), ("max_seq", cfg.max_seq),
+    ):
+        want = s.get(key, have, int)
+        if want != have:
+            if getattr(s.args, key, None) is not None:
+                given = f"--{key.replace('_', '-')} {want}"
+            else:
+                given = f"config key {key} = {want}"
+            raise ConfigurationError(f"{given} disagrees with {key} = {have} in the {source} checkpoint")
+
+
 def _train_config(
     s: Settings, stage: int, encoder_cfg: EncoderConfig, default_k: int | None = None
 ) -> TrainConfig:
@@ -147,7 +165,7 @@ def _train_config(
             lam=s.get("lam", 0.2, float),
             mode=s.get("temp_mode", "mac"),
         ),
-        alphas=AlphaSchedule.of(s.get("alpha_mode", "fixed")),
+        alpha_mode=s.get("alpha_mode", "fixed"),
         distill_variant=s.get("distill_variant", "mse"),
         distill_tau=s.get("distill_tau", 1.0, float),
         distill_normalize=s.get("distill_normalize", False, bool),
@@ -188,12 +206,14 @@ def cmd_train(args) -> int:
             raise ConfigurationError("stage 1 requires --teacher")
         teacher, _ = load_checkpoint(args.teacher)
         encoder_cfg = teacher.config
+        _check_shape(s, "--teacher", encoder_cfg)
         default_k = encoder_cfg.k
     else:
         if not args.init:
             raise ConfigurationError("stage 2 requires --init")
         init, _ = load_checkpoint(args.init)
         encoder_cfg = init.config
+        _check_shape(s, "--init", encoder_cfg)
         default_k = encoder_cfg.n_layers
     config = _train_config(s, args.stage, encoder_cfg, default_k)
     result = run_stage(corpus, config, teacher=teacher, encoder=init)
@@ -346,11 +366,11 @@ def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
     for seed in range(seeds):
         f = lambda q, c: infonce(cosine_similarity_matrix(q, c), 0.2)
         results.append((f"infonce[{seed}]", check_gradients(f, [rand((4, 5), seed), rand((4, 5), seed + 10)])))
-        for mode in ("mac", "reverse", "off"):
+        for mode in TEMPERATURE_MODES:
             tags = ["text", "image", "image_text", "text"]
             g = lambda q, c: mac_loss(cosine_similarity_matrix(q, c), tags, 0.11, 0.3, mode)
             results.append((f"mac-{mode}[{seed}]", check_gradients(g, [rand((4, 5), seed), rand((4, 5), seed + 20)])))
-        for variant in ("mse", "cosine", "kl"):
+        for variant in DISTILL_VARIANTS:
             tq, tc = rand((3, 4), seed + 30), rand((3, 4), seed + 40)
             h = lambda sq, sc: self_distill(tq, sq, tc, sc, variant, tau=0.8)
             results.append((f"distill-{variant}[{seed}]", check_gradients(h, [rand((3, 4), seed + 50), rand((3, 4), seed + 60)])))
@@ -366,7 +386,7 @@ def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
         cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=2, max_seq=8, k=2)
         enc = Encoder.init(cfg, seed=seed)
         ids = tuple(int(t) for t in np.random.default_rng(seed).integers(36, 46, size=3))
-        seq = TokenSequence(ids=ids + (1,), ret_position=len(ids))
+        seq = TokenSequence(ids + (1,))
         names = parameter_names(cfg)
 
         def enc_loss(*tensors):
@@ -403,6 +423,7 @@ def cmd_sweep(args) -> int:
     schedules = [TemperatureSchedule(tau0=tau0, lam=lam, mode=mode) for lam in lambdas]
     corpus = Corpus.load(args.corpus)
     init, _ = load_checkpoint(args.init)
+    _check_shape(s, "--init", init.config)
     base = _train_config(s, 2, init.config, init.config.n_layers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -472,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="prune depth")
     p.add_argument("--tau0", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--temp-mode", dest="temp_mode", choices=("mac", "reverse", "off"), default=None)
-    p.add_argument("--alpha-mode", dest="alpha_mode", choices=("fixed", "dynamic", "reverse"), default=None)
-    p.add_argument("--distill-variant", dest="distill_variant", choices=("mse", "cosine", "kl"), default=None)
+    p.add_argument("--temp-mode", dest="temp_mode", choices=TEMPERATURE_MODES, default=None)
+    p.add_argument("--alpha-mode", dest="alpha_mode", choices=ALPHA_MODES, default=None)
+    p.add_argument("--distill-variant", dest="distill_variant", choices=DISTILL_VARIANTS, default=None)
     p.add_argument("--distill-tau", dest="distill_tau", type=float, default=None)
     p.add_argument("--distill-normalize", dest="distill_normalize", action="store_const", const=True, default=None)
     p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
@@ -513,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=("local", "global"), default="local")
     p.set_defaults(func=cmd_search)
 
-    p = common(sub.add_parser("eval", help="Recall@k evaluation"))
+    p = sub.add_parser("eval", help="Recall@k evaluation")
+    p.add_argument("--config", help="key = value settings file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--scope", action="append", choices=("local", "global"))
@@ -545,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--temp-mode", dest="temp_mode", choices=("mac", "reverse", "off"), default=None)
+    p.add_argument("--temp-mode", dest="temp_mode", choices=TEMPERATURE_MODES, default=None)
     p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, LengthError
+from .errors import ContractError, LengthError, NumericDomainError
 from .prompts import TokenSequence
 from .tensor import Tensor
 
@@ -123,6 +123,9 @@ def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tens
 
     The sequences share every op as rows of one 2-D array; only attention
     needs the sequence length, to keep each sequence to its own rows.
+    Raises NumericDomainError when an op overflows or makes a NaN, as
+    weights that have blown up do; a NaN already in the weights passes
+    through quietly and is caught where a loss is checked.
     """
     cfg = encoder.config
     if not 1 <= upto <= cfg.n_layers:
@@ -139,18 +142,22 @@ def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tens
         raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
     p = encoder.params
     positions = list(range(s)) * len(batch)
-    h = T.add(T.take_rows(p["tok_emb"], ids), T.take_rows(p["pos_emb"], positions))
-    for i in range(upto):
-        base = f"layers.{i}."
-        a = T.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-        q = T.affine(a, p[base + "attn.wq"], p[base + "attn.bq"])
-        k = T.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
-        v = T.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
-        mixed = T.attention(q, k, v, cfg.n_heads, s)
-        h = T.add(h, T.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
-        f = T.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
-        f = T.gelu(T.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
-        h = T.add(h, T.affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h = T.add(T.take_rows(p["tok_emb"], ids), T.take_rows(p["pos_emb"], positions))
+            for i in range(upto):
+                base = f"layers.{i}."
+                a = T.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
+                q = T.affine(a, p[base + "attn.wq"], p[base + "attn.bq"])
+                k = T.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
+                v = T.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
+                mixed = T.attention(q, k, v, cfg.n_heads, s)
+                h = T.add(h, T.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
+                f = T.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
+                f = T.gelu(T.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
+                h = T.add(h, T.affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
+    except FloatingPointError as err:
+        raise NumericDomainError(f"encoder forward left the finite range ({err})") from None
     return h
 
 

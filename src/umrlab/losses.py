@@ -7,6 +7,10 @@ pairs whose target-candidate modalities match (the harder, intra-modality
 negatives) get a decaying hard temperature, all other pairs keep the base
 temperature. With both temperatures equal every variant collapses to plain
 InfoNCE, bitwise.
+
+Stage 1 weighs contrastive against self-distillation by one of three
+named alpha schedules (:data:`ALPHA_PRESETS`), each a straight line in
+training progress between two preset end points.
 """
 
 from __future__ import annotations
@@ -24,8 +28,12 @@ from .tasks import MODALITIES
 from .tensor import Tensor
 
 TEMPERATURE_MODES = ("mac", "reverse", "off")
-ALPHA_MODES = ("fixed", "dynamic", "reverse")
 DISTILL_VARIANTS = ("mse", "cosine", "kl")
+# alpha1 (the contrastive weight) at progress 0 and 1 for each stage-1
+# schedule; alpha2 = 1 - alpha1 is the self-distillation weight
+ALPHA_PRESETS = {"fixed": (0.9, 0.9), "dynamic": (0.5, 0.9), "reverse": (0.5, 0.1)}
+ALPHA_MODES = tuple(ALPHA_PRESETS)
+
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
@@ -53,40 +61,15 @@ def tau_hard_at(schedule: TemperatureSchedule, progress: float) -> float:
     return float(Decimal(raw).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class AlphaSchedule:
-    """Weights (contrastive, distill) at progress 0 and 1; both sum to 1."""
-
-    mode: str = "fixed"
-    start: tuple[float, float] = (0.9, 0.1)
-    end: tuple[float, float] = (0.9, 0.1)
-
-    def __post_init__(self):
-        if self.mode not in ALPHA_MODES:
-            raise ContractError(f"mode must be one of {ALPHA_MODES}, got {self.mode!r}")
-        for pair in (self.start, self.end):
-            if min(pair) < 0 or abs(sum(pair) - 1.0) > 1e-12:
-                raise ContractError(f"alpha pair {pair} must be non-negative and sum to 1")
-
-    @classmethod
-    def of(cls, mode: str) -> "AlphaSchedule":
-        if mode == "fixed":
-            return cls("fixed", (0.9, 0.1), (0.9, 0.1))
-        if mode == "dynamic":
-            return cls("dynamic", (0.5, 0.5), (0.9, 0.1))
-        if mode == "reverse":
-            return cls("reverse", (0.5, 0.5), (0.1, 0.9))
-        raise ContractError(f"mode must be one of {ALPHA_MODES}, got {mode!r}")
-
-
-def alpha_at(schedule: AlphaSchedule, progress: float) -> tuple[float, float]:
+def alpha_at(mode: str, progress: float) -> tuple[float, float]:
+    """(alpha1, alpha2) of the named schedule at ``progress``: alpha1 moves
+    linearly between the preset's end points and the pair sums to 1."""
+    if mode not in ALPHA_PRESETS:
+        raise ContractError(f"alpha mode must be one of {ALPHA_MODES}, got {mode!r}")
     if not 0.0 <= progress <= 1.0:
         raise ContractError(f"progress {progress} outside [0, 1]")
-    if schedule.mode == "fixed":
-        a1 = schedule.start[0]
-    else:
-        a1 = schedule.start[0] + progress * (schedule.end[0] - schedule.start[0])
-    # the pair must sum to 1 exactly at every progress
+    start, end = ALPHA_PRESETS[mode]
+    a1 = start + progress * (end - start)
     return a1, 1.0 - a1
 
 
@@ -184,13 +167,13 @@ def self_distill(
         dq = T.sub(tq, student_q)
         dc = T.sub(tc, student_c)
         return T.add(
-            T.mean_vec(T.sum_rows(T.mul(dq, dq))),
-            T.mean_vec(T.sum_rows(T.mul(dc, dc))),
+            T.mean(T.sum_rows(T.mul(dq, dq))),
+            T.mean(T.sum_rows(T.mul(dc, dc))),
         )
     if variant == "cosine":
         cos_q = T.sum_rows(T.mul(T.l2_normalize_rows(tq), T.l2_normalize_rows(student_q)))
         cos_c = T.sum_rows(T.mul(T.l2_normalize_rows(tc), T.l2_normalize_rows(student_c)))
-        got = T.add(T.mean_vec(cos_q), T.mean_vec(cos_c))
+        got = T.add(T.mean(cos_q), T.mean(cos_c))
         return T.add_scalar(T.scale(got, -1.0), 2.0)
     # kl: distill similarity scores
     if tau <= 0:

@@ -35,14 +35,19 @@ FRAME_TOKENS = 5
 
 @dataclass(frozen=True)
 class TokenSequence:
+    """Token ids of one prompt; the last id is always [RET]."""
+
     ids: tuple[int, ...]
-    ret_position: int
 
     def __post_init__(self):
-        if self.ret_position != len(self.ids) - 1:
+        if not self.ids:
+            raise ContractError("token sequence is empty")
+        if self.ids[-1] != RET_TOKEN_ID:
             raise ContractError("retrieval token must be the last position")
-        if self.ids[self.ret_position] != RET_TOKEN_ID:
-            raise ContractError("retrieval token id missing at ret_position")
+
+    @property
+    def ret_position(self) -> int:
+        return len(self.ids) - 1
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -77,4 +82,4 @@ def assemble_prompt(item, side: str, max_seq: int | None = None) -> TokenSequenc
         raise LengthError(
             f"prompted sequence of {len(ids)} tokens exceeds max_seq {max_seq}"
         )
-    return TokenSequence(ids=ids, ret_position=len(ids) - 1)
+    return TokenSequence(ids)

@@ -48,8 +48,11 @@ class EmbeddingIndex:
 
     def dataset_code(self, name: str) -> int:
         if self.dataset_names is None:
-            raise ContractError("index loaded without dataset names; filter by code")
-        return self.dataset_names.index(name)
+            raise ContractError("index loaded without dataset names")
+        try:
+            return self.dataset_names.index(name)
+        except ValueError:
+            raise ContractError(f"dataset {name!r} is not in the index") from None
 
 
 def _normalize(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -103,17 +106,14 @@ def embed_query(encoder: Encoder, sample: Sample, k_layers: int | None = None) -
     return embed_prompts(encoder, [assemble_prompt(sample, "query", encoder.config.max_seq)], k_layers)[0]
 
 
-def embed_candidate(encoder: Encoder, candidate: Candidate, k_layers: int | None = None) -> np.ndarray:
-    return embed_prompts(encoder, [assemble_prompt(candidate, "candidate", encoder.config.max_seq)], k_layers)[0]
-
-
 def search_topk(
     index: EmbeddingIndex,
     query: np.ndarray,
     k: int,
-    datasets: Sequence[str] | Sequence[int] | None = None,
+    datasets: Sequence[str] | None = None,
 ) -> list[tuple[int, float]]:
-    """Top-k by cosine, descending; ties broken by ascending candidate id."""
+    """Top-k by cosine, descending; ties broken by ascending candidate id.
+    ``datasets`` names the dataset tags to search; None searches them all."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     query = np.asarray(query, dtype=np.float64)
@@ -122,9 +122,7 @@ def search_topk(
     if datasets is None:
         keep = slice(None)
     else:
-        codes = {
-            index.dataset_code(d) if isinstance(d, str) else int(d) for d in datasets
-        }
+        codes = {index.dataset_code(d) for d in datasets}
         keep = np.isin(index.dataset_codes, sorted(codes))
     ids = index.ids[keep]
     if ids.size == 0:
@@ -302,12 +300,6 @@ class EvalReport:
             raise ContractError(f"no report rows for scope {scope!r}")
         return sum(r.recall for r in chosen) / len(chosen)
 
-    def cell(self, task: str, dataset: str, scope: str, k: int) -> float:
-        for r in self.rows:
-            if (r.task, r.dataset, r.scope, r.k) == (task, dataset, scope, k):
-                return r.recall
-        raise ContractError(f"no report row for {(task, dataset, scope, k)}")
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
@@ -331,7 +323,6 @@ def evaluate(
     k_overrides: dict[str, int] | None = None,
     checkpoint: str = "",
     settings: dict | None = None,
-    queries: Sequence[Sample] | None = None,
     index: EmbeddingIndex | None = None,
 ) -> EvalReport:
     """Recall over the test split, per (task, dataset, scope, k).
@@ -349,9 +340,8 @@ def evaluate(
     overrides = k_overrides or {}
     if index is None:
         index = build_index(encoder, corpus.all_candidates())
-    test = list(queries) if queries is not None else list(corpus.test)
     by_dataset: dict[str, list[Sample]] = {}
-    for q in test:
+    for q in corpus.test:
         by_dataset.setdefault(q.dataset, []).append(q)
     rows: list[ReportRow] = []
     for dataset in sorted(by_dataset):

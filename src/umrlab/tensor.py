@@ -332,6 +332,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def mean(x: Tensor) -> Tensor:
+    """Mean over every element, as a scalar."""
     n = x.size
 
     def vjp(dy):
@@ -355,18 +356,6 @@ def sum_rows(x: Tensor) -> Tensor:
         return (np.repeat(dy[:, None], x.shape[1], axis=1),)
 
     return _result("sum_rows", x.data.sum(axis=1), (x,), vjp)
-
-
-def mean_vec(x: Tensor) -> Tensor:
-    """Mean of a 1-D tensor as a scalar."""
-    if x.ndim != 1:
-        raise DimensionError(f"mean_vec expects a vector, got shape {x.shape}")
-    n = x.size
-
-    def vjp(dy):
-        return (np.full(x.shape, float(dy) / n),)
-
-    return _result("mean_vec", np.asarray(x.data.mean()), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Stage 0 bootstraps a full-depth teacher with plain InfoNCE on text->text
 pairs. Stage 1 prunes the teacher to its first k layers and trains the
 student with InfoNCE plus self-distillation against the frozen teacher's
-last-layer retrieval states. Stage 2 instruction-tunes on the mixed-task
-corpus under the modality-adaptive loss.
+last-layer retrieval states, weighted by the alpha schedule that
+``TrainConfig.alpha_mode`` names (:data:`~umrlab.losses.ALPHA_PRESETS`).
+Stage 2 instruction-tunes on the mixed-task corpus under the
+modality-adaptive loss.
 
 Sharding is simulated in-process but honest about the math: every shard
 forwards only its slice of the global batch, embeddings are gathered across
@@ -36,7 +38,7 @@ from .datagen import Corpus, Sample, Candidate
 from .encoder import Encoder, EncoderConfig, embed, embed_batch, prune
 from .errors import AggregationError, ConfigurationError, ContractError, NumericDomainError
 from .losses import (
-    AlphaSchedule,
+    ALPHA_MODES,
     TemperatureSchedule,
     alpha_at,
     cosine_similarity_matrix,
@@ -63,7 +65,7 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     temperature: TemperatureSchedule = field(default_factory=TemperatureSchedule)
-    alphas: AlphaSchedule = field(default_factory=AlphaSchedule)
+    alpha_mode: str = "fixed"
     distill_variant: str = "mse"
     distill_tau: float = 1.0
     distill_normalize: bool = False
@@ -83,6 +85,10 @@ class TrainConfig:
         if not 1 <= self.k <= self.encoder.n_layers:
             raise ConfigurationError(
                 f"prune depth {self.k} outside 1..{self.encoder.n_layers}"
+            )
+        if self.alpha_mode not in ALPHA_MODES:
+            raise ConfigurationError(
+                f"alpha mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"
             )
 
     @property
@@ -249,18 +255,14 @@ def _shard_loss(
         contrastive = infonce(similarity, tau0)
     total, distill = contrastive, None
     if config.stage == 1:
-        alphas = alpha_at(config.alphas, progress)
-        if alphas[1] == 0.0:
-            total = T.scale(contrastive, alphas[0])
-        else:
-            sq, sc, tq, tc = q_global, c_global, teacher_q, teacher_c
-            if config.distill_normalize:
-                sq, sc = T.l2_normalize_rows(sq), T.l2_normalize_rows(sc)
-                tq, tc = T.l2_normalize_rows(tq), T.l2_normalize_rows(tc)
-            distill = self_distill(
-                tq, sq, tc, sc, variant=config.distill_variant, tau=config.distill_tau
-            )
-            total = pretraining_loss(contrastive, distill, alphas)
+        sq, sc, tq, tc = q_global, c_global, teacher_q, teacher_c
+        if config.distill_normalize:
+            sq, sc = T.l2_normalize_rows(sq), T.l2_normalize_rows(sc)
+            tq, tc = T.l2_normalize_rows(tq), T.l2_normalize_rows(tc)
+        distill = self_distill(
+            tq, sq, tc, sc, variant=config.distill_variant, tau=config.distill_tau
+        )
+        total = pretraining_loss(contrastive, distill, alpha_at(config.alpha_mode, progress))
     breakdown = {
         "contrastive": contrastive.item(),
         "distill": 0.0 if distill is None else distill.item(),
@@ -411,7 +413,7 @@ def run_stage(
                 ) from None
             for key in sums:
                 sums[key] += losses[key]
-        alphas = alpha_at(config.alphas, progress) if config.stage == 1 else (1.0, 0.0)
+        alphas = alpha_at(config.alpha_mode, progress) if config.stage == 1 else (1.0, 0.0)
         curve.append(
             CurveRow(
                 stage=config.stage,

@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from umrlab import cli
 from umrlab.cli import main
 
 
@@ -95,6 +97,42 @@ class TestTrainArtifacts:
         assert err.startswith("error: stage 2, epoch 0, step 0: contrastive loss is nan")
         assert not out.exists() and not curve.exists()
 
+    @pytest.mark.parametrize(
+        "stage,flag,value,have",
+        [(1, "--d-model", "16", "8"), (1, "--n-heads", "4", "2"),
+         (2, "--layers", "5", "1"), (2, "--max-seq", "30", "24")],
+    )
+    def test_shape_flag_disagreeing_with_checkpoint_is_diagnosed(
+        self, workdir, capsys, stage, flag, value, have
+    ):
+        root, corpus, teacher, student = workdir
+        source = ["--teacher", str(teacher)] if stage == 1 else ["--init", str(student)]
+        out = root / f"reshaped-{stage}{flag}.ckpt"
+        code = main([
+            "train", "--stage", str(stage), "--corpus", str(corpus), "--out", str(out),
+            *source, flag, value, "--batch", "4", "--epochs", "1", "--steps-per-epoch", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {flag} {value} disagrees with")
+        assert f"= {have} in the {source[0]} checkpoint" in err
+        assert not out.exists()
+
+    def test_overflow_stops_training_at_the_next_forward(self, workdir, capsys):
+        root, corpus, _, _ = workdir
+        out, curve = root / "blown-up.ckpt", root / "blown-up.csv"
+        code = main([
+            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "--curve", str(curve), "--lr", "1e300", "--batch", "4", "--epochs", "2",
+            "--steps-per-epoch", "1", "--d-model", "8", "--n-heads", "2", "--layers", "2",
+            "--max-seq", "24", "--k", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        # the first update is finite but near 1e300; the next forward overflows
+        assert err.startswith("error: stage 0, epoch 1, step 0: encoder forward left the finite range")
+        assert not out.exists() and not curve.exists()
+
     def test_stage2_runs_from_init(self, workdir):
         root, corpus, _, student = workdir
         out = root / "stage2.ckpt"
@@ -164,7 +202,8 @@ class TestPruneEmbedIndexSearch:
     def test_embed_csv_bytes_match_per_item_embeds(self, workdir, side):
         from umrlab.checkpoint import load_checkpoint
         from umrlab.datagen import Corpus
-        from umrlab.retrieval import embed_candidate, embed_query
+        from umrlab.prompts import assemble_prompt
+        from umrlab.retrieval import embed_prompts
 
         root, corpus, _, student = workdir
         out = root / f"all-{side}.csv"
@@ -175,13 +214,12 @@ class TestPruneEmbedIndexSearch:
         enc, _ = load_checkpoint(student)
         data = Corpus.load(corpus)
         items = data.all_queries() if side == "query" else data.all_candidates()
-        vector_of = embed_query if side == "query" else embed_candidate
         ref = root / f"ref-{side}.csv"
         with open(ref, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["id", "modality", "dataset"] + [f"v{i}" for i in range(enc.config.d_model)])
             for item in items:
-                vec = vector_of(enc, item)
+                vec = embed_prompts(enc, [assemble_prompt(item, side, enc.config.max_seq)])[0]
                 writer.writerow([item.id, item.modality, item.dataset] + [f"{x:.8g}" for x in vec])
         assert out.read_bytes() == ref.read_bytes()
 
@@ -204,6 +242,38 @@ class TestPruneEmbedIndexSearch:
         loaded = capsys.readouterr().out
         assert fresh == loaded
         assert "candidate" in fresh
+
+
+@pytest.fixture(scope="module")
+def blown(workdir):
+    """The student with every weight scaled by 1e300, as one update at a
+    learning rate of 1e300 leaves it: finite, but its forward overflows."""
+    from umrlab.checkpoint import load_checkpoint, save_checkpoint
+    from umrlab.tensor import Tensor
+
+    root, _, _, student = workdir
+    enc, _ = load_checkpoint(student)
+    params = {n: Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
+    path = root / "blown.ckpt"
+    save_checkpoint(path, enc.with_params(params))
+    return path
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("command", ["eval", "index", "embed", "search"])
+    def test_overflowing_checkpoint_is_diagnosed(self, workdir, blown, capsys, command):
+        root, corpus, _, _ = workdir
+        out = root / f"blown-{command}.out"
+        extra = {
+            "eval": [], "index": ["--out", str(out)],
+            "embed": ["--side", "query", "--out", str(out)], "search": ["--query-id", "0"],
+        }[command]
+        code = main([command, "--checkpoint", str(blown), "--corpus", str(corpus), *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: encoder forward left the finite range (overflow")
+        assert "recall" not in captured.out
+        assert not out.exists()
 
 
 class TestEval:
@@ -384,6 +454,49 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["stage", "scope", "k_eval"])
+    def test_keys_no_command_reads_are_rejected(self, workdir, tmp_path, capsys, key):
+        root, corpus, _, student = workdir
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code = main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus), "--config", str(cfg),
+        ])
+        assert code == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_every_config_key_is_read(self):
+        # the keys cli.py passes to Settings.get as literals, found by parsing it
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = {
+            node.args[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "s"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        }
+        assert cli._CONFIG_KEYS == read
+
+    def test_shape_key_disagreeing_with_checkpoint_rejected(self, workdir, tmp_path, capsys):
+        root, corpus, _, student = workdir
+        cfg = tmp_path / "shape.cfg"
+        cfg.write_text("d_model = 64\n")
+        out = tmp_path / "x.ckpt"
+        code = main([
+            "train", "--stage", "2", "--corpus", str(corpus), "--init", str(student),
+            "--out", str(out), "--config", str(cfg), "--batch", "4", "--epochs", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config key d_model = 64 disagrees with d_model = 8 in the --init checkpoint"
+        )
+        assert not out.exists()
+
     def test_misspelled_bool_rejected(self, workdir, tmp_path, capsys):
         root, corpus, _, _ = workdir
         cfg = tmp_path / "typo.cfg"
@@ -415,6 +528,12 @@ class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["flops", "--layers", "4", "--k", "1", "--seq", "8", "--bogus"])
+        assert err.value.code == 2
+
+    def test_eval_takes_no_seed(self, workdir):
+        _, corpus, _, student = workdir
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), "--seed", "1"])
         assert err.value.code == 2
 
     def test_missing_file_is_diagnosed(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from umrlab.encoder import (
     parameter_names,
     prune,
 )
-from umrlab.errors import ContractError, LengthError
+from umrlab.errors import ContractError, LengthError, NumericDomainError
 from umrlab.gradcheck import check_gradients
 from umrlab.prompts import (
     CANDIDATE_INSTR_ID,
@@ -91,8 +91,12 @@ class TestAssemblePrompt:
             assemble_prompt(Item(tokens=tuple(range(100, 120)), modality="text"), "candidate", max_seq=8)
 
     def test_ret_must_be_last(self):
-        with pytest.raises(ContractError):
-            TokenSequence(ids=(RET_TOKEN_ID, 5), ret_position=0)
+        with pytest.raises(ContractError, match="last position"):
+            TokenSequence((RET_TOKEN_ID, 5))
+
+    def test_empty_ids_rejected(self):
+        with pytest.raises(ContractError, match="empty"):
+            TokenSequence(())
 
 
 class TestEncoderInit:
@@ -125,11 +129,22 @@ class TestForward:
         with pytest.raises(ContractError):
             forward(enc, small_tokens(), 3)
 
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
+    def test_overflow_raises_numeric_domain_error(self, taped):
+        enc = Encoder.init(SMALL, seed=0)
+        blown = enc.with_params(
+            {n: T.Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
+        )
+        assert all(np.isfinite(p.data).all() for p in blown.params.values())
+        with nullcontext() if taped else T.no_grad():
+            with pytest.raises(NumericDomainError, match="overflow"):
+                embed_batch(blown, [small_tokens(), small_tokens((40, 41, 42))], 2)
+
     def test_single_layer_single_head_matches_scalar_oracle(self):
         cfg = EncoderConfig(vocab_size=8, d_model=2, n_heads=1, n_layers=1, max_seq=4, k=1)
         enc = Encoder.init(cfg, seed=42)
         ids = [3, 5, 1]
-        seq = TokenSequence(ids=(3, 5, 1), ret_position=2)
+        seq = TokenSequence((3, 5, 1))
         got = forward(enc, seq, 1).data
 
         p = {k: v.data.tolist() for k, v in enc.params.items()}

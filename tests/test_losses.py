@@ -226,29 +226,46 @@ class TestTemperatureSchedule:
             L.TemperatureSchedule(**{field: value})
 
 
+# alpha1 of each schedule as the former (mode, start, end) schedule objects
+# computed it: fixed held its start value, the others interpolated
+FORMER_ALPHA1 = {
+    "fixed": lambda p: 0.9,
+    "dynamic": lambda p: 0.5 + p * (0.9 - 0.5),
+    "reverse": lambda p: 0.5 + p * (0.1 - 0.5),
+}
+
+
 class TestAlphaSchedule:
     def test_dynamic_midpoint(self):
-        a1, a2 = L.alpha_at(L.AlphaSchedule.of("dynamic"), 0.5)
+        a1, a2 = L.alpha_at("dynamic", 0.5)
         assert (a1, a2) == pytest.approx((0.7, 0.3), abs=1e-12)
 
     def test_fixed_everywhere(self):
-        s = L.AlphaSchedule.of("fixed")
         for p in (0.0, 0.25, 1.0):
-            assert L.alpha_at(s, p) == pytest.approx((0.9, 0.1), abs=1e-12)
+            assert L.alpha_at("fixed", p) == pytest.approx((0.9, 0.1), abs=1e-12)
 
     def test_reverse_endpoint(self):
-        a1, a2 = L.alpha_at(L.AlphaSchedule.of("reverse"), 1.0)
+        a1, a2 = L.alpha_at("reverse", 1.0)
         assert (a1, a2) == pytest.approx((0.1, 0.9), abs=1e-12)
 
     @given(st.sampled_from(L.ALPHA_MODES), st.floats(0.0, 1.0))
     def test_weights_always_sum_to_one_exactly(self, mode, progress):
-        a1, a2 = L.alpha_at(L.AlphaSchedule.of(mode), progress)
+        a1, a2 = L.alpha_at(mode, progress)
         assert a1 + a2 == 1.0
         assert a1 >= 0 and a2 >= 0
 
-    def test_bad_pair_rejected(self):
-        with pytest.raises(ContractError):
-            L.AlphaSchedule("fixed", (0.9, 0.2), (0.9, 0.2))
+    @pytest.mark.parametrize("mode", list(FORMER_ALPHA1))
+    def test_presets_match_former_schedules_bitwise(self, mode):
+        assert set(FORMER_ALPHA1) == set(L.ALPHA_MODES)
+        grid = sorted({e / n for n in range(1, 13) for e in range(n + 1)})
+        for p in grid:
+            a1 = FORMER_ALPHA1[mode](p)
+            got = L.alpha_at(mode, p)
+            assert [x.hex() for x in got] == [a1.hex(), (1.0 - a1).hex()], p
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="alpha mode"):
+            L.alpha_at("linear", 0.5)
 
 
 class TestSelfDistill:

@@ -15,7 +15,7 @@ from umrlab.retrieval import (
     SeparationStats,
     build_index,
     config_fingerprint,
-    embed_candidate,
+    embed_prompts,
     embed_query,
     evaluate,
     load_index,
@@ -113,7 +113,10 @@ class TestBuildIndex:
         for depth in (1, 2):
             idx = build_index(enc, mixed, k_layers=depth)
             assert idx.ids.tolist() == [c.id for c in mixed]
-            want = np.stack([embed_candidate(enc, c, depth).astype(np.float32) for c in mixed])
+            want = np.stack([
+                embed_prompts(enc, [assemble_prompt(c, "candidate", cfg.max_seq)], depth)[0]
+                for c in mixed
+            ]).astype(np.float32)
             assert idx.vectors.tobytes() == want.tobytes()
 
 
@@ -171,9 +174,9 @@ class TestSearch:
             codes = rng.integers(0, 2, size=n)
             idx = toy_index(v, ids=rng.permutation(4 * n)[:n], datasets=codes, names=("a", "b"))
             k = int(rng.integers(1, n + 2))
-            for scope in (None, [1]):
+            for scope, codes_kept in ((None, None), (["b"], [1])):
                 got = search_topk(idx, q, k, scope)
-                want = full_sort_topk(idx, q, k, scope)
+                want = full_sort_topk(idx, q, k, codes_kept)
                 assert [i for i, _ in got] == [i for i, _ in want]
                 scores = [np.array([s for _, s in hits]).tobytes() for hits in (got, want)]
                 assert scores[0] == scores[1]
@@ -184,6 +187,12 @@ class TestSearch:
         assert [i for i, _ in out] == [2, 3]
         empty = toy_index(np.eye(2), datasets=[0, 0], names=("ds-a", "ds-b"))
         assert search_topk(empty, np.eye(2)[0], 3, ["ds-b"]) == []
+
+    @pytest.mark.parametrize("name", ["ds-z", 0], ids=["unknown-name", "integer-code"])
+    def test_filter_by_unknown_dataset_rejected(self, name):
+        idx = toy_index(np.eye(2), names=("ds-a",))
+        with pytest.raises(ContractError, match=f"dataset {name!r} is not in the index"):
+            search_topk(idx, np.eye(2)[0], 1, [name])
 
     def test_k_must_be_positive(self):
         with pytest.raises(ContractError):

@@ -272,7 +272,7 @@ OPS_FOR_GRADCHECK = [
     ("mul", lambda a, b: T.mean(T.mul(a, b)), [(2, 3), (2, 3)]),
     ("scale", lambda x: T.mean(T.scale(x, -2.5)), [(2, 3)]),
     ("gelu", lambda x: T.mean(T.gelu(x)), [(3, 3)]),
-    ("sum_rows", lambda x: T.mean_vec(T.sum_rows(T.mul(x, x))), [(3, 4)]),
+    ("sum_rows", lambda x: T.mean(T.sum_rows(T.mul(x, x))), [(3, 4)]),
     ("concat", lambda a, b: T.mean(T.mul(T.concat_rows([a, b]), T.concat_rows([a, b]))), [(2, 3), (1, 3)]),
     ("take_rows", lambda x: T.mean(T.take_rows(x, [0, 2, 2, 1])), [(3, 3)]),
     ("softmax", lambda x: T.mean(T.mul(T.softmax_rows(x), T.softmax_rows(x))), [(3, 4)]),

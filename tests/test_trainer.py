@@ -19,7 +19,7 @@ from umrlab.errors import (
     NumericDomainError,
     VersionError,
 )
-from umrlab.losses import AlphaSchedule, TemperatureSchedule, self_distill
+from umrlab.losses import TemperatureSchedule, self_distill
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.prompts import assemble_prompt
 from umrlab.tensor import Tensor
@@ -162,9 +162,9 @@ class TestAdam:
 
 SHARD_CASES = {
     "stage0": dict(stage=0),
-    "stage1-mse": dict(stage=1, alphas=AlphaSchedule.of("dynamic")),
+    "stage1-mse": dict(stage=1, alpha_mode="dynamic"),
     "stage1-kl-normalized": dict(
-        stage=1, alphas=AlphaSchedule.of("dynamic"), distill_variant="kl", distill_normalize=True
+        stage=1, alpha_mode="dynamic", distill_variant="kl", distill_normalize=True
     ),
     "stage2-mixed": dict(stage=2),
 }
@@ -183,6 +183,10 @@ class TestTrainStep:
     def test_bad_lr_rejected(self, lr):
         with pytest.raises(ConfigurationError, match="lr"):
             config(0, lr=lr)
+
+    def test_unknown_alpha_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="alpha mode must be one of"):
+            config(1, alpha_mode="linear")
 
     @pytest.mark.parametrize("case", list(SHARD_CASES))
     def test_shard_equivalence_gradients_and_weights(self, corpus, case):
@@ -413,7 +417,7 @@ class TestRunStage:
     def test_stage1_pipeline_and_teacher_immutability(self, corpus):
         teacher = run_stage(corpus, config(0, epochs=1, steps_per_epoch=2)).encoder
         before = teacher.param_bytes()
-        cfg = config(1, epochs=2, steps_per_epoch=2, alphas=AlphaSchedule.of("dynamic"))
+        cfg = config(1, epochs=2, steps_per_epoch=2, alpha_mode="dynamic")
         result = run_stage(corpus, cfg, teacher=teacher)
         assert teacher.param_bytes() == before
         assert result.encoder.config.n_layers == cfg.k
