@@ -14,7 +14,8 @@ Layout (all integers little-endian):
         then per tensor (same order): first-moment data, second-moment data
 
 Round-trips are bitwise: loading re-reads exactly the bytes that were
-written. Corruption is reported with the byte offset where parsing failed.
+written. Corruption, including a non-finite weight, is reported with the
+byte offset where parsing failed.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
                 shape_offset,
             )
         n_bytes = 8 * int(np.prod(shape))
+        data_offset = r.offset
         data = np.frombuffer(r.take(n_bytes, f"tensor {name} data"), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise FormatError(f"tensor {name!r} holds a non-finite weight", data_offset)
         params[name] = Tensor(data.reshape(shape), grad_tracked=True)
     (opt_flag,) = r.unpack("<B", "optimizer flag")
     optimizer = None

@@ -1,16 +1,17 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, prune, embed, index, search, eval, flops,
-grad-check, sweep. Settings resolve as flag > config file > default; the
-config file holds ``key = value`` lines with ``#`` comments, and unknown
-keys are rejected.
+grad-check, sweep. gen-data, train and sweep also read their settings from a
+``--config`` file of ``key = value`` lines with ``#`` comments. A key is the
+dest of one of the running command's own setting flags (``--test-fraction``
+is ``test_fraction``, ``--lambda`` is ``lam``); a key that command does not
+read is rejected. A flag on the command line wins over the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -51,31 +52,9 @@ from .trainer import TrainConfig, run_stage, write_curve
 # k=12; includes non-layer overhead the analytic layer-stack ratio excludes
 FULL_PIPELINE_REFERENCE_RATIO = 0.473
 
-_CONFIG_KEYS = {
-    "seed", "concepts", "tasks", "noise", "distractors", "test_fraction",
-    "text_vocab", "image_vocab", "n_t", "n_i",
-    "d_model", "n_heads", "layers", "max_seq",
-    "epochs", "lr", "shards", "batch", "k",
-    "tau0", "lam", "temp_mode", "alpha_mode",
-    "distill_variant", "distill_tau", "distill_normalize",
-    "steps_per_epoch",
-}
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
-    return values
-
+# the encoder stage 0 builds unless a setting says otherwise, in
+# EncoderConfig's field order; stages 1 and 2 take theirs from a checkpoint
+_STAGE0_SHAPE = {"d_model": 32, "n_heads": 4, "layers": 8, "max_seq": 48, "k": 3}
 
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -83,94 +62,66 @@ _BOOL_WORDS = {
 }
 
 
-class Settings:
-    """flag > config file > default, with strict casting for config-file strings."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default, cast=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key not in self.file:
-            return default
-        raw = self.file[key]
-        if cast is None:
-            return raw
+def read_config(path: str, settings: dict[str, argparse.Action]) -> dict[str, object]:
+    """The ``key = value`` lines of ``path``, each cast by the type of the
+    setting flag whose dest is ``key``."""
+    values: dict[str, object] = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in settings:
+            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        flag = settings[key]
+        is_switch = flag.const is True  # a store_true flag, set by a bool word
         try:
-            return _BOOL_WORDS[raw.lower()] if cast is bool else cast(raw)
+            value = _BOOL_WORDS[raw.lower()] if is_switch else (flag.type or str)(raw)
         except (KeyError, ValueError):
+            kind = "bool" if is_switch else flag.type.__name__
+            raise ConfigurationError(f"{path}:{lineno}: {key} = {raw!r} is not a valid {kind}") from None
+        if flag.choices and value not in flag.choices:
             raise ConfigurationError(
-                f"{self.args.config}: {key} = {raw!r} is not a valid {cast.__name__}"
-            ) from None
+                f"{path}:{lineno}: {key} = {raw!r} is not one of {', '.join(flag.choices)}"
+            )
+        values[key] = value
+    return values
 
 
-def _corpus_spec(s: Settings) -> CorpusSpec:
-    tasks = s.get("tasks", "t2i,t2t,i2t,i2i,t2it,it2i")
-    return CorpusSpec(
-        n_concepts=s.get("concepts", 2000, int),
-        tasks=tuple(t.strip() for t in tasks.split(",") if t.strip()),
-        text_vocab_size=s.get("text_vocab", 400, int),
-        image_vocab_size=s.get("image_vocab", 400, int),
-        n_t=s.get("n_t", 8, int),
-        n_i=s.get("n_i", 16, int),
-        noise=s.get("noise", 0.1, float),
-        distractors=s.get("distractors", 2, int),
-        test_fraction=s.get("test_fraction", 0.2, float),
-    )
+def _task_list(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-def _encoder_config(s: Settings, vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=vocab_size,
-        d_model=s.get("d_model", 32, int),
-        n_heads=s.get("n_heads", 4, int),
-        n_layers=s.get("layers", 8, int),
-        max_seq=s.get("max_seq", 48, int),
-        k=s.get("k", 3, int),
-    )
+def _or(value, default):
+    return default if value is None else value
 
 
-def _check_shape(s: Settings, source: str, cfg: EncoderConfig) -> None:
+def _check_shape(args, source: str, cfg: EncoderConfig) -> None:
     """Stages 1 and 2 take the encoder shape from a checkpoint; a shape
     setting that disagrees with it is an error, not silently dropped."""
     for key, have in (
         ("d_model", cfg.d_model), ("n_heads", cfg.n_heads),
         ("layers", cfg.n_layers), ("max_seq", cfg.max_seq),
     ):
-        want = s.get(key, have, int)
-        if want != have:
-            if getattr(s.args, key, None) is not None:
-                given = f"--{key.replace('_', '-')} {want}"
-            else:
+        want = getattr(args, key)
+        if want is not None and want != have:
+            # a config-file value is the flag's default once the file is read
+            if want == args.settings[key].default:
                 given = f"config key {key} = {want}"
+            else:
+                given = f"--{key.replace('_', '-')} {want}"
             raise ConfigurationError(f"{given} disagrees with {key} = {have} in the {source} checkpoint")
 
 
-def _train_config(
-    s: Settings, stage: int, encoder_cfg: EncoderConfig, default_k: int | None = None
-) -> TrainConfig:
+def _train_config(args, stage: int, encoder_cfg: EncoderConfig, k: int, **only_train) -> TrainConfig:
+    """A TrainConfig from the settings train and sweep share; settings that
+    only train reads come as keywords and default to TrainConfig's own."""
     return TrainConfig(
-        stage=stage,
-        encoder=encoder_cfg,
-        shards=s.get("shards", 1, int),
-        per_shard_batch=s.get("batch", 8, int),
-        epochs=s.get("epochs", 3, int),
-        lr=s.get("lr", 1e-3, float),
-        seed=s.get("seed", 0, int),
-        temperature=TemperatureSchedule(
-            tau0=s.get("tau0", 0.05, float),
-            lam=s.get("lam", 0.2, float),
-            mode=s.get("temp_mode", "mac"),
-        ),
-        alpha_mode=s.get("alpha_mode", "fixed"),
-        distill_variant=s.get("distill_variant", "mse"),
-        distill_tau=s.get("distill_tau", 1.0, float),
-        distill_normalize=s.get("distill_normalize", False, bool),
-        k=s.get("k", default_k if default_k is not None else encoder_cfg.k, int),
-        steps_per_epoch=s.get("steps_per_epoch", None, int),
+        stage=stage, encoder=encoder_cfg, k=k, seed=args.seed, epochs=args.epochs,
+        lr=args.lr, shards=args.shards, per_shard_batch=args.batch,
+        steps_per_epoch=args.steps_per_epoch, **only_train,
     )
 
 
@@ -179,10 +130,12 @@ def _train_config(
 
 
 def cmd_gen_data(args) -> int:
-    s = Settings(args)
-    spec = _corpus_spec(s)
-    seed = s.get("seed", 0, int)
-    corpus = generate_corpus(spec, seed)
+    spec = CorpusSpec(
+        n_concepts=args.concepts, tasks=args.tasks, text_vocab_size=args.text_vocab,
+        image_vocab_size=args.image_vocab, n_t=args.n_t, n_i=args.n_i, noise=args.noise,
+        distractors=args.distractors, test_fraction=args.test_fraction,
+    )
+    corpus = generate_corpus(spec, args.seed)
     corpus.save(args.out)
     print(
         f"wrote corpus to {args.out}: {len(corpus.train)} train queries, "
@@ -194,29 +147,41 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    s = Settings(args)
+    if args.teacher and args.stage != 1:
+        raise ConfigurationError("--teacher applies to stage 1 only")
+    if args.init and args.stage != 2:
+        raise ConfigurationError("--init applies to stage 2 only")
     corpus = Corpus.load(args.corpus)
     teacher = None
     init = None
     if args.stage == 0:
-        encoder_cfg = _encoder_config(s, vocab_size_for(corpus.spec))
+        shape = (_or(getattr(args, key), value) for key, value in _STAGE0_SHAPE.items())
+        encoder_cfg = EncoderConfig(vocab_size_for(corpus.spec), *shape)
         default_k = encoder_cfg.k
     elif args.stage == 1:
         if not args.teacher:
             raise ConfigurationError("stage 1 requires --teacher")
         teacher, _ = load_checkpoint(args.teacher)
         encoder_cfg = teacher.config
-        _check_shape(s, "--teacher", encoder_cfg)
+        _check_shape(args, "--teacher", encoder_cfg)
         default_k = encoder_cfg.k
     else:
         if not args.init:
             raise ConfigurationError("stage 2 requires --init")
         init, _ = load_checkpoint(args.init)
         encoder_cfg = init.config
-        _check_shape(s, "--init", encoder_cfg)
+        _check_shape(args, "--init", encoder_cfg)
         default_k = encoder_cfg.n_layers
-    config = _train_config(s, args.stage, encoder_cfg, default_k)
+    config = _train_config(
+        args, args.stage, encoder_cfg, _or(args.k, default_k),
+        temperature=TemperatureSchedule(tau0=args.tau0, lam=args.lam, mode=args.temp_mode),
+        alpha_mode=args.alpha_mode, distill_variant=args.distill_variant,
+        distill_tau=args.distill_tau, distill_normalize=args.distill_normalize,
+    )
     result = run_stage(corpus, config, teacher=teacher, encoder=init)
+    # run_stage checks each update, but only the next forward overflows on the
+    # weights the last update left; run one before anything is saved
+    embed_prompts(result.encoder, [assemble_prompt(corpus.train[0], "query", encoder_cfg.max_seq)])
     save_checkpoint(args.out, result.encoder, result.optimizer)
     if args.curve:
         write_curve(args.curve, result.curve)
@@ -287,7 +252,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    s = Settings(args)
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
     scopes = tuple(args.scope) if args.scope else ("local",)
@@ -308,9 +272,6 @@ def cmd_eval(args) -> int:
         "scopes": scopes,
         "ks": ks,
         "overrides": tuple(sorted(overrides.items())),
-        "tau0": s.get("tau0", 0.05, float),
-        "lam": s.get("lam", 0.2, float),
-        "temp_mode": s.get("temp_mode", "mac"),
     }
     index = build_index(encoder, corpus.all_candidates())
     report = evaluate(
@@ -412,27 +373,28 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    s = Settings(args)
     try:
         lambdas = [float(v) for v in args.lambdas.split(",")]
     except ValueError:
         raise ConfigurationError(
             f"--lambdas wants comma-separated numbers, got {args.lambdas!r}"
         ) from None
-    tau0, mode = s.get("tau0", 0.05, float), s.get("temp_mode", "mac")
-    schedules = [TemperatureSchedule(tau0=tau0, lam=lam, mode=mode) for lam in lambdas]
+    if len(set(lambdas)) != len(lambdas):
+        raise ConfigurationError(f"--lambdas repeats a value: {args.lambdas!r}")
+    schedules = [TemperatureSchedule(tau0=args.tau0, lam=lam, mode=args.temp_mode) for lam in lambdas]
     corpus = Corpus.load(args.corpus)
     init, _ = load_checkpoint(args.init)
-    _check_shape(s, "--init", init.config)
-    base = _train_config(s, 2, init.config, init.config.n_layers)
+    configs = [
+        _train_config(args, 2, init.config, init.config.n_layers, temperature=schedule)
+        for schedule in schedules
+    ]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for lam, schedule in zip(lambdas, schedules):
-        config = dataclasses.replace(base, temperature=schedule)
+    for lam, config in zip(lambdas, configs):
         result = run_stage(corpus, config, encoder=init)
-        settings_dict = {"lam": lam, "tau0": schedule.tau0, "mode": schedule.mode,
-                         "seed": config.seed, "epochs": config.epochs}
+        settings_dict = {"lam": lam, "tau0": args.tau0, "mode": args.temp_mode,
+                         "seed": args.seed, "epochs": args.epochs}
         report = evaluate(
             result.encoder, corpus, scopes=("local", "global"), ks=(5,),
             checkpoint=f"sweep-lam-{lam}", settings=settings_dict,
@@ -441,9 +403,6 @@ def cmd_sweep(args) -> int:
         report.to_csv(path)
         summary.append((lam, report.config_hash, report.mean_recall("local")))
         print(f"lam={lam}: mean local recall {report.mean_recall('local'):.4f} -> {path}")
-    hashes = {h for _, h, _ in summary}
-    if len(hashes) != len(summary):
-        raise ConfigurationError("sweep settings collided to identical config hashes")
     with open(out_dir / "summary.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["lam", "config_hash", "mean_local_recall"])
@@ -457,52 +416,70 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+def _settings(p: argparse.ArgumentParser):
+    """Give ``p`` a --config flag and --seed; return the function that
+    declares its other settings. The dest of each setting flag is a config key."""
+    p.add_argument("--config", help="file of 'key = value' lines, one key per setting flag")
+    group = p.add_argument_group("settings", "each is also a --config key, named as its dest")
+    flags: dict[str, argparse.Action] = {}
+    p.set_defaults(settings=flags)
+
+    def setting(*names, **kwargs) -> None:
+        action = group.add_argument(*names, **kwargs)
+        flags[action.dest] = action
+
+    setting("--seed", type=int, default=0)
+    return setting
+
+
+def _training_settings(p: argparse.ArgumentParser):
+    """The settings train and sweep share."""
+    setting = _settings(p)
+    setting("--epochs", type=int, default=3)
+    setting("--lr", type=float, default=TrainConfig.lr)
+    setting("--shards", type=int, default=TrainConfig.shards)
+    setting("--batch", type=int, default=TrainConfig.per_shard_batch, help="per-shard batch size")
+    setting("--tau0", type=float, default=TemperatureSchedule.tau0)
+    setting("--temp-mode", choices=TEMPERATURE_MODES, default=TemperatureSchedule.mode)
+    setting("--steps-per-epoch", type=int, help="cap on steps per epoch")
+    return setting
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="umrlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--seed", type=int, default=None)
-        return p
-
-    p = common(sub.add_parser("gen-data", help="generate a synthetic corpus"))
+    p = sub.add_parser("gen-data", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--concepts", type=int, default=None)
-    p.add_argument("--tasks", default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--distractors", type=int, default=None)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    p.add_argument("--text-vocab", dest="text_vocab", type=int, default=None)
-    p.add_argument("--image-vocab", dest="image_vocab", type=int, default=None)
-    p.add_argument("--n-t", dest="n_t", type=int, default=None)
-    p.add_argument("--n-i", dest="n_i", type=int, default=None)
+    setting = _settings(p)
+    setting("--concepts", type=int, default=CorpusSpec.n_concepts)
+    setting("--tasks", type=_task_list, default=CorpusSpec.tasks, help="comma-separated task types")
+    setting("--noise", type=float, default=CorpusSpec.noise)
+    setting("--distractors", type=int, default=CorpusSpec.distractors)
+    setting("--test-fraction", type=float, default=CorpusSpec.test_fraction)
+    setting("--text-vocab", type=int, default=CorpusSpec.text_vocab_size)
+    setting("--image-vocab", type=int, default=CorpusSpec.image_vocab_size)
+    setting("--n-t", type=int, default=CorpusSpec.n_t)
+    setting("--n-i", type=int, default=CorpusSpec.n_i)
     p.set_defaults(func=cmd_gen_data)
 
-    p = common(sub.add_parser("train", help="run one training stage"))
+    p = sub.add_parser("train", help="run one training stage")
     p.add_argument("--stage", type=int, required=True, choices=(0, 1, 2))
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--teacher", help="stage-0 checkpoint (stage 1)")
-    p.add_argument("--init", help="checkpoint to continue from (stage 2)")
+    p.add_argument("--teacher", help="stage-0 checkpoint (stage 1 only)")
+    p.add_argument("--init", help="checkpoint to continue from (stage 2 only)")
     p.add_argument("--curve", help="loss-curve CSV path")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None, help="per-shard batch size")
-    p.add_argument("--k", type=int, default=None, help="prune depth")
-    p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--temp-mode", dest="temp_mode", choices=TEMPERATURE_MODES, default=None)
-    p.add_argument("--alpha-mode", dest="alpha_mode", choices=ALPHA_MODES, default=None)
-    p.add_argument("--distill-variant", dest="distill_variant", choices=DISTILL_VARIANTS, default=None)
-    p.add_argument("--distill-tau", dest="distill_tau", type=float, default=None)
-    p.add_argument("--distill-normalize", dest="distill_normalize", action="store_const", const=True, default=None)
-    p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
-    p.add_argument("--d-model", dest="d_model", type=int, default=None)
-    p.add_argument("--n-heads", dest="n_heads", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--max-seq", dest="max_seq", type=int, default=None)
+    setting = _training_settings(p)
+    setting("--k", type=int, help=f"prune depth ({_STAGE0_SHAPE['k']} at stage 0, the teacher's at stage 1, all layers at stage 2)")
+    setting("--lambda", dest="lam", type=float, default=TemperatureSchedule.lam)
+    setting("--alpha-mode", choices=ALPHA_MODES, default=TrainConfig.alpha_mode)
+    setting("--distill-variant", choices=DISTILL_VARIANTS, default=TrainConfig.distill_variant)
+    setting("--distill-tau", type=float, default=TrainConfig.distill_tau)
+    setting("--distill-normalize", action="store_true")
+    for key in ("d_model", "n_heads", "layers", "max_seq"):
+        setting(f"--{key.replace('_', '-')}", type=int,
+                help=f"encoder shape ({_STAGE0_SHAPE[key]} at stage 0, the checkpoint's at stages 1 and 2)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("prune", help="keep the first k layers of a checkpoint")
@@ -535,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="Recall@k evaluation")
-    p.add_argument("--config", help="key = value settings file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--scope", action="append", choices=("local", "global"))
@@ -557,18 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(func=cmd_grad_check)
 
-    p = common(sub.add_parser("sweep", help="decay-sparsity sweep over stage-2 runs"))
+    p = sub.add_parser("sweep", help="decay-sparsity sweep over stage-2 runs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--lambdas", default="0.2,0.5,0.7")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--temp-mode", dest="temp_mode", choices=TEMPERATURE_MODES, default=None)
-    p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
+    _training_settings(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -578,6 +548,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # a file value becomes its flag's default, so a given flag still wins
+            for key, value in read_config(args.config, args.settings).items():
+                args.settings[key].default = value
+            args = parser.parse_args(argv)
         return args.func(args)
     except (UmrlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,10 +1,10 @@
-import ast
 import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from umrlab import cli
@@ -94,7 +94,10 @@ class TestTrainArtifacts:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: stage 2, epoch 0, step 0: contrastive loss is nan")
+        assert err.startswith("error: tensor 'layers.0.ffn.w1' holds a non-finite weight (at byte offset ")
+        # the offset is where the tensor's data starts, and w1[0, 0] is its first value
+        at = int(err.rsplit("offset ", 1)[1].rstrip(")\n"))
+        assert np.isnan(np.frombuffer(init.read_bytes()[at : at + 8], dtype="<f8")[0])
         assert not out.exists() and not curve.exists()
 
     @pytest.mark.parametrize(
@@ -131,6 +134,36 @@ class TestTrainArtifacts:
         assert code == 1
         # the first update is finite but near 1e300; the next forward overflows
         assert err.startswith("error: stage 0, epoch 1, step 0: encoder forward left the finite range")
+        assert not out.exists() and not curve.exists()
+
+    def test_overflow_after_the_last_update_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, _ = workdir
+        out, curve = root / "blown-last.ckpt", root / "blown-last.csv"
+        code = main([
+            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "--curve", str(curve), "--lr", "1e300", "--batch", "4", "--epochs", "1",
+            "--steps-per-epoch", "1", "--d-model", "8", "--n-heads", "2", "--layers", "2",
+            "--max-seq", "24", "--k", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: encoder forward left the finite range")
+        assert not out.exists() and not curve.exists()
+
+    @pytest.mark.parametrize(
+        "stage,flag", [(0, "--teacher"), (2, "--teacher"), (0, "--init"), (1, "--init")]
+    )
+    def test_checkpoint_flag_of_another_stage_is_rejected(self, workdir, capsys, stage, flag):
+        root, corpus, teacher, student = workdir
+        path = teacher if flag == "--teacher" else student
+        out, curve = root / f"stray-{stage}{flag}.ckpt", root / f"stray-{stage}{flag}.csv"
+        code = main([
+            "train", "--stage", str(stage), "--corpus", str(corpus), "--out", str(out),
+            "--curve", str(curve), flag, str(path), "--batch", "4", "--epochs", "1",
+            "--steps-per-epoch", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} applies to stage {1 if flag == '--teacher' else 2} only\n"
         assert not out.exists() and not curve.exists()
 
     def test_stage2_runs_from_init(self, workdir):
@@ -407,6 +440,19 @@ class TestSweep:
         assert "0.2,abc" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("lambdas", ["0.2,0.2", "0.5,0.2,0.50"])
+    def test_repeated_lambda_is_diagnosed_before_any_run(self, workdir, capsys, lambdas):
+        root, _, _, student = workdir
+        out_dir = root / "repeat-sweep"
+        # the corpus does not exist: the check comes before it is read
+        code = main([
+            "sweep", "--corpus", str(root / "no-corpus"), "--init", str(student),
+            "--lambdas", lambdas, "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --lambdas repeats a value: {lambdas!r}\n"
+        assert not out_dir.exists()
+
     def test_nan_lambda_is_diagnosed(self, workdir, capsys):
         root, corpus, _, student = workdir
         out_dir = root / "nan-sweep"
@@ -418,6 +464,35 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: decay sparsity lam must be finite")
         assert not out_dir.exists()
+
+
+# the config keys each command accepts: the dests of its setting flags
+CONFIG_KEYS = {
+    "gen-data": {
+        "seed", "concepts", "tasks", "noise", "distractors", "test_fraction",
+        "text_vocab", "image_vocab", "n_t", "n_i",
+    },
+    "train": {
+        "seed", "epochs", "lr", "shards", "batch", "k", "tau0", "lam", "temp_mode",
+        "alpha_mode", "distill_variant", "distill_tau", "distill_normalize",
+        "steps_per_epoch", "d_model", "n_heads", "layers", "max_seq",
+    },
+    "sweep": {"seed", "epochs", "lr", "shards", "batch", "tau0", "temp_mode", "steps_per_epoch"},
+}
+REQUIRED = {
+    "gen-data": ["--out", "corpus"],
+    "train": ["--stage", "0", "--corpus", "corpus", "--out", "x.ckpt"],
+    "sweep": ["--corpus", "corpus", "--init", "x.ckpt", "--out-dir", "sweep"],
+}
+# a value other than the default for every key; the bool is a flag, set by "on"
+SAMPLE = {
+    "seed": "7", "concepts": "9", "tasks": "i2i, t2t", "noise": "0.3", "distractors": "4",
+    "test_fraction": "0.5", "text_vocab": "60", "image_vocab": "70", "n_t": "3", "n_i": "5",
+    "epochs": "2", "lr": "0.5", "shards": "2", "batch": "6", "k": "2", "tau0": "0.07",
+    "lam": "0.6", "temp_mode": "reverse", "alpha_mode": "dynamic", "distill_variant": "kl",
+    "distill_tau": "0.4", "distill_normalize": "on", "steps_per_epoch": "3", "d_model": "12",
+    "n_heads": "3", "layers": "5", "max_seq": "30",
+}
 
 
 class TestConfigFile:
@@ -456,31 +531,70 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key", ["stage", "scope", "k_eval"])
     def test_keys_no_command_reads_are_rejected(self, workdir, tmp_path, capsys, key):
-        root, corpus, _, student = workdir
-        cfg = tmp_path / "eval.cfg"
+        root, corpus, _, _ = workdir
+        cfg = tmp_path / "train.cfg"
         cfg.write_text(f"{key} = 1\n")
+        out = tmp_path / "x.ckpt"
         code = main([
-            "eval", "--checkpoint", str(student), "--corpus", str(corpus), "--config", str(cfg),
+            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out), "--config", str(cfg),
         ])
         assert code == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_every_config_key_is_read(self):
-        # the keys cli.py passes to Settings.get as literals, found by parsing it
-        tree = ast.parse(Path(cli.__file__).read_text())
-        read = {
-            node.args[0].value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "s"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        }
-        assert cli._CONFIG_KEYS == read
+    def test_each_command_accepts_exactly_its_setting_flags(self):
+        parser = cli.build_parser()
+        for command, keys in CONFIG_KEYS.items():
+            args = parser.parse_args([command, *REQUIRED[command]])
+            assert set(args.settings) == keys, command
+            assert {a.dest for a in args.settings.values()} == keys
+        args = parser.parse_args(["eval", "--checkpoint", "c", "--corpus", "d"])
+        assert not hasattr(args, "config") and not hasattr(args, "settings")
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("train", "concepts", "5"), ("train", "noise", "0.9"), ("gen-data", "epochs", "9"),
+         ("gen-data", "lam", "0.5"), ("sweep", "lam", "0.5"), ("sweep", "k", "1"),
+         ("sweep", "d_model", "8"), ("sweep", "alpha_mode", "dynamic")],
+    )
+    def test_key_of_another_command_is_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code = main([command, *REQUIRED[command], "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key!r}\n"
+
+    def test_eval_takes_no_config(self, workdir, tmp_path):
+        _, corpus, _, student = workdir
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("tau0 = 0.05\n")
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), "--config", str(cfg)])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_config_value_equals_its_flag(self, monkeypatch, tmp_path, command):
+        """Every key, set in a file, gives the command what its flag gives;
+        a flag given as well wins."""
+        seen = []
+        for name in ("cmd_gen_data", "cmd_train", "cmd_sweep"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        values = {key: SAMPLE[key] for key in CONFIG_KEYS[command]}
+        settings = cli.build_parser().parse_args([command, *REQUIRED[command]]).settings
+        flags = []
+        for key, value in values.items():
+            flag = settings[key].option_strings[0]
+            flags += [flag] if settings[key].const is True else [flag, value]
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert main([command, *REQUIRED[command], *flags]) == 0
+        assert main([command, *REQUIRED[command], "--config", str(cfg)]) == 0
+        assert main([command, *REQUIRED[command], "--config", str(cfg), "--seed", "11"]) == 0
+        by_flag, by_file, overridden = (vars(a) for a in seen)
+        for key in values:
+            assert by_file[key] == by_flag[key] != settings[key].default, key
+        assert by_file["seed"] == 7 and overridden["seed"] == 11
+        assert all(overridden[key] == by_file[key] for key in values if key != "seed")
 
     def test_shape_key_disagreeing_with_checkpoint_rejected(self, workdir, tmp_path, capsys):
         root, corpus, _, student = workdir
@@ -510,6 +624,20 @@ class TestConfigFile:
         assert "distill_normalize" in err and str(cfg) in err
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_value_outside_choices_rejected(self, workdir, tmp_path, capsys):
+        root, corpus, _, _ = workdir
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text("epochs = 1\ntemp_mode = cosine\n")
+        code = main([
+            "train", "--stage", "0", "--corpus", str(corpus),
+            "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: temp_mode = 'cosine' is not one of mac, reverse, off\n"
+        )
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_non_numeric_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "data.cfg"
         cfg.write_text("concepts = abc\n")
@@ -517,6 +645,11 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert code == 1
         assert "concepts" in err and str(cfg) in err
+
+
+COMMANDS = [
+    "gen-data", "train", "prune", "embed", "index", "search", "eval", "flops", "grad-check", "sweep",
+]
 
 
 class TestUsageErrors:
@@ -529,6 +662,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["flops", "--layers", "4", "--k", "1", "--seq", "8", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: umrlab {command} ")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
 
     def test_eval_takes_no_seed(self, workdir):
         _, corpus, _, student = workdir

@@ -522,6 +522,22 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.offset == at
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected_at_tensor_data(self, tmp_path, value):
+        enc = Encoder.init(ENC, seed=10)
+        params = dict(enc.params)
+        w1 = params["layers.0.ffn.w1"].data.copy()
+        w1[1, 2] = value
+        params["layers.0.ffn.w1"] = Tensor(w1, grad_tracked=True)
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, enc.with_params(params))
+        blob = path.read_bytes()
+        name = b"layers.0.ffn.w1"
+        data_at = blob.index(name) + len(name) + 1 + 4 * w1.ndim
+        with pytest.raises(FormatError, match="'layers.0.ffn.w1' holds a non-finite weight") as err:
+            load_checkpoint(path)
+        assert err.value.offset == data_at
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
