@@ -94,6 +94,13 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
         cfg = EncoderConfig(*fields)
     except ContractError as err:
         raise FormatError(f"invalid encoder config in checkpoint: {err}", config_offset)
+    # the shapes below cost memory in proportion to n_layers; a layer's 16
+    # tensors hold at least 16 float64s, so a larger count cannot fit the file
+    if 128 * cfg.n_layers > len(r.blob):
+        raise FormatError(
+            f"config's {cfg.n_layers} layers cannot fit a checkpoint of {len(r.blob)} bytes",
+            config_offset,
+        )
     (count,) = r.unpack("<I", "tensor count")
     expected = parameter_shapes(cfg)
     if count != len(expected):

@@ -1,17 +1,23 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, prune, embed, index, search, eval, flops,
-grad-check, sweep. gen-data, train and sweep also read their settings from a
-``--config`` file of ``key = value`` lines with ``#`` comments. A key is the
-dest of one of the running command's own setting flags (``--test-fraction``
-is ``test_fraction``, ``--lambda`` is ``lam``); a key that command does not
-read is rejected. A flag on the command line wins over the file.
+grad-check, sweep. ``train`` takes the stage as its own subcommand
+(``train 0|1|2``), and each stage declares only the settings it reads:
+stage 0 the encoder shape, stage 1 (which needs ``--teacher``) the prune
+depth, α schedule and distillation settings, stage 2 (which needs
+``--init``) the temperature decay and mode. gen-data, each train stage and
+sweep also read their settings from a ``--config`` file of ``key = value``
+lines with ``#`` comments. A key is the dest of one of the running parser's
+own setting flags (``--test-fraction`` is ``test_fraction``, ``--lambda`` is
+``lam``); a key that parser does not read is rejected, as is a flag. A flag
+on the command line wins over the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import sys
 from pathlib import Path
 
@@ -52,10 +58,6 @@ from .trainer import TrainConfig, run_stage, write_curve
 # k=12; includes non-layer overhead the analytic layer-stack ratio excludes
 FULL_PIPELINE_REFERENCE_RATIO = 0.473
 
-# the encoder stage 0 builds unless a setting says otherwise, in
-# EncoderConfig's field order; stages 1 and 2 take theirs from a checkpoint
-_STAGE0_SHAPE = {"d_model": 32, "n_heads": 4, "layers": 8, "max_seq": 48, "k": 3}
-
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -94,34 +96,13 @@ def _task_list(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-def _or(value, default):
-    return default if value is None else value
-
-
-def _check_shape(args, source: str, cfg: EncoderConfig) -> None:
-    """Stages 1 and 2 take the encoder shape from a checkpoint; a shape
-    setting that disagrees with it is an error, not silently dropped."""
-    for key, have in (
-        ("d_model", cfg.d_model), ("n_heads", cfg.n_heads),
-        ("layers", cfg.n_layers), ("max_seq", cfg.max_seq),
-    ):
-        want = getattr(args, key)
-        if want is not None and want != have:
-            # a config-file value is the flag's default once the file is read
-            if want == args.settings[key].default:
-                given = f"config key {key} = {want}"
-            else:
-                given = f"--{key.replace('_', '-')} {want}"
-            raise ConfigurationError(f"{given} disagrees with {key} = {have} in the {source} checkpoint")
-
-
-def _train_config(args, stage: int, encoder_cfg: EncoderConfig, k: int, **only_train) -> TrainConfig:
-    """A TrainConfig from the settings train and sweep share; settings that
-    only train reads come as keywords and default to TrainConfig's own."""
+def _train_config(args, stage: int, encoder_cfg: EncoderConfig, k: int, **only_stage) -> TrainConfig:
+    """A TrainConfig from the settings every training run shares; settings
+    that one stage reads come as keywords and default to TrainConfig's own."""
     return TrainConfig(
         stage=stage, encoder=encoder_cfg, k=k, seed=args.seed, epochs=args.epochs,
         lr=args.lr, shards=args.shards, per_shard_batch=args.batch,
-        steps_per_epoch=args.steps_per_epoch, **only_train,
+        steps_per_epoch=args.steps_per_epoch, **only_stage,
     )
 
 
@@ -147,37 +128,29 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.teacher and args.stage != 1:
-        raise ConfigurationError("--teacher applies to stage 1 only")
-    if args.init and args.stage != 2:
-        raise ConfigurationError("--init applies to stage 2 only")
     corpus = Corpus.load(args.corpus)
-    teacher = None
-    init = None
+    teacher = init = None
     if args.stage == 0:
-        shape = (_or(getattr(args, key), value) for key, value in _STAGE0_SHAPE.items())
-        encoder_cfg = EncoderConfig(vocab_size_for(corpus.spec), *shape)
-        default_k = encoder_cfg.k
+        encoder_cfg = EncoderConfig(
+            vocab_size_for(corpus.spec), args.d_model, args.n_heads, args.layers, args.max_seq, args.k
+        )
+        config = _train_config(args, 0, encoder_cfg, args.k, temperature=TemperatureSchedule(tau0=args.tau0))
     elif args.stage == 1:
-        if not args.teacher:
-            raise ConfigurationError("stage 1 requires --teacher")
         teacher, _ = load_checkpoint(args.teacher)
         encoder_cfg = teacher.config
-        _check_shape(args, "--teacher", encoder_cfg)
-        default_k = encoder_cfg.k
+        config = _train_config(
+            args, 1, encoder_cfg, encoder_cfg.k if args.k is None else args.k,
+            temperature=TemperatureSchedule(tau0=args.tau0), alpha_mode=args.alpha_mode,
+            distill_variant=args.distill_variant, distill_tau=args.distill_tau,
+            distill_normalize=args.distill_normalize,
+        )
     else:
-        if not args.init:
-            raise ConfigurationError("stage 2 requires --init")
         init, _ = load_checkpoint(args.init)
         encoder_cfg = init.config
-        _check_shape(args, "--init", encoder_cfg)
-        default_k = encoder_cfg.n_layers
-    config = _train_config(
-        args, args.stage, encoder_cfg, _or(args.k, default_k),
-        temperature=TemperatureSchedule(tau0=args.tau0, lam=args.lam, mode=args.temp_mode),
-        alpha_mode=args.alpha_mode, distill_variant=args.distill_variant,
-        distill_tau=args.distill_tau, distill_normalize=args.distill_normalize,
-    )
+        config = _train_config(
+            args, 2, encoder_cfg, encoder_cfg.n_layers,
+            temperature=TemperatureSchedule(tau0=args.tau0, lam=args.lam, mode=args.temp_mode),
+        )
     result = run_stage(corpus, config, teacher=teacher, encoder=init)
     # run_stage checks each update, but only the next forward overflows on the
     # weights the last update left; run one before anything is saved
@@ -267,8 +240,13 @@ def cmd_eval(args) -> int:
             raise ConfigurationError(
                 f"--k-override wants an integer k, got {item!r}"
             ) from None
+    unknown = sorted(set(overrides) - set(corpus.pools))
+    if unknown:
+        raise ConfigurationError(f"--k-override names no dataset of the corpus: {', '.join(unknown)}")
     settings_dict = {
-        "checkpoint": args.checkpoint,
+        "checkpoint_sha256": hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
+        "corpus_seed": corpus.seed,
+        "corpus_spec": corpus.spec,
         "scopes": scopes,
         "ks": ks,
         "overrides": tuple(sorted(overrides.items())),
@@ -296,16 +274,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    d_model = args.d_model or 64
     cfg = EncoderConfig(
-        vocab_size=1000, d_model=d_model, n_heads=1, n_layers=args.layers,
+        vocab_size=1000, d_model=args.d_model, n_heads=1, n_layers=args.layers,
         max_seq=max(args.seq, 1), k=min(args.k, args.layers) or 1,
     )
     pruned = estimate_flops(cfg, args.k, args.seq)
     full = estimate_flops(cfg, args.layers, args.seq)
     ratio = layer_stack_ratio(cfg, args.k, args.seq)
-    print(f"flops(k={args.k}, seq={args.seq}, d={d_model}): {pruned}")
-    print(f"flops(L={args.layers}, seq={args.seq}, d={d_model}): {full}")
+    print(f"flops(k={args.k}, seq={args.seq}, d={args.d_model}): {pruned}")
+    print(f"flops(L={args.layers}, seq={args.seq}, d={args.d_model}): {full}")
     print(f"layer-stack ratio k/L: {ratio:.4f}")
     print(
         f"reference end-to-end ratio at L=28, k=12: {FULL_PIPELINE_REFERENCE_RATIO} "
@@ -433,16 +410,24 @@ def _settings(p: argparse.ArgumentParser):
 
 
 def _training_settings(p: argparse.ArgumentParser):
-    """The settings train and sweep share."""
+    """The settings every training run reads: each stage of train, and sweep."""
     setting = _settings(p)
     setting("--epochs", type=int, default=3)
     setting("--lr", type=float, default=TrainConfig.lr)
     setting("--shards", type=int, default=TrainConfig.shards)
     setting("--batch", type=int, default=TrainConfig.per_shard_batch, help="per-shard batch size")
     setting("--tau0", type=float, default=TemperatureSchedule.tau0)
-    setting("--temp-mode", choices=TEMPERATURE_MODES, default=TemperatureSchedule.mode)
     setting("--steps-per-epoch", type=int, help="cap on steps per epoch")
     return setting
+
+
+def _stage_parser(stages, stage: int, summary: str) -> argparse.ArgumentParser:
+    p = stages.add_parser(str(stage), help=summary)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--curve", help="loss-curve CSV path")
+    p.set_defaults(func=cmd_train, stage=stage)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,23 +449,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training stage")
-    p.add_argument("--stage", type=int, required=True, choices=(0, 1, 2))
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--teacher", help="stage-0 checkpoint (stage 1 only)")
-    p.add_argument("--init", help="checkpoint to continue from (stage 2 only)")
-    p.add_argument("--curve", help="loss-curve CSV path")
+    stages = p.add_subparsers(metavar="stage", required=True)
+
+    p = _stage_parser(stages, 0, "bootstrap a full-depth teacher with InfoNCE")
     setting = _training_settings(p)
-    setting("--k", type=int, help=f"prune depth ({_STAGE0_SHAPE['k']} at stage 0, the teacher's at stage 1, all layers at stage 2)")
-    setting("--lambda", dest="lam", type=float, default=TemperatureSchedule.lam)
+    setting("--k", type=int, default=3, help="prune depth the checkpoint records for stage 1")
+    setting("--d-model", type=int, default=32)
+    setting("--n-heads", type=int, default=4)
+    setting("--layers", type=int, default=8)
+    setting("--max-seq", type=int, default=48)
+
+    p = _stage_parser(stages, 1, "prune the teacher to k layers and self-distill from it")
+    p.add_argument("--teacher", required=True, help="stage-0 checkpoint")
+    setting = _training_settings(p)
+    setting("--k", type=int, help="prune depth (default: the teacher's)")
     setting("--alpha-mode", choices=ALPHA_MODES, default=TrainConfig.alpha_mode)
     setting("--distill-variant", choices=DISTILL_VARIANTS, default=TrainConfig.distill_variant)
     setting("--distill-tau", type=float, default=TrainConfig.distill_tau)
     setting("--distill-normalize", action="store_true")
-    for key in ("d_model", "n_heads", "layers", "max_seq"):
-        setting(f"--{key.replace('_', '-')}", type=int,
-                help=f"encoder shape ({_STAGE0_SHAPE[key]} at stage 0, the checkpoint's at stages 1 and 2)")
-    p.set_defaults(func=cmd_train)
+
+    p = _stage_parser(stages, 2, "instruction-tune all layers under the MAC loss")
+    p.add_argument("--init", required=True, help="checkpoint to continue from")
+    setting = _training_settings(p)
+    setting("--lambda", dest="lam", type=float, default=TemperatureSchedule.lam)
+    setting("--temp-mode", choices=TEMPERATURE_MODES, default=TemperatureSchedule.mode)
 
     p = sub.add_parser("prune", help="keep the first k layers of a checkpoint")
     p.add_argument("--in", required=True)
@@ -526,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seq", type=int, required=True)
-    p.add_argument("--d-model", dest="d_model", type=int)
+    p.add_argument("--d-model", dest="d_model", type=int, default=64)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("grad-check", help="verify gradients against finite differences")
@@ -538,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True)
     p.add_argument("--lambdas", default="0.2,0.5,0.7")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    _training_settings(p)
+    setting = _training_settings(p)
+    setting("--temp-mode", choices=TEMPERATURE_MODES, default=TemperatureSchedule.mode)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -65,6 +65,10 @@ class CorpusSpec:
             raise ContractError("need at least 2 concepts to draw distractors")
         if TEXT_BASE < RESERVED_IDS or IMAGE_BASE < RESERVED_IDS:
             raise ContractError("vocab bases collide with reserved ids")
+        if self.text_vocab_size < 1 or self.image_vocab_size < 1:
+            raise ContractError("text and image vocabularies need at least 1 token each")
+        if min(self.n_t, self.n_i, self.distractors) < 0:
+            raise ContractError("n_t, n_i and distractors must be >= 0")
         if TEXT_BASE + self.text_vocab_size > IMAGE_BASE:
             raise ContractError("text and image vocab ranges overlap")
 
@@ -174,9 +178,10 @@ class Corpus:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
-        """Read a saved corpus. Malformed JSON, missing keys, duplicate ids
-        and gold ids outside the query's own dataset raise FormatError with
-        the file name and the byte offset of the offending line."""
+        """Read a saved corpus. Malformed JSON, missing keys, a spec that
+        CorpusSpec rejects, duplicate ids and gold ids outside the query's
+        own dataset raise FormatError with the file name and the byte
+        offset of the offending line."""
         directory = Path(directory)
         meta_path = directory / "meta.json"
         try:
@@ -189,6 +194,8 @@ class Corpus:
             raise FormatError(f"{meta_path.name}: {err.msg}", err.pos) from err
         except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"{meta_path.name}: bad metadata ({err!r})", 0) from err
+        except (ConfigurationError, ContractError) as err:
+            raise FormatError(f"{meta_path.name}: bad corpus spec ({err})", 0) from err
 
         pools: dict[str, list[Candidate]] = {}
         dataset_of: dict[int, str] = {}

@@ -80,6 +80,10 @@ class TrainConfig:
             raise ConfigurationError(f"stage must be one of {STAGES}, got {self.stage}")
         if self.shards < 1 or self.per_shard_batch < 1:
             raise ConfigurationError("shards and per-shard batch must be >= 1")
+        if self.epochs < 0:
+            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
+            raise ConfigurationError(f"steps per epoch must be >= 1, got {self.steps_per_epoch}")
         if not math.isfinite(self.lr) or self.lr < 0:
             raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
         if not 1 <= self.k <= self.encoder.n_layers:
@@ -414,6 +418,8 @@ def run_stage(
             for key in sums:
                 sums[key] += losses[key]
         alphas = alpha_at(config.alpha_mode, progress) if config.stage == 1 else (1.0, 0.0)
+        # stages 0 and 1 take InfoNCE at tau0; only the MAC loss decays tau_hard
+        tau_hard = tau_hard_at(config.temperature, progress) if config.stage == 2 else config.temperature.tau0
         curve.append(
             CurveRow(
                 stage=config.stage,
@@ -421,7 +427,7 @@ def run_stage(
                 contrastive=sums["contrastive"] / n_steps,
                 distill=sums["distill"] / n_steps,
                 total=sums["total"] / n_steps,
-                tau_hard=tau_hard_at(config.temperature, progress),
+                tau_hard=tau_hard,
                 alpha1=alphas[0],
                 alpha2=alphas[1],
             )

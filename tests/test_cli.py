@@ -11,29 +11,85 @@ from umrlab import cli
 from umrlab.cli import main
 
 
+CORPUS_ARGS = [
+    "--concepts", "8", "--tasks", "t2t,t2i", "--distractors", "1", "--test-fraction", "0.25",
+    "--n-t", "4", "--n-i", "6", "--text-vocab", "50", "--image-vocab", "50",
+]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Tiny corpus plus stage-0/1 checkpoints shared by the CLI tests."""
     root = tmp_path_factory.mktemp("cli")
     corpus = root / "corpus"
-    assert main([
-        "gen-data", "--out", str(corpus), "--seed", "3", "--concepts", "8",
-        "--tasks", "t2t,t2i", "--distractors", "1", "--test-fraction", "0.25",
-        "--n-t", "4", "--n-i", "6", "--text-vocab", "50", "--image-vocab", "50",
-    ]) == 0
+    assert main(["gen-data", "--out", str(corpus), *CORPUS_ARGS, "--seed", "3"]) == 0
     common = [
         "--corpus", str(corpus), "--batch", "4", "--epochs", "1",
-        "--steps-per-epoch", "2", "--d-model", "8", "--n-heads", "2",
-        "--layers", "2", "--max-seq", "24", "--k", "1", "--seed", "0",
+        "--steps-per-epoch", "2", "--seed", "0",
     ]
+    shape = ["--d-model", "8", "--n-heads", "2", "--layers", "2", "--max-seq", "24", "--k", "1"]
     teacher = root / "teacher.ckpt"
-    assert main(["train", "--stage", "0", "--out", str(teacher), *common]) == 0
+    assert main(["train", "0", "--out", str(teacher), *common, *shape]) == 0
+    # the student keeps the teacher's k = 1
     student = root / "student.ckpt"
     assert main([
-        "train", "--stage", "1", "--out", str(student), "--teacher", str(teacher),
+        "train", "1", "--out", str(student), "--teacher", str(teacher),
         "--curve", str(root / "curve.csv"), *common,
     ]) == 0
     return root, corpus, teacher, student
+
+
+# the config keys of each parser that reads a --config file: the dests of its
+# setting flags; train has one parser per stage
+CONFIG_KEYS = {
+    "gen-data": {
+        "seed", "concepts", "tasks", "noise", "distractors", "test_fraction",
+        "text_vocab", "image_vocab", "n_t", "n_i",
+    },
+    "train 0": {
+        "seed", "epochs", "lr", "shards", "batch", "tau0", "steps_per_epoch",
+        "k", "d_model", "n_heads", "layers", "max_seq",
+    },
+    "train 1": {
+        "seed", "epochs", "lr", "shards", "batch", "tau0", "steps_per_epoch",
+        "k", "alpha_mode", "distill_variant", "distill_tau", "distill_normalize",
+    },
+    "train 2": {
+        "seed", "epochs", "lr", "shards", "batch", "tau0", "steps_per_epoch", "lam", "temp_mode",
+    },
+    "sweep": {"seed", "epochs", "lr", "shards", "batch", "tau0", "temp_mode", "steps_per_epoch"},
+}
+REQUIRED = {
+    "gen-data": ["--out", "corpus"],
+    "train 0": ["--corpus", "corpus", "--out", "x.ckpt"],
+    "train 1": ["--corpus", "corpus", "--out", "x.ckpt", "--teacher", "t.ckpt"],
+    "train 2": ["--corpus", "corpus", "--out", "x.ckpt", "--init", "i.ckpt"],
+    "sweep": ["--corpus", "corpus", "--init", "x.ckpt", "--out-dir", "sweep"],
+}
+
+
+def parsers_of(command: str) -> list[str]:
+    return [name for name in CONFIG_KEYS if name.split()[0] == command]
+
+
+def argv_of(parser: str) -> list[str]:
+    return [*parser.split(), *REQUIRED[parser]]
+
+
+# every (stage, setting) pair where the setting belongs to another train stage only
+TRAIN_KEYS = set().union(*(CONFIG_KEYS[p] for p in parsers_of("train")))
+OTHER_STAGE_KEYS = [
+    (stage, key) for stage in range(3) for key in sorted(TRAIN_KEYS - CONFIG_KEYS[f"train {stage}"])
+]
+# a value other than the default for every key; the bool is a flag, set by "on"
+SAMPLE = {
+    "seed": "7", "concepts": "9", "tasks": "i2i, t2t", "noise": "0.3", "distractors": "4",
+    "test_fraction": "0.5", "text_vocab": "60", "image_vocab": "70", "n_t": "3", "n_i": "5",
+    "epochs": "2", "lr": "0.5", "shards": "2", "batch": "6", "k": "2", "tau0": "0.07",
+    "lam": "0.6", "temp_mode": "reverse", "alpha_mode": "dynamic", "distill_variant": "kl",
+    "distill_tau": "0.4", "distill_normalize": "on", "steps_per_epoch": "3", "d_model": "12",
+    "n_heads": "3", "layers": "5", "max_seq": "30",
+}
 
 
 class TestGenData:
@@ -47,6 +103,17 @@ class TestGenData:
         for name in ("queries.jsonl", "candidates.jsonl", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag,value,named", [("--text-vocab", "0", "vocabularies"), ("--n-t", "-1", "n_t"),
+                             ("--distractors", "-1", "distractors")],
+    )
+    def test_bad_extent_is_diagnosed(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "corpus"
+        assert main(["gen-data", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
 
 class TestTrainArtifacts:
     def test_checkpoints_and_curve_exist(self, workdir):
@@ -57,18 +124,26 @@ class TestTrainArtifacts:
 
     def test_stage1_without_teacher_fails(self, workdir, capsys):
         root, corpus, _, _ = workdir
-        code = main([
-            "train", "--stage", "1", "--corpus", str(corpus),
-            "--out", str(root / "x.ckpt"), "--batch", "4",
-        ])
+        with pytest.raises(SystemExit) as err:
+            main(["train", "1", "--corpus", str(corpus), "--out", str(root / "x.ckpt"), "--batch", "4"])
+        assert err.value.code == 2
+        assert "the following arguments are required: --teacher" in capsys.readouterr().err
+        assert not (root / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("flags", [["--steps-per-epoch", "-3"], ["--steps-per-epoch", "0"], ["--epochs", "-1"]])
+    def test_bad_epoch_setting_is_diagnosed(self, workdir, capsys, flags):
+        root, corpus, _, _ = workdir
+        out = root / "no-steps.ckpt"
+        code = main(["train", "0", "--corpus", str(corpus), "--out", str(out), "--batch", "4", *flags])
         assert code == 1
-        assert "teacher" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {flags[0][2:].replace('-', ' ')} must be >= ")
+        assert not out.exists()
 
     def test_non_finite_lr_is_diagnosed(self, workdir, capsys):
         root, corpus, _, _ = workdir
         out = root / "nan.ckpt"
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "train", "0", "--corpus", str(corpus), "--out", str(out),
             "--batch", "4", "--epochs", "1", "--lr", "nan",
         ])
         assert code == 1
@@ -89,7 +164,7 @@ class TestTrainArtifacts:
         save_checkpoint(init, enc.with_params(params))
         out, curve = root / "from-nan.ckpt", root / "from-nan.csv"
         code = main([
-            "train", "--stage", "2", "--corpus", str(corpus), "--init", str(init),
+            "train", "2", "--corpus", str(corpus), "--init", str(init),
             "--out", str(out), "--curve", str(curve), "--batch", "4", "--epochs", "1",
         ])
         err = capsys.readouterr().err
@@ -100,32 +175,11 @@ class TestTrainArtifacts:
         assert np.isnan(np.frombuffer(init.read_bytes()[at : at + 8], dtype="<f8")[0])
         assert not out.exists() and not curve.exists()
 
-    @pytest.mark.parametrize(
-        "stage,flag,value,have",
-        [(1, "--d-model", "16", "8"), (1, "--n-heads", "4", "2"),
-         (2, "--layers", "5", "1"), (2, "--max-seq", "30", "24")],
-    )
-    def test_shape_flag_disagreeing_with_checkpoint_is_diagnosed(
-        self, workdir, capsys, stage, flag, value, have
-    ):
-        root, corpus, teacher, student = workdir
-        source = ["--teacher", str(teacher)] if stage == 1 else ["--init", str(student)]
-        out = root / f"reshaped-{stage}{flag}.ckpt"
-        code = main([
-            "train", "--stage", str(stage), "--corpus", str(corpus), "--out", str(out),
-            *source, flag, value, "--batch", "4", "--epochs", "1", "--steps-per-epoch", "1",
-        ])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"error: {flag} {value} disagrees with")
-        assert f"= {have} in the {source[0]} checkpoint" in err
-        assert not out.exists()
-
     def test_overflow_stops_training_at_the_next_forward(self, workdir, capsys):
         root, corpus, _, _ = workdir
         out, curve = root / "blown-up.ckpt", root / "blown-up.csv"
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "train", "0", "--corpus", str(corpus), "--out", str(out),
             "--curve", str(curve), "--lr", "1e300", "--batch", "4", "--epochs", "2",
             "--steps-per-epoch", "1", "--d-model", "8", "--n-heads", "2", "--layers", "2",
             "--max-seq", "24", "--k", "1",
@@ -140,7 +194,7 @@ class TestTrainArtifacts:
         root, corpus, _, _ = workdir
         out, curve = root / "blown-last.ckpt", root / "blown-last.csv"
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "train", "0", "--corpus", str(corpus), "--out", str(out),
             "--curve", str(curve), "--lr", "1e300", "--batch", "4", "--epochs", "1",
             "--steps-per-epoch", "1", "--d-model", "8", "--n-heads", "2", "--layers", "2",
             "--max-seq", "24", "--k", "1",
@@ -150,27 +204,47 @@ class TestTrainArtifacts:
         assert err.startswith("error: encoder forward left the finite range")
         assert not out.exists() and not curve.exists()
 
+    @staticmethod
+    def assert_other_stage_rejected(workdir, tmp_path, capsys, stage, flag_args, key, value):
+        """``train <stage>`` rejects a setting of another stage: given as a flag
+        with a usage error, given as a config key as unknown. Neither run
+        writes anything."""
+        _, corpus, teacher, student = workdir
+        out, curve = tmp_path / "stray.ckpt", tmp_path / "stray.csv"
+        source = {0: [], 1: ["--teacher", str(teacher)], 2: ["--init", str(student)]}[stage]
+        argv = [
+            "train", str(stage), "--corpus", str(corpus), "--out", str(out), "--curve", str(curve),
+            *source, "--batch", "4", "--epochs", "1", "--steps-per-epoch", "1",
+        ]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, *flag_args])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag_args)}\n" in capsys.readouterr().err
+        cfg = tmp_path / "stray.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key!r}\n"
+        assert not out.exists() and not curve.exists()
+
     @pytest.mark.parametrize(
         "stage,flag", [(0, "--teacher"), (2, "--teacher"), (0, "--init"), (1, "--init")]
     )
-    def test_checkpoint_flag_of_another_stage_is_rejected(self, workdir, capsys, stage, flag):
-        root, corpus, teacher, student = workdir
-        path = teacher if flag == "--teacher" else student
-        out, curve = root / f"stray-{stage}{flag}.ckpt", root / f"stray-{stage}{flag}.csv"
-        code = main([
-            "train", "--stage", str(stage), "--corpus", str(corpus), "--out", str(out),
-            "--curve", str(curve), flag, str(path), "--batch", "4", "--epochs", "1",
-            "--steps-per-epoch", "1",
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {flag} applies to stage {1 if flag == '--teacher' else 2} only\n"
-        assert not out.exists() and not curve.exists()
+    def test_checkpoint_flag_of_another_stage_is_rejected(self, workdir, tmp_path, capsys, stage, flag):
+        _, _, teacher, student = workdir
+        path = str(teacher if flag == "--teacher" else student)
+        self.assert_other_stage_rejected(workdir, tmp_path, capsys, stage, [flag, path], flag[2:], path)
+
+    @pytest.mark.parametrize("stage,key", OTHER_STAGE_KEYS)
+    def test_setting_of_another_stage_is_rejected(self, workdir, tmp_path, capsys, stage, key):
+        flag = "--lambda" if key == "lam" else f"--{key.replace('_', '-')}"
+        flag_args = [flag] if key == "distill_normalize" else [flag, SAMPLE[key]]
+        self.assert_other_stage_rejected(workdir, tmp_path, capsys, stage, flag_args, key, SAMPLE[key])
 
     def test_stage2_runs_from_init(self, workdir):
         root, corpus, _, student = workdir
         out = root / "stage2.ckpt"
         assert main([
-            "train", "--stage", "2", "--corpus", str(corpus), "--init", str(student),
+            "train", "2", "--corpus", str(corpus), "--init", str(student),
             "--out", str(out), "--batch", "4", "--epochs", "1",
             "--steps-per-epoch", "2", "--seed", "1",
         ]) == 0
@@ -377,6 +451,37 @@ class TestEval:
         ks = {row[1]: row[3] for row in rows}
         assert ks["ds-t2i"] == "10" and ks["ds-t2t"] == "5"
 
+    def test_k_override_of_unknown_dataset_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out = root / "nosuch.csv"
+        code = main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--k-override", "nosuch=3", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --k-override names no dataset of the corpus: nosuch\n"
+        assert not out.exists()
+
+    def test_config_hash_names_checkpoint_content_and_corpus(self, workdir, tmp_path):
+        root, corpus, teacher, student = workdir
+        other_seed = tmp_path / "corpus-seed-4"
+        assert main(["gen-data", "--out", str(other_seed), *CORPUS_ARGS, "--seed", "4"]) == 0
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes(student.read_bytes())
+
+        def report(checkpoint, data):
+            out = tmp_path / "report.csv"
+            assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(data), "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+            return [row[:5] for row in rows], {row[6] for row in rows}
+
+        rows, (base,) = report(student, corpus)
+        copy_rows, (moved,) = report(copy, corpus)
+        # the same bytes at another path share the hash; another corpus seed or
+        # other weights do not
+        assert moved == base and copy_rows == rows
+        assert report(student, other_seed)[1] != {base}
+        assert report(teacher, corpus)[1] != {base}
 
     def test_k_override_non_integer_is_diagnosed(self, workdir, capsys):
         _, corpus, _, student = workdir
@@ -394,10 +499,15 @@ class TestFlops:
         out = capsys.readouterr().out
         assert "0.4286" in out
         assert "0.473" in out
+        assert "d=64)" in out
 
     def test_zero_seq_is_diagnosed(self, capsys):
         assert main(["flops", "--layers", "4", "--k", "2", "--seq", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: seq_len 0")
+
+    def test_zero_d_model_is_diagnosed(self, capsys):
+        assert main(["flops", "--layers", "4", "--k", "2", "--seq", "8", "--d-model", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: all config extents must be positive")
 
     def test_k_zero(self, capsys):
         assert main(["flops", "--layers", "4", "--k", "0", "--seq", "8", "--d-model", "16"]) == 0
@@ -466,35 +576,6 @@ class TestSweep:
         assert not out_dir.exists()
 
 
-# the config keys each command accepts: the dests of its setting flags
-CONFIG_KEYS = {
-    "gen-data": {
-        "seed", "concepts", "tasks", "noise", "distractors", "test_fraction",
-        "text_vocab", "image_vocab", "n_t", "n_i",
-    },
-    "train": {
-        "seed", "epochs", "lr", "shards", "batch", "k", "tau0", "lam", "temp_mode",
-        "alpha_mode", "distill_variant", "distill_tau", "distill_normalize",
-        "steps_per_epoch", "d_model", "n_heads", "layers", "max_seq",
-    },
-    "sweep": {"seed", "epochs", "lr", "shards", "batch", "tau0", "temp_mode", "steps_per_epoch"},
-}
-REQUIRED = {
-    "gen-data": ["--out", "corpus"],
-    "train": ["--stage", "0", "--corpus", "corpus", "--out", "x.ckpt"],
-    "sweep": ["--corpus", "corpus", "--init", "x.ckpt", "--out-dir", "sweep"],
-}
-# a value other than the default for every key; the bool is a flag, set by "on"
-SAMPLE = {
-    "seed": "7", "concepts": "9", "tasks": "i2i, t2t", "noise": "0.3", "distractors": "4",
-    "test_fraction": "0.5", "text_vocab": "60", "image_vocab": "70", "n_t": "3", "n_i": "5",
-    "epochs": "2", "lr": "0.5", "shards": "2", "batch": "6", "k": "2", "tau0": "0.07",
-    "lam": "0.6", "temp_mode": "reverse", "alpha_mode": "dynamic", "distill_variant": "kl",
-    "distill_tau": "0.4", "distill_normalize": "on", "steps_per_epoch": "3", "d_model": "12",
-    "n_heads": "3", "layers": "5", "max_seq": "30",
-}
-
-
 class TestConfigFile:
     def test_config_file_applies_and_flags_override(self, workdir, tmp_path):
         root, corpus, _, _ = workdir
@@ -513,7 +594,7 @@ class TestConfigFile:
         )
         out = tmp_path / "cfg.ckpt"
         assert main([
-            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out),
+            "train", "0", "--corpus", str(corpus), "--out", str(out),
             "--config", str(cfg), "--seed", "2",
         ]) == 0
         assert out.exists()
@@ -523,7 +604,7 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp_speed = 9\n")
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus),
+            "train", "0", "--corpus", str(corpus),
             "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
         ])
         assert code == 1
@@ -536,7 +617,7 @@ class TestConfigFile:
         cfg.write_text(f"{key} = 1\n")
         out = tmp_path / "x.ckpt"
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus), "--out", str(out), "--config", str(cfg),
+            "train", "0", "--corpus", str(corpus), "--out", str(out), "--config", str(cfg),
         ])
         assert code == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
@@ -544,9 +625,9 @@ class TestConfigFile:
 
     def test_each_command_accepts_exactly_its_setting_flags(self):
         parser = cli.build_parser()
-        for command, keys in CONFIG_KEYS.items():
-            args = parser.parse_args([command, *REQUIRED[command]])
-            assert set(args.settings) == keys, command
+        for name, keys in CONFIG_KEYS.items():
+            args = parser.parse_args(argv_of(name))
+            assert set(args.settings) == keys, name
             assert {a.dest for a in args.settings.values()} == keys
         args = parser.parse_args(["eval", "--checkpoint", "c", "--corpus", "d"])
         assert not hasattr(args, "config") and not hasattr(args, "settings")
@@ -560,9 +641,10 @@ class TestConfigFile:
     def test_key_of_another_command_is_rejected(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "other.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        code = main([command, *REQUIRED[command], "--config", str(cfg)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key!r}\n"
+        for parser in parsers_of(command):
+            code = main([*argv_of(parser), "--config", str(cfg)])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key!r}\n"
 
     def test_eval_takes_no_config(self, workdir, tmp_path):
         _, corpus, _, student = workdir
@@ -572,51 +654,38 @@ class TestConfigFile:
             main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), "--config", str(cfg)])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    @pytest.mark.parametrize("command", ["gen-data", "sweep", "train"])
     def test_config_value_equals_its_flag(self, monkeypatch, tmp_path, command):
-        """Every key, set in a file, gives the command what its flag gives;
-        a flag given as well wins."""
+        """Every key, set in a file, gives each parser of the command what its
+        flag gives; a flag given as well wins."""
         seen = []
         for name in ("cmd_gen_data", "cmd_train", "cmd_sweep"):
             monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
-        values = {key: SAMPLE[key] for key in CONFIG_KEYS[command]}
-        settings = cli.build_parser().parse_args([command, *REQUIRED[command]]).settings
-        flags = []
-        for key, value in values.items():
-            flag = settings[key].option_strings[0]
-            flags += [flag] if settings[key].const is True else [flag, value]
-        cfg = tmp_path / "all.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
-        assert main([command, *REQUIRED[command], *flags]) == 0
-        assert main([command, *REQUIRED[command], "--config", str(cfg)]) == 0
-        assert main([command, *REQUIRED[command], "--config", str(cfg), "--seed", "11"]) == 0
-        by_flag, by_file, overridden = (vars(a) for a in seen)
-        for key in values:
-            assert by_file[key] == by_flag[key] != settings[key].default, key
-        assert by_file["seed"] == 7 and overridden["seed"] == 11
-        assert all(overridden[key] == by_file[key] for key in values if key != "seed")
-
-    def test_shape_key_disagreeing_with_checkpoint_rejected(self, workdir, tmp_path, capsys):
-        root, corpus, _, student = workdir
-        cfg = tmp_path / "shape.cfg"
-        cfg.write_text("d_model = 64\n")
-        out = tmp_path / "x.ckpt"
-        code = main([
-            "train", "--stage", "2", "--corpus", str(corpus), "--init", str(student),
-            "--out", str(out), "--config", str(cfg), "--batch", "4", "--epochs", "1",
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: config key d_model = 64 disagrees with d_model = 8 in the --init checkpoint"
-        )
-        assert not out.exists()
+        for parser in parsers_of(command):
+            seen.clear()
+            values = {key: SAMPLE[key] for key in CONFIG_KEYS[parser]}
+            settings = cli.build_parser().parse_args(argv_of(parser)).settings
+            flags = []
+            for key, value in values.items():
+                flag = settings[key].option_strings[0]
+                flags += [flag] if settings[key].const is True else [flag, value]
+            cfg = tmp_path / "all.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+            assert main([*argv_of(parser), *flags]) == 0
+            assert main([*argv_of(parser), "--config", str(cfg)]) == 0
+            assert main([*argv_of(parser), "--config", str(cfg), "--seed", "11"]) == 0
+            by_flag, by_file, overridden = (vars(a) for a in seen)
+            for key in values:
+                assert by_file[key] == by_flag[key] != settings[key].default, (parser, key)
+            assert by_file["seed"] == 7 and overridden["seed"] == 11
+            assert all(overridden[key] == by_file[key] for key in values if key != "seed")
 
     def test_misspelled_bool_rejected(self, workdir, tmp_path, capsys):
         root, corpus, _, _ = workdir
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("distill_normalize = ture\n")
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus),
+            "train", "1", "--corpus", str(corpus), "--teacher", str(root / "teacher.ckpt"),
             "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
         ])
         err = capsys.readouterr().err
@@ -629,7 +698,7 @@ class TestConfigFile:
         cfg = tmp_path / "mode.cfg"
         cfg.write_text("epochs = 1\ntemp_mode = cosine\n")
         code = main([
-            "train", "--stage", "0", "--corpus", str(corpus),
+            "train", "2", "--corpus", str(corpus), "--init", str(root / "student.ckpt"),
             "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
         ])
         assert code == 1
@@ -669,6 +738,13 @@ class TestUsageErrors:
             main([command, "--help"])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: umrlab {command} ")
+
+    @pytest.mark.parametrize("stage", ["0", "1", "2"])
+    def test_stage_help_exits_zero(self, capsys, stage):
+        with pytest.raises(SystemExit) as err:
+            main(["train", stage, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: umrlab train {stage} ")
 
     def test_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -124,6 +124,14 @@ class TestGenerateCorpus:
         with pytest.raises(ContractError):
             CorpusSpec(text_vocab_size=IMAGE_BASE - TEXT_BASE + 1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("text_vocab_size", 0), ("image_vocab_size", 0), ("n_t", -1), ("n_i", -1), ("distractors", -1)],
+    )
+    def test_bad_extent_rejected(self, field, value):
+        with pytest.raises(ContractError, match="at least 1 token" if "vocab" in field else ">= 0"):
+            CorpusSpec(**{field: value})
+
     def test_vocab_size_covers_everything(self, corpus):
         v = vocab_size_for(SMALL_SPEC)
         for c in corpus.all_candidates():
@@ -204,6 +212,17 @@ class TestLoadValidation:
         with pytest.raises(FormatError, match=name) as err:
             Corpus.load(tmp_path / "c")
         assert err.value.offset == sum(len(line) for line in lines[:BAD])
+
+    @pytest.mark.parametrize("spec", [{"tasks": ["t2iKt"]}, {"text_vocab_size": 0}, {"distractors": -2}])
+    def test_spec_the_generator_rejects_is_a_format_error(self, corpus, tmp_path, spec):
+        corpus.save(tmp_path / "c")
+        meta_path = tmp_path / "c" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["spec"].update(spec)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="meta.json: bad corpus spec") as err:
+            Corpus.load(tmp_path / "c")
+        assert err.value.offset == 0
 
     @pytest.mark.parametrize("meta", [b'{"seed": 0,', b'{"seed": 0}', b"[]"])
     def test_bad_meta_rejected(self, corpus, tmp_path, meta):

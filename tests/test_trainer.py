@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from umrlab import checkpoint as checkpoint_module
 from umrlab import encoder as encoder_module
 from umrlab import tensor as T
 from umrlab import trainer
@@ -19,7 +20,7 @@ from umrlab.errors import (
     NumericDomainError,
     VersionError,
 )
-from umrlab.losses import TemperatureSchedule, self_distill
+from umrlab.losses import TemperatureSchedule, self_distill, tau_hard_at
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.prompts import assemble_prompt
 from umrlab.tensor import Tensor
@@ -404,6 +405,11 @@ class TestRunStage:
         assert result.encoder.param_bytes() == Encoder.init(ENC, cfg.seed).param_bytes()
         assert result.curve == []
 
+    @pytest.mark.parametrize("setting", [{"epochs": -1}, {"steps_per_epoch": 0}, {"steps_per_epoch": -3}])
+    def test_bad_epoch_setting_rejected(self, setting):
+        with pytest.raises(ConfigurationError, match="must be >= "):
+            config(0, **setting)
+
     def test_deterministic_bitwise(self, corpus):
         cfg = config(0, epochs=2, steps_per_epoch=2)
         a = run_stage(corpus, cfg)
@@ -461,6 +467,16 @@ class TestRunStage:
             wins += totals[-1] <= totals[0]
         assert wins >= 2
 
+    def test_curve_reports_the_temperature_the_loss_used(self, corpus):
+        schedule = config(0).temperature
+        teacher = run_stage(corpus, config(0, epochs=3, steps_per_epoch=1))
+        student = run_stage(corpus, config(1, epochs=3, steps_per_epoch=1), teacher=teacher.encoder)
+        # InfoNCE at stages 0 and 1 runs at tau0 in every epoch
+        assert [r.tau_hard for r in teacher.curve + student.curve] == [schedule.tau0] * 6
+        tuned = run_stage(corpus, config(2, epochs=3, steps_per_epoch=1), encoder=student.encoder)
+        assert [r.tau_hard for r in tuned.curve] == [tau_hard_at(schedule, e / 3) for e in range(3)]
+        assert tuned.curve[2].tau_hard < schedule.tau0
+
     def test_curve_csv(self, corpus, tmp_path):
         result = run_stage(corpus, config(0, epochs=2, steps_per_epoch=2))
         path = tmp_path / "curve.csv"
@@ -509,6 +525,21 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset is not None
+
+    def test_layer_count_beyond_the_file_rejected_at_config(self, tmp_path, monkeypatch):
+        enc = Encoder.init(ENC, seed=10)
+        path = tmp_path / "deep.ckpt"
+        save_checkpoint(path, enc)
+        blob = bytearray(path.read_bytes())
+        config_at = len(b"PUMACKPT") + 1
+        # n_layers is the fourth config field; a flip of its top bit asks for 2**31 + 4 layers
+        blob[config_at + 15] ^= 0x80
+        path.write_bytes(bytes(blob))
+        # the shapes of that many layers would exhaust memory; they are never built
+        monkeypatch.setattr(checkpoint_module, "parameter_shapes", None)
+        with pytest.raises(FormatError, match="layers cannot fit a checkpoint") as err:
+            load_checkpoint(path)
+        assert err.value.offset == config_at
 
     def test_non_utf8_name_rejected_at_name(self, tmp_path):
         enc = Encoder.init(ENC, seed=10)
