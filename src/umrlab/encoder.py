@@ -7,9 +7,13 @@ by construction, which is what makes teacher/student weight surgery exact.
 
 Every forward runs one block stack, :func:`_blocks`, over a batch of
 equal-length sequences stacked as rows, which shares each op's call cost
-across the batch. :func:`embed_batch` is the one place that reads [RET]
-rows: one :func:`_blocks` call per prompt length, taped for training and
-tape-free under ``no_grad``. :func:`embed` (one sequence) and
+across the batch. It picks its op set once per call: the taped
+:mod:`~umrlab.tensor` ops over the parameter tensors while tracing, and
+under ``no_grad`` the bare kernels of those same ops, ``tensor.bare``, over
+the parameters' arrays, which build no tape node and no Tensor. Both run
+the same arithmetic, so their hidden states are equal bit for bit.
+:func:`embed_batch` is the one place that reads [RET] rows: one
+:func:`_blocks` call per prompt length. :func:`embed` (one sequence) and
 :func:`embed_raw` (tape-free, as an array) are calls of it.
 :func:`forward` and :func:`forward_raw` return every hidden state of one
 sequence, taped and tape-free.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,7 +83,11 @@ def parameter_names(config: EncoderConfig) -> list[str]:
 
 
 class Encoder:
-    """Immutable weight bundle; training produces new Encoders."""
+    """Immutable weight bundle; training produces new Encoders.
+
+    ``params`` maps each name to its Tensor and ``arrays`` to that Tensor's
+    data; both are read-only views.
+    """
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
         expected = parameter_shapes(config)
@@ -90,7 +99,8 @@ class Encoder:
                     f"parameter {name!r} has shape {params[name].shape}, config implies {shape}"
                 )
         self.config = config
-        self.params = dict(params)
+        self.params = MappingProxyType(dict(params))
+        self.arrays = MappingProxyType({name: t.data for name, t in params.items()})
 
     @classmethod
     def init(cls, config: EncoderConfig, seed: int) -> "Encoder":
@@ -116,10 +126,24 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
+def _op_set(encoder: Encoder):
+    """The ops and weights a forward runs on: the taped tensor ops over
+    ``encoder.params`` while tracing, else ``tensor.bare`` over
+    ``encoder.arrays``, which records and wraps nothing."""
+    return (T, encoder.params) if T.tracing() else (T.bare, encoder.arrays)
+
+
+def _as_tensor(h: Tensor | np.ndarray) -> Tensor:
+    """A forward's result as a Tensor; a tape-free one arrives as an array."""
+    return h if isinstance(h, Tensor) else Tensor._wrap(h, False)
+
+
 # forward_raw and embed_batch call this, not forward, so profilers that
-# wrap forward see single-sequence taped calls only
-def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tensor:
-    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model).
+# wrap forward see single-sequence calls of forward only. The op set is
+# chosen once, at entry; the loop body is the same for both.
+def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tensor | np.ndarray:
+    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model),
+    as a Tensor while tracing and as an array under ``no_grad``.
 
     The sequences share every op as rows of one 2-D array; only attention
     needs the sequence length, to keep each sequence to its own rows.
@@ -140,22 +164,22 @@ def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tens
     ids = [i for tokens in batch for i in tokens.ids]
     if max(ids) >= cfg.vocab_size or min(ids) < 0:
         raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
-    p = encoder.params
+    ops, p = _op_set(encoder)
     positions = list(range(s)) * len(batch)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            h = T.add(T.take_rows(p["tok_emb"], ids), T.take_rows(p["pos_emb"], positions))
+            h = ops.add(ops.take_rows(p["tok_emb"], ids), ops.take_rows(p["pos_emb"], positions))
             for i in range(upto):
                 base = f"layers.{i}."
-                a = T.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-                q = T.affine(a, p[base + "attn.wq"], p[base + "attn.bq"])
-                k = T.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
-                v = T.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
-                mixed = T.attention(q, k, v, cfg.n_heads, s)
-                h = T.add(h, T.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
-                f = T.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
-                f = T.gelu(T.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
-                h = T.add(h, T.affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
+                a = ops.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
+                q = ops.affine(a, p[base + "attn.wq"], p[base + "attn.bq"])
+                k = ops.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
+                v = ops.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
+                mixed = ops.attention(q, k, v, cfg.n_heads, s)
+                h = ops.add(h, ops.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
+                f = ops.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
+                f = ops.gelu(ops.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
+                h = ops.add(h, ops.affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
     except FloatingPointError as err:
         raise NumericDomainError(f"encoder forward left the finite range ({err})") from None
     return h
@@ -167,14 +191,14 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     No final layer norm is applied: intermediate-depth extraction reads the
     residual stream directly.
     """
-    return _blocks(encoder, [tokens], upto)
+    return _as_tensor(_blocks(encoder, [tokens], upto))
 
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
     """:func:`forward` without a tape: the single-sequence hidden states,
     shape (len, d_model), as a read-only array."""
     with T.no_grad():
-        return _blocks(encoder, [tokens], upto).data
+        return _as_tensor(_blocks(encoder, [tokens], upto)).data
 
 
 def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
@@ -203,6 +227,7 @@ def embed_batch(
     if not seqs:
         raise ContractError("no sequences to embed")
     depth = encoder.config.k if upto is None else upto
+    ops, _ = _op_set(encoder)
     groups = length_groups(seqs)
     hidden = [_blocks(encoder, [seqs[i] for i in rows], depth) for rows in groups]
     ret_row = [0] * len(seqs)
@@ -212,8 +237,8 @@ def embed_batch(
         for b, i in enumerate(rows):
             ret_row[i] = offset + b * s + seqs[i].ret_position
         offset += len(rows) * s
-    stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
-    return T.take_rows(stacked, ret_row)
+    stacked = hidden[0] if len(hidden) == 1 else ops.concat_rows(hidden)
+    return _as_tensor(ops.take_rows(stacked, ret_row))
 
 
 def embed(encoder: Encoder, tokens: TokenSequence, upto: int | None = None) -> Tensor:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Sequence
 
@@ -26,8 +27,10 @@ from .tasks import MODALITIES, MODALITY_CODES
 INDEX_MAGIC = b"PUMAIDX1"
 # Candidates per batched forward in build_index. Smaller chunks pay more
 # per-op call cost, larger ones fall out of cache: building 1,800 candidates
-# at d=32, k=3 took 548 / 508 / 520 / 654 / 839 ms (median of 7, 2 vCPUs) at
-# chunks of 8 / 32 / 64 / 128 / 300.
+# at d=32, k=3 took 526 / 456 / 467 / 501 / 708 ms (medians of 9 interleaved
+# rounds, 2 vCPUs) at chunks of 8 / 32 / 64 / 128 / 300; 32 and 64 trade
+# places from run to run. A GEMM's bits depend on its row count, so another
+# chunk size changes the stored vectors.
 EMBED_CHUNK = 32
 
 
@@ -38,6 +41,11 @@ class EmbeddingIndex:
     dataset_codes: np.ndarray  # uint8
     vectors: np.ndarray  # float32, rows normalized (or all-zero degenerate)
     dataset_names: tuple[str, ...] | None = None
+    # (vectors, its float64 copy) for search. build_index and load_index make
+    # vectors read-only; replace the array rather than write into it
+    _scored: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -45,6 +53,12 @@ class EmbeddingIndex:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    def vectors_f64(self) -> np.ndarray:
+        """``vectors`` as float64, copied once per ``vectors`` array."""
+        if self._scored is None or self._scored[0] is not self.vectors:
+            self._scored = (self.vectors, self.vectors.astype(np.float64))
+        return self._scored[1]
 
     def dataset_code(self, name: str) -> int:
         if self.dataset_names is None:
@@ -56,8 +70,8 @@ class EmbeddingIndex:
 
 
 def _normalize(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    return vec / max(norm, eps)
+    # np.linalg.norm's own arithmetic for a 1-D vector, without its wrapper
+    return vec / max(math.sqrt(vec @ vec), eps)
 
 
 def embed_prompts(
@@ -99,6 +113,7 @@ def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int
     if len(set(ids.tolist())) != n:
         raise ContractError("candidate ids must be unique")
     vectors = embed_prompts(encoder, seqs, k_layers).astype(np.float32)
+    vectors.flags.writeable = False
     return EmbeddingIndex(ids, modality, dataset, vectors, names)
 
 
@@ -122,12 +137,14 @@ def search_topk(
     if datasets is None:
         keep = slice(None)
     else:
-        codes = {index.dataset_code(d) for d in datasets}
-        keep = np.isin(index.dataset_codes, sorted(codes))
+        # one flag per u8 dataset code, looked up row by row
+        chosen = np.zeros(256, dtype=bool)
+        chosen[[index.dataset_code(d) for d in datasets]] = True
+        keep = chosen.take(index.dataset_codes)
     ids = index.ids[keep]
     if ids.size == 0:
         return []
-    scores = index.vectors[keep].astype(np.float64) @ query
+    scores = index.vectors_f64()[keep] @ query
     if k < ids.size:
         # only rows at least as good as the k-th best (ties and NaNs included)
         # can make the top k; sort those alone
@@ -246,7 +263,8 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> EmbeddingIndex:
     """Read an index file, checking its length against the header before
-    allocating anything for the records."""
+    allocating anything for the records, and each record's modality code.
+    Dataset codes are checked by whoever supplies the dataset names."""
     blob = Path(path).read_bytes()
     if blob[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise FormatError("bad index magic", 0)
@@ -265,11 +283,21 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     if record >= 2**31:  # numpy record sizes are C ints; only an empty index gets here
         raise FormatError(f"index dim {dim} too large", offset - 4)
     records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=offset)
+    stray = records["modality"] >= len(MODALITIES)
+    if stray.any():
+        i = int(stray.argmax())
+        raise FormatError(
+            f"index record {i} has modality code {records['modality'][i]}, "
+            f"outside 0..{len(MODALITIES) - 1}",
+            offset + i * record + 4,
+        )
+    vectors = records["vector"].astype(np.float32)
+    vectors.flags.writeable = False
     return EmbeddingIndex(
         ids=records["id"].astype(np.int64),
         modality_codes=records["modality"].copy(),
         dataset_codes=records["dataset"].copy(),
-        vectors=records["vector"].astype(np.float32),
+        vectors=vectors,
         dataset_names=None,
     )
 

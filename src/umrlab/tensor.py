@@ -5,6 +5,11 @@ the tape for a scalar root in reverse record order, which fixes the gradient
 accumulation order and makes gradients bitwise reproducible. Tensor data is
 immutable after construction; training code produces new tensors instead of
 updating in place.
+
+The forward arithmetic of the ops a transformer block uses lives in plain
+array kernels (``_affine``, ``_layer_norm``, ``_gelu``, ``_attention``). The
+taped ops call them, and ``bare`` exposes them under the ops' names for
+tape-free callers, so both compute the same bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import itertools
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,14 +32,15 @@ _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
 
 
-def _tracing() -> bool:
+def tracing() -> bool:
+    """Whether ops record tape nodes here: true unless inside ``no_grad``."""
     return getattr(_state, "tracing", True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (teacher/eval forwards)."""
-    prev = _tracing()
+    prev = tracing()
     _state.tracing = False
     try:
         yield
@@ -120,7 +127,7 @@ def constant(data) -> Tensor:
 
 
 def _result(op, out_data, inputs, vjp) -> Tensor:
-    tracked = _tracing() and any(t.grad_tracked for t in inputs)
+    tracked = tracing() and any(t.grad_tracked for t in inputs)
     out = Tensor._wrap(np.asarray(out_data), tracked)
     if tracked:
         out._node = _Node(op, tuple(inputs), out, vjp)
@@ -240,12 +247,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", out, (a, b), vjp)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ w + b
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with a broadcast bias row; one fused node."""
     _require_2d("affine", x, w)
     if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(f"affine shapes disagree: {x.shape} x {w.shape} + {b.shape}")
-    out = x.data @ w.data + b.data
+    out = _affine(x.data, w.data, b.data)
 
     def vjp(dy):
         return dy @ w.data.T, x.data.T @ dy, dy.sum(axis=0)
@@ -314,11 +325,15 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _result("add_scalar", x.data + float(c), (x,), vjp)
 
 
+def _gelu(x: np.ndarray):
+    """GELU of x, and the tanh term its vjp reuses."""
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
+    out, t = _gelu(x.data)
 
     def vjp(dy):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
@@ -416,6 +431,18 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result("softmax_rows", out, (x,), vjp)
 
 
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Layer norm of each row, then the normalized rows and 1/sqrt(var + eps)
+    its vjp reuses. Mean and variance are numpy's own ``mean``/``var``
+    arithmetic, a row sum divided by the width, without their Python-level
+    wrappers; the centred rows are made once."""
+    n = x.shape[1]
+    centred = x - x.sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / n + eps)
+    xhat = centred * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row (x - mean)/sqrt(var + eps) * gain + bias, population variance."""
     _require_2d("layer_norm_rows", x)
@@ -426,11 +453,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         )
     if eps <= 0:
         raise ContractError("layer_norm_rows eps must be positive")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
 
     def vjp(dy):
         dgain = (dy * xhat).sum(axis=0)
@@ -438,8 +461,8 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         dxhat = dy * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - dxhat.sum(axis=1, keepdims=True) / n
+            - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / n)
         )
         return dx, dgain, dbias
 
@@ -489,6 +512,19 @@ def cross_entropy_rows(scores: Tensor, target_probs: np.ndarray) -> Tensor:
     return _result("cross_entropy_rows", np.asarray(loss), (scores,), vjp)
 
 
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, seq_len: int):
+    """Attention output, then the per-head q, k, v and weights its vjp reuses."""
+    rows, d = q.shape
+    # (B*seq, d) -> (B, heads, seq, dh) through this shape and a transpose
+    split_shape = (rows // seq_len, seq_len, n_heads, d // n_heads)
+    q4, k4, v4 = (t.reshape(split_shape).transpose(0, 2, 1, 3) for t in (q, k, v))
+    z = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(split_shape[3]))
+    z -= z.max(axis=3, keepdims=True)
+    e = np.exp(z)
+    a = e / e.sum(axis=3, keepdims=True)
+    return (a @ v4).transpose(0, 2, 1, 3).reshape(rows, d), q4, k4, v4, a
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Tensor:
     """Bidirectional multi-head scaled dot-product attention, one fused node.
 
@@ -506,17 +542,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Te
         raise ContractError(f"n_heads {n_heads} must divide d_model {d}")
     if seq_len < 1 or rows % seq_len != 0:
         raise ContractError(f"seq_len {seq_len} must divide the row count {rows}")
-    # (B*seq, d) -> (B, heads, seq, dh) through this shape and a transpose;
-    # the taped closure holds plain values, not helper functions
+    out, q4, k4, v4, a = _attention(q.data, k.data, v.data, n_heads, seq_len)
     split_shape = (rows // seq_len, seq_len, n_heads, d // n_heads)
     inv_scale = 1.0 / np.sqrt(split_shape[3])
-
-    q4, k4, v4 = (t.data.reshape(split_shape).transpose(0, 2, 1, 3) for t in (q, k, v))
-    z = (q4 @ k4.transpose(0, 1, 3, 2)) * inv_scale
-    z -= z.max(axis=3, keepdims=True)
-    e = np.exp(z)
-    a = e / e.sum(axis=3, keepdims=True)
-    out = (a @ v4).transpose(0, 2, 1, 3).reshape(rows, d)
 
     def vjp(dy):
         dy4 = dy.reshape(split_shape).transpose(0, 2, 1, 3)
@@ -532,3 +560,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Te
         return merge(dq4), merge(dk4), merge(dv4)
 
     return _result("attention", out, (q, k, v), vjp)
+
+
+# ---------------------------------------------------------------------------
+# tape-free forward
+
+# The forward kernels of the ops above, under the same names, on bare float64
+# arrays: no operand checks, no vjp and no Tensor. add, take_rows and
+# concat_rows are the one numpy call their taped op makes. A caller that has
+# checked its operands runs these when not tracing; each returns the bytes of
+# the taped op of the same name.
+bare = SimpleNamespace(
+    add=np.add,
+    take_rows=lambda table, ids: table[ids],
+    concat_rows=lambda parts: np.concatenate(parts, axis=0),
+    affine=_affine,
+    gelu=lambda x: _gelu(x)[0],
+    layer_norm_rows=lambda x, gain, bias: _layer_norm(x, gain, bias)[0],
+    attention=lambda q, k, v, n_heads, seq_len: _attention(q, k, v, n_heads, seq_len)[0],
+)

@@ -178,7 +178,11 @@ def gather_shards(locals_: Sequence[Tensor | None]) -> Tensor:
 
 
 def all_reduce_grads(shard_grads: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Elementwise sum over shards, in ascending shard-id order."""
+    """Elementwise sum over shards, in ascending shard-id order.
+
+    One shard's arrays are returned as they are; otherwise every array is a
+    fresh one, and no shard's array is written into.
+    """
     if not shard_grads:
         raise AggregationError("no shard gradients to reduce")
     keys = list(shard_grads[0])
@@ -188,8 +192,10 @@ def all_reduce_grads(shard_grads: Sequence[dict[str, np.ndarray]]) -> dict[str, 
         for key in keys:
             if grads[key].shape != shard_grads[0][key].shape:
                 raise AggregationError(f"shard {i} gradient shape mismatch for {key!r}")
-    total = {key: shard_grads[0][key].copy() for key in keys}
-    for grads in shard_grads[1:]:
+    if len(shard_grads) == 1:
+        return dict(shard_grads[0])
+    total = {key: shard_grads[0][key] + shard_grads[1][key] for key in keys}
+    for grads in shard_grads[2:]:
         for key in keys:
             total[key] += grads[key]
     return total

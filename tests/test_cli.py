@@ -350,6 +350,26 @@ class TestPruneEmbedIndexSearch:
         assert fresh == loaded
         assert "candidate" in fresh
 
+    def test_index_dataset_code_outside_corpus_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        idx = root / "stray.idx"
+        assert main([
+            "index", "--checkpoint", str(student), "--corpus", str(corpus), "--out", str(idx),
+        ]) == 0
+        blob = bytearray(idx.read_bytes())
+        record = 8 + 4 * 8  # d_model 8
+        blob[16 + 2 * record + 5] = 200
+        idx.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = main([
+            "search", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--index", str(idx), "--query-id", "0", "--scope", "global",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: index record 2 has dataset code 200")
+        assert captured.out == ""
+
 
 @pytest.fixture(scope="module")
 def blown(workdir):

@@ -12,8 +12,10 @@ from umrlab.encoder import (
     _blocks,
     embed,
     embed_batch,
+    embed_raw,
     estimate_flops,
     forward,
+    forward_raw,
     layer_stack_ratio,
     length_groups,
     parameter_names,
@@ -257,6 +259,60 @@ class TestRawForward:
 
         with pytest.raises(ContractError, match="no sequences"):
             embed_raw(Encoder.init(SMALL, seed=3), [], 2)
+
+
+# every op the block stack and embed_batch run, and the node maker they share
+TAPED_OPS = ("_result", "add", "take_rows", "concat_rows", "affine", "layer_norm_rows", "gelu", "attention")
+
+
+@pytest.fixture
+def no_taped_ops(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a taped op ran")
+
+    for name in TAPED_OPS:
+        monkeypatch.setattr(T, name, refuse)
+
+
+class TestTapeFree:
+    def test_embed_raw_runs_no_taped_op(self, request):
+        enc = Encoder.init(SMALL, seed=3)
+        seqs = [small_tokens(), small_tokens((40, 41, 42)), small_tokens((41, 40))]
+        want = embed_batch(enc, seqs, 2).data
+        request.getfixturevalue("no_taped_ops")
+        assert embed_raw(enc, seqs, 2).tobytes() == want.tobytes()
+
+    def test_overflow_raises_without_taped_ops(self, no_taped_ops):
+        enc = Encoder.init(SMALL, seed=0)
+        blown = enc.with_params(
+            {n: T.Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
+        )
+        with pytest.raises(NumericDomainError, match="overflow"):
+            embed_raw(blown, [small_tokens(), small_tokens((40, 41, 42))], 2)
+
+    def test_mixed_lengths_byte_equal_to_taped_at_every_depth(self):
+        cfg = EncoderConfig(vocab_size=48, d_model=12, n_heads=3, n_layers=4, max_seq=12, k=2)
+        enc = Encoder.init(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (2, 5, 2, 7, 1, 5, 5)]
+        for upto in range(1, cfg.n_layers + 1):
+            taped = embed_batch(enc, seqs, upto)
+            assert taped._node is not None
+            assert embed_raw(enc, seqs, upto).tobytes() == taped.data.tobytes()
+            assert forward_raw(enc, seqs[3], upto).tobytes() == forward(enc, seqs[3], upto).data.tobytes()
+
+    def test_outputs_are_read_only(self):
+        enc = Encoder.init(SMALL, seed=3)
+        for out in (embed_raw(enc, [small_tokens()], 2), forward_raw(enc, small_tokens(), 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                out[0, 0] = 1.0
+
+    def test_weights_cannot_be_swapped_in_place(self):
+        enc = Encoder.init(SMALL, seed=3)
+        assert all(enc.arrays[n] is t.data for n, t in enc.params.items())
+        for table in (enc.params, enc.arrays):
+            with pytest.raises(TypeError):
+                table["tok_emb"] = None
 
 
 class TestBatchedEmbed:

@@ -26,6 +26,7 @@ from umrlab.retrieval import (
     search_topk,
     write_pca_csv,
 )
+from umrlab.tasks import MODALITIES
 
 SPEC = CorpusSpec(
     n_concepts=12,
@@ -174,7 +175,7 @@ class TestSearch:
             codes = rng.integers(0, 2, size=n)
             idx = toy_index(v, ids=rng.permutation(4 * n)[:n], datasets=codes, names=("a", "b"))
             k = int(rng.integers(1, n + 2))
-            for scope, codes_kept in ((None, None), (["b"], [1])):
+            for scope, codes_kept in ((None, None), (["b"], [1]), (["b", "a"], [0, 1])):
                 got = search_topk(idx, q, k, scope)
                 want = full_sort_topk(idx, q, k, codes_kept)
                 assert [i for i, _ in got] == [i for i, _ in want]
@@ -197,6 +198,12 @@ class TestSearch:
     def test_k_must_be_positive(self):
         with pytest.raises(ContractError):
             search_topk(toy_index(np.eye(2)), np.eye(2)[0], 0)
+
+    def test_replaced_vectors_are_scored(self):
+        idx = toy_index(np.eye(3))
+        assert search_topk(idx, np.eye(3)[0], 1)[0][0] == 0
+        idx.vectors = np.eye(3, dtype=np.float32)[::-1].copy()
+        assert search_topk(idx, np.eye(3)[0], 1)[0][0] == 2
 
 
 class TestRecall:
@@ -286,6 +293,13 @@ class TestIndexIO:
         after = search_topk(loaded, q, 7)
         assert before == after
 
+    def test_built_and_loaded_vectors_are_read_only(self, index, tmp_path):
+        path = tmp_path / "pool.idx"
+        save_index(index, path)
+        for idx in (index, load_index(path)):
+            with pytest.raises(ValueError, match="read-only"):
+                idx.vectors[0] = 0.0
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.idx"
         p.write_bytes(b"WRONGMAG" + b"\x00" * 32)
@@ -331,6 +345,19 @@ class TestIndexIO:
         with pytest.raises(FormatError) as err:
             load_index(p)
         assert err.value.offset == 12
+
+    def test_modality_code_outside_modalities_rejected_at_its_byte(self, index, tmp_path):
+        p = tmp_path / "pool.idx"
+        save_index(index, p)
+        blob = bytearray(p.read_bytes())
+        record = 8 + 4 * index.dim
+        at = 16 + 3 * record + 4
+        blob[at] = len(MODALITIES)
+        blob[16 + 5 * record + 4] = 255
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"index record 3 has modality code {len(MODALITIES)}") as err:
+            load_index(p)
+        assert err.value.offset == at
 
     def test_trailing_bytes_rejected(self, index, tmp_path):
         p = tmp_path / "long.idx"

@@ -97,6 +97,43 @@ class TestLayerNormRows:
         assert np.abs(out.data[0] - np.array(want)).max() < 1e-14
 
 
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        width=st.integers(1, 300),
+        rows=st.integers(1, 4),
+        log_scale=st.floats(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_numpy_mean_var_form(self, width, rows, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        x = scale * (rng.normal(size=(rows, width)) + rng.normal(size=(rows, 1)))
+        gain, bias = rng.normal(size=width), rng.normal(size=width)
+        dy = rng.normal(size=(rows, width))
+        mu = x.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+        xhat = (x - mu) * inv
+        dxhat = dy * gain
+        want = {
+            "out": xhat * gain + bias,
+            "x": inv * (
+                dxhat
+                - dxhat.mean(axis=1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            ),
+            "gain": (dy * xhat).sum(axis=0),
+            "bias": dy.sum(axis=0),
+        }
+        leaves = {n: T.Tensor(v, grad_tracked=True) for n, v in (("x", x), ("gain", gain), ("bias", bias))}
+        out = T.layer_norm_rows(leaves["x"], leaves["gain"], leaves["bias"])
+        # d/d(out) of sum(out * dy) is dy exactly
+        grads = T.backward(T.sum_all(T.mul(out, T.Tensor(dy))))
+        got = {"out": out.data, **{n: grads[t] for n, t in leaves.items()}}
+        assert T.bare.layer_norm_rows(x, gain, bias).tobytes() == want["out"].tobytes()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
 class TestL2NormalizeRows:
     def test_three_four_five(self):
         out = T.l2_normalize_rows(T.Tensor([[3.0, 4.0]]))

@@ -96,6 +96,17 @@ class TestAllReduce:
         out = all_reduce_grads([g])
         assert np.array_equal(out["w"], g["w"])
 
+    def test_sums_in_shard_order_without_writing_a_shard(self):
+        rng = np.random.default_rng(0)
+        gs = [{"w": rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-8, 9, size=(3, 4))} for _ in range(4)]
+        before = [g["w"].copy() for g in gs]
+        for s in (2, 3, 4):
+            want = before[0] + before[1]
+            for b in before[2:s]:
+                want = want + b
+            assert all_reduce_grads(gs[:s])["w"].tobytes() == want.tobytes()
+        assert all(g["w"].tobytes() == b.tobytes() for g, b in zip(gs, before))
+
     def test_zero_shards_sum_to_zero(self):
         gs = [{"w": np.zeros(3)} for _ in range(4)]
         assert np.array_equal(all_reduce_grads(gs)["w"], np.zeros(3))
