@@ -299,8 +299,7 @@ def cmd_flops(args) -> int:
 
 
 def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
-    from .encoder import embed as embed_graph
-    from .encoder import parameter_names
+    from .encoder import embed_batch, parameter_names
     from .prompts import TokenSequence
 
     results: list[tuple[str, float]] = []
@@ -330,18 +329,21 @@ def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
 
         cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=2, max_seq=8, k=2)
         enc = Encoder.init(cfg, seed=seed)
-        ids = tuple(int(t) for t in np.random.default_rng(seed).integers(36, 46, size=3))
-        seq = TokenSequence(ids + (1,))
+        ids = np.random.default_rng(seed).integers(36, 46, size=(2, 3))
+        seqs = [TokenSequence(tuple(int(t) for t in row) + (1,)) for row in ids]
         names = parameter_names(cfg)
 
-        def enc_loss(*tensors):
-            model = Encoder(cfg, dict(zip(names, tensors)))
-            emb = embed_graph(model, seq, 2)
-            return T.mean(T.mul(emb, emb))
+        # one sequence, then two of equal length through one block stack
+        for name, batch in (("encoder", seqs[:1]), ("encoder-batch", seqs)):
 
-        results.append(
-            (f"encoder[{seed}]", check_gradients(enc_loss, [enc.params[n] for n in names]))
-        )
+            def enc_loss(*tensors, batch=batch):
+                model = Encoder(cfg, dict(zip(names, tensors)))
+                emb = embed_batch(model, batch, 2)
+                return T.mean(T.mul(emb, emb))
+
+            results.append(
+                (f"{name}[{seed}]", check_gradients(enc_loss, [enc.params[n] for n in names]))
+            )
     return results
 
 

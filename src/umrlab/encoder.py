@@ -17,6 +17,15 @@ the same arithmetic, so their hidden states are equal bit for bit.
 :func:`embed_raw` (tape-free, as an array) are calls of it.
 :func:`forward` and :func:`forward_raw` return every hidden state of one
 sequence, taped and tape-free.
+
+A forward runs every block on every row. An embed reads only [RET], the
+last row of each sequence, so in its last block only the first layer norm
+and the key and value projections, which attention reads from every row,
+run on all rows; the query projection, attention, output projection, second
+layer norm and FFN run on the last two rows of each sequence. Two, not one:
+a one-row GEMM takes numpy's gemv path, whose sums round differently from
+the gemm of a full forward, and the [RET] row would change in its low bits.
+With two rows it is bitwise equal to the [RET] row of :func:`forward`.
 """
 
 from __future__ import annotations
@@ -138,15 +147,31 @@ def _as_tensor(h: Tensor | np.ndarray) -> Tensor:
     return h if isinstance(h, Tensor) else Tensor._wrap(h, False)
 
 
+# Rows per sequence the last block keeps when only the [RET] row is read.
+# One would do, but a one-row GEMM takes numpy's gemv path, whose sums round
+# differently from the gemm a full-sequence forward runs; with two rows every
+# GEMM stays a gemm and the [RET] row keeps the bytes of forward's.
+RET_TAIL_ROWS = 2
+
+
 # forward_raw and embed_batch call this, not forward, so profilers that
 # wrap forward see single-sequence calls of forward only. The op set is
 # chosen once, at entry; the loop body is the same for both.
-def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tensor | np.ndarray:
+def _blocks(
+    encoder: Encoder, batch: Sequence[TokenSequence], upto: int, ret_tail: bool = False
+) -> Tensor | np.ndarray:
     """Hidden states of B equal-length sequences stacked in order, (B*len, d_model),
     as a Tensor while tracing and as an array under ``no_grad``.
 
     The sequences share every op as rows of one 2-D array; only attention
     needs the sequence length, to keep each sequence to its own rows.
+    With ``ret_tail`` the last block computes only the rows :func:`embed_batch`
+    reads: its first layer norm and key and value projections still run on
+    every row, but the query projection, attention, output projection,
+    second layer norm and FFN run on the last m = min(RET_TAIL_ROWS, len)
+    rows of each sequence, and the result is (B*m, d_model). [RET] is the
+    last row of each sequence, so it is row b*m + m - 1, bitwise equal to
+    the row a full forward computes (see RET_TAIL_ROWS for why two).
     Raises NumericDomainError when an op overflows or makes a NaN, as
     weights that have blown up do; a NaN already in the weights passes
     through quietly and is caught where a loss is checked.
@@ -166,13 +191,19 @@ def _blocks(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> Tens
         raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
     ops, p = _op_set(encoder)
     positions = list(range(s)) * len(batch)
+    tail_from = upto - 1 if ret_tail else upto
     try:
         with np.errstate(over="raise", invalid="raise"):
             h = ops.add(ops.take_rows(p["tok_emb"], ids), ops.take_rows(p["pos_emb"], positions))
             for i in range(upto):
                 base = f"layers.{i}."
                 a = ops.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-                q = ops.affine(a, p[base + "attn.wq"], p[base + "attn.bq"])
+                a_q = a
+                if i == tail_from:
+                    starts = np.arange(0, len(batch) * s, s)[:, None]
+                    tail = (starts + np.arange(s - min(RET_TAIL_ROWS, s), s)).ravel()
+                    h, a_q = ops.take_rows(h, tail), ops.take_rows(a, tail)
+                q = ops.affine(a_q, p[base + "attn.wq"], p[base + "attn.bq"])
                 k = ops.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
                 v = ops.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
                 mixed = ops.attention(q, k, v, cfg.n_heads, s)
@@ -218,10 +249,12 @@ def embed_batch(
 
     One :func:`_blocks` call per length group; the [RET] rows are gathered
     back into input order by one ``take_rows``. Taped, and tape-free under
-    ``no_grad``. Row i is bitwise equal to the [RET] row of
+    ``no_grad``. Each group's last block computes only the last two rows of
+    each sequence. Row i is bitwise equal to the [RET] row of
     ``forward(encoder, seqs[i], upto)``, since a batch only adds rows to each
-    op; gradients agree with per-sequence ones to roundoff, since
-    weight-gradient row sums run over the group's rows in one order.
+    op and two rows keep every GEMM a gemm; gradients agree with
+    per-sequence ones to roundoff, since weight-gradient row sums run over
+    the group's rows in one order.
     ``upto`` defaults to config.k.
     """
     if not seqs:
@@ -229,14 +262,14 @@ def embed_batch(
     depth = encoder.config.k if upto is None else upto
     ops, _ = _op_set(encoder)
     groups = length_groups(seqs)
-    hidden = [_blocks(encoder, [seqs[i] for i in rows], depth) for rows in groups]
+    hidden = [_blocks(encoder, [seqs[i] for i in rows], depth, ret_tail=True) for rows in groups]
     ret_row = [0] * len(seqs)
     offset = 0
     for rows in groups:
-        s = len(seqs[rows[0]])
+        m = min(RET_TAIL_ROWS, len(seqs[rows[0]]))
         for b, i in enumerate(rows):
-            ret_row[i] = offset + b * s + seqs[i].ret_position
-        offset += len(rows) * s
+            ret_row[i] = offset + b * m + m - 1
+        offset += len(rows) * m
     stacked = hidden[0] if len(hidden) == 1 else ops.concat_rows(hidden)
     return _as_tensor(ops.take_rows(stacked, ret_row))
 
@@ -273,7 +306,10 @@ def estimate_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
     Per layer: 2*s*d*(3d + d) for the q/k/v/output projections,
     2*2*s^2*d for attention scores and value mixing, and 2*s*2*d*4d for the
     feed-forward block. The embedding lookup-add contributes 2*s*d once.
-    Multiply-accumulates count as 2 operations.
+    Multiply-accumulates count as 2 operations. Every block counts every
+    row, as :func:`forward` computes them; an embed's last block computes
+    the query side, attention output and FFN for only two rows per
+    sequence, so it runs fewer.
     """
     if not 0 <= k <= config.n_layers:
         raise ContractError(f"k {k} outside 0..{config.n_layers}")

@@ -183,7 +183,9 @@ def self_distill(
         teacher_probs = T.softmax_rows(T.scale(teacher_sim, 1.0 / tau)).data
     student_scores = T.scale(cosine_similarity_matrix(student_q, student_c), 1.0 / tau)
     cross = T.cross_entropy_rows(student_scores, teacher_probs)
-    entropy = float(-(teacher_probs * np.log(teacher_probs)).sum(axis=1).mean())
+    # a probability that underflowed to 0 adds 0 * log 0 = 0, not 0 * -inf
+    logs = np.log(teacher_probs, out=np.zeros_like(teacher_probs), where=teacher_probs > 0)
+    entropy = float(-(teacher_probs * logs).sum(axis=1).mean())
     return T.add_scalar(cross, -entropy)
 
 

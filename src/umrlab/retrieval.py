@@ -165,6 +165,8 @@ def recall_at_k(
     """
     if not gold:
         raise ContractError("recall needs at least one query")
+    if k < 1:
+        raise ContractError(f"recall needs k >= 1, got {k}")
     hits = sum(1 for qid, want in gold.items() if want in list(ranked.get(qid, ()))[:k])
     return hits / len(gold)
 
@@ -366,6 +368,9 @@ def evaluate(
     if encoder.config.d_model < 1 or not corpus.pools:
         raise ContractError("nothing to evaluate")
     overrides = k_overrides or {}
+    for k in (*ks, *overrides.values()):
+        if k < 1:
+            raise ContractError(f"recall needs k >= 1, got {k}")
     if index is None:
         index = build_index(encoder, corpus.all_candidates())
     by_dataset: dict[str, list[Sample]] = {}

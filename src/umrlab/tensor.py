@@ -513,51 +513,58 @@ def cross_entropy_rows(scores: Tensor, target_probs: np.ndarray) -> Tensor:
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, seq_len: int):
-    """Attention output, then the per-head q, k, v and weights its vjp reuses."""
-    rows, d = q.shape
-    # (B*seq, d) -> (B, heads, seq, dh) through this shape and a transpose
-    split_shape = (rows // seq_len, seq_len, n_heads, d // n_heads)
-    q4, k4, v4 = (t.reshape(split_shape).transpose(0, 2, 1, 3) for t in (q, k, v))
-    z = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(split_shape[3]))
+    """Attention output, then the per-head q, k, v and weights its vjp reuses.
+
+    k and v hold B sequences of ``seq_len`` rows; q holds the same number of
+    rows for each of the B sequences."""
+    rows, d = k.shape
+    # (B*m, d) -> (B, heads, m, dh) through this shape and a transpose
+    head_shape = (rows // seq_len, -1, n_heads, d // n_heads)
+    q4, k4, v4 = (t.reshape(head_shape).transpose(0, 2, 1, 3) for t in (q, k, v))
+    z = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_shape[3]))
     z -= z.max(axis=3, keepdims=True)
     e = np.exp(z)
     a = e / e.sum(axis=3, keepdims=True)
-    return (a @ v4).transpose(0, 2, 1, 3).reshape(rows, d), q4, k4, v4, a
+    return (a @ v4).transpose(0, 2, 1, 3).reshape(q.shape), q4, k4, v4, a
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Tensor:
     """Bidirectional multi-head scaled dot-product attention, one fused node.
 
-    q, k, v are (B*seq_len, d_model): B sequences of seq_len rows stacked in
-    order. Attention is block-diagonal, so each sequence attends only to its
-    own rows; columns are split into n_heads equal slices.
+    k and v are (B*seq_len, d_model): B sequences of seq_len rows stacked in
+    order. q is (B*m, d_model), the query rows of each sequence in the same
+    order; m = seq_len attends from every row, a smaller m from only some.
+    Attention is block-diagonal, so each sequence attends only to its own
+    rows; columns are split into n_heads equal slices.
     """
     _require_2d("attention", q, k, v)
-    if not (q.shape == k.shape == v.shape):
+    if not (k.shape == v.shape and q.shape[1] == k.shape[1]):
         raise DimensionError(
             f"attention operand shapes disagree: {q.shape}, {k.shape}, {v.shape}"
         )
-    rows, d = q.shape
+    rows, d = k.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ContractError(f"n_heads {n_heads} must divide d_model {d}")
     if seq_len < 1 or rows % seq_len != 0:
         raise ContractError(f"seq_len {seq_len} must divide the row count {rows}")
+    batch = rows // seq_len
+    if batch < 1 or q.shape[0] < 1 or q.shape[0] % batch != 0:
+        raise ContractError(f"{q.shape[0]} query rows do not split over {batch} sequences")
     out, q4, k4, v4, a = _attention(q.data, k.data, v.data, n_heads, seq_len)
-    split_shape = (rows // seq_len, seq_len, n_heads, d // n_heads)
-    inv_scale = 1.0 / np.sqrt(split_shape[3])
+    inv_scale = 1.0 / np.sqrt(q4.shape[3])
 
     def vjp(dy):
-        dy4 = dy.reshape(split_shape).transpose(0, 2, 1, 3)
+        dy4 = dy.reshape(q4.shape[0], q4.shape[2], n_heads, -1).transpose(0, 2, 1, 3)
         dv4 = a.transpose(0, 1, 3, 2) @ dy4
         da = dy4 @ v4.transpose(0, 1, 3, 2)
         dz = (da - (da * a).sum(axis=3, keepdims=True)) * a * inv_scale
         dq4 = dz @ k4
         dk4 = dz.transpose(0, 1, 3, 2) @ q4
 
-        def merge(t4):
-            return t4.transpose(0, 2, 1, 3).reshape(rows, d)
+        def merge(t4, like):
+            return t4.transpose(0, 2, 1, 3).reshape(like.shape)
 
-        return merge(dq4), merge(dk4), merge(dv4)
+        return merge(dq4, q), merge(dk4, k), merge(dv4, v)
 
     return _result("attention", out, (q, k, v), vjp)
 

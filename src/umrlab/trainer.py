@@ -90,6 +90,10 @@ class TrainConfig:
             raise ConfigurationError(
                 f"prune depth {self.k} outside 1..{self.encoder.n_layers}"
             )
+        if not (math.isfinite(self.distill_tau) and self.distill_tau > 0):
+            raise ConfigurationError(
+                f"distill_tau must be finite and positive, got {self.distill_tau}"
+            )
         if self.alpha_mode not in ALPHA_MODES:
             raise ConfigurationError(
                 f"alpha mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"

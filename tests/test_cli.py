@@ -150,6 +150,17 @@ class TestTrainArtifacts:
         assert "lr" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_distill_tau_is_diagnosed(self, workdir, capsys):
+        root, corpus, teacher, _ = workdir
+        out, curve = root / "nan-tau.ckpt", root / "nan-tau.csv"
+        code = main([
+            "train", "1", "--corpus", str(corpus), "--out", str(out), "--teacher", str(teacher),
+            "--curve", str(curve), "--batch", "4", "--distill-variant", "kl", "--distill-tau", "nan",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: distill_tau must be finite and positive, got nan\n"
+        assert not out.exists() and not curve.exists()
+
     def test_nan_weight_init_is_diagnosed(self, workdir, capsys):
         from umrlab.checkpoint import load_checkpoint, save_checkpoint
         from umrlab.tensor import Tensor
@@ -503,6 +514,15 @@ class TestEval:
         assert report(student, other_seed)[1] != {base}
         assert report(teacher, corpus)[1] != {base}
 
+    @pytest.mark.parametrize("flags", [["--k", "0", "--k", "5"], ["--k", "5", "--k-override", "ds-t2i=0"]])
+    def test_k_below_one_is_diagnosed(self, workdir, capsys, flags):
+        root, corpus, _, student = workdir
+        out = root / "k-zero.csv"
+        code = main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: recall needs k >= 1, got 0\n"
+        assert not out.exists()
+
     def test_k_override_non_integer_is_diagnosed(self, workdir, capsys):
         _, corpus, _, student = workdir
         code = main([
@@ -540,6 +560,7 @@ class TestGradCheck:
         assert main(["grad-check", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "worst" in out
+        assert "encoder-batch[0]" in out
         assert "FAIL" not in out
 
 

@@ -315,6 +315,65 @@ class TestTapeFree:
                 table["tok_emb"] = None
 
 
+# the benchmark's encoder shape, at its mixed prompt lengths
+WIDE = EncoderConfig(vocab_size=48, d_model=32, n_heads=4, n_layers=8, max_seq=32, k=3)
+
+
+def mixed_prompts(per_length: int, seed: int = 0) -> list[TokenSequence]:
+    rng = np.random.default_rng(seed)
+    return [
+        small_tokens(int(t) for t in rng.integers(36, 46, size=n - 5))
+        for _ in range(per_length)
+        for n in (13, 21, 29)
+    ]
+
+
+class TestRetTail:
+    """embed_batch's last block computes only the last two rows of each sequence."""
+
+    @pytest.mark.parametrize("per_length", [1, 2, 3])
+    def test_rows_byte_equal_full_forward_at_every_depth(self, per_length):
+        enc = Encoder.init(WIDE, seed=per_length)
+        seqs = mixed_prompts(per_length, seed=per_length)
+        for upto in range(1, WIDE.n_layers + 1):
+            want = b"".join(forward_raw(enc, seq, upto)[seq.ret_position].tobytes() for seq in seqs)
+            assert embed_raw(enc, seqs, upto).tobytes() == want
+            taped = embed_batch(enc, seqs, upto)
+            assert taped._node is not None and taped.data.tobytes() == want
+
+    @pytest.mark.parametrize("ids", [(1,), (40, 1)])
+    def test_sequences_shorter_than_the_tail(self, ids):
+        enc = Encoder.init(SMALL, seed=2)
+        seqs = [TokenSequence(ids), TokenSequence((41,) * (len(ids) - 1) + (1,))]
+        for upto in (1, 2):
+            got = embed_raw(enc, seqs, upto)
+            for row, seq in zip(got, seqs):
+                assert row.tobytes() == forward_raw(enc, seq, upto)[-1].tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_only_the_last_block_narrows(self, taped, monkeypatch):
+        rows = []
+        kernel = T._affine
+
+        def recording(x, w, b):
+            rows.append(x.shape[0])
+            return kernel(x, w, b)
+
+        monkeypatch.setattr(T, "_affine", recording)
+        monkeypatch.setattr(T.bare, "affine", recording)
+        enc = Encoder.init(WIDE, seed=1)
+        batch = mixed_prompts(1)[:1] * 3  # three sequences of 13 rows
+        with nullcontext() if taped else T.no_grad():
+            embed_batch(enc, batch, 3)
+        full, tail = 3 * 13, 3 * 2
+        # q, k, v, output projection, then the FFN's two affines, per block
+        assert rows == [full] * 12 + [tail, full, full, tail, tail, tail]
+        rows.clear()
+        with nullcontext() if taped else T.no_grad():
+            forward(enc, batch[0], 3)
+        assert rows == [13] * 18
+
+
 class TestBatchedEmbed:
     def test_length_groups_in_first_seen_order(self):
         seqs = [small_tokens(ids) for ids in ((40,), (40, 41), (41,), (40, 41, 42), (42, 43))]

@@ -288,6 +288,18 @@ class TestSelfDistill:
             tc, sc = rand_embeddings(4, 5, seed + 2), rand_embeddings(4, 5, seed + 3)
             assert L.self_distill(tq, sq, tc, sc, "kl", tau=0.7).item() >= -1e-12
 
+    def test_kl_finite_when_a_teacher_probability_underflows(self):
+        tq, sq = rand_embeddings(8, 16, 0), rand_embeddings(8, 16, 1)
+        tc, sc = rand_embeddings(8, 16, 2), rand_embeddings(8, 16, 3)
+        with T.no_grad():
+            sim = L.cosine_similarity_matrix(tq, tc)
+            assert (T.softmax_rows(T.scale(sim, 1000.0)).data == 0).any()
+        tracked = [Tensor(x.data, grad_tracked=True) for x in (sq, sc)]
+        loss = L.self_distill(tq, tracked[0], tc, tracked[1], "kl", tau=0.001)
+        assert math.isfinite(loss.item()) and loss.item() >= 0
+        grads = T.backward(loss)
+        assert all(np.isfinite(grads[t]).all() for t in tracked)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             L.self_distill(

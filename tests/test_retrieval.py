@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from umrlab import retrieval
 from umrlab import tensor as T
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
 from umrlab.encoder import Encoder, EncoderConfig, embed, forward
@@ -234,6 +235,11 @@ class TestRecall:
         gold = {0: 0, 1: 1}
         assert recall_at_k(ranked, gold, 5) == 0.5
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match=f"k >= 1, got {k}"):
+            recall_at_k({0: [0, 1]}, {0: 0}, k)
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(2)
         ranked = {q: rng.permutation(30).tolist() for q in range(20)}
@@ -415,6 +421,19 @@ class TestEvaluate:
         a = evaluate(encoder, corpus, scopes=("local",), ks=(5,))
         b = evaluate(encoder, corpus, scopes=("local",), ks=(5,))
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize(
+        "ks,overrides", [((0, 5), None), ((5,), {"ds-t2i": 0}), ((5,), {"ds-t2i": -1})]
+    )
+    def test_k_below_one_rejected_before_the_index_is_built(
+        self, encoder, corpus, monkeypatch, ks, overrides
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("index built")
+
+        monkeypatch.setattr(retrieval, "build_index", refuse)
+        with pytest.raises(ContractError, match="k >= 1"):
+            evaluate(encoder, corpus, scopes=("local",), ks=ks, k_overrides=overrides)
 
     def test_k_override_replaces_default(self, encoder, corpus):
         report = evaluate(

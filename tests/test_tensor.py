@@ -175,6 +175,20 @@ class TestElementwise:
         assert np.array_equal(T.take_rows(cat, [2, 3, 4]).data, b.data)
 
 
+class TestAttentionQueryRows:
+    def test_rows_must_split_over_the_sequences(self):
+        # k and v hold two sequences of three rows; three query rows do not split
+        with pytest.raises(ContractError, match="3 query rows do not split over 2 sequences"):
+            T.attention(rand((3, 4)), rand((6, 4)), rand((6, 4)), 2, 3)
+
+    def test_tail_rows_attend_like_full_rows(self):
+        q, k, v = rand((6, 4), 1), rand((6, 4), 2), rand((6, 4), 3)
+        full = T.attention(q, k, v, 2, 3).data
+        tail = T.attention(T.take_rows(q, [1, 2, 4, 5]), k, v, 2, 3).data
+        assert tail.shape == (4, 4)
+        np.testing.assert_allclose(tail, full[[1, 2, 4, 5]], rtol=1e-12, atol=1e-15)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), grad_tracked=True)
@@ -320,6 +334,11 @@ OPS_FOR_GRADCHECK = [
         "attention-batch2",
         lambda q, k, v: T.mean(T.mul(T.attention(q, k, v, 2, 3), T.attention(q, k, v, 2, 3))),
         [(6, 4), (6, 4), (6, 4)],
+    ),
+    (
+        "attention-tail",
+        lambda q, k, v: T.mean(T.mul(T.attention(q, k, v, 2, 3), T.attention(q, k, v, 2, 3))),
+        [(4, 4), (6, 4), (6, 4)],
     ),
     (
         "cross_entropy",

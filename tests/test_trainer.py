@@ -196,6 +196,11 @@ class TestTrainStep:
         with pytest.raises(ConfigurationError, match="lr"):
             config(0, lr=lr)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_distill_tau_rejected(self, tau):
+        with pytest.raises(ConfigurationError, match="distill_tau must be finite and positive"):
+            config(1, distill_variant="kl", distill_tau=tau)
+
     def test_unknown_alpha_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="alpha mode must be one of"):
             config(1, alpha_mode="linear")
@@ -344,9 +349,9 @@ class TestBatchedEmbedding:
         lengths = []
         blocks = encoder_module._blocks
 
-        def counting(enc, batch, upto):
+        def counting(enc, batch, upto, ret_tail=False):
             lengths.append(len(batch[0]))
-            return blocks(enc, batch, upto)
+            return blocks(enc, batch, upto, ret_tail)
 
         monkeypatch.setattr(encoder_module, "_blocks", counting)
         enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
