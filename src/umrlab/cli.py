@@ -43,6 +43,7 @@ from .losses import (
 from .prompts import assemble_prompt
 from .retrieval import (
     build_index,
+    check_recall_ks,
     embed_prompts,
     embed_query,
     evaluate,
@@ -250,6 +251,7 @@ def cmd_eval(args) -> int:
     unknown = sorted(set(overrides) - set(corpus.pools))
     if unknown:
         raise ConfigurationError(f"--k-override names no dataset of the corpus: {', '.join(unknown)}")
+    check_recall_ks(ks, overrides)
     settings_dict = {
         "checkpoint_sha256": hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
         "corpus_seed": corpus.seed,

@@ -241,11 +241,9 @@ def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
     return list(groups.values())
 
 
-def embed_batch(
-    encoder: Encoder, seqs: Sequence[TokenSequence], upto: int | None = None
-) -> Tensor:
-    """[RET] embeddings of sequences of any lengths, shape (N, d_model), row i
-    for ``seqs[i]``, un-normalized.
+def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> Tensor:
+    """[RET] embeddings after ``upto`` blocks of sequences of any lengths,
+    shape (N, d_model), row i for ``seqs[i]``, un-normalized.
 
     One :func:`_blocks` call per length group; the [RET] rows are gathered
     back into input order by one ``take_rows``. Taped, and tape-free under
@@ -255,14 +253,12 @@ def embed_batch(
     op and two rows keep every GEMM a gemm; gradients agree with
     per-sequence ones to roundoff, since weight-gradient row sums run over
     the group's rows in one order.
-    ``upto`` defaults to config.k.
     """
     if not seqs:
         raise ContractError("no sequences to embed")
-    depth = encoder.config.k if upto is None else upto
     ops, _ = _op_set(encoder)
     groups = length_groups(seqs)
-    hidden = [_blocks(encoder, [seqs[i] for i in rows], depth, ret_tail=True) for rows in groups]
+    hidden = [_blocks(encoder, [seqs[i] for i in rows], upto, ret_tail=True) for rows in groups]
     ret_row = [0] * len(seqs)
     offset = 0
     for rows in groups:
@@ -274,14 +270,12 @@ def embed_batch(
     return _as_tensor(ops.take_rows(stacked, ret_row))
 
 
-def embed(encoder: Encoder, tokens: TokenSequence, upto: int | None = None) -> Tensor:
+def embed(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     """Taped [RET] embedding of one sequence, shape (1, d_model)."""
     return embed_batch(encoder, [tokens], upto)
 
 
-def embed_raw(
-    encoder: Encoder, batch: Sequence[TokenSequence], upto: int | None = None
-) -> np.ndarray:
+def embed_raw(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> np.ndarray:
     """Tape-free :func:`embed_batch` rows as a read-only array, shape (B, d_model)."""
     with T.no_grad():
         return embed_batch(encoder, batch, upto).data

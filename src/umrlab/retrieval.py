@@ -345,6 +345,16 @@ def config_fingerprint(settings: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def check_recall_ks(ks: Sequence[int], k_overrides: dict[str, int] | None = None) -> None:
+    """Raise ContractError unless ``ks`` is non-empty and every k it and the
+    overrides name is at least 1; :func:`evaluate` checks this first."""
+    if not ks:
+        raise ContractError("recall needs at least one k")
+    for k in (*ks, *(k_overrides or {}).values()):
+        if k < 1:
+            raise ContractError(f"recall needs k >= 1, got {k}")
+
+
 def evaluate(
     encoder: Encoder,
     corpus: Corpus,
@@ -367,10 +377,8 @@ def evaluate(
             raise ContractError(f"scope must be 'local' or 'global', got {scope!r}")
     if encoder.config.d_model < 1 or not corpus.pools:
         raise ContractError("nothing to evaluate")
+    check_recall_ks(ks, k_overrides)
     overrides = k_overrides or {}
-    for k in (*ks, *overrides.values()):
-        if k < 1:
-            raise ContractError(f"recall needs k >= 1, got {k}")
     if index is None:
         index = build_index(encoder, corpus.all_candidates())
     by_dataset: dict[str, list[Sample]] = {}

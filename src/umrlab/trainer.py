@@ -11,9 +11,12 @@ modality-adaptive loss.
 Sharding is simulated in-process but honest about the math: every shard
 forwards only its slice of the global batch, embeddings are gathered across
 shards so negatives span the global batch, and per-shard gradients are
-summed in shard-id order. Each shard computes the full global loss with
-only its own rows attached to the tape, so the shard-summed gradient equals
-the single-process gradient of the same global batch.
+summed in shard-id order. A step decides its objective once: the
+temperature and alpha weights (:func:`_schedule`, which the loss curve also
+reads) and, at stage 1, the teacher rows. Each shard then evaluates that
+one loss of the gathered rows with only its own rows attached to the tape,
+so the shard-summed gradient equals the single-process gradient of the same
+global batch.
 
 A shard embeds the queries and positives of its slice together, with one
 taped call per prompt length across both sides
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,10 +74,11 @@ class TrainConfig:
     distill_tau: float = 1.0
     distill_normalize: bool = False
     k: int = 3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     steps_per_epoch: int | None = None
+    # Adam's moment decays and epsilon: constants, not settings
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -123,15 +128,6 @@ class GlobalBatch:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class ShardContext:
-    """A shard's contiguous slice of the global batch."""
-
-    shard_id: int
-    samples: tuple[Sample, ...]
-    positives: tuple[Candidate, ...]
-
-
 @dataclass
 class CurveRow:
     stage: int
@@ -156,21 +152,6 @@ def batch_from(corpus: Corpus, samples: Sequence[Sample]) -> GlobalBatch:
         samples=tuple(samples),
         positives=tuple(corpus.candidate_by_id(s.gold) for s in samples),
     )
-
-
-def split_shards(batch: GlobalBatch, shards: int) -> list[ShardContext]:
-    """Contiguous slices; concatenation in shard-id order rebuilds the batch."""
-    if len(batch) % shards != 0:
-        raise ConfigurationError(f"batch of {len(batch)} not divisible by {shards} shards")
-    n = len(batch) // shards
-    return [
-        ShardContext(
-            shard_id=s,
-            samples=batch.samples[s * n : (s + 1) * n],
-            positives=batch.positives[s * n : (s + 1) * n],
-        )
-        for s in range(shards)
-    ]
 
 
 def gather_shards(locals_: Sequence[Tensor | None]) -> Tensor:
@@ -209,11 +190,10 @@ def _embed_block(
     encoder: Encoder,
     samples: Sequence[Sample],
     positives: Sequence[Candidate],
-    upto: int,
     cache: dict | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """[RET] states of queries and their positives, as (len(samples), d) and
-    (len(positives), d).
+    """Full-depth [RET] states of queries and their positives, as
+    (len(samples), d) and (len(positives), d).
 
     Both sides go through one :func:`embed_batch` call, so prompts of equal
     length share one forward whichever side they come from. Without a cache
@@ -221,12 +201,12 @@ def _embed_block(
     misses of both sides are embedded in one tape-free call and stored, each
     row as its own array so that no entry keeps the rest of the batch alive.
     """
-    max_seq = encoder.config.max_seq
+    max_seq, depth = encoder.config.max_seq, encoder.config.n_layers
     items = [("query", s) for s in samples] + [("candidate", c) for c in positives]
     n = len(samples)
     if cache is None:
         seqs = [assemble_prompt(item, side, max_seq) for side, item in items]
-        both = embed_batch(encoder, seqs, upto)
+        both = embed_batch(encoder, seqs, depth)
         return T.take_rows(both, range(n)), T.take_rows(both, range(n, len(items)))
     keys = [(side, item.id) for side, item in items]
     rows = [cache.get(key) for key in keys]
@@ -234,61 +214,43 @@ def _embed_block(
     if missing:
         seqs = [assemble_prompt(item, side, max_seq) for side, item in missing.values()]
         with T.no_grad():
-            fresh = embed_batch(encoder, seqs, upto).data
+            fresh = embed_batch(encoder, seqs, depth).data
         for i, key in enumerate(missing):
             cache[key] = fresh[i : i + 1].copy()
         rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
     return Tensor(np.concatenate(rows[:n], axis=0)), Tensor(np.concatenate(rows[n:], axis=0))
 
 
-def _shard_loss(
-    student: Encoder,
-    config: TrainConfig,
-    shard: ShardContext,
-    q_blocks: list[np.ndarray],
-    c_blocks: list[np.ndarray],
-    q_local: Tensor,
-    c_local: Tensor,
-    tags: list[str],
-    teacher_q: Tensor | None,
-    teacher_c: Tensor | None,
-    progress: float,
-) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Global loss with only this shard's rows on the tape; returns grads."""
-    s = shard.shard_id
-    q_parts = [q_local if j == s else Tensor(q_blocks[j]) for j in range(config.shards)]
-    c_parts = [c_local if j == s else Tensor(c_blocks[j]) for j in range(config.shards)]
-    q_global = gather_shards(q_parts)
-    c_global = gather_shards(c_parts)
-    similarity = cosine_similarity_matrix(q_global, c_global)
-    tau0 = config.temperature.tau0
-    if config.stage == 2:
-        tau_h = tau_hard_at(config.temperature, progress)
-        contrastive = mac_loss(similarity, tags, tau_h, tau0, config.temperature.mode)
-    else:
-        contrastive = infonce(similarity, tau0)
-    total, distill = contrastive, None
-    if config.stage == 1:
-        sq, sc, tq, tc = q_global, c_global, teacher_q, teacher_c
-        if config.distill_normalize:
-            sq, sc = T.l2_normalize_rows(sq), T.l2_normalize_rows(sc)
-            tq, tc = T.l2_normalize_rows(tq), T.l2_normalize_rows(tc)
-        distill = self_distill(
-            tq, sq, tc, sc, variant=config.distill_variant, tau=config.distill_tau
-        )
-        total = pretraining_loss(contrastive, distill, alpha_at(config.alpha_mode, progress))
-    breakdown = {
-        "contrastive": contrastive.item(),
-        "distill": 0.0 if distill is None else distill.item(),
-        "total": total.item(),
-    }
+def _schedule(config: TrainConfig, progress: float) -> tuple[float, tuple[float, float]]:
+    """The hard-negative temperature and the (contrastive, distill) weights
+    of the stage's loss at ``progress``.
 
+    Stages 0 and 1 take InfoNCE at tau0; only the MAC loss decays tau_hard.
+    Only stage 1 weighs in a distill term.
+    """
+    tau_hard = tau_hard_at(config.temperature, progress) if config.stage == 2 else config.temperature.tau0
+    alphas = alpha_at(config.alpha_mode, progress) if config.stage == 1 else (1.0, 0.0)
+    return tau_hard, alphas
+
+
+def _shard_grads(
+    student: Encoder, loss, parts: list[tuple[Tensor, Tensor]]
+) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Gather the (query, positive) rows of every shard, evaluate ``loss`` on
+    them and backward; returns the named gradients and the loss terms.
+
+    Only one shard's rows in ``parts`` are tracked. The loss's tape dies
+    with this call, before the next shard builds its own.
+    """
+    q = gather_shards([q for q, _ in parts])
+    c = gather_shards([c for _, c in parts])
+    total, terms = loss(q, c)
     grad_map = T.backward(total)
     named = {}
     for name, p in student.params.items():
         g = grad_map.get(p)
         named[name] = g if g is not None else np.zeros(p.shape)
-    return named, breakdown
+    return named, terms
 
 
 def compute_global_grads(
@@ -311,28 +273,40 @@ def compute_global_grads(
         raise ConfigurationError(
             f"batch of {len(batch)} != shards*per_shard_batch = {config.global_batch}"
         )
-    shards = split_shards(batch, config.shards)
-    depth = student.config.n_layers
-    locals_ = [_embed_block(student, shard.samples, shard.positives, depth) for shard in shards]
-    q_blocks = [q.data for q, _ in locals_]
-    c_blocks = [c.data for _, c in locals_]
-
-    teacher_q = teacher_c = None
+    n = config.per_shard_batch
+    locals_ = [
+        _embed_block(student, batch.samples[s * n : (s + 1) * n], batch.positives[s * n : (s + 1) * n])
+        for s in range(config.shards)
+    ]
+    tau_hard, alphas = _schedule(config, progress)
+    tau0, tags = config.temperature.tau0, batch.tags
     if config.stage == 1:
         cache = teacher_cache if teacher_cache is not None else {}
-        teacher_q, teacher_c = _embed_block(
-            teacher, batch.samples, batch.positives, teacher.config.n_layers, cache
-        )
+        teacher_q, teacher_c = _embed_block(teacher, batch.samples, batch.positives, cache)
+        if config.distill_normalize:
+            teacher_q, teacher_c = T.l2_normalize_rows(teacher_q), T.l2_normalize_rows(teacher_c)
 
-    tags = batch.tags
+    def loss(q: Tensor, c: Tensor) -> tuple[Tensor, dict[str, float]]:
+        similarity = cosine_similarity_matrix(q, c)
+        if config.stage == 2:
+            contrastive = mac_loss(similarity, tags, tau_hard, tau0, config.temperature.mode)
+        else:
+            contrastive = infonce(similarity, tau_hard)
+        total, distill = contrastive, 0.0
+        if config.stage == 1:
+            if config.distill_normalize:
+                q, c = T.l2_normalize_rows(q), T.l2_normalize_rows(c)
+            term = self_distill(
+                teacher_q, q, teacher_c, c, variant=config.distill_variant, tau=config.distill_tau
+            )
+            total, distill = pretraining_loss(contrastive, term, alphas), term.item()
+        return total, {"contrastive": contrastive.item(), "distill": distill, "total": total.item()}
+
+    detached = [(q.detach(), c.detach()) for q, c in locals_]
     results = [
-        _shard_loss(
-            student, config, shard, q_blocks, c_blocks, q_local, c_local,
-            tags, teacher_q, teacher_c, progress,
-        )
-        for shard, (q_local, c_local) in zip(shards, locals_)
+        _shard_grads(student, loss, [own if j == s else rows for j, rows in enumerate(detached)])
+        for s, own in enumerate(locals_)
     ]
-
     reduced = all_reduce_grads([grads for grads, _ in results])
     return reduced, results[0][1]
 
@@ -427,9 +401,7 @@ def run_stage(
                 ) from None
             for key in sums:
                 sums[key] += losses[key]
-        alphas = alpha_at(config.alpha_mode, progress) if config.stage == 1 else (1.0, 0.0)
-        # stages 0 and 1 take InfoNCE at tau0; only the MAC loss decays tau_hard
-        tau_hard = tau_hard_at(config.temperature, progress) if config.stage == 2 else config.temperature.tau0
+        tau_hard, alphas = _schedule(config, progress)
         curve.append(
             CurveRow(
                 stage=config.stage,

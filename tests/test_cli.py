@@ -523,6 +523,26 @@ class TestEval:
         assert capsys.readouterr().err == "error: recall needs k >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--k-override", "ds-t2i=0"]])
+    def test_k_below_one_builds_no_index(self, workdir, monkeypatch, capsys, flags):
+        import umrlab.cli
+        import umrlab.retrieval
+
+        builds = []
+        build = umrlab.retrieval.build_index
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(umrlab.retrieval, "build_index", counting)
+        monkeypatch.setattr(umrlab.cli, "build_index", counting)
+        _, corpus, _, student = workdir
+        code = main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == "error: recall needs k >= 1, got 0\n"
+        assert builds == []
+
     def test_k_override_non_integer_is_diagnosed(self, workdir, capsys):
         _, corpus, _, student = workdir
         code = main([

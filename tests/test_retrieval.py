@@ -435,6 +435,14 @@ class TestEvaluate:
         with pytest.raises(ContractError, match="k >= 1"):
             evaluate(encoder, corpus, scopes=("local",), ks=ks, k_overrides=overrides)
 
+    def test_no_k_rejected_before_the_index_is_built(self, encoder, corpus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("index built")
+
+        monkeypatch.setattr(retrieval, "build_index", refuse)
+        with pytest.raises(ContractError, match="at least one k"):
+            evaluate(encoder, corpus, scopes=("local",), ks=())
+
     def test_k_override_replaces_default(self, encoder, corpus):
         report = evaluate(
             encoder, corpus, scopes=("local",), ks=(5,), k_overrides={"ds-t2i": 10}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from collections import Counter
@@ -20,7 +21,7 @@ from umrlab.errors import (
     NumericDomainError,
     VersionError,
 )
-from umrlab.losses import TemperatureSchedule, self_distill, tau_hard_at
+from umrlab.losses import TemperatureSchedule, alpha_at, mac_loss, self_distill, tau_hard_at
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.prompts import assemble_prompt
 from umrlab.tensor import Tensor
@@ -32,7 +33,6 @@ from umrlab.trainer import (
     compute_global_grads,
     gather_shards,
     run_stage,
-    split_shards,
     train_step,
     write_curve,
 )
@@ -78,12 +78,6 @@ class TestGather:
         b = Tensor([[2.0, 3.0]])
         out = gather_shards([a, b]).data
         assert np.array_equal(out, [[0.0, 1.0], [2.0, 3.0]])
-
-    def test_split_gather_round_trip(self, corpus):
-        batch = batch_from(corpus, corpus.train[:8])
-        shards = split_shards(batch, 4)
-        rebuilt = [s for ctx in shards for s in ctx.samples]
-        assert [s.id for s in rebuilt] == [s.id for s in batch.samples]
 
     def test_missing_shard_named(self):
         with pytest.raises(AggregationError, match="shard 1"):
@@ -205,6 +199,18 @@ class TestTrainStep:
         with pytest.raises(ConfigurationError, match="alpha mode must be one of"):
             config(1, alpha_mode="linear")
 
+    def test_settings_are_the_fields(self):
+        # Adam's constants are class attributes, not settings a caller passes
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "stage", "encoder", "shards", "per_shard_batch", "epochs", "lr", "seed",
+            "temperature", "alpha_mode", "distill_variant", "distill_tau",
+            "distill_normalize", "k", "steps_per_epoch",
+        ]
+        cfg = config(0)
+        assert (cfg.beta1, cfg.beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            config(0, beta1=0.5)
+
     @pytest.mark.parametrize("case", list(SHARD_CASES))
     def test_shard_equivalence_gradients_and_weights(self, corpus, case):
         overrides = dict(SHARD_CASES[case])
@@ -276,6 +282,38 @@ class TestTrainStep:
         assert out["mac"][0] == out["off"][0]
         assert out["mac"][1] == out["off"][1]
 
+    def test_stage2_step_schedules_once_and_takes_one_loss_per_shard(self, corpus, monkeypatch):
+        taus, losses = [], []
+
+        def counting_tau(*args):
+            taus.append(args)
+            return tau_hard_at(*args)
+
+        def counting_mac(*args):
+            losses.append(args)
+            return mac_loss(*args)
+
+        monkeypatch.setattr(trainer, "tau_hard_at", counting_tau)
+        monkeypatch.setattr(trainer, "mac_loss", counting_mac)
+        enc = prune(Encoder.init(ENC, seed=6), 2)
+        batch = batch_from(corpus, corpus.train[:8])
+        compute_global_grads(enc, None, batch, config(2, shards=4, per_shard_batch=2), 0.5)
+        assert len(taus) == 1 and len(losses) == 4
+
+    def test_stage1_step_schedules_once(self, corpus, monkeypatch):
+        alphas = []
+
+        def counting(*args):
+            alphas.append(args)
+            return alpha_at(*args)
+
+        monkeypatch.setattr(trainer, "alpha_at", counting)
+        full = Encoder.init(ENC, seed=6)
+        cfg = config(1, shards=2, per_shard_batch=2, alpha_mode="dynamic")
+        batch = batch_from(corpus, [s for s in corpus.train if s.task == "t2t"][:4])
+        train_step(prune(full, 2), full, batch, cfg, OptimizerState.init(prune(full, 2).params, cfg.lr), 0.5)
+        assert alphas == [("dynamic", 0.5)]
+
 
 # one task per query/candidate length pair, so prompts run 13, 21 and 29
 # tokens on both sides
@@ -306,9 +344,10 @@ def mixed_batch():
     return batch
 
 
-def per_prompt_block(encoder, samples, positives, upto, cache=None):
+def per_prompt_block(encoder, samples, positives, cache=None):
     """Reference for trainer._embed_block: one taped forward per prompt."""
     assert cache is None
+    upto = encoder.config.n_layers
 
     def side_rows(items, side):
         rows = []
