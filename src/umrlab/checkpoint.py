@@ -3,55 +3,50 @@
 Layout (all integers little-endian):
 
     magic   8 bytes  b"PUMACKPT"
-    version u8       currently 1
+    version u8       currently 2
     config  6 x u32  vocab_size, d_model, n_heads, n_layers, max_seq, k
-    count   u32      number of weight tensors
-    per tensor, in canonical parameter order:
-        name_len u16, name utf-8, ndim u8, ndim x u32 extents, float64 data
+    weights          each tensor's float64 data, in ``parameter_shapes(config)``
+                     order; the config alone sets every name and shape
     opt_flag u8      0 = weights only, 1 = optimizer section follows
     optimizer section:
         step u64, lr/beta1/beta2/eps float64,
         then per tensor (same order): first-moment data, second-moment data
 
-Round-trips are bitwise: loading re-reads exactly the bytes that were
-written. Corruption, including a non-finite weight, is reported with the
-byte offset where parsing failed.
+A file of any other version is rejected at the version byte. Round-trips are
+bitwise: loading re-reads exactly the bytes that were written. Corruption,
+including a non-finite weight, is reported with the byte offset where parsing
+failed.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig, parameter_names, parameter_shapes
+from .encoder import Encoder, EncoderConfig, parameter_shapes
 from .errors import ContractError, FormatError, VersionError
 from .optim import OptimizerState
 from .tensor import Tensor
 
 MAGIC = b"PUMACKPT"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(
     path: str | Path, encoder: Encoder, optimizer: OptimizerState | None = None
 ) -> None:
     cfg = encoder.config
-    names = parameter_names(cfg)
     out = bytearray()
     out += MAGIC
     out += struct.pack("<B", VERSION)
     out += struct.pack(
         "<6I", cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k
     )
-    out += struct.pack("<I", len(names))
-    for name in names:
-        data = encoder.params[name].data
-        raw = name.encode("utf-8")
-        out += struct.pack("<H", len(raw)) + raw
-        out += struct.pack("<B", data.ndim)
-        out += struct.pack(f"<{data.ndim}I", *data.shape)
+    # an Encoder holds its params in parameter_shapes order
+    for data in encoder.arrays.values():
         out += data.astype("<f8").tobytes()
     if optimizer is None:
         out += struct.pack("<B", 0)
@@ -59,7 +54,7 @@ def save_checkpoint(
         out += struct.pack("<B", 1)
         out += struct.pack("<Q", optimizer.step)
         out += struct.pack("<4d", optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.eps)
-        for name in names:
+        for name in encoder.arrays:
             out += optimizer.m[name].astype("<f8").tobytes()
             out += optimizer.v[name].astype("<f8").tobytes()
     Path(path).write_bytes(bytes(out))
@@ -79,6 +74,9 @@ class _Reader:
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        return np.frombuffer(self.take(8 * math.prod(shape), what), dtype="<f8").reshape(shape)
 
 
 def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
@@ -101,38 +99,14 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
             f"config's {cfg.n_layers} layers cannot fit a checkpoint of {len(r.blob)} bytes",
             config_offset,
         )
-    (count,) = r.unpack("<I", "tensor count")
-    expected = parameter_shapes(cfg)
-    if count != len(expected):
-        raise FormatError(
-            f"checkpoint holds {count} tensors, config implies {len(expected)}",
-            r.offset - 4,
-        )
+    shapes = parameter_shapes(cfg)
     params: dict[str, Tensor] = {}
-    for want, want_shape in expected.items():
-        (name_len,) = r.unpack("<H", "tensor name length")
-        try:
-            name = r.take(name_len, "tensor name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("tensor name is not valid UTF-8", r.offset - name_len) from None
-        if name != want:
-            raise FormatError(
-                f"tensor {name!r} out of order, expected {want!r}", r.offset - name_len
-            )
-        shape_offset = r.offset
-        (ndim,) = r.unpack("<B", "tensor rank")
-        shape = r.unpack(f"<{ndim}I", "tensor shape")
-        if shape != want_shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {shape}, config implies {want_shape}",
-                shape_offset,
-            )
-        n_bytes = 8 * int(np.prod(shape))
+    for name, shape in shapes.items():
         data_offset = r.offset
-        data = np.frombuffer(r.take(n_bytes, f"tensor {name} data"), dtype="<f8")
+        data = r.array(shape, f"tensor {name} data")
         if not np.isfinite(data).all():
             raise FormatError(f"tensor {name!r} holds a non-finite weight", data_offset)
-        params[name] = Tensor(data.reshape(shape), grad_tracked=True)
+        params[name] = Tensor(data, grad_tracked=True)
     (opt_flag,) = r.unpack("<B", "optimizer flag")
     optimizer = None
     if opt_flag == 1:
@@ -140,14 +114,9 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
         lr, beta1, beta2, eps = r.unpack("<4d", "optimizer hyperparameters")
         m: dict[str, np.ndarray] = {}
         v: dict[str, np.ndarray] = {}
-        for name in expected:
-            size = 8 * params[name].data.size
-            m[name] = np.frombuffer(r.take(size, f"first moment of {name}"), dtype="<f8").reshape(
-                params[name].shape
-            ).copy()
-            v[name] = np.frombuffer(r.take(size, f"second moment of {name}"), dtype="<f8").reshape(
-                params[name].shape
-            ).copy()
+        for name, shape in shapes.items():
+            m[name] = r.array(shape, f"first moment of {name}").copy()
+            v[name] = r.array(shape, f"second moment of {name}").copy()
         optimizer = OptimizerState(
             lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=step, m=m, v=v
         )

@@ -68,8 +68,12 @@ _BOOL_WORDS = {
 def read_config(path: str, settings: dict[str, argparse.Action]) -> dict[str, object]:
     """The ``key = value`` lines of ``path``, each cast by the type of the
     setting flag whose dest is ``key``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 text (byte {err.start})") from None
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -350,6 +354,8 @@ def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
 
 
 def cmd_grad_check(args) -> int:
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
     results = _grad_suite(args.seeds)
     worst = 0.0
     for name, err in results:

@@ -76,8 +76,8 @@ def _layer_param_shapes(d: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Parameter shapes in canonical order; checkpoints serialize in exactly
-    this order and are checked against these shapes on load."""
+    """Parameter shapes in canonical order; a checkpoint stores each tensor's
+    data in exactly this order and names no tensor or shape itself."""
     d = config.d_model
     shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq, d)}
     for i in range(config.n_layers):
@@ -87,7 +87,7 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 
 def parameter_names(config: EncoderConfig) -> list[str]:
-    """Canonical parameter order; checkpoints serialize in exactly this order."""
+    """Canonical parameter order, the order of :func:`parameter_shapes`."""
     return list(parameter_shapes(config))
 
 

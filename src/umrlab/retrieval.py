@@ -205,6 +205,10 @@ def modality_separation(index: EmbeddingIndex) -> SeparationStats:
 
 def pca_coords(index: EmbeddingIndex) -> np.ndarray:
     """2-component PCA of the stored vectors, for external plotting."""
+    if min(len(index), index.dim) < 2:
+        raise ContractError(
+            f"PCA needs two components: {len(index)} vectors of dimension {index.dim}"
+        )
     v = index.vectors.astype(np.float64)
     centered = v - v.mean(axis=0, keepdims=True)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -321,7 +325,6 @@ class ReportRow:
 class EvalReport:
     rows: list[ReportRow]
     checkpoint: str
-    corpus_seed: int
     config_hash: str
 
     def mean_recall(self, scope: str, k: int | None = None) -> float:
@@ -410,6 +413,5 @@ def evaluate(
     return EvalReport(
         rows=rows,
         checkpoint=checkpoint,
-        corpus_seed=corpus.seed,
         config_hash=config_fingerprint(settings or {}),
     )

@@ -1,5 +1,6 @@
 import csv
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -272,16 +273,17 @@ class TestPruneEmbedIndexSearch:
         enc, _ = load_checkpoint(out)
         assert enc.config.n_layers == 1
 
-    def test_prune_non_utf8_name_is_diagnosed(self, workdir, capsys):
+    def test_prune_non_finite_weight_is_diagnosed(self, workdir, capsys):
         root, _, teacher, _ = workdir
         blob = bytearray(teacher.read_bytes())
-        at = blob.index(b"tok_emb")
-        blob[at] = 0xFF
-        bad, out = root / "bad-name.ckpt", root / "bad-name-pruned.ckpt"
+        # the second weight of tok_emb, the first tensor after the 33-byte header
+        at = 33 + 8
+        blob[at : at + 8] = struct.pack("<d", float("nan"))
+        bad, out = root / "bad-weight.ckpt", root / "bad-weight-pruned.ckpt"
         bad.write_bytes(bytes(blob))
         code = main(["prune", "--in", str(bad), "--k", "1", "--out", str(out)])
         assert code == 1
-        assert f"UTF-8 (at byte offset {at})" in capsys.readouterr().err
+        assert "'tok_emb' holds a non-finite weight (at byte offset 33)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_limit_is_diagnosed(self, workdir, capsys):
@@ -438,6 +440,22 @@ class TestEval:
         assert "modality separation" in out
         assert pca.read_text().splitlines()[0] == "id,modality,x,y"
 
+    def test_pca_of_a_one_dimensional_model_is_diagnosed(self, workdir, tmp_path, capsys):
+        _, corpus, _, _ = workdir
+        ckpt, pca = tmp_path / "d1.ckpt", tmp_path / "pca.csv"
+        assert main([
+            "train", "0", "--corpus", str(corpus), "--out", str(ckpt), "--d-model", "1",
+            "--n-heads", "1", "--layers", "1", "--k", "1", "--max-seq", "24",
+            "--epochs", "1", "--steps-per-epoch", "1", "--batch", "4",
+        ]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--pca-out", str(pca)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: PCA needs two components")
+        assert "Traceback" not in err
+        assert not pca.exists()
+
     def test_separation_builds_the_index_once(self, workdir, monkeypatch, capsys):
         import umrlab.cli
         import umrlab.retrieval
@@ -582,6 +600,14 @@ class TestGradCheck:
         assert "worst" in out
         assert "encoder-batch[0]" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_diagnosed(self, monkeypatch, capsys, seeds):
+        monkeypatch.setattr(cli, "_grad_suite", None)  # no check may run
+        assert main(["grad-check", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"
+        assert captured.out == ""
 
 
 class TestSweep:
@@ -767,6 +793,22 @@ class TestConfigFile:
             f"error: {cfg}:2: temp_mode = 'cosine' is not one of mac, reverse, off\n"
         )
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train 1"])
+    def test_non_utf8_file_rejected(self, workdir, tmp_path, capsys, command):
+        root, corpus, teacher, _ = workdir
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data", "--out", str(out)],
+            "train 1": ["train", "1", "--corpus", str(corpus), "--teacher", str(teacher), "--out", str(out)],
+        }[command]
+        code = main([*argv, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {cfg}: not UTF-8 text (byte 0)\n"
+        assert not out.exists()
 
     def test_non_numeric_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "data.cfg"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import Corpus, CorpusSpec, generate_corpus, vocab_size_for
-from umrlab.encoder import Encoder, EncoderConfig
+from umrlab.encoder import Encoder, EncoderConfig, prune
 from umrlab.errors import FormatError
 from umrlab.optim import OptimizerState
 from umrlab.retrieval import build_index, load_index, save_index
@@ -23,6 +23,7 @@ ENC = EncoderConfig(vocab_size=vocab_size_for(SPEC), d_model=4, n_heads=2, n_lay
 # each fuzzed file, relative to the artifact directory, and the load that reads it
 TARGETS = {
     "enc.ckpt": lambda root: load_checkpoint(root / "enc.ckpt"),
+    "pruned.ckpt": lambda root: load_checkpoint(root / "pruned.ckpt"),
     "pool.idx": lambda root: load_index(root / "pool.idx"),
     "corpus/meta.json": lambda root: Corpus.load(root / "corpus"),
     "corpus/queries.jsonl": lambda root: Corpus.load(root / "corpus"),
@@ -32,14 +33,16 @@ TARGETS = {
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """A saved corpus, a checkpoint with optimizer state and an index of the
-    corpus; returns the pristine directory and a scratch copy to mutate."""
+    """A saved corpus, a checkpoint with optimizer state, a weights-only one
+    as prune writes it and an index of the corpus; returns the pristine
+    directory and a scratch copy to mutate."""
     root = tmp_path_factory.mktemp("fuzz")
     pristine = root / "pristine"
     corpus = generate_corpus(SPEC, seed=1)
     corpus.save(pristine / "corpus")
     encoder = Encoder.init(ENC, seed=0)
     save_checkpoint(pristine / "enc.ckpt", encoder, OptimizerState.init(encoder.params, 1e-3))
+    save_checkpoint(pristine / "pruned.ckpt", prune(encoder, 1))
     save_index(build_index(encoder, corpus.all_candidates()), pristine / "pool.idx")
     return pristine, root / "work"
 

@@ -476,3 +476,11 @@ class TestPca:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,modality,x,y"
         assert len(lines) == 1 + len(index)
+
+    @pytest.mark.parametrize("n,dim", [(3, 1), (1, 4), (0, 4)], ids=["dim-1", "one-vector", "empty"])
+    def test_fewer_than_two_components_rejected_before_the_file(self, tmp_path, n, dim):
+        index = toy_index(np.ones((n, dim)), modalities=[0] * n, datasets=[0] * n)
+        path = tmp_path / "pca.csv"
+        with pytest.raises(ContractError, match="PCA needs two components"):
+            write_pca_csv(index, path)
+        assert not path.exists()
