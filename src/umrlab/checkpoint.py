@@ -15,7 +15,9 @@ Layout (all integers little-endian):
 A file of any other version is rejected at the version byte. Round-trips are
 bitwise: loading re-reads exactly the bytes that were written. Corruption,
 including a non-finite weight, is reported with the byte offset where parsing
-failed.
+failed. So is optimizer state Adam cannot run on: a non-finite or negative
+lr, a beta outside [0, 1), an eps that is not finite and positive, a
+non-finite moment or a negative second moment.
 """
 
 from __future__ import annotations
@@ -75,8 +77,19 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        return np.frombuffer(self.take(8 * math.prod(shape), what), dtype="<f8").reshape(shape)
+    def array(
+        self, shape: tuple[int, ...], what: str, holder: str, unit: str = "value",
+        nonnegative: bool = False,
+    ) -> np.ndarray:
+        """The next float64 tensor, read as ``what``. A non-finite entry, or a
+        negative one when ``nonnegative``, is a FormatError at its offset."""
+        offset = self.offset
+        data = np.frombuffer(self.take(8 * math.prod(shape), what), dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise FormatError(f"{holder} holds a non-finite {unit}", offset)
+        if nonnegative and (data < 0).any():
+            raise FormatError(f"{holder} holds a negative {unit}", offset)
+        return data
 
 
 def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
@@ -102,21 +115,33 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, OptimizerState | None]:
     shapes = parameter_shapes(cfg)
     params: dict[str, Tensor] = {}
     for name, shape in shapes.items():
-        data_offset = r.offset
-        data = r.array(shape, f"tensor {name} data")
-        if not np.isfinite(data).all():
-            raise FormatError(f"tensor {name!r} holds a non-finite weight", data_offset)
+        data = r.array(shape, f"tensor {name} data", f"tensor {name!r}", "weight")
         params[name] = Tensor(data, grad_tracked=True)
     (opt_flag,) = r.unpack("<B", "optimizer flag")
     optimizer = None
     if opt_flag == 1:
         (step,) = r.unpack("<Q", "optimizer step")
-        lr, beta1, beta2, eps = r.unpack("<4d", "optimizer hyperparameters")
+        hyper_offset = r.offset
+        hyper = r.unpack("<4d", "optimizer hyperparameters")
+        lr, beta1, beta2, eps = hyper
+        # Adam's update assumes these; checked here so a training step pays nothing
+        for i, (field, ok, rule) in enumerate((
+            ("lr", math.isfinite(lr) and lr >= 0, "finite and >= 0"),
+            ("beta1", 0 <= beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= beta2 < 1, "in [0, 1)"),
+            ("eps", math.isfinite(eps) and eps > 0, "finite and > 0"),
+        )):
+            if not ok:
+                raise FormatError(
+                    f"optimizer {field} = {hyper[i]!r} is not {rule}", hyper_offset + 8 * i
+                )
         m: dict[str, np.ndarray] = {}
         v: dict[str, np.ndarray] = {}
         for name, shape in shapes.items():
-            m[name] = r.array(shape, f"first moment of {name}").copy()
-            v[name] = r.array(shape, f"second moment of {name}").copy()
+            m[name] = r.array(shape, f"first moment of {name}", f"first moment of {name!r}").copy()
+            v[name] = r.array(
+                shape, f"second moment of {name}", f"second moment of {name!r}", nonnegative=True
+            ).copy()
         optimizer = OptimizerState(
             lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=step, m=m, v=v
         )

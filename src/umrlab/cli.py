@@ -49,6 +49,7 @@ from .retrieval import (
     evaluate,
     load_index,
     modality_separation,
+    pca_coords,
     save_index,
     search_topk,
     write_pca_csv,
@@ -257,7 +258,9 @@ def cmd_eval(args) -> int:
         raise ConfigurationError(f"--k-override names no dataset of the corpus: {', '.join(unknown)}")
     check_recall_ks(ks, overrides)
     settings_dict = {
-        "checkpoint_sha256": hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
+        # the model, not its file: the same weights hash alike with or without Adam state
+        "encoder": encoder.config,
+        "weights_sha256": hashlib.sha256(encoder.param_bytes()).hexdigest(),
         "corpus_seed": corpus.seed,
         "corpus_spec": corpus.spec,
         "scopes": scopes,
@@ -269,19 +272,21 @@ def cmd_eval(args) -> int:
         encoder, corpus, scopes=scopes, ks=ks, k_overrides=overrides,
         checkpoint=str(args.checkpoint), settings=settings_dict, index=index,
     )
+    # both can be refused, so they run before any file is written
+    stats = modality_separation(index) if args.separation else None
+    coords = pca_coords(index) if args.pca_out else None
     for scope in scopes:
         print(f"mean recall ({scope}): {report.mean_recall(scope):.4f}")
     if args.out:
         report.to_csv(args.out)
         print(f"wrote report to {args.out}")
-    if args.separation:
-        stats = modality_separation(index)
+    if stats is not None:
         print(
             f"modality separation: intra={stats.intra:.4f} "
             f"inter={stats.inter:.4f} gap={stats.gap:.4f}"
         )
-    if args.pca_out:
-        write_pca_csv(index, args.pca_out)
+    if coords is not None:
+        write_pca_csv(index, args.pca_out, coords)
         print(f"wrote PCA coordinates to {args.pca_out}")
     return 0
 

@@ -221,8 +221,11 @@ def pca_coords(index: EmbeddingIndex) -> np.ndarray:
     return centered @ comps.T
 
 
-def write_pca_csv(index: EmbeddingIndex, path: str | Path) -> None:
-    coords = pca_coords(index)
+def write_pca_csv(index: EmbeddingIndex, path: str | Path, coords: np.ndarray | None = None) -> None:
+    """Write ``coords`` (by default ``pca_coords(index)``) with each vector's
+    id and modality."""
+    if coords is None:
+        coords = pca_coords(index)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "modality", "x", "y"])

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ConfigurationError(f"stage must be one of {STAGES}, got {self.stage}")
         if self.shards < 1 or self.per_shard_batch < 1:
             raise ConfigurationError("shards and per-shard batch must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:

@@ -116,6 +116,25 @@ class TestGenData:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["gen-data", "train 0", "train 1", "train 2", "sweep"])
+    def test_negative_seed_is_diagnosed_before_any_output(self, workdir, tmp_path, capsys, command):
+        _, corpus, teacher, student = workdir
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data", "--out", str(out)],
+            "train 0": ["train", "0", "--corpus", str(corpus), "--out", str(out)],
+            "train 1": ["train", "1", "--corpus", str(corpus), "--out", str(out), "--teacher", str(teacher)],
+            "train 2": ["train", "2", "--corpus", str(corpus), "--out", str(out), "--init", str(student)],
+            "sweep": ["sweep", "--corpus", str(corpus), "--init", str(student), "--out-dir", str(out)],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrainArtifacts:
     def test_checkpoints_and_curve_exist(self, workdir):
         root, _, teacher, student = workdir
@@ -449,12 +468,17 @@ class TestEval:
             "--epochs", "1", "--steps-per-epoch", "1", "--batch", "4",
         ]) == 0
         capsys.readouterr()
-        code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--pca-out", str(pca)])
+        out = tmp_path / "report.csv"
+        code = main([
+            "eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--out", str(out), "--pca-out", str(pca),
+        ])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: PCA needs two components")
         assert "Traceback" not in err
-        assert not pca.exists()
+        # the PCA is refused before the report is written
+        assert not pca.exists() and not out.exists()
 
     def test_separation_builds_the_index_once(self, workdir, monkeypatch, capsys):
         import umrlab.cli
@@ -531,6 +555,24 @@ class TestEval:
         assert moved == base and copy_rows == rows
         assert report(student, other_seed)[1] != {base}
         assert report(teacher, corpus)[1] != {base}
+
+    def test_config_hash_ignores_optimizer_state(self, workdir, tmp_path):
+        from umrlab.checkpoint import load_checkpoint, save_checkpoint
+
+        _, corpus, _, student = workdir
+        encoder, optimizer = load_checkpoint(student)
+        assert optimizer is not None
+        bare = tmp_path / "weights-only.ckpt"
+        save_checkpoint(bare, encoder)
+        assert bare.read_bytes() != student.read_bytes()
+
+        def hashes(checkpoint):
+            out = tmp_path / "report.csv"
+            assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus), "--out", str(out)]) == 0
+            return {line.split(",")[6] for line in out.read_text().strip().splitlines()[1:]}
+
+        # the hash names the model, not the file that holds it
+        assert hashes(bare) == hashes(student)
 
     @pytest.mark.parametrize("flags", [["--k", "0", "--k", "5"], ["--k", "5", "--k-override", "ds-t2i=0"]])
     def test_k_below_one_is_diagnosed(self, workdir, capsys, flags):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from umrlab.datagen import (
     TEXT_BASE,
     Corpus,
     CorpusSpec,
+    _item_rngs,
     generate_corpus,
     render,
     vocab_size_for,
@@ -34,7 +36,34 @@ def corpus():
     return generate_corpus(SMALL_SPEC, seed=7)
 
 
+def reference_base_tokens(spec, concept, part):
+    """The splitmix64 rendering on Python integers, one token at a time."""
+    mask = (1 << 64) - 1
+    if part == "text":
+        base, size, length, code = TEXT_BASE, spec.text_vocab_size, spec.n_t, 0
+    else:
+        base, size, length, code = IMAGE_BASE, spec.image_vocab_size, spec.n_i, 1
+    out = []
+    for j in range(length):
+        x = (concept * 0x2545F4914F6CDD1D ^ (j + 1) * 0x9E3779B9 ^ code) + 0x9E3779B97F4A7C15 & mask
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & mask
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & mask
+        out.append(base + (x ^ x >> 31) % size)
+    return out
+
+
 class TestRender:
+    @pytest.mark.parametrize("concept", [0, 1, 7, 11, 2**31 + 3, 2**40 + 7, 2**63 + 1])
+    def test_noiseless_render_equals_the_integer_reference(self, concept):
+        rng = np.random.default_rng(0)
+        want = {
+            "text": reference_base_tokens(SMALL_SPEC, concept, "text"),
+            "image": reference_base_tokens(SMALL_SPEC, concept, "image"),
+        }
+        want["image_text"] = want["image"] + want["text"]
+        for modality, tokens in want.items():
+            assert render(SMALL_SPEC, concept, modality, 0.0, rng) == tuple(tokens)
+
     def test_noiseless_render_is_pure(self):
         rng1 = np.random.default_rng(0)
         rng2 = np.random.default_rng(99)
@@ -61,6 +90,71 @@ class TestRender:
         rng = np.random.default_rng(2)
         toks = render(SMALL_SPEC, 5, "text", 0.9, rng)
         assert all(t in SMALL_SPEC.text_range for t in toks)
+
+    def test_noiseless_render_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        render(SMALL_SPEC, 5, "image_text", 0.0, rng)
+        assert rng.bit_generator.state == before
+
+    def test_noiseless_corpus_items_are_renderings_of_their_concept(self):
+        spec = CorpusSpec(n_concepts=7, tasks=("t2i", "it2t"), noise=0.0, distractors=2)
+        corpus = generate_corpus(spec, seed=5)
+        rng = np.random.default_rng(0)
+        for c in corpus.all_candidates():
+            assert c.tokens == render(spec, c.concept, c.modality, 0.0, rng)
+        for q in corpus.all_queries():
+            concept = corpus.candidate_by_id(q.gold).concept
+            assert q.tokens == render(spec, concept, q.modality, 0.0, rng)
+
+
+# SHA-256 of each saved file, fixed when these corpora were first generated: a
+# change to the hash, the seeding or numpy's streams that moves one byte fails here
+PINNED_CORPORA = {
+    "default-tasks": (
+        CorpusSpec(n_concepts=12, n_t=4, n_i=6, text_vocab_size=30, image_vocab_size=30),
+        5,
+        {
+            "queries.jsonl": "8b42ab7cf297937f9556e100a25b9c4d896f878211b2182cdd37295600aa93d4",
+            "candidates.jsonl": "c80dfd93471959cb3076698ea4c53cf5f1e7726a858d5e3f81440d03d0ba4377",
+            "meta.json": "c1289469a7ae1d824772dc61faa316c281e2b99aa644221c30f7e1a0bcb143c3",
+        },
+    ),
+    "noise-0": (
+        CorpusSpec(n_concepts=10, noise=0.0, n_t=3, n_i=5),
+        2,
+        {
+            "queries.jsonl": "2f5152e1ec7c7d2be9ac10b593adece2bff447e16a5506f1fdec904b48aeacc5",
+            "candidates.jsonl": "55080e0992a57851b2531e4a1ebfca15daa11177acba057ec3805eab8956b21d",
+            "meta.json": "fd410353179797fea9da7c735e72eb802fe26e3afd854cac3cad2ba8577ef5da",
+        },
+    ),
+    "subset-4-distractors": (
+        CorpusSpec(n_concepts=9, tasks=("t2i", "t2t", "it2i"), noise=0.3, distractors=4),
+        2**32 + 5,
+        {
+            "queries.jsonl": "94c308582b119b5ebc28a65d00b4b963f02fcf86c9a67a713cdf42d09d63b534",
+            "candidates.jsonl": "872e8e077aa8114905950c4a33f12a9b8fa95e2097a2918d7e3d4b812bb3fd3a",
+            "meta.json": "54e10336145335839b307ec98912783ca85d34e8ecce60ac9842421fa10d2703",
+        },
+    ),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", list(PINNED_CORPORA))
+    def test_saved_files_match_pinned_digests(self, tmp_path, name):
+        spec, seed, digests = PINNED_CORPORA[name]
+        generate_corpus(spec, seed).save(tmp_path)
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+        assert got == digests
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
+    def test_item_generator_state_equals_default_rng(self, seed):
+        item_rng = _item_rngs(seed)
+        for ti, concept, role in [(0, 0, 0), (0, 3, 1), (2, 11, 0), (5, 1999, 3), (7, 2**31, 9)]:
+            want = np.random.default_rng([seed, 1, ti, concept, role]).bit_generator.state
+            assert item_rng(ti, concept, role).bit_generator.state == want
 
 
 class TestGenerateCorpus:
@@ -119,6 +213,16 @@ class TestGenerateCorpus:
     def test_empty_task_set_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_corpus(CorpusSpec(n_concepts=4, tasks=()), seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            generate_corpus(SMALL_SPEC, seed=-1)
+
+    def test_seeds_a_word_apart_differ(self):
+        # a seed at or past 2**32 seeds with two words, not its low word alone
+        a = generate_corpus(SMALL_SPEC, seed=5)
+        b = generate_corpus(SMALL_SPEC, seed=2**32 + 5)
+        assert [s.tokens for s in a.all_queries()] != [s.tokens for s in b.all_queries()]
 
     def test_vocab_overlap_rejected(self):
         with pytest.raises(ContractError):

@@ -468,6 +468,10 @@ class TestRunStage:
         with pytest.raises(ConfigurationError, match="must be >= "):
             config(0, **setting)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            config(0, seed=-1)
+
     def test_deterministic_bitwise(self, corpus):
         cfg = config(0, epochs=2, steps_per_epoch=2)
         a = run_stage(corpus, cfg)
@@ -664,6 +668,65 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="'layers.0.ffn.w1' holds a non-finite weight") as err:
             load_checkpoint(path)
         assert err.value.offset == data_at
+
+    @staticmethod
+    def optimizer_at(enc):
+        """Byte offset of the optimizer's lr field: header, weights, flag, step."""
+        return CKPT_HEADER_BYTES + 8 * sum(a.size for a in enc.arrays.values()) + 1 + 8
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3),
+            ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+            ("beta2", 1.0), ("beta2", float("-inf")),
+            ("eps", -1.0), ("eps", 0.0), ("eps", float("inf")), ("eps", float("nan")),
+        ],
+    )
+    def test_bad_optimizer_hyperparameter_rejected_at_its_field(self, tmp_path, field, value):
+        enc = Encoder.init(ENC, seed=10)
+        opt = dataclasses.replace(OptimizerState.init(enc.params, 1e-3), **{field: value})
+        path = tmp_path / "opt.ckpt"
+        save_checkpoint(path, enc, opt)
+        field_at = self.optimizer_at(enc) + 8 * ("lr", "beta1", "beta2", "eps").index(field)
+        assert path.read_bytes()[field_at : field_at + 8] == struct.pack("<d", value)
+        with pytest.raises(FormatError, match=f"optimizer {field} = ") as err:
+            load_checkpoint(path)
+        assert err.value.offset == field_at
+
+    @pytest.mark.parametrize(
+        "moment,value,problem",
+        [
+            ("m", float("nan"), "non-finite"), ("m", float("-inf"), "non-finite"),
+            ("v", float("inf"), "non-finite"), ("v", -1e-12, "negative"),
+        ],
+    )
+    def test_bad_moment_rejected_at_its_data(self, tmp_path, moment, value, problem):
+        enc = Encoder.init(ENC, seed=10)
+        opt = OptimizerState.init(enc.params, 1e-3)
+        getattr(opt, moment)["layers.0.ffn.w1"][1, 2] = value
+        path = tmp_path / "opt.ckpt"
+        save_checkpoint(path, enc, opt)
+        # after lr/beta1/beta2/eps, each tensor's first then second moment
+        names = list(enc.arrays)
+        before = names[: names.index("layers.0.ffn.w1")]
+        data_at = self.optimizer_at(enc) + 32 + 16 * sum(enc.arrays[n].size for n in before)
+        if moment == "v":
+            data_at += 8 * enc.arrays["layers.0.ffn.w1"].size
+        which = "first" if moment == "m" else "second"
+        with pytest.raises(FormatError, match=f"{which} moment of 'layers.0.ffn.w1' holds a {problem} value") as err:
+            load_checkpoint(path)
+        assert err.value.offset == data_at
+
+    def test_optimizer_state_at_its_bounds_loads(self, tmp_path):
+        enc = Encoder.init(ENC, seed=10)
+        opt = dataclasses.replace(OptimizerState.init(enc.params, 0.0), beta1=0.0, beta2=0.0, step=3)
+        opt.m["tok_emb"][0, 0] = -2.5
+        path = tmp_path / "opt.ckpt"
+        save_checkpoint(path, enc, opt)
+        _, loaded = load_checkpoint(path)
+        assert (loaded.lr, loaded.beta1, loaded.beta2, loaded.eps) == (0.0, 0.0, 0.0, 1e-8)
+        assert loaded.m["tok_emb"].tobytes() == opt.m["tok_emb"].tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
