@@ -9,8 +9,9 @@ depth, α schedule and distillation settings, stage 2 (which needs
 sweep also read their settings from a ``--config`` file of ``key = value``
 lines with ``#`` comments. A key is the dest of one of the running parser's
 own setting flags (``--test-fraction`` is ``test_fraction``, ``--lambda`` is
-``lam``); a key that parser does not read is rejected, as is a flag. A flag
-on the command line wins over the file.
+``lam``), and its value is cast by that flag's type; a key that parser does
+not read is rejected, as is a flag. A flag on the command line wins over the
+file.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .losses import (
 from .prompts import assemble_prompt
 from .retrieval import (
     build_index,
-    check_recall_ks,
+    check_eval,
     embed_prompts,
     embed_query,
     evaluate,
@@ -59,11 +60,6 @@ from .trainer import TrainConfig, run_stage, write_curve
 # end-to-end FLOPs ratio measured on a full-scale 28-layer retriever with
 # k=12; includes non-layer overhead the analytic layer-stack ratio excludes
 FULL_PIPELINE_REFERENCE_RATIO = 0.473
-
-_BOOL_WORDS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
 
 
 def read_config(path: str, settings: dict[str, argparse.Action]) -> dict[str, object]:
@@ -84,12 +80,10 @@ def read_config(path: str, settings: dict[str, argparse.Action]) -> dict[str, ob
         if key not in settings:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
         flag = settings[key]
-        is_switch = flag.const is True  # a store_true flag, set by a bool word
         try:
-            value = _BOOL_WORDS[raw.lower()] if is_switch else (flag.type or str)(raw)
-        except (KeyError, ValueError):
-            kind = "bool" if is_switch else flag.type.__name__
-            raise ConfigurationError(f"{path}:{lineno}: {key} = {raw!r} is not a valid {kind}") from None
+            value = (flag.type or str)(raw)
+        except ValueError:
+            raise ConfigurationError(f"{path}:{lineno}: {key} = {raw!r} is not a valid {flag.type.__name__}") from None
         if flag.choices and value not in flag.choices:
             raise ConfigurationError(
                 f"{path}:{lineno}: {key} = {raw!r} is not one of {', '.join(flag.choices)}"
@@ -148,7 +142,6 @@ def cmd_train(args) -> int:
             args, 1, encoder_cfg, encoder_cfg.k if args.k is None else args.k,
             temperature=TemperatureSchedule(tau0=args.tau0), alpha_mode=args.alpha_mode,
             distill_variant=args.distill_variant, distill_tau=args.distill_tau,
-            distill_normalize=args.distill_normalize,
         )
     else:
         init, _ = load_checkpoint(args.init)
@@ -247,6 +240,8 @@ def cmd_eval(args) -> int:
         dataset, _, value = item.partition("=")
         if not value:
             raise ConfigurationError(f"--k-override wants dataset=k, got {item!r}")
+        if dataset in overrides:
+            raise ConfigurationError(f"--k-override names dataset {dataset!r} twice")
         try:
             overrides[dataset] = int(value)
         except ValueError:
@@ -256,7 +251,7 @@ def cmd_eval(args) -> int:
     unknown = sorted(set(overrides) - set(corpus.pools))
     if unknown:
         raise ConfigurationError(f"--k-override names no dataset of the corpus: {', '.join(unknown)}")
-    check_recall_ks(ks, overrides)
+    check_eval(corpus, ks, overrides)
     settings_dict = {
         # the model, not its file: the same weights hash alike with or without Adam state
         "encoder": encoder.config,
@@ -382,6 +377,8 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"--lambdas repeats a value: {args.lambdas!r}")
     schedules = [TemperatureSchedule(tau0=args.tau0, lam=lam, mode=args.temp_mode) for lam in lambdas]
     corpus = Corpus.load(args.corpus)
+    ks = (5,)
+    check_eval(corpus, ks)
     init, _ = load_checkpoint(args.init)
     configs = [
         _train_config(args, 2, init.config, init.config.n_layers, temperature=schedule)
@@ -395,7 +392,7 @@ def cmd_sweep(args) -> int:
         settings_dict = {"lam": lam, "tau0": args.tau0, "mode": args.temp_mode,
                          "seed": args.seed, "epochs": args.epochs}
         report = evaluate(
-            result.encoder, corpus, scopes=("local", "global"), ks=(5,),
+            result.encoder, corpus, scopes=("local", "global"), ks=ks,
             checkpoint=f"sweep-lam-{lam}", settings=settings_dict,
         )
         path = out_dir / f"report-lam-{lam}.csv"
@@ -488,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     setting("--alpha-mode", choices=ALPHA_MODES, default=TrainConfig.alpha_mode)
     setting("--distill-variant", choices=DISTILL_VARIANTS, default=TrainConfig.distill_variant)
     setting("--distill-tau", type=float, default=TrainConfig.distill_tau)
-    setting("--distill-normalize", action="store_true")
 
     p = _stage_parser(stages, 2, "instruction-tune all layers under the MAC loss")
     p.add_argument("--init", required=True, help="checkpoint to continue from")

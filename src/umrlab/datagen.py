@@ -60,6 +60,9 @@ class CorpusSpec:
     test_fraction: float = 0.2
 
     def __post_init__(self):
+        for name in ("n_concepts", "text_vocab_size", "image_vocab_size", "n_t", "n_i", "distractors"):
+            if type(getattr(self, name)) is not int:  # a bool is no extent either
+                raise ContractError(f"{name} must be an integer, got {getattr(self, name)!r}")
         unknown = [t for t in self.tasks if t not in TASKS]
         if unknown:
             raise ConfigurationError(f"unknown task types {unknown}")
@@ -218,9 +221,10 @@ class Corpus:
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
         """Read a saved corpus. Malformed JSON, missing keys, a spec that
-        CorpusSpec rejects, duplicate ids and gold ids outside the query's
-        own dataset raise FormatError with the file name and the byte
-        offset of the offending line."""
+        CorpusSpec rejects, a seed that is not a non-negative integer,
+        duplicate ids and gold ids outside the query's own dataset raise
+        FormatError with the file name and the byte offset of the offending
+        line."""
         directory = Path(directory)
         meta_path = directory / "meta.json"
         try:
@@ -235,6 +239,8 @@ class Corpus:
             raise FormatError(f"{meta_path.name}: bad metadata ({err!r})", 0) from err
         except (ConfigurationError, ContractError) as err:
             raise FormatError(f"{meta_path.name}: bad corpus spec ({err})", 0) from err
+        if type(seed) is not int or seed < 0:
+            raise FormatError(f"{meta_path.name}: seed must be a non-negative integer, got {seed!r}", 0)
 
         pools: dict[str, list[Candidate]] = {}
         dataset_of: dict[int, str] = {}

@@ -23,6 +23,7 @@ from .encoder import Encoder, embed_raw, length_groups
 from .errors import ContractError, FormatError, LengthError
 from .prompts import TokenSequence, assemble_prompt
 from .tasks import MODALITIES, MODALITY_CODES
+from .tensor import NORM_EPS
 
 INDEX_MAGIC = b"PUMAIDX1"
 # Candidates per batched forward in build_index. Smaller chunks pay more
@@ -69,9 +70,9 @@ class EmbeddingIndex:
             raise ContractError(f"dataset {name!r} is not in the index") from None
 
 
-def _normalize(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def _normalize(vec: np.ndarray) -> np.ndarray:
     # np.linalg.norm's own arithmetic for a 1-D vector, without its wrapper
-    return vec / max(math.sqrt(vec @ vec), eps)
+    return vec / max(math.sqrt(vec @ vec), NORM_EPS)
 
 
 def embed_prompts(
@@ -117,8 +118,8 @@ def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int
     return EmbeddingIndex(ids, modality, dataset, vectors, names)
 
 
-def embed_query(encoder: Encoder, sample: Sample, k_layers: int | None = None) -> np.ndarray:
-    return embed_prompts(encoder, [assemble_prompt(sample, "query", encoder.config.max_seq)], k_layers)[0]
+def embed_query(encoder: Encoder, sample: Sample) -> np.ndarray:
+    return embed_prompts(encoder, [assemble_prompt(sample, "query", encoder.config.max_seq)])[0]
 
 
 def search_topk(
@@ -351,9 +352,12 @@ def config_fingerprint(settings: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def check_recall_ks(ks: Sequence[int], k_overrides: dict[str, int] | None = None) -> None:
-    """Raise ContractError unless ``ks`` is non-empty and every k it and the
-    overrides name is at least 1; :func:`evaluate` checks this first."""
+def check_eval(corpus: Corpus, ks: Sequence[int], k_overrides: dict[str, int] | None = None) -> None:
+    """Raise ContractError unless ``corpus`` has test queries, ``ks`` is
+    non-empty and every k it and the overrides name is at least 1;
+    :func:`evaluate` checks this before it builds an index."""
+    if not corpus.test:
+        raise ContractError("corpus has no test queries")
     if not ks:
         raise ContractError("recall needs at least one k")
     for k in (*ks, *(k_overrides or {}).values()):
@@ -381,9 +385,7 @@ def evaluate(
     for scope in scopes:
         if scope not in ("local", "global"):
             raise ContractError(f"scope must be 'local' or 'global', got {scope!r}")
-    if encoder.config.d_model < 1 or not corpus.pools:
-        raise ContractError("nothing to evaluate")
-    check_recall_ks(ks, k_overrides)
+    check_eval(corpus, ks, k_overrides)
     overrides = k_overrides or {}
     if index is None:
         index = build_index(encoder, corpus.all_candidates())

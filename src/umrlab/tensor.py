@@ -9,7 +9,8 @@ updating in place.
 The forward arithmetic of the ops a transformer block uses lives in plain
 array kernels (``_affine``, ``_layer_norm``, ``_gelu``, ``_attention``). The
 taped ops call them, and ``bare`` exposes them under the ops' names for
-tape-free callers, so both compute the same bytes.
+tape-free callers, so both compute the same bytes. Layer norm and the L2 row
+normalizers read their epsilons from module constants, not from callers.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ _state = threading.local()
 # tanh-form GELU constant sqrt(2/pi)
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
+# layer norm's variance offset, and the norm floor of every L2 row normalizer
+LAYER_NORM_EPS = 1e-5
+NORM_EPS = 1e-12
 
 
 def tracing() -> bool:
@@ -120,10 +124,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = ", tracked" if self.grad_tracked else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def _result(op, out_data, inputs, vjp) -> Tensor:
@@ -431,29 +431,27 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result("softmax_rows", out, (x,), vjp)
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    """Layer norm of each row, then the normalized rows and 1/sqrt(var + eps)
-    its vjp reuses. Mean and variance are numpy's own ``mean``/``var``
-    arithmetic, a row sum divided by the width, without their Python-level
-    wrappers; the centred rows are made once."""
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm of each row, then the normalized rows and
+    1/sqrt(var + LAYER_NORM_EPS) its vjp reuses. Mean and variance are
+    numpy's own ``mean``/``var`` arithmetic, a row sum divided by the width,
+    without their Python-level wrappers; the centred rows are made once."""
     n = x.shape[1]
     centred = x - x.sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / n + LAYER_NORM_EPS)
     xhat = centred * inv
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row (x - mean)/sqrt(var + eps) * gain + bias, population variance."""
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row (x - mean)/sqrt(var + LAYER_NORM_EPS) * gain + bias, population variance."""
     _require_2d("layer_norm_rows", x)
     n = x.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise DimensionError(
             f"layer_norm_rows gain/bias must be ({n},), got {gain.shape} and {bias.shape}"
         )
-    if eps <= 0:
-        raise ContractError("layer_norm_rows eps must be positive")
-    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
 
     def vjp(dy):
         dgain = (dy * xhat).sum(axis=0)
@@ -469,19 +467,17 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return _result("layer_norm_rows", out, (x, gain, bias), vjp)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit norm; rows with norm < eps are scaled by 1/eps."""
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Scale each row to unit norm; rows with norm < NORM_EPS are scaled by 1/NORM_EPS."""
     _require_2d("l2_normalize_rows", x)
-    if eps <= 0:
-        raise ContractError("l2_normalize_rows eps must be positive")
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)
-    denom = np.maximum(norms, eps)
+    denom = np.maximum(norms, NORM_EPS)
     out = x.data / denom
 
     def vjp(dy):
-        small = norms < eps
+        small = norms < NORM_EPS
         inner = (dy * out).sum(axis=1, keepdims=True)
-        dx = np.where(small, dy / eps, (dy - out * inner) / denom)
+        dx = np.where(small, dy / NORM_EPS, (dy - out * inner) / denom)
         return (dx,)
 
     return _result("l2_normalize_rows", out, (x,), vjp)

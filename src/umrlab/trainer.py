@@ -5,6 +5,9 @@ pairs. Stage 1 prunes the teacher to its first k layers and trains the
 student with InfoNCE plus self-distillation against the frozen teacher's
 last-layer retrieval states, weighted by the alpha schedule that
 ``TrainConfig.alpha_mode`` names (:data:`~umrlab.losses.ALPHA_PRESETS`).
+The distill term reads the [RET] rows as they come: ``cosine`` and ``kl``
+normalize each row themselves, and ``mse`` of unit rows would be twice the
+``cosine`` term, so no setting normalizes them first.
 Stage 2 instruction-tunes on the mixed-task corpus under the
 modality-adaptive loss.
 
@@ -72,7 +75,6 @@ class TrainConfig:
     alpha_mode: str = "fixed"
     distill_variant: str = "mse"
     distill_tau: float = 1.0
-    distill_normalize: bool = False
     k: int = 3
     steps_per_epoch: int | None = None
     # Adam's moment decays and epsilon: constants, not settings
@@ -285,8 +287,6 @@ def compute_global_grads(
     if config.stage == 1:
         cache = teacher_cache if teacher_cache is not None else {}
         teacher_q, teacher_c = _embed_block(teacher, batch.samples, batch.positives, cache)
-        if config.distill_normalize:
-            teacher_q, teacher_c = T.l2_normalize_rows(teacher_q), T.l2_normalize_rows(teacher_c)
 
     def loss(q: Tensor, c: Tensor) -> tuple[Tensor, dict[str, float]]:
         similarity = cosine_similarity_matrix(q, c)
@@ -296,8 +296,6 @@ def compute_global_grads(
             contrastive = infonce(similarity, tau_hard)
         total, distill = contrastive, 0.0
         if config.stage == 1:
-            if config.distill_normalize:
-                q, c = T.l2_normalize_rows(q), T.l2_normalize_rows(c)
             term = self_distill(
                 teacher_q, q, teacher_c, c, variant=config.distill_variant, tau=config.distill_tau
             )

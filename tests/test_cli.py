@@ -1,5 +1,7 @@
 import csv
+import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -53,7 +55,7 @@ CONFIG_KEYS = {
     },
     "train 1": {
         "seed", "epochs", "lr", "shards", "batch", "tau0", "steps_per_epoch",
-        "k", "alpha_mode", "distill_variant", "distill_tau", "distill_normalize",
+        "k", "alpha_mode", "distill_variant", "distill_tau",
     },
     "train 2": {
         "seed", "epochs", "lr", "shards", "batch", "tau0", "steps_per_epoch", "lam", "temp_mode",
@@ -82,13 +84,13 @@ TRAIN_KEYS = set().union(*(CONFIG_KEYS[p] for p in parsers_of("train")))
 OTHER_STAGE_KEYS = [
     (stage, key) for stage in range(3) for key in sorted(TRAIN_KEYS - CONFIG_KEYS[f"train {stage}"])
 ]
-# a value other than the default for every key; the bool is a flag, set by "on"
+# a value other than the default for every key
 SAMPLE = {
     "seed": "7", "concepts": "9", "tasks": "i2i, t2t", "noise": "0.3", "distractors": "4",
     "test_fraction": "0.5", "text_vocab": "60", "image_vocab": "70", "n_t": "3", "n_i": "5",
     "epochs": "2", "lr": "0.5", "shards": "2", "batch": "6", "k": "2", "tau0": "0.07",
     "lam": "0.6", "temp_mode": "reverse", "alpha_mode": "dynamic", "distill_variant": "kl",
-    "distill_tau": "0.4", "distill_normalize": "on", "steps_per_epoch": "3", "d_model": "12",
+    "distill_tau": "0.4", "steps_per_epoch": "3", "d_model": "12",
     "n_heads": "3", "layers": "5", "max_seq": "30",
 }
 
@@ -131,6 +133,49 @@ class TestNegativeSeed:
         assert main([*argv, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert err == "error: seed must be >= 0, got -1\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestCorruptCorpusMeta:
+    """A meta.json value the generator could not have written ends in a
+    FormatError at offset 0, not a traceback from whatever reads it."""
+
+    def corrupt(self, workdir, tmp_path, change) -> Path:
+        _, corpus, _, _ = workdir
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        meta = json.loads((copy / "meta.json").read_text())
+        change(meta)
+        (copy / "meta.json").write_text(json.dumps(meta))
+        return copy
+
+    @pytest.mark.parametrize(
+        "field,value", [("image_vocab_size", 400.5), ("n_concepts", True), ("n_t", "4")]
+    )
+    def test_extent_that_is_not_an_integer_is_diagnosed(self, workdir, tmp_path, capsys, field, value):
+        corpus = self.corrupt(workdir, tmp_path, lambda meta: meta["spec"].update({field: value}))
+        out = tmp_path / "x.ckpt"
+        assert main(["train", "0", "--corpus", str(corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: meta.json: bad corpus spec ({field} must be an integer, got {value!r}) "
+            "(at byte offset 0)\n"
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, "abc", True, 1.5, None])
+    def test_seed_that_is_not_a_non_negative_integer_is_diagnosed(self, workdir, tmp_path, capsys, seed):
+        _, _, _, student = workdir
+        corpus = self.corrupt(workdir, tmp_path, lambda meta: meta.update(seed=seed))
+        out = tmp_path / "report.csv"
+        code = main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            f"error: meta.json: seed must be a non-negative integer, got {seed!r} (at byte offset 0)\n"
+        )
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -268,8 +313,7 @@ class TestTrainArtifacts:
     @pytest.mark.parametrize("stage,key", OTHER_STAGE_KEYS)
     def test_setting_of_another_stage_is_rejected(self, workdir, tmp_path, capsys, stage, key):
         flag = "--lambda" if key == "lam" else f"--{key.replace('_', '-')}"
-        flag_args = [flag] if key == "distill_normalize" else [flag, SAMPLE[key]]
-        self.assert_other_stage_rejected(workdir, tmp_path, capsys, stage, flag_args, key, SAMPLE[key])
+        self.assert_other_stage_rejected(workdir, tmp_path, capsys, stage, [flag, SAMPLE[key]], key, SAMPLE[key])
 
     def test_stage2_runs_from_init(self, workdir):
         root, corpus, _, student = workdir
@@ -535,6 +579,17 @@ class TestEval:
         assert capsys.readouterr().err == "error: --k-override names no dataset of the corpus: nosuch\n"
         assert not out.exists()
 
+    def test_k_override_naming_a_dataset_twice_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out = root / "twice.csv"
+        code = main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--k-override", "ds-t2i=3", "--k-override", "ds-t2i=7", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --k-override names dataset 'ds-t2i' twice\n"
+        assert not out.exists()
+
     def test_config_hash_names_checkpoint_content_and_corpus(self, workdir, tmp_path):
         root, corpus, teacher, student = workdir
         other_seed = tmp_path / "corpus-seed-4"
@@ -611,6 +666,48 @@ class TestEval:
         ])
         assert code == 1
         assert "ds-t2i=x" in capsys.readouterr().err
+
+
+class TestNoTestQueries:
+    """A corpus without a test split is refused before any index is built or
+    any stage-2 run is trained."""
+
+    @pytest.fixture
+    def train_only(self, tmp_path):
+        corpus = tmp_path / "train-only"
+        assert main(["gen-data", "--out", str(corpus), *CORPUS_ARGS, "--test-fraction", "0", "--seed", "3"]) == 0
+        return corpus
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import umrlab.retrieval
+
+        calls = []
+        for module, name in ((cli, "build_index"), (umrlab.retrieval, "build_index"), (cli, "run_stage")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
+            )
+        return calls
+
+    def test_eval_is_refused_before_the_index_is_built(self, workdir, tmp_path, train_only, calls, capsys):
+        _, _, _, student = workdir
+        out = tmp_path / "report.csv"
+        code = main(["eval", "--checkpoint", str(student), "--corpus", str(train_only), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: corpus has no test queries\n"
+        assert calls == [] and not out.exists()
+
+    def test_sweep_is_refused_before_any_run(self, workdir, tmp_path, train_only, calls, capsys):
+        _, _, _, student = workdir
+        out_dir = tmp_path / "sweep"
+        code = main([
+            "sweep", "--corpus", str(train_only), "--init", str(student), "--out-dir", str(out_dir),
+            "--epochs", "1", "--batch", "4", "--steps-per-epoch", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: corpus has no test queries\n"
+        assert calls == [] and not out_dir.exists()
 
 
 class TestFlops:
@@ -775,6 +872,19 @@ class TestConfigFile:
             assert code == 1
             assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key!r}\n"
 
+    def test_distill_normalize_is_no_setting(self, workdir, tmp_path, capsys):
+        _, corpus, teacher, _ = workdir
+        out = tmp_path / "x.ckpt"
+        argv = ["train", "1", "--corpus", str(corpus), "--teacher", str(teacher), "--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--distill-normalize"])
+        assert err.value.code == 2
+        cfg = tmp_path / "normalize.cfg"
+        cfg.write_text("distill_normalize = on\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {cfg}:1: unknown config key 'distill_normalize'\n")
+        assert not out.exists()
+
     def test_eval_takes_no_config(self, workdir, tmp_path):
         _, corpus, _, student = workdir
         cfg = tmp_path / "eval.cfg"
@@ -796,8 +906,7 @@ class TestConfigFile:
             settings = cli.build_parser().parse_args(argv_of(parser)).settings
             flags = []
             for key, value in values.items():
-                flag = settings[key].option_strings[0]
-                flags += [flag] if settings[key].const is True else [flag, value]
+                flags += [settings[key].option_strings[0], value]
             cfg = tmp_path / "all.cfg"
             cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
             assert main([*argv_of(parser), *flags]) == 0
@@ -808,19 +917,6 @@ class TestConfigFile:
                 assert by_file[key] == by_flag[key] != settings[key].default, (parser, key)
             assert by_file["seed"] == 7 and overridden["seed"] == 11
             assert all(overridden[key] == by_file[key] for key in values if key != "seed")
-
-    def test_misspelled_bool_rejected(self, workdir, tmp_path, capsys):
-        root, corpus, _, _ = workdir
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text("distill_normalize = ture\n")
-        code = main([
-            "train", "1", "--corpus", str(corpus), "--teacher", str(root / "teacher.ckpt"),
-            "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg),
-        ])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "distill_normalize" in err and str(cfg) in err
-        assert not (tmp_path / "x.ckpt").exists()
 
     def test_value_outside_choices_rejected(self, workdir, tmp_path, capsys):
         root, corpus, _, _ = workdir

@@ -318,6 +318,42 @@ class TestSelfDistill:
         assert tq not in grads
         assert sq in grads
 
+class TestSelfDistillRowScale:
+    """cosine and kl read only the direction of each row, which is why the
+    trainer has no setting that normalizes the rows before them."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        variant=st.sampled_from(("cosine", "kl")),
+        g=st.integers(2, 16),
+        d=st.integers(2, 32),
+        tau=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_scale_changes_neither_loss_nor_gradients(self, variant, g, d, tau, seed):
+        rng = np.random.default_rng(seed)
+        rows = [rng.normal(size=(g, d)) for _ in range(4)]
+        # each row of each input by its own factor in [0.1, 10]
+        scales = [10.0 ** rng.uniform(-1.0, 1.0, size=(g, 1)) for _ in range(4)]
+
+        def run(scaled: bool):
+            leaves = [Tensor(x, grad_tracked=True) for x in rows]
+            inputs = leaves
+            if scaled:
+                inputs = [T.mul(x, Tensor(np.broadcast_to(s, x.shape))) for x, s in zip(leaves, scales)]
+            tq, sq, tc, sc = inputs
+            loss = L.self_distill(tq, sq, tc, sc, variant, tau)
+            grads = T.backward(loss)
+            # d(loss)/d(student rows as given), whatever scale is applied to them
+            return loss.item(), [grads[leaves[1]], grads[leaves[3]]]
+
+        plain, plain_grads = run(False)
+        scaled, scaled_grads = run(True)
+        assert abs(scaled - plain) < 1e-12
+        for got, want in zip(scaled_grads, plain_grads):
+            assert np.abs(got - want).max() < 1e-12
+
+
 class TestPretrainingLoss:
     def test_weighted_sum(self):
         lc, ld = Tensor(np.asarray(1.0)), Tensor(np.asarray(2.0))

@@ -81,8 +81,8 @@ class TestLayerNormRows:
 
     def test_unit_variance_row(self):
         x = T.Tensor([[1.0, -1.0]])
-        out = T.layer_norm_rows(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), eps=1e-12)
-        assert out.data == pytest.approx(np.array([[1.0, -1.0]]), abs=1e-6)
+        out = T.layer_norm_rows(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)))
+        assert out.data == pytest.approx(np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5), abs=1e-12)
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(3)
@@ -93,7 +93,7 @@ class TestLayerNormRows:
         mu = sum(row) / 5
         var = sum((v - mu) ** 2 for v in row) / 5
         want = [(v - mu) / (var + eps) ** 0.5 * g + b for v, g, b in zip(row, gain, bias)]
-        out = T.layer_norm_rows(T.Tensor([row]), T.Tensor(gain), T.Tensor(bias), eps=eps)
+        out = T.layer_norm_rows(T.Tensor([row]), T.Tensor(gain), T.Tensor(bias))
         assert np.abs(out.data[0] - np.array(want)).max() < 1e-14
 
 
@@ -144,7 +144,7 @@ class TestL2NormalizeRows:
         assert np.array_equal(T.l2_normalize_rows(T.Tensor(x)).data, x)
 
     def test_zero_row_stays_zero(self):
-        out = T.l2_normalize_rows(T.Tensor([[0.0, 0.0]]), eps=1e-12)
+        out = T.l2_normalize_rows(T.Tensor([[0.0, 0.0]]))
         assert np.array_equal(out.data, np.zeros((1, 2)))
         assert np.isfinite(out.data).all()
 
@@ -153,7 +153,7 @@ class TestL2NormalizeRows:
         width = len(rows[0])
         rows = [r[:width] + [1.0] * (width - len(r)) for r in rows]
         x = np.array(rows)
-        out = T.l2_normalize_rows(T.Tensor(x), eps=1e-12).data
+        out = T.l2_normalize_rows(T.Tensor(x)).data
         norms = np.linalg.norm(x, axis=1)
         out_norms = np.linalg.norm(out, axis=1)
         for n_in, n_out in zip(norms, out_norms):
@@ -327,7 +327,7 @@ OPS_FOR_GRADCHECK = [
     ("concat", lambda a, b: T.mean(T.mul(T.concat_rows([a, b]), T.concat_rows([a, b]))), [(2, 3), (1, 3)]),
     ("take_rows", lambda x: T.mean(T.take_rows(x, [0, 2, 2, 1])), [(3, 3)]),
     ("softmax", lambda x: T.mean(T.mul(T.softmax_rows(x), T.softmax_rows(x))), [(3, 4)]),
-    ("layer_norm", lambda x, g, b: T.mean(T.layer_norm_rows(x, g, b, eps=1e-5)), [(3, 4), (4,), (4,)]),
+    ("layer_norm", lambda x, g, b: T.mean(T.layer_norm_rows(x, g, b)), [(3, 4), (4,), (4,)]),
     ("l2norm", lambda x: T.mean(T.mul(T.l2_normalize_rows(x), T.l2_normalize_rows(x))), [(3, 4)]),
     ("attention", lambda q, k, v: T.mean(T.attention(q, k, v, 2, 3)), [(3, 4), (3, 4), (3, 4)]),
     (

@@ -172,9 +172,7 @@ class TestAdam:
 SHARD_CASES = {
     "stage0": dict(stage=0),
     "stage1-mse": dict(stage=1, alpha_mode="dynamic"),
-    "stage1-kl-normalized": dict(
-        stage=1, alpha_mode="dynamic", distill_variant="kl", distill_normalize=True
-    ),
+    "stage1-kl": dict(stage=1, alpha_mode="dynamic", distill_variant="kl"),
     "stage2-mixed": dict(stage=2),
 }
 
@@ -206,8 +204,8 @@ class TestTrainStep:
         # Adam's constants are class attributes, not settings a caller passes
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
             "stage", "encoder", "shards", "per_shard_batch", "epochs", "lr", "seed",
-            "temperature", "alpha_mode", "distill_variant", "distill_tau",
-            "distill_normalize", "k", "steps_per_epoch",
+            "temperature", "alpha_mode", "distill_variant", "distill_tau", "k",
+            "steps_per_epoch",
         ]
         cfg = config(0)
         assert (cfg.beta1, cfg.beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
