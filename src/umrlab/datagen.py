@@ -17,6 +17,15 @@ Generation costs one generator per item (12-14 us to seed) and, when
 noise is on, one uniform draw per token plus one integer draw per resampled
 token; hashing the tables is a few milliseconds. On 2 vCPUs the default
 2,000-concept corpus takes about 1.6-2.0 s.
+
+A saved corpus is three files. ``queries.jsonl`` holds one
+``{"id", "task", "tokens", "gold"}`` object per query and
+``candidates.jsonl`` one ``{"id", "task", "tokens", "concept"}`` object per
+candidate, keys in that order. ``meta.json`` holds the seed, the spec and
+the ids of the training queries; every other query is a test query. A
+record stores only what it cannot derive: its dataset (``DATASETS``) and
+its modality (``QUERY_MODALITY`` or ``CANDIDATE_MODALITY``) follow from its
+task, and a query's instruction id from its task (``INSTRUCTION_IDS``).
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import ConfigurationError, ContractError, FormatError
-from .prompts import INSTRUCTION_IDS, RESERVED_IDS
-from .tasks import CANDIDATE_MODALITY, MODALITIES, QUERY_MODALITY, TASKS
+from .prompts import RESERVED_IDS
+from .tasks import CANDIDATE_MODALITY, DATASETS, QUERY_MODALITY, TASKS
 
 TEXT_BASE = 100
 IMAGE_BASE = 5000
@@ -85,14 +94,6 @@ class CorpusSpec:
         if TEXT_BASE + self.text_vocab_size > IMAGE_BASE:
             raise ContractError("text and image vocab ranges overlap")
 
-    @property
-    def text_range(self) -> range:
-        return range(TEXT_BASE, TEXT_BASE + self.text_vocab_size)
-
-    @property
-    def image_range(self) -> range:
-        return range(IMAGE_BASE, IMAGE_BASE + self.image_vocab_size)
-
 
 def vocab_size_for(spec: CorpusSpec) -> int:
     """Smallest encoder vocabulary covering reserved ids and both ranges."""
@@ -103,20 +104,32 @@ def vocab_size_for(spec: CorpusSpec) -> int:
 class Sample:
     id: int
     task: str
-    dataset: str
-    modality: str
     tokens: tuple[int, ...]
     gold: int
-    instr: int
+
+    @property
+    def dataset(self) -> str:
+        return DATASETS[self.task]
+
+    @property
+    def modality(self) -> str:
+        return QUERY_MODALITY[self.task]
 
 
 @dataclass(frozen=True)
 class Candidate:
     id: int
-    dataset: str
-    modality: str
+    task: str
     tokens: tuple[int, ...]
     concept: int
+
+    @property
+    def dataset(self) -> str:
+        return DATASETS[self.task]
+
+    @property
+    def modality(self) -> str:
+        return CANDIDATE_MODALITY[self.task]
 
 
 def _base_tokens(spec: CorpusSpec, concepts: Sequence[int], part: str) -> list[list[int]]:
@@ -168,16 +181,6 @@ def _resample(
     return tuple(out)
 
 
-def render(
-    spec: CorpusSpec, concept: int, modality: str, p: float, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Noisy rendering of a concept; image tokens precede text tokens."""
-    if modality not in MODALITIES:
-        raise ContractError(f"unknown modality {modality!r}")
-    rows, vocab = _renderings(spec, [concept])[modality]
-    return _resample(rows[0], vocab, p, rng)
-
-
 @dataclass
 class Corpus:
     spec: CorpusSpec
@@ -213,18 +216,18 @@ class Corpus:
             "seed": self.seed,
             "spec": asdict(self.spec),
             "train_ids": [s.id for s in self.train],
-            "test_ids": [s.id for s in self.test],
         }
         with open(directory / "meta.json", "w", encoding="utf-8") as f:
             json.dump(meta, f)
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
-        """Read a saved corpus. Malformed JSON, missing keys, a spec that
-        CorpusSpec rejects, a seed that is not a non-negative integer,
-        duplicate ids and gold ids outside the query's own dataset raise
-        FormatError with the file name and the byte offset of the offending
-        line."""
+        """Read a saved corpus. Malformed JSON, missing or extra keys, a spec
+        that CorpusSpec rejects, a seed that is not a non-negative integer,
+        train ids that are not integers naming queries, a task the spec
+        does not enable, duplicate ids and gold ids outside the query's own
+        task raise FormatError with the file name and the byte offset of the
+        offending line (0 in meta.json)."""
         directory = Path(directory)
         meta_path = directory / "meta.json"
         try:
@@ -232,7 +235,7 @@ class Corpus:
             spec_dict = dict(meta["spec"])
             spec_dict["tasks"] = tuple(spec_dict["tasks"])
             spec = CorpusSpec(**spec_dict)
-            seed, train_ids = meta["seed"], set(meta["train_ids"])
+            seed, train_ids = meta["seed"], meta["train_ids"]
         except json.JSONDecodeError as err:
             raise FormatError(f"{meta_path.name}: {err.msg}", err.pos) from err
         except (KeyError, TypeError, ValueError) as err:
@@ -241,35 +244,40 @@ class Corpus:
             raise FormatError(f"{meta_path.name}: bad corpus spec ({err})", 0) from err
         if type(seed) is not int or seed < 0:
             raise FormatError(f"{meta_path.name}: seed must be a non-negative integer, got {seed!r}", 0)
+        if type(train_ids) is not list or any(type(i) is not int for i in train_ids):
+            raise FormatError(f"{meta_path.name}: train_ids must be a list of integers", 0)
 
         pools: dict[str, list[Candidate]] = {}
-        dataset_of: dict[int, str] = {}
-        for offset, c in _read_records(directory / "candidates.jsonl", Candidate):
-            if c.id in dataset_of:
+        task_of: dict[int, str] = {}
+        for offset, c in _read_records(directory / "candidates.jsonl", Candidate, spec.tasks):
+            if c.id in task_of:
                 raise FormatError(f"candidates.jsonl: duplicate candidate id {c.id}", offset)
-            dataset_of[c.id] = c.dataset
+            task_of[c.id] = c.task
             pools.setdefault(c.dataset, []).append(c)
         queries: list[Sample] = []
         seen: set[int] = set()
-        for offset, q in _read_records(directory / "queries.jsonl", Sample):
+        for offset, q in _read_records(directory / "queries.jsonl", Sample, spec.tasks):
             if q.id in seen:
                 raise FormatError(f"queries.jsonl: duplicate query id {q.id}", offset)
-            if dataset_of.get(q.gold) != q.dataset:
+            if task_of.get(q.gold) != q.task:
                 raise FormatError(
                     f"queries.jsonl: query {q.id} names gold {q.gold}, "
-                    f"which is no candidate of dataset {q.dataset!r}",
+                    f"which is no candidate of task {q.task!r}",
                     offset,
                 )
             seen.add(q.id)
             queries.append(q)
+        train_ids = set(train_ids)
+        if not train_ids <= seen:
+            raise FormatError(f"{meta_path.name}: train id {min(train_ids - seen)} names no query", 0)
         train = [q for q in queries if q.id in train_ids]
         test = [q for q in queries if q.id not in train_ids]
         return cls(spec=spec, seed=seed, train=train, test=test, pools=pools)
 
 
-def _read_records(path: Path, cls):
+def _read_records(path: Path, cls, tasks: tuple[str, ...]):
     """Yield (byte offset, cls instance) for each line of a JSONL file whose
-    objects carry exactly the fields of ``cls``."""
+    objects carry exactly the fields of ``cls`` and one of ``tasks``."""
     offset = 0
     with open(path, "rb") as f:
         for line in f:
@@ -279,6 +287,12 @@ def _read_records(path: Path, cls):
                 record = cls(**fields)
             except (ValueError, KeyError, TypeError) as err:
                 raise FormatError(f"{path.name}: bad record ({err!r})", offset) from err
+            if record.task not in tasks:
+                raise FormatError(
+                    f"{path.name}: record {record.id} has task {record.task!r}, "
+                    f"which the corpus spec does not enable",
+                    offset,
+                )
             yield offset, record
             offset += len(line)
 
@@ -320,43 +334,20 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> Corpus:
     qid = 0
     cid = 0
     for ti, task in enumerate(spec.tasks):
-        dataset = f"ds-{task}"
-        pool = pools.setdefault(dataset, [])
-        q_mod, c_mod = QUERY_MODALITY[task], CANDIDATE_MODALITY[task]
-        (q_rows, q_vocab), (c_rows, c_vocab) = renderings[q_mod], renderings[c_mod]
+        pool = pools.setdefault(DATASETS[task], [])
+        q_rows, q_vocab = renderings[QUERY_MODALITY[task]]
+        c_rows, c_vocab = renderings[CANDIDATE_MODALITY[task]]
         for concept in range(n):
             q_tokens = _resample(q_rows[concept], q_vocab, p, item_rng(ti, concept, 0))
-            positive = Candidate(
-                id=cid,
-                dataset=dataset,
-                modality=c_mod,
-                tokens=_resample(c_rows[concept], c_vocab, p, item_rng(ti, concept, 1)),
-                concept=concept,
-            )
+            c_tokens = _resample(c_rows[concept], c_vocab, p, item_rng(ti, concept, 1))
+            gold = cid
+            pool.append(Candidate(cid, task, c_tokens, concept))
             cid += 1
-            pool.append(positive)
             for r in range(spec.distractors):
                 d_rng = item_rng(ti, concept, 2 + r)
                 other = (concept + 1 + int(d_rng.integers(n - 1))) % n
-                pool.append(
-                    Candidate(
-                        id=cid,
-                        dataset=dataset,
-                        modality=c_mod,
-                        tokens=_resample(c_rows[other], c_vocab, p, d_rng),
-                        concept=other,
-                    )
-                )
+                pool.append(Candidate(cid, task, _resample(c_rows[other], c_vocab, p, d_rng), other))
                 cid += 1
-            sample = Sample(
-                id=qid,
-                task=task,
-                dataset=dataset,
-                modality=q_mod,
-                tokens=q_tokens,
-                gold=positive.id,
-                instr=INSTRUCTION_IDS[task],
-            )
+            (test if concept in test_concepts else train).append(Sample(qid, task, q_tokens, gold))
             qid += 1
-            (test if concept in test_concepts else train).append(sample)
     return Corpus(spec=spec, seed=seed, train=train, test=test, pools=pools)

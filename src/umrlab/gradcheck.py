@@ -14,12 +14,15 @@ import numpy as np
 from .errors import NumericDomainError
 from .tensor import Tensor, backward, no_grad
 
+# central-difference step; anything in [1e-6, 1e-4] is sensible at 64-bit
+FD_STEP = 1e-5
+# magnitude under which a gradient coordinate is central-difference noise
+FD_FLOOR = 1e-8
 
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central-difference estimate of d f / d x, one coordinate at a time.
 
-    f must be a pure scalar function of x. h in [1e-6, 1e-4] is sensible at
-    64-bit; 1e-5 is the default.
+def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
+    """Central-difference estimate of d f / d x, one coordinate at a time,
+    with step ``FD_STEP``. f must be a pure scalar function of x.
     """
     base = x.data
     out = np.zeros(base.shape)
@@ -27,7 +30,7 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) 
     with no_grad():
         for i in range(base.size):
             bump = np.zeros(base.size)
-            bump[i] = h
+            bump[i] = FD_STEP
             bump = bump.reshape(base.shape)
             hi = _scalar(f(Tensor(base + bump)))
             lo = _scalar(f(Tensor(base - bump)))
@@ -35,7 +38,7 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) 
                 raise NumericDomainError(
                     f"finite_diff_grad: non-finite evaluation at coordinate {i}"
                 )
-            flat[i] = (hi - lo) / (2.0 * h)
+            flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return out
 
 
@@ -45,26 +48,19 @@ def _scalar(value) -> float:
     return float(value)
 
 
-def max_relative_error(
-    approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8
-) -> float:
+def max_relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     """Largest elementwise relative error, skipping coordinates where both
-    magnitudes sit under ``floor`` (noise floor of the central difference)."""
+    magnitudes sit under ``FD_FLOOR``."""
     a = np.asarray(approx, dtype=np.float64)
     b = np.asarray(exact, dtype=np.float64)
-    keep = np.maximum(np.abs(a), np.abs(b)) >= floor
+    keep = np.maximum(np.abs(a), np.abs(b)) >= FD_FLOOR
     if not keep.any():
         return 0.0
     denom = np.maximum(np.abs(a), np.abs(b))[keep]
     return float((np.abs(a - b)[keep] / denom).max())
 
 
-def check_gradients(
-    f: Callable[..., Tensor],
-    xs: Sequence[Tensor],
-    h: float = 1e-5,
-    floor: float = 1e-8,
-) -> float:
+def check_gradients(f: Callable[..., Tensor], xs: Sequence[Tensor]) -> float:
     """Compare reverse-mode gradients of f(*xs) against finite differences.
 
     Returns the worst relative error over all inputs.
@@ -79,9 +75,9 @@ def check_gradients(
             args[_i] = xi
             return f(*args)
 
-        numeric = finite_diff_grad(f_i, t, h=h)
+        numeric = finite_diff_grad(f_i, t)
         exact = grads.get(t)
         if exact is None:
             exact = np.zeros(t.shape)
-        worst = max(worst, max_relative_error(numeric, exact, floor=floor))
+        worst = max(worst, max_relative_error(numeric, exact))
     return worst

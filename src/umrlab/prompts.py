@@ -45,10 +45,6 @@ class TokenSequence:
         if self.ids[-1] != RET_TOKEN_ID:
             raise ContractError("retrieval token must be the last position")
 
-    @property
-    def ret_position(self) -> int:
-        return len(self.ids) - 1
-
     def __len__(self) -> int:
         return len(self.ids)
 

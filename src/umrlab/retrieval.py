@@ -195,7 +195,7 @@ def modality_separation(index: EmbeddingIndex) -> SeparationStats:
         raise ContractError("separation needs at least two modalities in the index")
     if counts.min() < 2:
         raise ContractError("separation needs at least two candidates per modality")
-    v = index.vectors.astype(np.float64)
+    v = index.vectors_f64()
     sums = np.stack([v[codes == c].sum(axis=0) for c in present])
     total = sums.sum(axis=0)
     within = float((sums * sums).sum())
@@ -210,7 +210,7 @@ def pca_coords(index: EmbeddingIndex) -> np.ndarray:
         raise ContractError(
             f"PCA needs two components: {len(index)} vectors of dimension {index.dim}"
         )
-    v = index.vectors.astype(np.float64)
+    v = index.vectors_f64()
     centered = v - v.mean(axis=0, keepdims=True)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:2]
@@ -222,11 +222,9 @@ def pca_coords(index: EmbeddingIndex) -> np.ndarray:
     return centered @ comps.T
 
 
-def write_pca_csv(index: EmbeddingIndex, path: str | Path, coords: np.ndarray | None = None) -> None:
-    """Write ``coords`` (by default ``pca_coords(index)``) with each vector's
+def write_pca_csv(index: EmbeddingIndex, path: str | Path, coords: np.ndarray) -> None:
+    """Write ``coords``, the ``pca_coords(index)`` rows, with each vector's
     id and modality."""
-    if coords is None:
-        coords = pca_coords(index)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "modality", "x", "y"])

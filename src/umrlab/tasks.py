@@ -19,3 +19,5 @@ def _split(task: str) -> tuple[str, str]:
 
 QUERY_MODALITY = {task: _split(task)[0] for task in TASKS}
 CANDIDATE_MODALITY = {task: _split(task)[1] for task in TASKS}
+# each enabled task type is one pseudo-dataset of the corpus
+DATASETS = {task: f"ds-{task}" for task in TASKS}

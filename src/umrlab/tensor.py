@@ -356,13 +356,6 @@ def mean(x: Tensor) -> Tensor:
     return _result("mean", np.asarray(x.data.mean()), (x,), vjp)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    def vjp(dy):
-        return (np.full(x.shape, float(dy)),)
-
-    return _result("sum_all", np.asarray(x.data.sum()), (x,), vjp)
-
-
 def sum_rows(x: Tensor) -> Tensor:
     """Row sums of a 2-D tensor, shape (m,)."""
     _require_2d("sum_rows", x)

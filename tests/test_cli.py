@@ -180,6 +180,34 @@ class TestCorruptCorpusMeta:
         assert not out.exists()
 
 
+class TestCorruptCorpusRecords:
+    @pytest.mark.parametrize("command", ["eval", "train 2"])
+    def test_test_query_of_unknown_task_is_diagnosed(self, workdir, tmp_path, capsys, command):
+        _, corpus, _, student = workdir
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        train_ids = set(json.loads((copy / "meta.json").read_text())["train_ids"])
+        lines = (copy / "queries.jsonl").read_bytes().splitlines(keepends=True)
+        n = next(i for i, line in enumerate(lines) if json.loads(line)["id"] not in train_ids)
+        record = json.loads(lines[n])
+        record["task"] = "zzz"
+        lines[n] = (json.dumps(record) + "\n").encode()
+        (copy / "queries.jsonl").write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        argv = {
+            "eval": ["eval", "--checkpoint", str(student), "--corpus", str(copy), "--out", str(out)],
+            "train 2": ["train", "2", "--corpus", str(copy), "--out", str(out), "--init", str(student)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: queries.jsonl: record {record['id']} has task 'zzz', which the corpus spec "
+            f"does not enable (at byte offset {sum(len(line) for line in lines[:n])})\n"
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrainArtifacts:
     def test_checkpoints_and_curve_exist(self, workdir):
         root, _, teacher, student = workdir

@@ -10,8 +10,9 @@ from umrlab.datagen import (
     Corpus,
     CorpusSpec,
     _item_rngs,
+    _renderings,
+    _resample,
     generate_corpus,
-    render,
     vocab_size_for,
 )
 from umrlab.errors import ConfigurationError, ContractError, FormatError
@@ -29,6 +30,8 @@ SMALL_SPEC = CorpusSpec(
     distractors=2,
     test_fraction=0.25,
 )
+TEXT_IDS = range(TEXT_BASE, TEXT_BASE + SMALL_SPEC.text_vocab_size)
+IMAGE_IDS = range(IMAGE_BASE, IMAGE_BASE + SMALL_SPEC.image_vocab_size)
 
 
 @pytest.fixture(scope="module")
@@ -52,90 +55,91 @@ def reference_base_tokens(spec, concept, part):
     return out
 
 
+def reference_renderings(spec, concept):
+    """The noiseless rendering of ``concept`` in each modality."""
+    out = {part: reference_base_tokens(spec, concept, part) for part in ("text", "image")}
+    out["image_text"] = out["image"] + out["text"]
+    return out
+
+
 class TestRender:
     @pytest.mark.parametrize("concept", [0, 1, 7, 11, 2**31 + 3, 2**40 + 7, 2**63 + 1])
     def test_noiseless_render_equals_the_integer_reference(self, concept):
         rng = np.random.default_rng(0)
-        want = {
-            "text": reference_base_tokens(SMALL_SPEC, concept, "text"),
-            "image": reference_base_tokens(SMALL_SPEC, concept, "image"),
-        }
-        want["image_text"] = want["image"] + want["text"]
-        for modality, tokens in want.items():
-            assert render(SMALL_SPEC, concept, modality, 0.0, rng) == tuple(tokens)
+        renderings = _renderings(SMALL_SPEC, [concept])
+        for modality, tokens in reference_renderings(SMALL_SPEC, concept).items():
+            rows, vocab = renderings[modality]
+            assert _resample(rows[0], vocab, 0.0, rng) == tuple(tokens)
 
     def test_noiseless_render_is_pure(self):
-        rng1 = np.random.default_rng(0)
-        rng2 = np.random.default_rng(99)
-        a = render(SMALL_SPEC, 3, "text", 0.0, rng1)
-        b = render(SMALL_SPEC, 3, "text", 0.0, rng2)
-        assert a == b
+        rows, vocab = _renderings(SMALL_SPEC, [3])["text"]
+        a = _resample(rows[0], vocab, 0.0, np.random.default_rng(0))
+        b = _resample(rows[0], vocab, 0.0, np.random.default_rng(99))
+        assert a == b == tuple(rows[0])
 
     def test_distinct_concepts_render_distinct(self):
-        seen = set()
-        rng = np.random.default_rng(0)
-        for concept in range(SMALL_SPEC.n_concepts):
-            for modality in ("text", "image", "image_text"):
-                seen.add((modality, render(SMALL_SPEC, concept, modality, 0.0, rng)))
-        assert len(seen) == 3 * SMALL_SPEC.n_concepts
+        renderings = _renderings(SMALL_SPEC, range(SMALL_SPEC.n_concepts))
+        for rows, _ in renderings.values():
+            assert len({tuple(row) for row in rows}) == SMALL_SPEC.n_concepts
 
     def test_image_text_is_image_then_text(self):
-        rng = np.random.default_rng(1)
-        toks = render(SMALL_SPEC, 5, "image_text", 0.0, rng)
-        assert len(toks) == SMALL_SPEC.n_i + SMALL_SPEC.n_t
-        assert all(t in SMALL_SPEC.image_range for t in toks[: SMALL_SPEC.n_i])
-        assert all(t in SMALL_SPEC.text_range for t in toks[SMALL_SPEC.n_i :])
+        rows, vocab = _renderings(SMALL_SPEC, [5])["image_text"]
+        toks = rows[0]
+        assert len(toks) == len(vocab) == SMALL_SPEC.n_i + SMALL_SPEC.n_t
+        assert all(t in IMAGE_IDS for t in toks[: SMALL_SPEC.n_i])
+        assert all(t in TEXT_IDS for t in toks[SMALL_SPEC.n_i :])
 
     def test_noise_resamples_within_range(self):
-        rng = np.random.default_rng(2)
-        toks = render(SMALL_SPEC, 5, "text", 0.9, rng)
-        assert all(t in SMALL_SPEC.text_range for t in toks)
+        rows, vocab = _renderings(SMALL_SPEC, [5])["text"]
+        toks = _resample(rows[0], vocab, 0.9, np.random.default_rng(2))
+        assert toks != tuple(rows[0])
+        assert all(t in TEXT_IDS for t in toks)
 
     def test_noiseless_render_draws_nothing(self):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        render(SMALL_SPEC, 5, "image_text", 0.0, rng)
+        rows, vocab = _renderings(SMALL_SPEC, [5])["image_text"]
+        _resample(rows[0], vocab, 0.0, rng)
         assert rng.bit_generator.state == before
 
     def test_noiseless_corpus_items_are_renderings_of_their_concept(self):
         spec = CorpusSpec(n_concepts=7, tasks=("t2i", "it2t"), noise=0.0, distractors=2)
         corpus = generate_corpus(spec, seed=5)
-        rng = np.random.default_rng(0)
         for c in corpus.all_candidates():
-            assert c.tokens == render(spec, c.concept, c.modality, 0.0, rng)
+            assert c.tokens == tuple(reference_renderings(spec, c.concept)[c.modality])
         for q in corpus.all_queries():
             concept = corpus.candidate_by_id(q.gold).concept
-            assert q.tokens == render(spec, concept, q.modality, 0.0, rng)
+            assert q.tokens == tuple(reference_renderings(spec, concept)[q.modality])
 
 
-# SHA-256 of each saved file, fixed when these corpora were first generated: a
-# change to the hash, the seeding or numpy's streams that moves one byte fails here
+# SHA-256 of each saved file: a change to the hash, the seeding, numpy's
+# streams or the record layout that moves one byte fails here
 PINNED_CORPORA = {
     "default-tasks": (
         CorpusSpec(n_concepts=12, n_t=4, n_i=6, text_vocab_size=30, image_vocab_size=30),
         5,
         {
-            "queries.jsonl": "8b42ab7cf297937f9556e100a25b9c4d896f878211b2182cdd37295600aa93d4",
-            "candidates.jsonl": "c80dfd93471959cb3076698ea4c53cf5f1e7726a858d5e3f81440d03d0ba4377",
-            "meta.json": "c1289469a7ae1d824772dc61faa316c281e2b99aa644221c30f7e1a0bcb143c3",
+            "queries.jsonl": "bb0bf91990679dc66dedbb53f7134eb2fd6296bf75b8ea93940fce08a6c5140e",
+            "candidates.jsonl": "e4f2c8a061c57bea12d51ea489b95a696478f584c7351f8f14349ec69058d1d7",
+            "meta.json": "8daae76a53682ba6aa6b652394a74e4dda8d5caf87c22c8f139d222d0fb3a8b2",
         },
     ),
     "noise-0": (
         CorpusSpec(n_concepts=10, noise=0.0, n_t=3, n_i=5),
         2,
         {
-            "queries.jsonl": "2f5152e1ec7c7d2be9ac10b593adece2bff447e16a5506f1fdec904b48aeacc5",
-            "candidates.jsonl": "55080e0992a57851b2531e4a1ebfca15daa11177acba057ec3805eab8956b21d",
-            "meta.json": "fd410353179797fea9da7c735e72eb802fe26e3afd854cac3cad2ba8577ef5da",
+            "queries.jsonl": "12d3971910bc6b654181404085f5f30bf898f7fbbd349e62af37e66746cd5590",
+            "candidates.jsonl": "24bcc84055079725303dc138302645fe92bcd2f9fa8897d0fd92a3739e8b44fe",
+            "meta.json": "a9a335d4f4495208e6f98a1db674023302da96fc6349ce5351e1552b8b7c241d",
         },
     ),
     "subset-4-distractors": (
         CorpusSpec(n_concepts=9, tasks=("t2i", "t2t", "it2i"), noise=0.3, distractors=4),
         2**32 + 5,
         {
-            "queries.jsonl": "94c308582b119b5ebc28a65d00b4b963f02fcf86c9a67a713cdf42d09d63b534",
-            "candidates.jsonl": "872e8e077aa8114905950c4a33f12a9b8fa95e2097a2918d7e3d4b812bb3fd3a",
-            "meta.json": "54e10336145335839b307ec98912783ca85d34e8ecce60ac9842421fa10d2703",
+            "queries.jsonl": "51e47f9646168dc3e8b02fbf303eb0df2aa6f66fc65d8d747a8aa638e570dda5",
+            "candidates.jsonl": "99b34dba7fb0e71c9ac0be82c09ec3408ec40a933a69ca9cb69cac548830f5a6",
+            "meta.json": "841cd866b106d343ec455c8c0ae7d13f25ea1a651e366ba71b421160902c8125",
         },
     ),
 }
@@ -197,13 +201,13 @@ class TestGenerateCorpus:
     def test_vocab_discipline_exhaustive(self, corpus):
         for c in corpus.all_candidates():
             if c.modality == "text":
-                assert all(t in SMALL_SPEC.text_range for t in c.tokens)
+                assert all(t in TEXT_IDS for t in c.tokens)
             elif c.modality == "image":
-                assert all(t in SMALL_SPEC.image_range for t in c.tokens)
+                assert all(t in IMAGE_IDS for t in c.tokens)
             else:
                 image, text = c.tokens[: SMALL_SPEC.n_i], c.tokens[SMALL_SPEC.n_i :]
-                assert all(t in SMALL_SPEC.image_range for t in image)
-                assert all(t in SMALL_SPEC.text_range for t in text)
+                assert all(t in IMAGE_IDS for t in image)
+                assert all(t in TEXT_IDS for t in text)
             assert all(t >= RESERVED_IDS for t in c.tokens)
 
     def test_candidate_ids_unique(self, corpus):
@@ -267,10 +271,10 @@ class TestRoundTrip:
         corpus.save(tmp_path / "c")
         with open(tmp_path / "c" / "queries.jsonl") as f:
             first = json.loads(f.readline())
-        assert list(first.keys()) == ["id", "task", "dataset", "modality", "tokens", "gold", "instr"]
+        assert list(first.keys()) == ["id", "task", "tokens", "gold"]
         with open(tmp_path / "c" / "candidates.jsonl") as f:
             first = json.loads(f.readline())
-        assert list(first.keys()) == ["id", "dataset", "modality", "tokens", "concept"]
+        assert list(first.keys()) == ["id", "task", "tokens", "concept"]
 
 
 BAD = 5  # the line each case below rewrites
@@ -285,8 +289,12 @@ def _rewrite(mutate):
     return change
 
 
-def _other_dataset_candidate(corpus, query):
-    return next(c.id for c in corpus.all_candidates() if c.dataset != query["dataset"])
+def _other_task_candidate(corpus, query):
+    return next(c.id for c in corpus.all_candidates() if c.task != query["task"])
+
+
+def _other_spec_task(corpus, record):
+    return next(t for t in corpus.spec.tasks if t != record["task"])
 
 
 BAD_LINES = {
@@ -294,11 +302,19 @@ BAD_LINES = {
     "duplicate-candidate-id": ("candidates.jsonl", lambda corpus, lines: lines[0]),
     "gold-in-other-dataset": (
         "queries.jsonl",
-        _rewrite(lambda corpus, r: r.update(gold=_other_dataset_candidate(corpus, r))),
+        _rewrite(lambda corpus, r: r.update(gold=_other_task_candidate(corpus, r))),
     ),
+    "gold-of-other-task": (
+        "queries.jsonl",
+        _rewrite(lambda corpus, r: r.update(task=_other_spec_task(corpus, r))),
+    ),
+    "unknown-task": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(task="zzz"))),
+    "task-outside-spec": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(task="i2i"))),
+    "candidate-task-outside-spec": ("candidates.jsonl", _rewrite(lambda corpus, r: r.update(task="i2i"))),
+    "stale-modality-key": ("candidates.jsonl", _rewrite(lambda corpus, r: r.update(modality="image"))),
     "gold-names-nothing": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(gold=10**9))),
     "query-missing-key": ("queries.jsonl", _rewrite(lambda corpus, r: r.pop("tokens"))),
-    "candidate-missing-key": ("candidates.jsonl", _rewrite(lambda corpus, r: r.pop("dataset"))),
+    "candidate-missing-key": ("candidates.jsonl", _rewrite(lambda corpus, r: r.pop("task"))),
     "bad-json": ("candidates.jsonl", lambda corpus, lines: b'{"id": 3,\n'),
     "not-an-object": ("queries.jsonl", lambda corpus, lines: b"[1, 2]\n"),
 }
@@ -334,3 +350,22 @@ class TestLoadValidation:
         (tmp_path / "c" / "meta.json").write_bytes(meta)
         with pytest.raises(FormatError, match="meta.json"):
             Corpus.load(tmp_path / "c")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda ids: [str(i) for i in ids],
+            lambda ids: ids + [10**9],
+            lambda ids: ids[:-1] + [True],
+        ],
+        ids=["strings", "names-no-query", "true"],
+    )
+    def test_bad_train_ids_rejected(self, corpus, tmp_path, change):
+        corpus.save(tmp_path / "c")
+        meta_path = tmp_path / "c" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["train_ids"] = change(meta["train_ids"])
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="meta.json: train") as err:
+            Corpus.load(tmp_path / "c")
+        assert err.value.offset == 0

@@ -51,7 +51,7 @@ def small_tokens(ids=(40, 41)):
 
 def per_sequence_ret_row(encoder, seq, upto):
     """Reference [RET] row: one single-sequence forward, indexed in numpy."""
-    return forward(encoder, seq, upto).data[seq.ret_position]
+    return forward(encoder, seq, upto).data[-1]
 
 
 class TestAssemblePrompt:
@@ -66,12 +66,11 @@ class TestAssemblePrompt:
             SUMMARY_MARKERS["text"],
             RET_TOKEN_ID,
         )
-        assert seq.ret_position == len(seq.ids) - 1
 
     def test_empty_content(self):
         seq = assemble_prompt(Item(tokens=(), modality="image", task="i2i"), "query")
         assert len(seq.ids) == 5
-        assert seq.ret_position == 4
+        assert seq.ids[-1] == RET_TOKEN_ID
 
     def test_candidate_gets_noop_instruction(self):
         seq = assemble_prompt(Item(tokens=(101,), modality="text"), "candidate")
@@ -336,7 +335,7 @@ class TestRetTail:
         enc = Encoder.init(WIDE, seed=per_length)
         seqs = mixed_prompts(per_length, seed=per_length)
         for upto in range(1, WIDE.n_layers + 1):
-            want = b"".join(forward_raw(enc, seq, upto)[seq.ret_position].tobytes() for seq in seqs)
+            want = b"".join(forward_raw(enc, seq, upto)[-1].tobytes() for seq in seqs)
             assert embed_raw(enc, seqs, upto).tobytes() == want
             taped = embed_batch(enc, seqs, upto)
             assert taped._node is not None and taped.data.tobytes() == want

@@ -91,7 +91,7 @@ class TestBuildIndex:
         cand = corpus.all_candidates()[5]
         seq = assemble_prompt(cand, "candidate", ENC.max_seq)
         hidden = forward(encoder, seq, ENC.n_layers)
-        raw = hidden.data[seq.ret_position]
+        raw = hidden.data[-1]
         want = (raw / np.linalg.norm(raw)).astype(np.float32)
         row = int(np.where(index.ids == cand.id)[0][0])
         assert index.vectors[row].tobytes() == want.tobytes()
@@ -472,7 +472,7 @@ class TestPca:
         coords = pca_coords(index)
         assert coords.shape == (len(index), 2)
         path = tmp_path / "pca.csv"
-        write_pca_csv(index, path)
+        write_pca_csv(index, path, coords)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,modality,x,y"
         assert len(lines) == 1 + len(index)
@@ -482,5 +482,5 @@ class TestPca:
         index = toy_index(np.ones((n, dim)), modalities=[0] * n, datasets=[0] * n)
         path = tmp_path / "pca.csv"
         with pytest.raises(ContractError, match="PCA needs two components"):
-            write_pca_csv(index, path)
+            write_pca_csv(index, path, pca_coords(index))
         assert not path.exists()

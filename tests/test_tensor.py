@@ -109,7 +109,10 @@ class TestLayerNormRows:
         scale = 10.0**log_scale
         x = scale * (rng.normal(size=(rows, width)) + rng.normal(size=(rows, 1)))
         gain, bias = rng.normal(size=width), rng.normal(size=width)
-        dy = rng.normal(size=(rows, width))
+        w = rng.normal(size=(rows, width))
+        # d/d(out) of mean(out * w) is w times mean's 1/size, rounded as
+        # mean's and mul's vector-Jacobian products round it
+        dy = np.full(w.shape, 1.0 / w.size) * w
         mu = x.mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
         xhat = (x - mu) * inv
@@ -126,8 +129,7 @@ class TestLayerNormRows:
         }
         leaves = {n: T.Tensor(v, grad_tracked=True) for n, v in (("x", x), ("gain", gain), ("bias", bias))}
         out = T.layer_norm_rows(leaves["x"], leaves["gain"], leaves["bias"])
-        # d/d(out) of sum(out * dy) is dy exactly
-        grads = T.backward(T.sum_all(T.mul(out, T.Tensor(dy))))
+        grads = T.backward(T.mean(T.mul(out, T.Tensor(w))))
         got = {"out": out.data, **{n: grads[t] for n, t in leaves.items()}}
         assert T.bare.layer_norm_rows(x, gain, bias).tobytes() == want["out"].tobytes()
         for name in want:
@@ -190,15 +192,15 @@ class TestAttentionQueryRows:
 
 
 class TestBackward:
-    def test_sum_gives_ones(self):
+    def test_mean_gives_one_over_size(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), grad_tracked=True)
-        grads = T.backward(T.sum_all(x))
-        assert np.array_equal(grads[x], np.ones((2, 3)))
+        grads = T.backward(T.mean(x))
+        assert np.array_equal(grads[x], np.full((2, 3), 1.0 / 6))
 
     def test_square_at_three(self):
         # d(x*x)/dx = 2x = 6 at x = 3
         a = T.Tensor([[3.0]], grad_tracked=True)
-        grads = T.backward(T.sum_all(T.mul(a, a)))
+        grads = T.backward(T.mean(T.mul(a, a)))
         assert grads[a] == pytest.approx(np.array([[6.0]]))
 
     def test_root_must_be_scalar(self):
@@ -209,7 +211,7 @@ class TestBackward:
     def test_fanout_accumulates(self):
         x = T.Tensor([[2.0]], grad_tracked=True)
         y = T.add(x, x)
-        grads = T.backward(T.sum_all(y))
+        grads = T.backward(T.mean(y))
         assert grads[x] == pytest.approx(np.array([[2.0]]))
 
     def test_deterministic_bitwise(self):
@@ -251,13 +253,14 @@ class TestGatherGradients:
     def test_two_gathers_match_dense_per_gather_sums(self):
         # rows 1 and 3 repeat inside each gather and across them; row 3's
         # terms 1e16, 1, -1e16, 1 sum to 0 per gather first, and to 1 in any
-        # single pass over both gathers
+        # single pass over both gathers. Each gather holds 8 entries, so the
+        # mean's exact 1/8 cancels the 8 the weights are scaled by
         table = T.Tensor(np.arange(10.0).reshape(5, 2), grad_tracked=True)
-        first, second = [1, 3, 1, 3, 0], [3, 1, 3, 2]
-        w1 = np.array([[1.0], [-1e16], [1e16], [1.0], [2.0]]) * [1.0, -3.0]
+        first, second = [1, 3, 1, 3], [3, 1, 3, 2]
+        w1 = np.array([[1.0], [-1e16], [1e16], [1.0]]) * [1.0, -3.0]
         w2 = np.array([[1e16], [1.0], [1.0], [3.0]]) * [1.0, 0.5]
-        part1 = T.sum_all(T.mul(T.take_rows(table, first), T.Tensor(w1)))
-        part2 = T.sum_all(T.mul(T.take_rows(table, second), T.Tensor(w2)))
+        part1 = T.mean(T.mul(T.take_rows(table, first), T.Tensor(8 * w1)))
+        part2 = T.mean(T.mul(T.take_rows(table, second), T.Tensor(8 * w2)))
         got = T.backward(T.add(part1, part2))[table]
         # one dense scatter per gather, added in reverse tape order
         want = scatter(table.shape, second, w2) + scatter(table.shape, first, w1)
@@ -271,10 +274,12 @@ class TestGatherGradients:
         table = T.Tensor(rng.normal(size=(4, 3)), grad_tracked=True)
         w = rng.normal(size=(4, 3))
         rows = rng.normal(size=(3, 3))
-        part1 = T.sum_all(T.mul(T.take_rows(table, [2, 0, 2]), T.Tensor(rows)))
-        part2 = T.sum_all(T.mul(table, T.Tensor(w)))
+        part1 = T.mean(T.mul(T.take_rows(table, [2, 0, 2]), T.Tensor(rows)))
+        part2 = T.mean(T.mul(table, T.Tensor(w)))
         got = T.backward(T.add(part1, part2))[table]
-        want = w + scatter(table.shape, [2, 0, 2], rows)
+        # each part's gradient is its weights times the mean's 1/size
+        want = np.full(w.shape, 1 / 12) * w
+        want += scatter(table.shape, [2, 0, 2], np.full(rows.shape, 1 / 9) * rows)
         assert got.tobytes() == want.tobytes()
 
 
@@ -287,7 +292,7 @@ class TestTapeLifetime:
         try:
             hidden = T.gelu(T.matmul(x, w))
             probe = weakref.ref(hidden)
-            root = T.sum_all(T.mul(hidden, hidden))
+            root = T.mean(T.mul(hidden, hidden))
             del hidden
             grads = T.backward(root)
             assert probe() is not None
@@ -299,10 +304,10 @@ class TestTapeLifetime:
 
 
 class TestFiniteDiff:
-    def test_sum_of_squares(self):
-        f = lambda t: T.sum_all(T.mul(t, t))
+    def test_mean_of_squares(self):
+        f = lambda t: T.mean(T.mul(t, t))
         got = finite_diff_grad(f, T.Tensor([[1.0, 2.0]]))
-        assert np.abs(got - np.array([[2.0, 4.0]])).max() < 1e-9
+        assert np.abs(got - np.array([[1.0, 2.0]])).max() < 1e-9
 
     def test_constant_function(self):
         f = lambda t: T.Tensor(np.asarray(5.0))
@@ -311,7 +316,7 @@ class TestFiniteDiff:
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericDomainError):
-            finite_diff_grad(lambda t: T.sum_all(T.scale(t, np.inf)), T.Tensor([[-1.0]]))
+            finite_diff_grad(lambda t: T.mean(T.scale(t, np.inf)), T.Tensor([[-1.0]]))
 
 
 OPS_FOR_GRADCHECK = [

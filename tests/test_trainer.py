@@ -354,7 +354,7 @@ def per_prompt_block(encoder, samples, positives, cache=None):
         rows = []
         for item in items:
             seq = assemble_prompt(item, side, encoder.config.max_seq)
-            rows.append(T.take_rows(forward(encoder, seq, upto), [seq.ret_position]))
+            rows.append(T.take_rows(forward(encoder, seq, upto), [len(seq) - 1]))
         return T.concat_rows(rows)
 
     return side_rows(samples, "query"), side_rows(positives, "candidate")
@@ -413,7 +413,7 @@ class TestBatchedEmbedding:
             with T.no_grad():
                 prompt = assemble_prompt(item, side, MIXED_ENC.max_seq)
                 hidden = forward(teacher, prompt, MIXED_ENC.n_layers).data
-                want = hidden[prompt.ret_position : prompt.ret_position + 1]
+                want = hidden[-1:]
             assert cache[key].shape == want.shape and cache[key].tobytes() == want.tobytes()
             assert cache[key].flags.owndata
         second, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
