@@ -204,19 +204,7 @@ def cmd_index(args) -> int:
 def cmd_search(args) -> int:
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
-    if args.index:
-        index = load_index(args.index)
-        # codes were assigned over sorted dataset tags at build time
-        index.dataset_names = tuple(sorted(corpus.pools))
-        stray = index.dataset_codes >= len(index.dataset_names)
-        if stray.any():
-            i = int(stray.argmax())
-            raise ConfigurationError(
-                f"index record {i} has dataset code {index.dataset_codes[i]}, "
-                f"but the corpus has {len(index.dataset_names)} datasets"
-            )
-    else:
-        index = build_index(encoder, corpus.all_candidates())
+    index = load_index(args.index) if args.index else build_index(encoder, corpus.all_candidates())
     queries = {q.id: q for q in corpus.all_queries()}
     if args.query_id not in queries:
         raise ConfigurationError(f"query id {args.query_id} not in corpus")

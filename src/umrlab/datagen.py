@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -224,10 +224,12 @@ class Corpus:
     def load(cls, directory: str | Path) -> "Corpus":
         """Read a saved corpus. Malformed JSON, missing or extra keys, a spec
         that CorpusSpec rejects, a seed that is not a non-negative integer,
-        train ids that are not integers naming queries, a task the spec
-        does not enable, duplicate ids and gold ids outside the query's own
-        task raise FormatError with the file name and the byte offset of the
-        offending line (0 in meta.json)."""
+        train ids that are not integers naming queries, an id, gold or
+        concept that is not an integer, a token outside the spec's
+        vocabularies, a task the spec does not enable, duplicate ids and
+        gold ids outside the query's own task raise FormatError with the
+        file name and the byte offset of the offending line (0 in
+        meta.json)."""
         directory = Path(directory)
         meta_path = directory / "meta.json"
         try:
@@ -249,14 +251,14 @@ class Corpus:
 
         pools: dict[str, list[Candidate]] = {}
         task_of: dict[int, str] = {}
-        for offset, c in _read_records(directory / "candidates.jsonl", Candidate, spec.tasks):
+        for offset, c in _read_records(directory / "candidates.jsonl", Candidate, spec):
             if c.id in task_of:
                 raise FormatError(f"candidates.jsonl: duplicate candidate id {c.id}", offset)
             task_of[c.id] = c.task
             pools.setdefault(c.dataset, []).append(c)
         queries: list[Sample] = []
         seen: set[int] = set()
-        for offset, q in _read_records(directory / "queries.jsonl", Sample, spec.tasks):
+        for offset, q in _read_records(directory / "queries.jsonl", Sample, spec):
             if q.id in seen:
                 raise FormatError(f"queries.jsonl: duplicate query id {q.id}", offset)
             if task_of.get(q.gold) != q.task:
@@ -275,22 +277,50 @@ class Corpus:
         return cls(spec=spec, seed=seed, train=train, test=test, pools=pools)
 
 
-def _read_records(path: Path, cls, tasks: tuple[str, ...]):
+def _refuse_float(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
+# every number of a corpus record is an integer
+_RECORD_DECODER = json.JSONDecoder(parse_float=_refuse_float)
+
+
+def _read_records(path: Path, cls, spec: CorpusSpec):
     """Yield (byte offset, cls instance) for each line of a JSONL file whose
-    objects carry exactly the fields of ``cls`` and one of ``tasks``."""
+    objects carry exactly the fields of ``cls``, integers (not bools) for
+    its id and gold or concept, one of the spec's tasks and tokens from its
+    text or image vocabulary."""
+    numbers = [f.name for f in fields(cls) if f.name not in ("task", "tokens")]
+    vocab = frozenset(range(TEXT_BASE, TEXT_BASE + spec.text_vocab_size))
+    vocab |= frozenset(range(IMAGE_BASE, IMAGE_BASE + spec.image_vocab_size))
     offset = 0
     with open(path, "rb") as f:
         for line in f:
             try:
-                fields = json.loads(line.decode("utf-8"))
-                fields["tokens"] = tuple(fields["tokens"])
-                record = cls(**fields)
+                raw = _RECORD_DECODER.decode(line.decode("utf-8"))
+                raw["tokens"] = tuple(raw["tokens"])
+                record = cls(**raw)
+                known_tokens = vocab.issuperset(record.tokens)  # TypeError on a list token
             except (ValueError, KeyError, TypeError) as err:
                 raise FormatError(f"{path.name}: bad record ({err!r})", offset) from err
-            if record.task not in tasks:
+            for name in numbers:
+                value = getattr(record, name)
+                if type(value) is not int:
+                    raise FormatError(
+                        f"{path.name}: record {record.id!r} has {name} {value!r}, which is not an integer",
+                        offset,
+                    )
+            if record.task not in spec.tasks:
                 raise FormatError(
                     f"{path.name}: record {record.id} has task {record.task!r}, "
                     f"which the corpus spec does not enable",
+                    offset,
+                )
+            if not known_tokens:
+                token = next(t for t in record.tokens if t not in vocab)
+                raise FormatError(
+                    f"{path.name}: record {record.id} has token {token!r}, "
+                    "outside the corpus spec's vocabularies",
                     offset,
                 )
             yield offset, record

@@ -4,6 +4,13 @@ Index vectors are L2-normalized and quantized to float32 at build time; all
 search determinism guarantees are stated over those stored 32-bit values,
 so a save/load round-trip can never change a result. Search is exhaustive
 (flat); pools at this scale never justify approximate structures.
+
+An index stores, per candidate, only its id, its task and its vector. The
+task is kept as its position in ``TASKS`` (the dataset code); the
+candidate's dataset (``DATASETS``) and modality (``CANDIDATE_MODALITY``)
+follow from it. An index file is the magic ``PUMAIDX2``, the u32 record
+count and the u32 dim, then one record per candidate: u32 id, u8 task code,
+3 zero bytes and ``dim`` float32s, all little-endian.
 """
 
 from __future__ import annotations
@@ -22,10 +29,14 @@ from .datagen import Candidate, Corpus, Sample
 from .encoder import Encoder, embed_raw, length_groups
 from .errors import ContractError, FormatError, LengthError
 from .prompts import TokenSequence, assemble_prompt
-from .tasks import MODALITIES, MODALITY_CODES
+from .tasks import CANDIDATE_MODALITY, DATASETS, MODALITIES, MODALITY_CODES, TASKS
 from .tensor import NORM_EPS
 
-INDEX_MAGIC = b"PUMAIDX1"
+INDEX_MAGIC = b"PUMAIDX2"
+# a candidate's dataset code is its task's position in TASKS
+DATASET_CODES = {DATASETS[task]: code for code, task in enumerate(TASKS)}
+# the candidate modality code of each dataset code
+_CODE_MODALITY = np.array([MODALITY_CODES[CANDIDATE_MODALITY[task]] for task in TASKS], dtype=np.uint8)
 # Candidates per batched forward in build_index. Smaller chunks pay more
 # per-op call cost, larger ones fall out of cache: building 1,800 candidates
 # at d=32, k=3 took 526 / 456 / 467 / 501 / 708 ms (medians of 9 interleaved
@@ -38,10 +49,8 @@ EMBED_CHUNK = 32
 @dataclass
 class EmbeddingIndex:
     ids: np.ndarray  # int64
-    modality_codes: np.ndarray  # uint8
-    dataset_codes: np.ndarray  # uint8
+    dataset_codes: np.ndarray  # uint8, positions in TASKS
     vectors: np.ndarray  # float32, rows normalized (or all-zero degenerate)
-    dataset_names: tuple[str, ...] | None = None
     # (vectors, its float64 copy) for search. build_index and load_index make
     # vectors read-only; replace the array rather than write into it
     _scored: tuple[np.ndarray, np.ndarray] | None = field(
@@ -55,6 +64,11 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @property
+    def modality_codes(self) -> np.ndarray:
+        """Each candidate's modality code, as its task gives it."""
+        return _CODE_MODALITY[self.dataset_codes]
+
     def vectors_f64(self) -> np.ndarray:
         """``vectors`` as float64, copied once per ``vectors`` array."""
         if self._scored is None or self._scored[0] is not self.vectors:
@@ -62,12 +76,12 @@ class EmbeddingIndex:
         return self._scored[1]
 
     def dataset_code(self, name: str) -> int:
-        if self.dataset_names is None:
-            raise ContractError("index loaded without dataset names")
+        """The code of dataset ``name``, whether or not the index holds any
+        of its candidates."""
         try:
-            return self.dataset_names.index(name)
-        except ValueError:
-            raise ContractError(f"dataset {name!r} is not in the index") from None
+            return DATASET_CODES[name]
+        except KeyError:
+            raise ContractError(f"dataset {name!r} belongs to no task") from None
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
@@ -97,10 +111,6 @@ def embed_prompts(
 def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int | None = None) -> EmbeddingIndex:
     """Prompt, forward and normalize every candidate into a flat index,
     batched by prompt length through :func:`embed_prompts`."""
-    names = tuple(sorted({c.dataset for c in candidates}))
-    if len(names) > 255:
-        raise ContractError("dataset codes are u8; at most 255 datasets")
-    code_of = {n: i for i, n in enumerate(names)}
     seqs = []
     for cand in candidates:
         try:
@@ -109,13 +119,12 @@ def build_index(encoder: Encoder, candidates: Sequence[Candidate], k_layers: int
             raise LengthError(f"candidate {cand.id}: {err}") from None
     n = len(candidates)
     ids = np.array([c.id for c in candidates], dtype=np.int64)
-    modality = np.array([MODALITY_CODES[c.modality] for c in candidates], dtype=np.uint8)
-    dataset = np.array([code_of[c.dataset] for c in candidates], dtype=np.uint8)
+    dataset = np.array([DATASET_CODES[c.dataset] for c in candidates], dtype=np.uint8)
     if len(set(ids.tolist())) != n:
         raise ContractError("candidate ids must be unique")
     vectors = embed_prompts(encoder, seqs, k_layers).astype(np.float32)
     vectors.flags.writeable = False
-    return EmbeddingIndex(ids, modality, dataset, vectors, names)
+    return EmbeddingIndex(ids, dataset, vectors)
 
 
 def embed_query(encoder: Encoder, sample: Sample) -> np.ndarray:
@@ -138,8 +147,8 @@ def search_topk(
     if datasets is None:
         keep = slice(None)
     else:
-        # one flag per u8 dataset code, looked up row by row
-        chosen = np.zeros(256, dtype=bool)
+        # one flag per dataset code, looked up row by row
+        chosen = np.zeros(len(TASKS), dtype=bool)
         chosen[[index.dataset_code(d) for d in datasets]] = True
         keep = chosen.take(index.dataset_codes)
     ids = index.ids[keep]
@@ -225,6 +234,7 @@ def pca_coords(index: EmbeddingIndex) -> np.ndarray:
 def write_pca_csv(index: EmbeddingIndex, path: str | Path, coords: np.ndarray) -> None:
     """Write ``coords``, the ``pca_coords(index)`` rows, with each vector's
     id and modality."""
+    modality_codes = index.modality_codes
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "modality", "x", "y"])
@@ -232,7 +242,7 @@ def write_pca_csv(index: EmbeddingIndex, path: str | Path, coords: np.ndarray) -
             writer.writerow(
                 [
                     int(index.ids[i]),
-                    MODALITIES[index.modality_codes[i]],
+                    MODALITIES[modality_codes[i]],
                     f"{coords[i, 0]:.8g}",
                     f"{coords[i, 1]:.8g}",
                 ]
@@ -244,13 +254,13 @@ def write_pca_csv(index: EmbeddingIndex, path: str | Path, coords: np.ndarray) -
 
 
 def _record_dtype(dim: int) -> np.dtype:
-    """One index record: u32 id, u8 modality, u8 dataset, 2 zero pad bytes,
-    then dim little-endian float32s."""
+    """One index record: u32 id, u8 task code, 3 zero pad bytes, then dim
+    little-endian float32s."""
     return np.dtype(
         {
-            "names": ["id", "modality", "dataset", "vector"],
-            "formats": ["<u4", "u1", "u1", ("<f4", (dim,))],
-            "offsets": [0, 4, 5, 8],
+            "names": ["id", "task", "vector"],
+            "formats": ["<u4", "u1", ("<f4", (dim,))],
+            "offsets": [0, 4, 8],
             "itemsize": 8 + 4 * dim,
         }
     )
@@ -262,8 +272,7 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
         raise ContractError(f"candidate id {int(index.ids[wide][0])} does not fit the u32 id field")
     records = np.zeros(len(index), dtype=_record_dtype(index.dim))
     records["id"] = index.ids
-    records["modality"] = index.modality_codes
-    records["dataset"] = index.dataset_codes
+    records["task"] = index.dataset_codes
     records["vector"] = index.vectors
     header = INDEX_MAGIC + struct.pack("<II", len(index), index.dim)
     Path(path).write_bytes(header + records.tobytes())
@@ -271,8 +280,9 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> EmbeddingIndex:
     """Read an index file, checking its length against the header before
-    allocating anything for the records, and each record's modality code.
-    Dataset codes are checked by whoever supplies the dataset names."""
+    allocating anything for the records. A task code outside ``TASKS``, a
+    vector component that is not finite and an id that an earlier record
+    holds raise FormatError at their byte."""
     blob = Path(path).read_bytes()
     if blob[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise FormatError("bad index magic", 0)
@@ -291,23 +301,27 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     if record >= 2**31:  # numpy record sizes are C ints; only an empty index gets here
         raise FormatError(f"index dim {dim} too large", offset - 4)
     records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=offset)
-    stray = records["modality"] >= len(MODALITIES)
+    stray = records["task"] >= len(TASKS)
     if stray.any():
         i = int(stray.argmax())
         raise FormatError(
-            f"index record {i} has modality code {records['modality'][i]}, "
-            f"outside 0..{len(MODALITIES) - 1}",
+            f"index record {i} has task code {records['task'][i]}, outside 0..{len(TASKS) - 1}",
             offset + i * record + 4,
         )
     vectors = records["vector"].astype(np.float32)
+    infinite = ~np.isfinite(vectors)
+    if infinite.any():
+        i, j = divmod(int(infinite.argmax()), dim)
+        raise FormatError(
+            f"index record {i} has non-finite vector component {j}", offset + i * record + 8 + 4 * j
+        )
+    ids = records["id"].astype(np.int64)
+    _, first = np.unique(ids, return_index=True)
+    if len(first) < count:
+        i = min(set(range(count)) - set(first.tolist()))
+        raise FormatError(f"index record {i} repeats candidate id {ids[i]}", offset + i * record)
     vectors.flags.writeable = False
-    return EmbeddingIndex(
-        ids=records["id"].astype(np.int64),
-        modality_codes=records["modality"].copy(),
-        dataset_codes=records["dataset"].copy(),
-        vectors=vectors,
-        dataset_names=None,
-    )
+    return EmbeddingIndex(ids=ids, dataset_codes=records["task"].copy(), vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +331,13 @@ def load_index(path: str | Path) -> EmbeddingIndex:
 @dataclass(frozen=True)
 class ReportRow:
     task: str
-    dataset: str
     scope: str
     k: int
     recall: float
+
+    @property
+    def dataset(self) -> str:
+        return DATASETS[self.task]
 
 
 @dataclass
@@ -387,15 +404,15 @@ def evaluate(
     overrides = k_overrides or {}
     if index is None:
         index = build_index(encoder, corpus.all_candidates())
-    by_dataset: dict[str, list[Sample]] = {}
+    by_task: dict[str, list[Sample]] = {}
     for q in corpus.test:
-        by_dataset.setdefault(q.dataset, []).append(q)
+        by_task.setdefault(q.task, []).append(q)
     rows: list[ReportRow] = []
-    for dataset in sorted(by_dataset):
-        group = by_dataset[dataset]
+    # sorted by task, which is the order of their "ds-" dataset tags
+    for task in sorted(by_task):
+        group, dataset = by_task[task], DATASETS[task]
         k_list = sorted({overrides.get(dataset, k) for k in ks})
         k_max = max(k_list)
-        task = group[0].task
         for scope in scopes:
             filt = None if scope == "global" else [dataset]
             ranked = {}
@@ -405,13 +422,7 @@ def evaluate(
             gold = {q.id: q.gold for q in group}
             for k in k_list:
                 rows.append(
-                    ReportRow(
-                        task=task,
-                        dataset=dataset,
-                        scope=scope,
-                        k=k,
-                        recall=recall_at_k(ranked, gold, k),
-                    )
+                    ReportRow(task=task, scope=scope, k=k, recall=recall_at_k(ranked, gold, k))
                 )
     return EvalReport(
         rows=rows,

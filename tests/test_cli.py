@@ -207,6 +207,29 @@ class TestCorruptCorpusRecords:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("id", [1]), ("id", "3"), ("concept", True), ("tokens", ["a"]), ("tokens", [10**30])],
+        ids=["id-list", "id-string", "concept-bool", "token-string", "token-huge"],
+    )
+    def test_candidate_field_of_wrong_type_is_diagnosed(self, workdir, tmp_path, capsys, field, value):
+        _, corpus, _, student = workdir
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        lines = (copy / "candidates.jsonl").read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record[field] = value if field != "tokens" else record["tokens"][:2] + value
+        lines[3] = (json.dumps(record) + "\n").encode()
+        (copy / "candidates.jsonl").write_bytes(b"".join(lines))
+        out = tmp_path / "pool.idx"
+        code = main(["index", "--checkpoint", str(student), "--corpus", str(copy), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: candidates.jsonl: record ")
+        assert err.endswith(f"(at byte offset {sum(len(line) for line in lines[:3])})\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainArtifacts:
     def test_checkpoints_and_curve_exist(self, workdir):
@@ -462,7 +485,8 @@ class TestPruneEmbedIndexSearch:
         ]) == 0
         blob = bytearray(idx.read_bytes())
         record = 8 + 4 * 8  # d_model 8
-        blob[16 + 2 * record + 5] = 200
+        at = 16 + 2 * record + 4
+        blob[at] = 200
         idx.write_bytes(bytes(blob))
         capsys.readouterr()
         code = main([
@@ -471,8 +495,35 @@ class TestPruneEmbedIndexSearch:
         ])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith("error: index record 2 has dataset code 200")
+        assert captured.err == f"error: index record 2 has task code 200, outside 0..7 (at byte offset {at})\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("query_id,task", [(0, "t2i"), (8, "t2t")])
+    def test_index_of_another_corpus_searches_only_the_query_task(
+        self, workdir, tmp_path, capsys, query_id, task
+    ):
+        """An index of a t2t,i2t corpus, searched with a query of the t2t,t2i
+        corpus: a local search returns only candidates of the query's task,
+        none at all for t2i, which that index lacks."""
+        from umrlab.datagen import Corpus
+
+        _, corpus, _, student = workdir
+        other = tmp_path / "other"
+        other_args = [*CORPUS_ARGS[:2], "--tasks", "t2t,i2t", *CORPUS_ARGS[4:]]
+        assert main(["gen-data", "--out", str(other), *other_args, "--seed", "4"]) == 0
+        idx = tmp_path / "other.idx"
+        assert main(["index", "--checkpoint", str(student), "--corpus", str(other), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        assert main([
+            "search", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--index", str(idx), "--query-id", str(query_id), "--k", "3", "--scope", "local",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"query {query_id} task={task} ")
+        task_of = {c.id: c.task for c in Corpus.load(other).all_candidates()}
+        hits = [int(line.split()[2]) for line in lines[1:]]
+        assert [task_of[cid] for cid in hits] == [task] * len(hits)
+        assert len(hits) == (0 if task == "t2i" else 3)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from umrlab.datagen import (
     vocab_size_for,
 )
 from umrlab.errors import ConfigurationError, ContractError, FormatError
-from umrlab.prompts import RESERVED_IDS
+from umrlab.prompts import RESERVED_IDS, RET_TOKEN_ID
 from umrlab.tasks import CANDIDATE_MODALITY, QUERY_MODALITY
 
 SMALL_SPEC = CorpusSpec(
@@ -315,6 +315,27 @@ BAD_LINES = {
     "gold-names-nothing": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(gold=10**9))),
     "query-missing-key": ("queries.jsonl", _rewrite(lambda corpus, r: r.pop("tokens"))),
     "candidate-missing-key": ("candidates.jsonl", _rewrite(lambda corpus, r: r.pop("task"))),
+    "candidate-id-list": ("candidates.jsonl", _rewrite(lambda corpus, r: r.update(id=[r["id"]]))),
+    "query-id-string": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(id=str(r["id"])))),
+    "query-id-float": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(id=r["id"] + 0.5))),
+    "gold-float": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(gold=float(r["gold"])))),
+    "gold-bool": ("queries.jsonl", _rewrite(lambda corpus, r: r.update(gold=False))),
+    "concept-string": ("candidates.jsonl", _rewrite(lambda corpus, r: r.update(concept="1"))),
+    "concept-null": ("candidates.jsonl", _rewrite(lambda corpus, r: r.update(concept=None))),
+    "token-string": ("queries.jsonl", _rewrite(lambda corpus, r: r["tokens"].append("a"))),
+    "token-float": ("candidates.jsonl", _rewrite(lambda corpus, r: r["tokens"].append(float(TEXT_BASE)))),
+    "token-bool": ("candidates.jsonl", _rewrite(lambda corpus, r: r["tokens"].append(True))),
+    "token-list": ("queries.jsonl", _rewrite(lambda corpus, r: r["tokens"].append([TEXT_BASE]))),
+    "token-huge": ("candidates.jsonl", _rewrite(lambda corpus, r: r["tokens"].append(10**30))),
+    "token-reserved": ("queries.jsonl", _rewrite(lambda corpus, r: r["tokens"].append(RET_TOKEN_ID))),
+    "token-past-text-vocab": (
+        "queries.jsonl",
+        _rewrite(lambda corpus, r: r["tokens"].append(TEXT_BASE + corpus.spec.text_vocab_size)),
+    ),
+    "token-past-image-vocab": (
+        "candidates.jsonl",
+        _rewrite(lambda corpus, r: r["tokens"].append(IMAGE_BASE + corpus.spec.image_vocab_size)),
+    ),
     "bad-json": ("candidates.jsonl", lambda corpus, lines: b'{"id": 3,\n'),
     "not-an-object": ("queries.jsonl", lambda corpus, lines: b"[1, 2]\n"),
 }

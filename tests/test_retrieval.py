@@ -27,7 +27,7 @@ from umrlab.retrieval import (
     search_topk,
     write_pca_csv,
 )
-from umrlab.tasks import MODALITIES
+from umrlab.tasks import MODALITY_CODES, TASKS
 
 SPEC = CorpusSpec(
     n_concepts=12,
@@ -60,15 +60,20 @@ def index(encoder, corpus):
     return build_index(encoder, corpus.all_candidates())
 
 
-def toy_index(vectors, ids=None, modalities=None, datasets=None, names=("ds-a",)):
+# task codes, and the candidate modality each gives: t2t text, t2i image,
+# t2it image_text
+T2I, T2T, T2IT = (TASKS.index(task) for task in ("t2i", "t2t", "t2it"))
+
+
+def toy_index(vectors, ids=None, tasks=None):
+    """An index of ``vectors`` whose candidates have the task codes ``tasks``
+    (t2i, an image pool, by default)."""
     v = np.asarray(vectors, dtype=np.float32)
     n = len(v)
     return EmbeddingIndex(
         ids=np.asarray(ids if ids is not None else range(n), dtype=np.int64),
-        modality_codes=np.asarray(modalities if modalities is not None else [0] * n, dtype=np.uint8),
-        dataset_codes=np.asarray(datasets if datasets is not None else [0] * n, dtype=np.uint8),
+        dataset_codes=np.asarray(tasks if tasks is not None else [T2I] * n, dtype=np.uint8),
         vectors=v,
-        dataset_names=names,
     )
 
 
@@ -82,6 +87,13 @@ class TestBuildIndex:
         b = build_index(encoder, corpus.all_candidates())
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert np.array_equal(a.ids, b.ids)
+
+    def test_codes_are_task_positions(self, corpus, index):
+        cands = corpus.all_candidates()
+        assert index.dataset_codes.dtype == np.uint8
+        assert index.dataset_codes.tolist() == [TASKS.index(c.task) for c in cands]
+        assert index.modality_codes.tolist() == [MODALITY_CODES[c.modality] for c in cands]
+        assert [index.dataset_code(c.dataset) for c in cands] == index.dataset_codes.tolist()
 
     def test_vectors_normalized(self, index):
         norms = np.linalg.norm(index.vectors.astype(np.float64), axis=1)
@@ -174,9 +186,10 @@ class TestSearch:
                 v = rng.choice([0.0, -0.0, 1.0, -1.0, np.nan], size=(n, d))
                 q = rng.choice([0.0, -0.0, 1.0, 0.5], size=d)
             codes = rng.integers(0, 2, size=n)
-            idx = toy_index(v, ids=rng.permutation(4 * n)[:n], datasets=codes, names=("a", "b"))
+            idx = toy_index(v, ids=rng.permutation(4 * n)[:n], tasks=np.array([T2I, T2T])[codes])
             k = int(rng.integers(1, n + 2))
-            for scope, codes_kept in ((None, None), (["b"], [1]), (["b", "a"], [0, 1])):
+            scopes = ((None, None), (["ds-t2t"], [T2T]), (["ds-t2t", "ds-t2i"], [T2I, T2T]))
+            for scope, codes_kept in scopes:
                 got = search_topk(idx, q, k, scope)
                 want = full_sort_topk(idx, q, k, codes_kept)
                 assert [i for i, _ in got] == [i for i, _ in want]
@@ -184,16 +197,16 @@ class TestSearch:
                 assert scores[0] == scores[1]
 
     def test_scope_filter_and_empty_pool(self):
-        idx = toy_index(np.eye(4), datasets=[0, 0, 1, 1], names=("ds-a", "ds-b"))
-        out = search_topk(idx, np.eye(4)[0], 2, ["ds-b"])
+        idx = toy_index(np.eye(4), tasks=[T2I, T2I, T2T, T2T])
+        out = search_topk(idx, np.eye(4)[0], 2, ["ds-t2t"])
         assert [i for i, _ in out] == [2, 3]
-        empty = toy_index(np.eye(2), datasets=[0, 0], names=("ds-a", "ds-b"))
-        assert search_topk(empty, np.eye(2)[0], 3, ["ds-b"]) == []
+        empty = toy_index(np.eye(2), tasks=[T2I, T2I])
+        assert search_topk(empty, np.eye(2)[0], 3, ["ds-t2t"]) == []
 
     @pytest.mark.parametrize("name", ["ds-z", 0], ids=["unknown-name", "integer-code"])
     def test_filter_by_unknown_dataset_rejected(self, name):
-        idx = toy_index(np.eye(2), names=("ds-a",))
-        with pytest.raises(ContractError, match=f"dataset {name!r} is not in the index"):
+        idx = toy_index(np.eye(2))
+        with pytest.raises(ContractError, match=f"dataset {name!r} belongs to no task"):
             search_topk(idx, np.eye(2)[0], 1, [name])
 
     def test_k_must_be_positive(self):
@@ -253,14 +266,14 @@ class TestSeparation:
         v = np.array(
             [[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0]], dtype=np.float32
         )
-        stats = modality_separation(toy_index(v, modalities=[0, 0, 1, 1]))
+        stats = modality_separation(toy_index(v, tasks=[T2T, T2T, T2I, T2I]))
         assert stats.intra == pytest.approx(1.0)
         assert stats.inter == pytest.approx(0.0)
         assert stats.gap == pytest.approx(1.0)
 
     def test_identical_vectors_zero_gap(self):
         v = np.ones((4, 3), dtype=np.float32) / np.sqrt(3)
-        stats = modality_separation(toy_index(v, modalities=[0, 0, 1, 1]))
+        stats = modality_separation(toy_index(v, tasks=[T2T, T2T, T2I, T2I]))
         assert stats.gap == pytest.approx(0.0)
 
     def test_single_modality_rejected(self):
@@ -269,15 +282,15 @@ class TestSeparation:
 
     def test_tiny_groups_rejected(self):
         with pytest.raises(ContractError):
-            modality_separation(toy_index(np.eye(3), modalities=[0, 0, 1]))
+            modality_separation(toy_index(np.eye(3), tasks=[T2T, T2T, T2I]))
 
     def test_matches_all_pairs_reference(self):
         rng = np.random.default_rng(4)
-        modalities = np.repeat([0, 1, 2], [7, 2, 12])
-        v = rng.normal(size=(len(modalities), 5))
+        tasks = np.repeat([T2T, T2I, T2IT], [7, 2, 12])
+        v = rng.normal(size=(len(tasks), 5))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         v[3] = 0.0
-        idx = toy_index(v, modalities=rng.permutation(modalities))
+        idx = toy_index(v, tasks=rng.permutation(tasks))
         # brute force over the full N x N cosine matrix, self-pairs excluded
         w = idx.vectors.astype(np.float64)
         sims = w @ w.T
@@ -312,6 +325,14 @@ class TestIndexIO:
         with pytest.raises(FormatError):
             load_index(p)
 
+    def test_first_format_is_refused_at_offset_0(self, index, tmp_path):
+        p = tmp_path / "v1.idx"
+        save_index(index, p)
+        p.write_bytes(b"PUMAIDX1" + p.read_bytes()[8:])
+        with pytest.raises(FormatError, match="bad index magic") as err:
+            load_index(p)
+        assert err.value.offset == 0
+
     def test_truncated_record(self, index, tmp_path):
         p = tmp_path / "cut.idx"
         save_index(index, p)
@@ -333,7 +354,7 @@ class TestIndexIO:
     @pytest.mark.parametrize("count,dim", [(2**32 - 1, 2**32 - 1), (50_000_000, 32)])
     def test_oversized_header_rejected_before_allocating(self, tmp_path, count, dim):
         p = tmp_path / "huge.idx"
-        p.write_bytes(b"PUMAIDX1" + struct.pack("<II", count, dim))
+        p.write_bytes(b"PUMAIDX2" + struct.pack("<II", count, dim))
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match="truncated index record 0") as err:
@@ -347,23 +368,50 @@ class TestIndexIO:
     @pytest.mark.parametrize("dim", [2**29, 2**32 - 1])
     def test_empty_index_with_unrepresentable_dim_rejected(self, tmp_path, dim):
         p = tmp_path / "wide.idx"
-        p.write_bytes(b"PUMAIDX1" + struct.pack("<II", 0, dim))
+        p.write_bytes(b"PUMAIDX2" + struct.pack("<II", 0, dim))
         with pytest.raises(FormatError) as err:
             load_index(p)
         assert err.value.offset == 12
 
-    def test_modality_code_outside_modalities_rejected_at_its_byte(self, index, tmp_path):
+    def test_task_code_outside_tasks_rejected_at_its_byte(self, index, tmp_path):
         p = tmp_path / "pool.idx"
         save_index(index, p)
         blob = bytearray(p.read_bytes())
         record = 8 + 4 * index.dim
         at = 16 + 3 * record + 4
-        blob[at] = len(MODALITIES)
+        blob[at] = len(TASKS)
         blob[16 + 5 * record + 4] = 255
         p.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match=f"index record 3 has modality code {len(MODALITIES)}") as err:
+        with pytest.raises(FormatError, match=f"index record 3 has task code {len(TASKS)}, outside 0..7") as err:
             load_index(p)
         assert err.value.offset == at
+
+    def test_last_task_code_loads(self, tmp_path):
+        p = tmp_path / "pool.idx"
+        save_index(toy_index(np.eye(2), tasks=[len(TASKS) - 1, 0]), p)
+        assert load_index(p).dataset_codes.tolist() == [len(TASKS) - 1, 0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_component_rejected_at_its_byte(self, index, tmp_path, value):
+        p = tmp_path / "pool.idx"
+        save_index(index, p)
+        blob = bytearray(p.read_bytes())
+        record = 8 + 4 * index.dim
+        at = 16 + 4 * record + 8 + 4 * 2
+        blob[at : at + 4] = struct.pack("<f", value)
+        blob[16 + 6 * record + 8 : 16 + 6 * record + 12] = struct.pack("<f", np.nan)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="index record 4 has non-finite vector component 2") as err:
+            load_index(p)
+        assert err.value.offset == at
+
+    @pytest.mark.parametrize("ids,first", [([5, 5, 7], 1), ([5, 7, 7, 5], 2)])
+    def test_duplicate_id_rejected_at_its_record(self, tmp_path, ids, first):
+        p = tmp_path / "pool.idx"
+        save_index(toy_index(np.eye(len(ids)), ids=ids), p)
+        with pytest.raises(FormatError, match=f"index record {first} repeats candidate id {ids[first]}") as err:
+            load_index(p)
+        assert err.value.offset == 16 + first * (8 + 4 * len(ids))
 
     def test_trailing_bytes_rejected(self, index, tmp_path):
         p = tmp_path / "long.idx"
@@ -377,11 +425,10 @@ class TestIndexIO:
     def test_file_bytes_match_record_layout(self, index, tmp_path):
         p = tmp_path / "pool.idx"
         save_index(index, p)
-        want = bytearray(b"PUMAIDX1" + struct.pack("<II", len(index), index.dim))
+        want = bytearray(b"PUMAIDX2" + struct.pack("<II", len(index), index.dim))
         for i in range(len(index)):
-            codes = (index.modality_codes[i], index.dataset_codes[i])
-            want += struct.pack("<IBB", index.ids[i], *codes)
-            want += b"\x00\x00" + index.vectors[i].astype("<f4").tobytes()
+            want += struct.pack("<IB", index.ids[i], index.dataset_codes[i])
+            want += b"\x00\x00\x00" + index.vectors[i].astype("<f4").tobytes()
         assert p.read_bytes() == bytes(want)
         loaded = load_index(p)
         assert loaded.ids.dtype == np.int64 and np.array_equal(loaded.ids, index.ids)
@@ -389,7 +436,7 @@ class TestIndexIO:
         assert np.array_equal(loaded.dataset_codes, index.dataset_codes)
 
     def test_empty_index_file_valid(self, tmp_path):
-        empty = toy_index(np.zeros((0, 4), dtype=np.float32), ids=[], modalities=[], datasets=[])
+        empty = toy_index(np.zeros((0, 4), dtype=np.float32), ids=[], tasks=[])
         p = tmp_path / "empty.idx"
         save_index(empty, p)
         loaded = load_index(p)
@@ -416,6 +463,13 @@ class TestEvaluate:
         for dataset in {r.dataset for r in report.rows}:
             values = [r.recall for r in sorted(report.rows, key=lambda r: r.k) if r.dataset == dataset]
             assert values == sorted(values)
+
+    def test_rows_in_task_order_then_scope_then_k(self, encoder, corpus):
+        report = evaluate(encoder, corpus, scopes=("local", "global"), ks=(5, 1))
+        tasks = sorted(SPEC.tasks)
+        assert [(r.task, r.dataset, r.scope, r.k) for r in report.rows] == [
+            (task, f"ds-{task}", scope, k) for task in tasks for scope in ("local", "global") for k in (1, 5)
+        ]
 
     def test_same_checkpoint_twice_identical(self, encoder, corpus):
         a = evaluate(encoder, corpus, scopes=("local",), ks=(5,))
@@ -479,7 +533,7 @@ class TestPca:
 
     @pytest.mark.parametrize("n,dim", [(3, 1), (1, 4), (0, 4)], ids=["dim-1", "one-vector", "empty"])
     def test_fewer_than_two_components_rejected_before_the_file(self, tmp_path, n, dim):
-        index = toy_index(np.ones((n, dim)), modalities=[0] * n, datasets=[0] * n)
+        index = toy_index(np.ones((n, dim)))
         path = tmp_path / "pca.csv"
         with pytest.raises(ContractError, match="PCA needs two components"):
             write_pca_csv(index, path, pca_coords(index))
