@@ -103,8 +103,8 @@ class TestGenData:
         ]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
-        for name in ("queries.jsonl", "candidates.jsonl", "meta.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["meta.json"]
+        assert (tmp_path / "a" / "meta.json").read_bytes() == (tmp_path / "b" / "meta.json").read_bytes()
 
     @pytest.mark.parametrize(
         "flag,value,named", [("--text-vocab", "0", "vocabularies"), ("--n-t", "-1", "n_t"),
@@ -179,54 +179,17 @@ class TestCorruptCorpusMeta:
         assert "Traceback" not in err
         assert not out.exists()
 
-
-class TestCorruptCorpusRecords:
-    @pytest.mark.parametrize("command", ["eval", "train 2"])
-    def test_test_query_of_unknown_task_is_diagnosed(self, workdir, tmp_path, capsys, command):
-        _, corpus, _, student = workdir
-        copy = tmp_path / "corpus"
-        shutil.copytree(corpus, copy)
-        train_ids = set(json.loads((copy / "meta.json").read_text())["train_ids"])
-        lines = (copy / "queries.jsonl").read_bytes().splitlines(keepends=True)
-        n = next(i for i, line in enumerate(lines) if json.loads(line)["id"] not in train_ids)
-        record = json.loads(lines[n])
-        record["task"] = "zzz"
-        lines[n] = (json.dumps(record) + "\n").encode()
-        (copy / "queries.jsonl").write_bytes(b"".join(lines))
-        out = tmp_path / "out"
-        argv = {
-            "eval": ["eval", "--checkpoint", str(student), "--corpus", str(copy), "--out", str(out)],
-            "train 2": ["train", "2", "--corpus", str(copy), "--out", str(out), "--init", str(student)],
-        }[command]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: queries.jsonl: record {record['id']} has task 'zzz', which the corpus spec "
-            f"does not enable (at byte offset {sum(len(line) for line in lines[:n])})\n"
-        )
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("id", [1]), ("id", "3"), ("concept", True), ("tokens", ["a"]), ("tokens", [10**30])],
-        ids=["id-list", "id-string", "concept-bool", "token-string", "token-huge"],
-    )
-    def test_candidate_field_of_wrong_type_is_diagnosed(self, workdir, tmp_path, capsys, field, value):
-        _, corpus, _, student = workdir
-        copy = tmp_path / "corpus"
-        shutil.copytree(corpus, copy)
-        lines = (copy / "candidates.jsonl").read_bytes().splitlines(keepends=True)
-        record = json.loads(lines[3])
-        record[field] = value if field != "tokens" else record["tokens"][:2] + value
-        lines[3] = (json.dumps(record) + "\n").encode()
-        (copy / "candidates.jsonl").write_bytes(b"".join(lines))
-        out = tmp_path / "pool.idx"
-        code = main(["index", "--checkpoint", str(student), "--corpus", str(copy), "--out", str(out)])
+    def test_old_three_file_layout_is_diagnosed(self, workdir, tmp_path, capsys):
+        _, _, _, student = workdir
+        corpus = self.corrupt(workdir, tmp_path, lambda meta: meta.update(train_ids=[0, 1]))
+        (corpus / "queries.jsonl").write_text("")
+        (corpus / "candidates.jsonl").write_text("")
+        out = tmp_path / "report.csv"
+        code = main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: candidates.jsonl: record ")
-        assert err.endswith(f"(at byte offset {sum(len(line) for line in lines[:3])})\n")
+        assert err.startswith("error: meta.json: unexpected keys ['train_ids']; ")
+        assert "old three-file layout" in err and err.endswith("(at byte offset 0)\n")
         assert "Traceback" not in err
         assert not out.exists()
 

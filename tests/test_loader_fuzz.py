@@ -1,5 +1,6 @@
-"""Loader fuzz: a checkpoint, an index or a corpus file that was truncated or
-had one byte flipped either loads or raises FormatError, never another error."""
+"""Loader fuzz: a checkpoint, an index or a corpus's meta.json that was
+truncated or had one byte flipped either loads or raises FormatError, never
+another error."""
 
 import shutil
 
@@ -26,8 +27,6 @@ TARGETS = {
     "pruned.ckpt": lambda root: load_checkpoint(root / "pruned.ckpt"),
     "pool.idx": lambda root: load_index(root / "pool.idx"),
     "corpus/meta.json": lambda root: Corpus.load(root / "corpus"),
-    "corpus/queries.jsonl": lambda root: Corpus.load(root / "corpus"),
-    "corpus/candidates.jsonl": lambda root: Corpus.load(root / "corpus"),
 }
 
 
