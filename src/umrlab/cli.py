@@ -154,7 +154,7 @@ def cmd_train(args) -> int:
     # run_stage checks each update, but only the next forward overflows on the
     # weights the last update left; run one before anything is saved
     embed_prompts(result.encoder, [assemble_prompt(corpus.train[0], "query", encoder_cfg.max_seq)])
-    save_checkpoint(args.out, result.encoder, result.optimizer)
+    save_checkpoint(args.out, result.encoder)
     if args.curve:
         write_curve(args.curve, result.curve)
     last = result.curve[-1] if result.curve else None

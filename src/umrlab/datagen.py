@@ -249,16 +249,21 @@ class Corpus:
         a missing key, any key besides ``seed`` and ``spec`` (``train_ids``
         marks the old three-file layout), a spec that CorpusSpec rejects and
         a seed that is not a non-negative integer raise FormatError, at the
-        JSON error's byte offset or else at 0."""
+        byte offset of a UTF-8 or JSON error or else at 0."""
         meta_path = Path(directory) / "meta.json"
         try:
-            meta = json.loads(meta_path.read_bytes())
+            text = meta_path.read_bytes().decode("utf-8")
+            meta = json.loads(text)
             spec_dict = dict(meta["spec"])
             spec_dict["tasks"] = tuple(spec_dict["tasks"])
             spec = CorpusSpec(**spec_dict)
             seed = meta["seed"]
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{meta_path.name}: not UTF-8 ({err.reason})", err.start) from err
         except json.JSONDecodeError as err:
-            raise FormatError(f"{meta_path.name}: {err.msg}", err.pos) from err
+            # pos counts characters; the offset counts bytes
+            offset = len(text[: err.pos].encode("utf-8"))
+            raise FormatError(f"{meta_path.name}: {err.msg}", offset) from err
         except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"{meta_path.name}: bad metadata ({err!r})", 0) from err
         except (ConfigurationError, ContractError) as err:

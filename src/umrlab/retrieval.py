@@ -25,6 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .binfile import Reader
 from .datagen import Candidate, Corpus, Sample
 from .encoder import Encoder, embed_raw, length_groups
 from .errors import ContractError, FormatError, LengthError
@@ -283,24 +284,15 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     allocating anything for the records. A task code outside ``TASKS``, a
     vector component that is not finite and an id that an earlier record
     holds raise FormatError at their byte."""
-    blob = Path(path).read_bytes()
-    if blob[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-        raise FormatError("bad index magic", 0)
-    offset = len(INDEX_MAGIC)
-    if len(blob) < offset + 8:
-        raise FormatError("truncated index header", offset)
-    count, dim = struct.unpack_from("<II", blob, offset)
-    offset += 8
+    r = Reader(Path(path).read_bytes(), "index")
+    r.magic(INDEX_MAGIC)
+    count, dim = r.unpack("<II", "header")
     record = 8 + 4 * dim
-    end = offset + count * record
-    if end > len(blob):
-        whole = (len(blob) - offset) // record
-        raise FormatError(f"truncated index record {whole}", offset + whole * record)
-    if end < len(blob):
-        raise FormatError("trailing bytes after index payload", end)
+    offset = r.records(count, record, "index record")
+    r.end()
     if record >= 2**31:  # numpy record sizes are C ints; only an empty index gets here
         raise FormatError(f"index dim {dim} too large", offset - 4)
-    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=offset)
+    records = np.frombuffer(r.blob, dtype=_record_dtype(dim), count=count, offset=offset)
     stray = records["task"] >= len(TASKS)
     if stray.any():
         i = int(stray.argmax())

@@ -9,8 +9,10 @@ updating in place.
 The forward arithmetic of the ops a transformer block uses lives in plain
 array kernels (``_affine``, ``_layer_norm``, ``_gelu``, ``_attention``). The
 taped ops call them, and ``bare`` exposes them under the ops' names for
-tape-free callers, so both compute the same bytes. Layer norm and the L2 row
-normalizers read their epsilons from module constants, not from callers.
+tape-free callers, so both compute the same bytes. ``softmax_rows`` is an
+array kernel with no taped op: its one caller takes it of constant scores.
+Layer norm and the L2 row normalizers read their epsilons from module
+constants, not from callers.
 """
 
 from __future__ import annotations
@@ -408,20 +410,16 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 # row-structured kernels
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Stable per-row softmax (max subtraction before exponentiation)."""
-    _require_2d("softmax_rows", x)
-    if not np.isfinite(x.data).all():
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Stable per-row softmax of a 2-D array (max subtraction before
+    exponentiation). Tape-free: its one caller, the ``kl`` distill loss,
+    takes it of the teacher's constant scores."""
+    if x.ndim != 2:
+        raise DimensionError(f"softmax_rows expects a 2-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise NumericDomainError("softmax_rows input contains non-finite entries")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(dy):
-        inner = (dy * out).sum(axis=1, keepdims=True)
-        return ((dy - inner) * out,)
-
-    return _result("softmax_rows", out, (x,), vjp)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):

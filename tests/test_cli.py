@@ -653,24 +653,6 @@ class TestEval:
         assert report(student, other_seed)[1] != {base}
         assert report(teacher, corpus)[1] != {base}
 
-    def test_config_hash_ignores_optimizer_state(self, workdir, tmp_path):
-        from umrlab.checkpoint import load_checkpoint, save_checkpoint
-
-        _, corpus, _, student = workdir
-        encoder, optimizer = load_checkpoint(student)
-        assert optimizer is not None
-        bare = tmp_path / "weights-only.ckpt"
-        save_checkpoint(bare, encoder)
-        assert bare.read_bytes() != student.read_bytes()
-
-        def hashes(checkpoint):
-            out = tmp_path / "report.csv"
-            assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus), "--out", str(out)]) == 0
-            return {line.split(",")[6] for line in out.read_text().strip().splitlines()[1:]}
-
-        # the hash names the model, not the file that holds it
-        assert hashes(bare) == hashes(student)
-
     @pytest.mark.parametrize("flags", [["--k", "0", "--k", "5"], ["--k", "5", "--k-override", "ds-t2i=0"]])
     def test_k_below_one_is_diagnosed(self, workdir, capsys, flags):
         root, corpus, _, student = workdir

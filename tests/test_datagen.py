@@ -444,6 +444,24 @@ class TestLoadValidation:
         with pytest.raises(FormatError, match="meta.json"):
             Corpus.load(tmp_path / "c")
 
+    def test_json_error_reported_at_its_byte_not_its_character(self, corpus, tmp_path):
+        corpus.save(tmp_path / "c")
+        # five two-byte characters, then a missing comma before "spec"
+        meta = '{"seed": 0, "note": "\u00e9\u00e9\u00e9\u00e9\u00e9" "spec": {}}'.encode("utf-8")
+        (tmp_path / "c" / "meta.json").write_bytes(meta)
+        with pytest.raises(FormatError, match="meta.json: Expecting ',' delimiter") as err:
+            Corpus.load(tmp_path / "c")
+        # the character index is 5 lower
+        assert err.value.offset == meta.index(b'"spec"') == meta.decode().index('"spec"') + 5
+
+    def test_invalid_utf8_reported_at_its_byte(self, corpus, tmp_path):
+        corpus.save(tmp_path / "c")
+        meta = b'{"seed": 0, "spec": {"tasks": ["t2\xff"]}}'
+        (tmp_path / "c" / "meta.json").write_bytes(meta)
+        with pytest.raises(FormatError, match="meta.json: not UTF-8") as err:
+            Corpus.load(tmp_path / "c")
+        assert err.value.offset == meta.index(b"\xff")
+
     @pytest.mark.parametrize(
         "change",
         [

@@ -1,6 +1,6 @@
 """Loader fuzz: a checkpoint, an index or a corpus's meta.json that was
-truncated or had one byte flipped either loads or raises FormatError, never
-another error."""
+truncated or had one byte flipped either loads or raises FormatError with a
+byte offset inside the damaged file, never another error."""
 
 import shutil
 
@@ -12,7 +12,6 @@ from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import Corpus, CorpusSpec, generate_corpus, vocab_size_for
 from umrlab.encoder import Encoder, EncoderConfig, prune
 from umrlab.errors import FormatError
-from umrlab.optim import OptimizerState
 from umrlab.retrieval import build_index, load_index, save_index
 
 SPEC = CorpusSpec(
@@ -32,15 +31,14 @@ TARGETS = {
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """A saved corpus, a checkpoint with optimizer state, a weights-only one
-    as prune writes it and an index of the corpus; returns the pristine
-    directory and a scratch copy to mutate."""
+    """A saved corpus, a checkpoint, a pruned one and an index of the
+    corpus; returns the pristine directory and a scratch copy to mutate."""
     root = tmp_path_factory.mktemp("fuzz")
     pristine = root / "pristine"
     corpus = generate_corpus(SPEC, seed=1)
     corpus.save(pristine / "corpus")
     encoder = Encoder.init(ENC, seed=0)
-    save_checkpoint(pristine / "enc.ckpt", encoder, OptimizerState.init(encoder.params, 1e-3))
+    save_checkpoint(pristine / "enc.ckpt", encoder)
     save_checkpoint(pristine / "pruned.ckpt", prune(encoder, 1))
     save_index(build_index(encoder, corpus.all_candidates()), pristine / "pool.idx")
     return pristine, root / "work"
@@ -62,5 +60,5 @@ def test_damaged_file_loads_or_raises_format_error(artifacts, target, data):
     (work / target).write_bytes(damaged)
     try:
         TARGETS[target](work)
-    except FormatError:
-        pass
+    except FormatError as err:
+        assert err.offset is not None and 0 <= err.offset <= len(damaged)
