@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datagen import Corpus, CorpusSpec, generate_corpus, vocab_size_for
-from .encoder import Encoder, EncoderConfig, estimate_flops, layer_stack_ratio, prune
+from .encoder import Encoder, EncoderConfig, embed_flops, estimate_flops, layer_stack_ratio, prune
 from .errors import ConfigurationError, UmrlabError
 from .gradcheck import check_gradients
 from .losses import (
@@ -285,6 +285,13 @@ def cmd_flops(args) -> int:
     print(f"flops(k={args.k}, seq={args.seq}, d={args.d_model}): {pruned}")
     print(f"flops(L={args.layers}, seq={args.seq}, d={args.d_model}): {full}")
     print(f"layer-stack ratio k/L: {ratio:.4f}")
+    # an embed reads only [RET], so its last block runs fewer rows
+    emb = estimate_flops(cfg, 0, args.seq)
+    embed_k = embed_flops(cfg, args.k, args.seq)
+    embed_full = embed_flops(cfg, args.layers, args.seq)
+    print(f"embed flops(k={args.k}, seq={args.seq}, d={args.d_model}): {embed_k}")
+    print(f"embed flops(L={args.layers}, seq={args.seq}, d={args.d_model}): {embed_full}")
+    print(f"embed layer-stack ratio k/L: {(embed_k - emb) / (embed_full - emb):.4f}")
     print(
         f"reference end-to-end ratio at L=28, k=12: {FULL_PIPELINE_REFERENCE_RATIO} "
         "(measured on a full-scale retriever; includes non-layer overhead)"

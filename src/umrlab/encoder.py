@@ -301,9 +301,8 @@ def estimate_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
     2*2*s^2*d for attention scores and value mixing, and 2*s*2*d*4d for the
     feed-forward block. The embedding lookup-add contributes 2*s*d once.
     Multiply-accumulates count as 2 operations. Every block counts every
-    row, as :func:`forward` computes them; an embed's last block computes
-    the query side, attention output and FFN for only two rows per
-    sequence, so it runs fewer.
+    row, as :func:`forward` computes them; :func:`embed_flops` counts the
+    fewer an embed runs.
     """
     if not 0 <= k <= config.n_layers:
         raise ContractError(f"k {k} outside 0..{config.n_layers}")
@@ -312,6 +311,22 @@ def estimate_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
     s, d = seq_len, config.d_model
     per_layer = 2 * s * d * (3 * d + d) + 2 * 2 * s * s * d + 2 * s * 2 * d * (FFN_MULT * d)
     return k * per_layer + 2 * s * d
+
+
+def embed_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
+    """Analytic FLOP count of one sequence's :func:`embed_batch` row through
+    k layers: :func:`estimate_flops`' count, less what the last block skips.
+    That block runs its key and value projections on every row, but its
+    query projection (2*d*d per row), attention (2*2*s*d per query row),
+    output projection (2*d*d) and FFN (2*2*d*4d) on only
+    m = min(RET_TAIL_ROWS, s) rows.
+    """
+    flops = estimate_flops(config, k, seq_len)
+    if k == 0:
+        return flops
+    s, d = seq_len, config.d_model
+    per_query_row = 2 * d * d + 2 * 2 * s * d + 2 * d * d + 2 * 2 * d * (FFN_MULT * d)
+    return flops - (s - min(RET_TAIL_ROWS, s)) * per_query_row
 
 
 def layer_stack_ratio(config: EncoderConfig, k: int, seq_len: int) -> float:

@@ -39,11 +39,12 @@ DATASET_CODES = {DATASETS[task]: code for code, task in enumerate(TASKS)}
 # the candidate modality code of each dataset code
 _CODE_MODALITY = np.array([MODALITY_CODES[CANDIDATE_MODALITY[task]] for task in TASKS], dtype=np.uint8)
 # Candidates per batched forward in build_index. Smaller chunks pay more
-# per-op call cost, larger ones fall out of cache: building 1,800 candidates
-# at d=32, k=3 took 526 / 456 / 467 / 501 / 708 ms (medians of 9 interleaved
-# rounds, 2 vCPUs) at chunks of 8 / 32 / 64 / 128 / 300; 32 and 64 trade
-# places from run to run. A GEMM's bits depend on its row count, so another
-# chunk size changes the stored vectors.
+# per-op call cost, larger ones fall out of cache: with the in-place array
+# kernels, building 1,800 candidates at d=32, k=3 after a stage-0 training
+# took 314-381 / 249-305 / 263-313 / 260-321 ms at chunks of 8 / 32 / 64 /
+# 128 (medians of 15 interleaved rounds in each of 3 processes, 2 vCPUs);
+# 32 was fastest in each process, 64 and 128 within 6% of it. A GEMM's bits
+# depend on its row count, so another chunk size changes the stored vectors.
 EMBED_CHUNK = 32
 
 

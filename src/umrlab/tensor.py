@@ -9,8 +9,11 @@ updating in place.
 The forward arithmetic of the ops a transformer block uses lives in plain
 array kernels (``_affine``, ``_layer_norm``, ``_gelu``, ``_attention``). The
 taped ops call them, and ``bare`` exposes them under the ops' names for
-tape-free callers, so both compute the same bytes. ``softmax_rows`` is an
-array kernel with no taped op: its one caller takes it of constant scores.
+tape-free callers, so both compute the same bytes. Each kernel runs its
+elementwise steps in place, in buffers it allocated itself and in the
+operation order of the out-of-place formula it replaced, so it writes that
+formula's bytes through fewer fresh arrays. ``softmax_rows`` is an array
+kernel with no taped op: its one caller takes it of constant scores.
 Layer norm and the L2 row normalizers read their epsilons from module
 constants, not from callers.
 """
@@ -250,7 +253,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -327,15 +332,29 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _result("add_scalar", x.data + float(c), (x,), vjp)
 
 
-def _gelu(x: np.ndarray):
-    """GELU of x, and the tanh term its vjp reuses."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term t = tanh(c*(x + a*(x*x*x))) of GELU, which its vjp
+    reuses, in one buffer and in that expression's operation order."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu(x: np.ndarray, one_plus_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU of x, 0.5*x*(1 + t), from 1 + t, written into ``out``, which may
+    be x itself."""
+    np.multiply(x, 0.5, out=out)
+    out *= one_plus_t
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    out, t = _gelu(x.data)
+    t = _gelu_tanh(x.data)
+    out = _gelu(x.data, 1.0 + t, np.empty(x.shape))
 
     def vjp(dy):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
@@ -426,12 +445,23 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm of each row, then the normalized rows and
     1/sqrt(var + LAYER_NORM_EPS) its vjp reuses. Mean and variance are
     numpy's own ``mean``/``var`` arithmetic, a row sum divided by the width,
-    without their Python-level wrappers; the centred rows are made once."""
+    without their Python-level wrappers. Two (rows, width) buffers: the
+    centred rows, scaled in place into the normalized ones, and the squares,
+    overwritten by the output once the variance is taken."""
     n = x.shape[1]
-    centred = x - x.sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / n + LAYER_NORM_EPS)
-    xhat = centred * inv
-    return xhat * gain + bias, xhat, inv
+    mu = x.sum(axis=1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    out = xhat * xhat
+    inv = out.sum(axis=1, keepdims=True)
+    inv /= n
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -503,16 +533,22 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, seq_le
     """Attention output, then the per-head q, k, v and weights its vjp reuses.
 
     k and v hold B sequences of ``seq_len`` rows; q holds the same number of
-    rows for each of the B sequences."""
+    rows for each of the B sequences. The scores are scaled, shifted,
+    exponentiated and normalized in their own buffer, and the mixed values
+    are written through a head-major view of the fresh output, so the
+    output owns its data."""
     rows, d = k.shape
     # (B*m, d) -> (B, heads, m, dh) through this shape and a transpose
     head_shape = (rows // seq_len, -1, n_heads, d // n_heads)
     q4, k4, v4 = (t.reshape(head_shape).transpose(0, 2, 1, 3) for t in (q, k, v))
-    z = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_shape[3]))
-    z -= z.max(axis=3, keepdims=True)
-    e = np.exp(z)
-    a = e / e.sum(axis=3, keepdims=True)
-    return (a @ v4).transpose(0, 2, 1, 3).reshape(q.shape), q4, k4, v4, a
+    a = q4 @ k4.transpose(0, 1, 3, 2)
+    a *= 1.0 / np.sqrt(head_shape[3])
+    a -= a.max(axis=3, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=3, keepdims=True)
+    out = np.empty(q.shape)
+    np.matmul(a, v4, out=out.reshape(head_shape).transpose(0, 2, 1, 3))
+    return out, q4, k4, v4, a
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Tensor:
@@ -559,17 +595,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Te
 # ---------------------------------------------------------------------------
 # tape-free forward
 
+
+def _bare_gelu(x: np.ndarray) -> np.ndarray:
+    """GELU written over x; the tanh term, which no vjp reads here, holds 1 + t."""
+    t = _gelu_tanh(x)
+    t += 1.0
+    return _gelu(x, t, x)
+
+
 # The forward kernels of the ops above, under the same names, on bare float64
-# arrays: no operand checks, no vjp and no Tensor. add, take_rows and
-# concat_rows are the one numpy call their taped op makes. A caller that has
-# checked its operands runs these when not tracing; each returns the bytes of
-# the taped op of the same name.
+# arrays: no operand checks, no vjp and no Tensor. A caller that has checked
+# its operands runs these when not tracing; each returns the bytes of the
+# taped op of the same name. take_rows and concat_rows are the one numpy call
+# their taped op makes.
+#
+# Ownership: add(a, b) writes the sum into b and returns it, and gelu(x)
+# writes its output over x and returns x's buffer, so a caller passes as b
+# and x only arrays it made itself and reads nowhere else, such as the fresh
+# result of another entry here. Every other entry leaves its operands alone.
 bare = SimpleNamespace(
-    add=np.add,
+    add=lambda a, b: np.add(a, b, out=b),
     take_rows=lambda table, ids: table[ids],
     concat_rows=lambda parts: np.concatenate(parts, axis=0),
     affine=_affine,
-    gelu=lambda x: _gelu(x)[0],
+    gelu=_bare_gelu,
     layer_norm_rows=lambda x, gain, bias: _layer_norm(x, gain, bias)[0],
     attention=lambda q, k, v, n_heads, seq_len: _attention(q, k, v, n_heads, seq_len)[0],
 )

@@ -742,6 +742,14 @@ class TestFlops:
         assert "0.473" in out
         assert "d=64)" in out
 
+    def test_prints_the_embed_path_count(self, capsys):
+        assert main(["flops", "--layers", "8", "--k", "3", "--seq", "21", "--d-model", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "layer-stack ratio k/L: 0.3750\n" in out
+        assert "embed flops(k=3, seq=21, d=32): 1278784\n" in out
+        assert "embed flops(L=8, seq=21, d=32): 4141504\n" in out
+        assert "embed layer-stack ratio k/L: 0.3085\n" in out
+
     def test_zero_seq_is_diagnosed(self, capsys):
         assert main(["flops", "--layers", "4", "--k", "2", "--seq", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: seq_len 0")

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from umrlab import tensor as T
 from umrlab.encoder import (
+    FFN_MULT,
+    RET_TAIL_ROWS,
     Encoder,
     EncoderConfig,
     _blocks,
     embed,
     embed_batch,
+    embed_flops,
     embed_raw,
     estimate_flops,
     forward,
@@ -373,6 +377,39 @@ class TestRetTail:
         assert rows == [13] * 18
 
 
+class TestTapeFreeBuffers:
+    """The tape-free stack writes only into arrays it made itself."""
+
+    def test_embed_raw_leaves_every_weight_byte(self):
+        enc = Encoder.init(WIDE, seed=4)
+        before = {name: a.tobytes() for name, a in enc.arrays.items()}
+        seqs = mixed_prompts(2, seed=4)
+        first = embed_raw(enc, seqs, 3)
+        forward_raw(enc, seqs[0], 3)
+        assert {name: a.tobytes() for name, a in enc.arrays.items()} == before
+        assert not first.flags.writeable
+        assert embed_raw(enc, seqs, 3).tobytes() == first.tobytes()
+
+    def test_embed_peak_within_allocation_budget(self):
+        # one 32-prompt chunk of 21-token prompts at depth 3. The FFN's hidden
+        # activation, rows x 4d float64, is the largest array a block makes;
+        # out-of-place kernels peaked at 5.8 of them, in-place ones at 3.8
+        enc = Encoder.init(replace(WIDE, n_layers=3), seed=1)
+        seqs = [seq for seq in mixed_prompts(32) if len(seq) == 21]
+        hidden_bytes = len(seqs) * 21 * FFN_MULT * WIDE.d_model * 8
+        embed_raw(enc, seqs, 3)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            embed_raw(enc, seqs, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert hidden_bytes == 688_128
+        assert peak < 4.5 * hidden_bytes
+
+
 class TestBatchedEmbed:
     def test_length_groups_in_first_seen_order(self):
         seqs = [small_tokens(ids) for ids in ((40,), (40, 41), (41,), (40, 41, 42), (42, 43))]
@@ -477,6 +514,27 @@ class TestFlops:
 
     def test_ratio_for_12_of_28(self):
         assert layer_stack_ratio(self.CFG, 12, 256) == pytest.approx(12 / 28, abs=1e-12)
+
+    @pytest.mark.parametrize("s,ratio", [(13, 0.3137), (21, 0.3085), (29, 0.3059)])
+    def test_embed_count_by_hand(self, s, ratio):
+        cfg = EncoderConfig(vocab_size=100, d_model=32, n_heads=4, n_layers=8, max_seq=32, k=3)
+        d, m = 32, RET_TAIL_ROWS
+        lookup = 2 * s * d
+        # q, k, v and output projections; scores and value mixing; the FFN
+        block = 4 * (2 * s * d * d) + 2 * (2 * s * s * d) + 2 * (2 * s * d * 4 * d)
+        # the last block: k and v on every row, the rest on the last m rows
+        last = 2 * (2 * s * d * d) + 2 * (2 * m * d * d) + 2 * (2 * m * s * d) + 2 * (2 * m * d * 4 * d)
+        assert embed_flops(cfg, 3, s) == lookup + 2 * block + last
+        assert embed_flops(cfg, 8, s) == lookup + 7 * block + last
+        assert estimate_flops(cfg, 3, s) == lookup + 3 * block
+        # depth 3 of 8 costs an embed 0.306-0.314 of its layer-stack FLOPs, not 3/8
+        got = (embed_flops(cfg, 3, s) - lookup) / (embed_flops(cfg, 8, s) - lookup)
+        assert got == pytest.approx(ratio, abs=5e-5)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_embed_count_equals_forward_count_within_the_tail(self, s):
+        assert embed_flops(self.CFG, 3, s) == estimate_flops(self.CFG, 3, s)
+        assert embed_flops(self.CFG, 0, 256) == estimate_flops(self.CFG, 0, 256)
 
     def test_strictly_increasing_affine_in_k(self):
         counts = [estimate_flops(self.CFG, k, 64) for k in range(0, 9)]

@@ -195,6 +195,161 @@ class TestAttentionQueryRows:
         np.testing.assert_allclose(tail, full[[1, 2, 4, 5]], rtol=1e-12, atol=1e-15)
 
 
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+KERNEL_DRAWS = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+
+
+class TestKernelsKeepOutOfPlaceBytes:
+    """Each array kernel works in place in its own buffers; each must still
+    write the bytes of the out-of-place formula it replaced, written out
+    here, and the taped op and the ``bare`` entry must return them."""
+
+    @KERNEL_DRAWS
+    @given(
+        rows=st.integers(1, 40),
+        width=st.integers(1, 40),
+        out_width=st.integers(1, 40),
+        log_scale=st.floats(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_affine(self, rows, width, out_width, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * rng.normal(size=(rows, width))
+        w, b = rng.normal(size=(width, out_width)), rng.normal(size=out_width)
+        want = x @ w + b
+        assert _same_bytes(T._affine(x, w, b), want)
+        assert _same_bytes(T.affine(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data, want)
+        assert _same_bytes(T.bare.affine(x, w, b), want)
+
+    @KERNEL_DRAWS
+    @given(
+        rows=st.integers(1, 40),
+        width=st.integers(1, 130),
+        log_scale=st.floats(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gelu(self, rows, width, log_scale, seed):
+        x = 10.0**log_scale * np.random.default_rng(seed).normal(size=(rows, width))
+        t = np.tanh(T._GELU_C * (x + T._GELU_A * (x * x * x)))
+        want = 0.5 * x * (1.0 + t)
+        assert _same_bytes(T._gelu_tanh(x), t)
+        assert _same_bytes(T._gelu(x, 1.0 + t, np.empty(x.shape)), want)
+        assert _same_bytes(T.gelu(T.Tensor(x)).data, want)
+        assert _same_bytes(T.bare.gelu(x.copy()), want)
+
+    @KERNEL_DRAWS
+    @given(
+        rows=st.integers(1, 40),
+        width=st.integers(1, 130),
+        log_scale=st.floats(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layer_norm(self, rows, width, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * (rng.normal(size=(rows, width)) + rng.normal(size=(rows, 1)))
+        gain, bias = rng.normal(size=width), rng.normal(size=width)
+        centred = x - x.sum(axis=1, keepdims=True) / width
+        inv = 1.0 / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / width + T.LAYER_NORM_EPS)
+        xhat = centred * inv
+        want = xhat * gain + bias
+        out, got_xhat, got_inv = T._layer_norm(x, gain, bias)
+        assert _same_bytes(out, want)
+        assert _same_bytes(got_xhat, xhat)
+        assert _same_bytes(got_inv, inv)
+        assert _same_bytes(T.layer_norm_rows(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data, want)
+        assert _same_bytes(T.bare.layer_norm_rows(x, gain, bias), want)
+
+    @KERNEL_DRAWS
+    @given(
+        batch=st.integers(1, 4),
+        seq_len=st.integers(1, 12),
+        heads=st.integers(1, 4),
+        head_dim=st.integers(1, 6),
+        tail=st.integers(0, 12),
+        log_scale=st.floats(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_attention(self, batch, seq_len, heads, head_dim, tail, log_scale, seed):
+        # tail 0 draws full query rows, else the last min(tail, seq_len) rows
+        rng = np.random.default_rng(seed)
+        d = heads * head_dim
+        k, v = (10.0**log_scale * rng.normal(size=(batch * seq_len, d)) for _ in range(2))
+        m = min(tail, seq_len) or seq_len
+        q = 10.0**log_scale * rng.normal(size=(batch * m, d))
+        shape = (batch, -1, heads, head_dim)
+        q4, k4, v4 = (t.reshape(shape).transpose(0, 2, 1, 3) for t in (q, k, v))
+        z = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
+        z -= z.max(axis=3, keepdims=True)
+        e = np.exp(z)
+        weights = e / e.sum(axis=3, keepdims=True)
+        want = (weights @ v4).transpose(0, 2, 1, 3).reshape(q.shape)
+        out, _, _, _, got_weights = T._attention(q, k, v, heads, seq_len)
+        assert _same_bytes(out, want)
+        assert _same_bytes(got_weights, weights)
+        taped = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, seq_len)
+        assert _same_bytes(taped.data, want)
+        assert _same_bytes(T.bare.attention(q, k, v, heads, seq_len), want)
+
+    def test_bare_structure_ops_match_taped(self):
+        rng = np.random.default_rng(3)
+        a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+        ids = [4, 0, 0, 2]
+        assert _same_bytes(T.bare.add(a, b.copy()), T.add(T.Tensor(a), T.Tensor(b)).data)
+        assert _same_bytes(T.bare.take_rows(a, ids), T.take_rows(T.Tensor(a), ids).data)
+        assert _same_bytes(
+            T.bare.concat_rows([a, c]), T.concat_rows([T.Tensor(a), T.Tensor(c)]).data
+        )
+
+
+class TestBareOwnership:
+    """``bare`` writes into the operands its contract names, and only those."""
+
+    def test_add_writes_into_its_second_operand_only(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        a_bytes, want = a.tobytes(), a + b
+        out = T.bare.add(a, b)
+        assert out is b
+        assert a.tobytes() == a_bytes
+        assert _same_bytes(out, want)
+
+    def test_gelu_returns_its_input_buffer(self):
+        x = np.random.default_rng(5).normal(size=(3, 8))
+        assert T.bare.gelu(x) is x
+
+    def test_other_entries_leave_their_operands(self):
+        rng = np.random.default_rng(6)
+        x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
+        before = [t.tobytes() for t in (x, w, b)]
+        T.bare.affine(x, w, b)
+        T.bare.layer_norm_rows(x, b, b)
+        T.bare.attention(x, x, x, 2, 3)
+        T.bare.take_rows(x, [1, 2])
+        T.bare.concat_rows([x, x])
+        assert [t.tobytes() for t in (x, w, b)] == before
+
+    def test_taped_attention_keeps_the_kernel_output_uncopied(self, monkeypatch):
+        # Tensor._wrap copies an array that has a base, so the kernel's
+        # output must own its data for the taped op to hold it as it is
+        made = []
+        kernel = T._attention
+
+        def recording(*args):
+            result = kernel(*args)
+            made.append(result[0])
+            return result
+
+        monkeypatch.setattr(T, "_attention", recording)
+        q, k, v = rand((6, 4), 1), rand((6, 4), 2), rand((6, 4), 3)
+        for query in (q, T.take_rows(q, [1, 2, 4, 5])):
+            out = T.attention(query, k, v, 2, 3)
+            assert made[-1].base is None
+            assert out.data is made[-1]
+
+
 class TestBackward:
     def test_mean_gives_one_over_size(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), grad_tracked=True)
