@@ -124,7 +124,7 @@ class Encoder:
                 data = np.ones(shape)
             else:
                 data = np.zeros(shape)
-            params[name] = Tensor(data, grad_tracked=True)
+            params[name] = Tensor._wrap(data, grad_tracked=True)
         return cls(config, params)
 
     def with_params(self, params: dict[str, Tensor]) -> "Encoder":
@@ -208,6 +208,8 @@ def _blocks(
                 v = ops.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
                 mixed = ops.attention(q, k, v, cfg.n_heads, s)
                 h = ops.add(h, ops.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
+                # free the attention's arrays before the FFN allocates its own
+                del a, a_q, q, k, v, mixed
                 f = ops.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
                 f = ops.gelu(ops.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
                 h = ops.add(h, ops.affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
@@ -290,7 +292,7 @@ def prune(encoder: Encoder, k: int) -> Encoder:
     params: dict[str, Tensor] = {}
     for name in parameter_names(new_cfg):
         src = encoder.params[name]
-        params[name] = Tensor(src.data.copy(), grad_tracked=src.grad_tracked)
+        params[name] = Tensor._wrap(src.data.copy(), src.grad_tracked)
     return Encoder(new_cfg, params)
 
 

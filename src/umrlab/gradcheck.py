@@ -12,7 +12,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .errors import NumericDomainError
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward, dense_grad, no_grad
 
 # central-difference step; anything in [1e-6, 1e-4] is sensible at 64-bit
 FD_STEP = 1e-5
@@ -77,7 +77,6 @@ def check_gradients(f: Callable[..., Tensor], xs: Sequence[Tensor]) -> float:
 
         numeric = finite_diff_grad(f_i, t)
         exact = grads.get(t)
-        if exact is None:
-            exact = np.zeros(t.shape)
+        exact = np.zeros(t.shape) if exact is None else dense_grad(exact)
         worst = max(worst, max_relative_error(numeric, exact))
     return worst

@@ -16,6 +16,12 @@ formula's bytes through fewer fresh arrays. ``softmax_rows`` is an array
 kernel with no taped op: its one caller takes it of constant scores.
 Layer norm and the L2 row normalizers read their epsilons from module
 constants, not from callers.
+
+``backward`` returns an array for every tracked leaf but one reached only
+through ``take_rows``, such as an embedding table: that one gets a
+:class:`RowGrad`, the sorted rows it touched and their summed gradients,
+with the bytes of the dense gradient through ``dense()``. A step that reads
+a few hundred rows of a 5,400-row table then never builds the dense table.
 """
 
 from __future__ import annotations
@@ -168,72 +174,103 @@ class ComputeGraph:
         return cls(nodes)
 
 
-class _RowGrad:
-    """The gradient of one gather: ``rows[j]`` flows to table row ``idx[j]``.
+class RowGrad:
+    """The gradient of a table reached only through ``take_rows``, as rows.
 
-    ``backward`` adds it into the table's gradient buffer instead of
-    materializing a dense table per gather.
+    ``ids`` holds the table rows with a gradient, sorted and unique, and
+    ``rows[j]`` the gradient of row ``ids[j]``; every other row's is 0.0.
+    Each row is a sum begun at 0.0, which is never -0.0, so adding it to
+    0.0 or adding 0.0 to it leaves its bytes. That is why a sum of row
+    gradients over the union of their rows, as :meth:`sum` takes it, has
+    the bytes of the dense sum, in which an untouched row adds 0.0.
     """
 
-    __slots__ = ("idx", "rows")
+    __slots__ = ("ids", "rows", "shape")
 
-    def __init__(self, idx: np.ndarray, rows: np.ndarray):
-        self.idx = idx
+    def __init__(self, ids: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]):
+        self.ids = ids
         self.rows = rows
+        self.shape = shape
+
+    @classmethod
+    def scatter(cls, shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> "RowGrad":
+        """The gradient of one gather: ``rows[j]`` flows to table row
+        ``idx[j]``, summed per distinct row from 0.0 in gather order, as
+        ``np.add.at`` into a zero table sums them."""
+        ids, inverse = np.unique(idx, return_inverse=True)
+        sums = np.zeros((len(ids),) + shape[1:])
+        np.add.at(sums, inverse, rows)
+        return cls(ids, sums, shape)
+
+    @classmethod
+    def sum(cls, parts: Sequence["RowGrad"]) -> "RowGrad":
+        """Row-wise sum of ``parts`` in the given order, over the union of
+        their rows: each row starts at 0.0 and adds the parts that hold it."""
+        ids = row_union(*(p.ids for p in parts))
+        rows = np.zeros((len(ids),) + parts[0].shape[1:])
+        for p in parts:
+            rows[np.searchsorted(ids, p.ids)] += p.rows
+        return cls(ids, rows, parts[0].shape)
+
+    def dense(self) -> np.ndarray:
+        """The gradient as a fresh array of the table's shape."""
+        out = np.zeros(self.shape)
+        out[self.ids] = self.rows
+        return out
 
 
-def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
+def row_union(*ids: np.ndarray) -> np.ndarray:
+    """The distinct row ids of ``ids``, sorted. A sort and a neighbour
+    compare: numpy 2's ``np.unique`` of bare values takes a hash path that
+    costs several times more on a few thousand ids."""
+    s = np.sort(np.concatenate(ids))
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def dense_grad(g: np.ndarray | RowGrad) -> np.ndarray:
+    """A gradient as an array: a :class:`RowGrad` densified, an array as is."""
+    return g.dense() if isinstance(g, RowGrad) else g
+
+
+def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
     """Accumulate d(root)/d(leaf) for every grad-tracked leaf under root.
 
     Returns a map keyed by tensor identity. Contributions to a tensor are
     summed in reverse tape order. A tensor reached only through gathers
-    keeps one dense buffer: its first gather scatters into zeros, and each
-    later gather sums its rows per distinct row first and adds those sums
-    into the buffer's rows. That is bitwise equal to adding one dense
-    scatter per gather, since rows a gather does not touch would only have
-    0.0 added, and a buffer built from sums never holds -0.0.
+    gets a :class:`RowGrad`: its first gather sums its rows per distinct
+    row from 0.0, and each later gather's per-row sums are added into the
+    rows by :meth:`RowGrad.sum`. That is bitwise the dense buffer of adding
+    one dense scatter per gather, since rows a gather does not touch would
+    only have 0.0 added. A tensor that also gets a dense contribution gets
+    an array, the dense sum of every contribution, and a gathered
+    intermediate is densified before its own vjp reads it.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
     graph = ComputeGraph.of(root)
     # every node's output is alive here (the root, or an input of a later
     # node), so its id cannot have been reused
-    grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
+    grads: dict[int, np.ndarray | RowGrad] = {id(root): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(root): root}
-    gathered: set[int] = set()  # gradients so far built by gathers alone
     for node in reversed(graph.nodes):
         out_grad = grads.get(node.output_id)
         if out_grad is None:
             continue
-        for inp, g in zip(node.inputs, node.vjp(out_grad)):
+        for inp, g in zip(node.inputs, node.vjp(dense_grad(out_grad))):
             if g is None or not (inp.grad_tracked or inp._node is not None):
                 continue
             key = id(inp)
             holders[key] = inp
             prev = grads.get(key)
-            if isinstance(g, _RowGrad):
-                if key in gathered:
-                    _add_row_sums(prev, g)
-                    continue
-                dense = np.zeros(inp.shape)
-                np.add.at(dense, g.idx, g.rows)
-                if prev is None:
-                    grads[key] = dense
-                    gathered.add(key)
-                    continue
-                g = dense
-            grads[key] = g if prev is None else prev + g
-            gathered.discard(key)
+            if prev is None:
+                grads[key] = g
+            elif isinstance(prev, RowGrad) and isinstance(g, RowGrad):
+                grads[key] = RowGrad.sum((prev, g))
+            else:
+                grads[key] = dense_grad(prev) + dense_grad(g)
     return {holders[key]: g for key, g in grads.items() if holders[key].grad_tracked}
-
-
-def _add_row_sums(buf: np.ndarray, g: _RowGrad) -> None:
-    """Sum a gather's rows per distinct row, in gather order, then add the
-    sums into those rows of ``buf``."""
-    uniq, inverse = np.unique(g.idx, return_inverse=True)
-    sums = np.zeros((len(uniq),) + g.rows.shape[1:])
-    np.add.at(sums, inverse, g.rows)
-    buf[uniq] += sums
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +457,7 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError(f"take_rows index out of range for table {table.shape}")
 
     def vjp(dy):
-        return (_RowGrad(idx, dy),)
+        return (RowGrad.scatter(table.shape, idx, dy),)
 
     return _result("take_rows", table.data[idx], (table,), vjp)
 

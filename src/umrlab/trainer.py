@@ -19,7 +19,10 @@ temperature and alpha weights (:func:`_schedule`, which the loss curve also
 reads) and, at stage 1, the teacher rows. Each shard then evaluates that
 one loss of the gathered rows with only its own rows attached to the tape,
 so the shard-summed gradient equals the single-process gradient of the same
-global batch.
+global batch. The embedding tables' gradients stay rows from the backward
+through the all-reduce, which sums each row over the shards that touched
+it, in shard order, to Adam, which updates only the rows a gradient has
+held (:mod:`~umrlab.optim`); every step has the bytes of the dense one.
 
 A shard embeds the queries and positives of its slice together, with one
 taped call per prompt length across both sides
@@ -57,7 +60,7 @@ from .losses import (
 )
 from .optim import OptimizerState, adam_update
 from .prompts import assemble_prompt
-from .tensor import Tensor
+from .tensor import RowGrad, Tensor
 
 STAGES = (0, 1, 2)
 
@@ -166,11 +169,16 @@ def gather_shards(locals_: Sequence[Tensor | None]) -> Tensor:
     return T.concat_rows(list(locals_))
 
 
-def all_reduce_grads(shard_grads: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+def all_reduce_grads(
+    shard_grads: Sequence[dict[str, np.ndarray | RowGrad]],
+) -> dict[str, np.ndarray | RowGrad]:
     """Elementwise sum over shards, in ascending shard-id order.
 
-    One shard's arrays are returned as they are; otherwise every array is a
-    fresh one, and no shard's array is written into.
+    A parameter whose every shard gradient is a :class:`~umrlab.tensor.RowGrad`
+    is summed row by row over the union of the shards' rows, which has the
+    bytes of the dense sum (see ``RowGrad``); any other is summed densely.
+    One shard's gradients are returned as they are; otherwise every
+    gradient is a fresh one, and no shard's is written into.
     """
     if not shard_grads:
         raise AggregationError("no shard gradients to reduce")
@@ -183,10 +191,16 @@ def all_reduce_grads(shard_grads: Sequence[dict[str, np.ndarray]]) -> dict[str, 
                 raise AggregationError(f"shard {i} gradient shape mismatch for {key!r}")
     if len(shard_grads) == 1:
         return dict(shard_grads[0])
-    total = {key: shard_grads[0][key] + shard_grads[1][key] for key in keys}
-    for grads in shard_grads[2:]:
-        for key in keys:
-            total[key] += grads[key]
+    total = {}
+    for key in keys:
+        parts = [grads[key] for grads in shard_grads]
+        if all(isinstance(g, RowGrad) for g in parts):
+            total[key] = RowGrad.sum(parts)
+            continue
+        first, second, *rest = (T.dense_grad(g) for g in parts)
+        total[key] = first + second
+        for g in rest:
+            total[key] += g
     return total
 
 
@@ -239,7 +253,7 @@ def _schedule(config: TrainConfig, progress: float) -> tuple[float, tuple[float,
 
 def _shard_grads(
     student: Encoder, loss, parts: list[tuple[Tensor, Tensor]]
-) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
     """Gather the (query, positive) rows of every shard, evaluate ``loss`` on
     them and backward; returns the named gradients and the loss terms.
 
@@ -264,7 +278,7 @@ def compute_global_grads(
     config: TrainConfig,
     progress: float,
     teacher_cache: dict | None = None,
-) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
     """Shard forwards, cross-shard gather, loss, backward, all-reduce.
 
     Returns the shard-summed gradient map and the loss breakdown.

@@ -393,7 +393,8 @@ class TestTapeFreeBuffers:
     def test_embed_peak_within_allocation_budget(self):
         # one 32-prompt chunk of 21-token prompts at depth 3. The FFN's hidden
         # activation, rows x 4d float64, is the largest array a block makes;
-        # out-of-place kernels peaked at 5.8 of them, in-place ones at 3.8
+        # out-of-place kernels peaked at 5.8 of them, in-place ones at 3.8,
+        # and 3.2 once a block drops its attention arrays before the FFN
         enc = Encoder.init(replace(WIDE, n_layers=3), seed=1)
         seqs = [seq for seq in mixed_prompts(32) if len(seq) == 21]
         hidden_bytes = len(seqs) * 21 * FFN_MULT * WIDE.d_model * 8
@@ -407,7 +408,7 @@ class TestTapeFreeBuffers:
         finally:
             tracemalloc.stop()
         assert hidden_bytes == 688_128
-        assert peak < 4.5 * hidden_bytes
+        assert peak < 3.5 * hidden_bytes
 
 
 class TestBatchedEmbed:
@@ -486,6 +487,18 @@ class TestPrune:
         student = prune(enc, 1)
         assert student.params["tok_emb"] is not enc.params["tok_emb"]
         assert np.array_equal(student.params["tok_emb"].data, enc.params["tok_emb"].data)
+
+    def test_parameters_own_read_only_data_shared_with_no_source(self):
+        cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=4, max_seq=8, k=2)
+        enc = Encoder.init(cfg, seed=9)
+        student = prune(enc, 2)
+        for model in (enc, student):
+            for name, t in model.params.items():
+                assert t.data.base is None and not t.data.flags.writeable, name
+                assert t.grad_tracked, name
+        for name, t in student.params.items():
+            assert not np.shares_memory(t.data, enc.params[name].data), name
+            assert t.data.tobytes() == enc.params[name].data.tobytes(), name
 
     def test_out_of_range(self):
         enc = Encoder.init(SMALL, seed=8)

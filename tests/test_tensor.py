@@ -420,7 +420,7 @@ class TestGatherGradients:
         w2 = np.array([[1e16], [1.0], [1.0], [3.0]]) * [1.0, 0.5]
         part1 = T.mean(T.mul(T.take_rows(table, first), T.Tensor(8 * w1)))
         part2 = T.mean(T.mul(T.take_rows(table, second), T.Tensor(8 * w2)))
-        got = T.backward(T.add(part1, part2))[table]
+        got = T.backward(T.add(part1, part2))[table].dense()
         # one dense scatter per gather, added in reverse tape order
         want = scatter(table.shape, second, w2) + scatter(table.shape, first, w1)
         assert got.tobytes() == want.tobytes()
@@ -440,6 +440,63 @@ class TestGatherGradients:
         want = np.full(w.shape, 1 / 12) * w
         want += scatter(table.shape, [2, 0, 2], np.full(rows.shape, 1 / 9) * rows)
         assert got.tobytes() == want.tobytes()
+
+
+class TestRowGrad:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        n_rows=st.integers(1, 8),
+        width=st.integers(1, 4),
+        gathers=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=10), min_size=1, max_size=4),
+        dense_at=st.none() | st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_densifies_to_per_gather_scatters(self, n_rows, width, gathers, dense_at, seed):
+        rng = np.random.default_rng(seed)
+        table = T.Tensor(rng.normal(size=(n_rows, width)), grad_tracked=True)
+        uses = [[i % n_rows for i in ids] for ids in gathers]
+        if dense_at is not None:
+            uses.insert(min(dense_at, len(uses)), None)
+        parts, flows = [], []
+        for ids in uses:
+            shape = table.shape if ids is None else (len(ids), width)
+            # magnitudes 1e-8..1e8, so a change of summation order shows
+            w = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            x = table if ids is None else T.take_rows(table, ids)
+            parts.append(T.mean(T.mul(x, T.Tensor(w))))
+            # what the mean's and mul's vjps send to x for a root gradient of 1
+            flow = np.full(shape, 1.0 / w.size) * w
+            flows.append(flow if ids is None else scatter(table.shape, ids, flow))
+        root = parts[0]
+        for part in parts[1:]:
+            root = T.add(root, part)
+        got = T.backward(root)[table]
+        # the dense reference: one dense contribution per use, summed in
+        # reverse tape order
+        want = flows[-1]
+        for flow in reversed(flows[:-1]):
+            want = want + flow
+        if dense_at is None:
+            assert isinstance(got, T.RowGrad)
+            assert got.ids.tolist() == sorted({i for ids in uses for i in ids})
+            got = got.dense()
+        else:
+            assert isinstance(got, np.ndarray)
+        assert got.tobytes() == want.tobytes()
+
+    def test_dense_is_a_fresh_table_of_zeros_and_rows(self):
+        g = T.RowGrad.scatter((4, 2), np.array([3, 1, 3]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        assert g.ids.tolist() == [1, 3] and g.shape == (4, 2)
+        out = g.dense()
+        assert out.tolist() == [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [6.0, 8.0]]
+        out[1] = 9.0
+        assert g.rows.tolist() == [[3.0, 4.0], [6.0, 8.0]]
+
+    def test_gradcheck_densifies_a_gathered_table(self):
+        def f(table):
+            return T.mean(T.mul(T.take_rows(table, [0, 2, 0]), T.take_rows(table, [1, 1, 2])))
+
+        assert check_gradients(f, [rand((3, 2), seed=5)]) < 1e-6
 
 
 class TestTapeLifetime:

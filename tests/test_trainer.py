@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umrlab import checkpoint as checkpoint_module
 from umrlab import encoder as encoder_module
@@ -24,7 +26,7 @@ from umrlab.errors import (
 from umrlab.losses import TemperatureSchedule, alpha_at, mac_loss, self_distill, tau_hard_at
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.prompts import assemble_prompt
-from umrlab.tensor import Tensor
+from umrlab.tensor import RowGrad, Tensor
 from umrlab.trainer import (
     GlobalBatch,
     TrainConfig,
@@ -117,6 +119,74 @@ class TestAllReduce:
             all_reduce_grads([{"a": np.zeros(2)}, {"a": np.zeros(3)}])
 
 
+def scattered(shape, ids, seed):
+    """A gather's row gradient over ``ids``, with magnitudes 1e-8..1e8 so
+    that a change of summation order shows."""
+    rng = np.random.default_rng(seed)
+    size = (len(ids),) + shape[1:]
+    rows = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+    return RowGrad.scatter(shape, np.asarray(ids, dtype=np.int64), rows)
+
+
+def dense_shard_sum(parts):
+    """The dense reference reduce: densified shard gradients summed in
+    shard-id order."""
+    dense = [T.dense_grad(g) for g in parts]
+    if len(dense) == 1:
+        return dense[0]
+    total = dense[0] + dense[1]
+    for g in dense[2:]:
+        total += g
+    return total
+
+
+class TestAllReduceRows:
+    SHAPE = (12, 3)
+
+    def check(self, id_sets, densified, seed):
+        parts = [scattered(self.SHAPE, ids, seed + i) for i, ids in enumerate(id_sets)]
+        parts = [p.dense() if d else p for p, d in zip(parts, densified)]
+
+        def snapshot():
+            return [p.tobytes() if d else (p.ids.tobytes(), p.rows.tobytes()) for p, d in zip(parts, densified)]
+
+        before = snapshot()
+        got = all_reduce_grads([{"tok_emb": p} for p in parts])["tok_emb"]
+        want = dense_shard_sum(parts)
+        if any(densified):
+            assert isinstance(got, np.ndarray)
+        else:
+            assert isinstance(got, RowGrad) and got.shape == self.SHAPE
+            assert got.ids.tolist() == sorted({i for ids in id_sets for i in ids})
+            got = got.dense()
+        assert got.tobytes() == want.tobytes()
+        assert snapshot() == before
+
+    @pytest.mark.parametrize(
+        "id_sets",
+        [
+            [[0, 1], [2, 3], [4, 5, 5], [11]],
+            [[0, 1, 2, 2], [1, 2, 3], [2], [2, 9, 1]],
+            [[], [], []],
+            [[], [4, 4], [], [4], []],
+            [[3]] * 8,
+        ],
+        ids=["disjoint", "overlapping", "all-empty", "some-empty", "eight-shards"],
+    )
+    def test_row_sum_equals_dense_shard_order_sum(self, id_sets):
+        self.check(id_sets, [False] * len(id_sets), seed=3)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        id_sets=st.lists(st.lists(st.integers(0, 11), max_size=8), min_size=1, max_size=8),
+        dense_shard=st.none() | st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_shards_equal_dense_shard_order_sum(self, id_sets, dense_shard, seed):
+        # one shard given as an array makes the reduce dense for every shard
+        self.check(id_sets, [i == dense_shard for i in range(len(id_sets))], seed)
+
+
 class TestAdam:
     def test_zero_grad_leaves_params_bitwise(self):
         params = {"w": Tensor(np.linspace(0, 1, 4), grad_tracked=True)}
@@ -169,12 +239,136 @@ class TestAdam:
             adam_update(params, {"w": np.zeros(4)}, state)
 
 
+def dense_adam(params, grads, state):
+    """The dense reference step: Adam's formula on every row of densified
+    gradients, in its operation order."""
+    t = state.step + 1
+    bc1, bc2 = 1.0 - state.beta1**t, 1.0 - state.beta2**t
+    new_params, m, v = {}, {}, {}
+    for name, p in params.items():
+        g = T.dense_grad(grads[name])
+        m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        update = state.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps)
+        new_params[name] = Tensor(p.data - update, grad_tracked=p.grad_tracked)
+    return new_params, OptimizerState(
+        lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps, step=t, m=m, v=v
+    )
+
+
+def state_bytes(params, state):
+    return [(params[n].data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n in params]
+
+
+class TestAdamRows:
+    SHAPE = (10, 3)
+
+    def params(self):
+        table = np.random.default_rng(1).normal(size=self.SHAPE)
+        table[9] = -0.0  # row 9 is never touched, and keeps its -0.0
+        return {
+            "tok_emb": Tensor(table, grad_tracked=True),
+            "bias": Tensor(np.linspace(-1.0, 1.0, 3), grad_tracked=True),
+        }
+
+    def run(self, steps, lr, betas, seed=0):
+        params = ref_params = self.params()
+        state = ref_state = OptimizerState.init(params, lr, *betas)
+        live: set[int] = set()
+        rng = np.random.default_rng(seed)
+        for t, ids in enumerate(steps):
+            grads = {
+                "tok_emb": scattered(self.SHAPE, ids, seed + t),
+                "bias": rng.normal(size=3),
+            }
+            old_params, old = params, state_bytes(params, state)
+            params, new_state = adam_update(params, grads, state)
+            # the functional contract: the old params, m and v are never written
+            assert state_bytes(old_params, state) == old
+            ref_params, ref_state = dense_adam(ref_params, grads, ref_state)
+            assert state_bytes(params, new_state) == state_bytes(ref_params, ref_state)
+            rows = new_state.live["tok_emb"]
+            # the live set only grows, by the rows of each gradient
+            live |= set(ids)
+            assert rows.tolist() == sorted(live)
+            untouched = [r for r in range(self.SHAPE[0]) if r not in live]
+            table = params["tok_emb"].data
+            assert table[untouched].tobytes() == self.params()["tok_emb"].data[untouched].tobytes()
+            assert new_state.m["tok_emb"][untouched].tobytes() == bytes(8 * 3 * len(untouched))
+            assert new_state.v["tok_emb"][untouched].tobytes() == bytes(8 * 3 * len(untouched))
+            assert new_state.live["bias"].tolist() == [0, 1, 2]
+            state = new_state
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        steps=st.lists(st.lists(st.integers(0, 8), max_size=6), min_size=1, max_size=6),
+        lr=st.sampled_from([0.0, 1e-3, 0.05]),
+        betas=st.sampled_from([(0.9, 0.999), (0.0, 0.0), (0.5, 0.9)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_steps_equal_the_dense_formula(self, steps, lr, betas, seed):
+        self.run(steps, lr, betas, seed)
+
+    @pytest.mark.parametrize("lr", [0.0, 0.05])
+    @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.0, 0.0)], ids=["default", "moment-free"])
+    def test_late_rows_and_an_empty_step(self, lr, betas):
+        self.run([[0, 1], [], [1, 5], [0], [7, 7, 2], [8, 6, 4, 3]], lr, betas)
+
+    def test_row_whose_gradient_sums_to_zero_joins(self):
+        params = self.params()
+        state = OptimizerState.init(params, 0.05)
+        zero = RowGrad.scatter(self.SHAPE, np.array([2, 2]), np.array([[1.5, -2.0, 3.0], [-1.5, 2.0, -3.0]]))
+        assert zero.rows.tobytes() == bytes(8 * 3)
+        grads = {"tok_emb": zero, "bias": np.zeros(3)}
+        new, new_state = adam_update(params, grads, state)
+        ref, ref_state = dense_adam(params, grads, state)
+        assert new_state.live["tok_emb"].tolist() == [2]
+        assert state_bytes(new, new_state) == state_bytes(ref, ref_state)
+        assert new["tok_emb"].data.tobytes() == params["tok_emb"].data.tobytes()
+
+    def test_every_row_live_equals_the_dense_formula(self):
+        self.run([list(range(9)), [3], [9, 0]], 0.05, (0.9, 0.999))
+
+    @pytest.mark.parametrize(
+        "setting",
+        [dict(lr=math.nan), dict(lr=math.inf), dict(lr=-1e-3), dict(beta1=1.0), dict(beta2=-0.1),
+         dict(beta1=math.nan), dict(eps=0.0), dict(eps=-1e-8), dict(eps=math.inf)],
+    )
+    def test_init_refuses_settings_without_the_fixed_point(self, setting):
+        kw = dict(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) | setting
+        with pytest.raises(ConfigurationError, match="Adam"):
+            OptimizerState.init(self.params(), **kw)
+
+
 SHARD_CASES = {
     "stage0": dict(stage=0),
     "stage1-mse": dict(stage=1, alpha_mode="dynamic"),
     "stage1-kl": dict(stage=1, alpha_mode="dynamic", distill_variant="kl"),
     "stage2-mixed": dict(stage=2),
 }
+
+
+def shard_case(corpus, case):
+    """(stage, the other settings, encoder, teacher, two 8-sample batches,
+    progress) of one of SHARD_CASES."""
+    overrides = dict(SHARD_CASES[case])
+    stage = overrides.pop("stage")
+    full = Encoder.init(ENC, seed=2)
+    t2t = [s for s in corpus.train if s.task == "t2t"][:16]
+    if stage == 0:
+        enc, teacher, samples, progress = full, None, t2t, 0.0
+    elif stage == 1:
+        enc, teacher, samples, progress = prune(full, 2), full, t2t, 0.5
+    else:
+        # interleaved so every shard holds both target modalities
+        images = [s for s in corpus.train if s.task == "t2i"][:8]
+        texts = [s for s in corpus.train if s.task != "t2i"][:8]
+        samples = [s for pair in zip(images, texts) for s in pair]
+        enc, teacher, progress = prune(full, 2), None, 0.5
+    batches = (batch_from(corpus, samples[:8]), batch_from(corpus, samples[8:]))
+    if stage == 2:
+        assert all(set(batch.tags) == {"text", "image"} for batch in batches)
+    return stage, overrides, enc, teacher, batches, progress
 
 
 class TestTrainStep:
@@ -214,27 +408,12 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("case", list(SHARD_CASES))
     def test_shard_equivalence_gradients_and_weights(self, corpus, case):
-        overrides = dict(SHARD_CASES[case])
-        stage = overrides.pop("stage")
-        full = Encoder.init(ENC, seed=2)
-        t2t = [s for s in corpus.train if s.task == "t2t"][:8]
-        if stage == 0:
-            enc, teacher, samples, progress = full, None, t2t, 0.0
-        elif stage == 1:
-            enc, teacher, samples, progress = prune(full, 2), full, t2t, 0.5
-        else:
-            # interleaved so every shard holds both target modalities
-            images = [s for s in corpus.train if s.task == "t2i"][:4]
-            texts = [s for s in corpus.train if s.task != "t2i"][:4]
-            samples = [s for pair in zip(images, texts) for s in pair]
-            enc, teacher, progress = prune(full, 2), None, 0.5
-        batch = batch_from(corpus, samples)
-        if stage == 2:
-            assert set(batch.tags) == {"text", "image"}
+        stage, overrides, enc, teacher, (batch, _), progress = shard_case(corpus, case)
         results = {}
         for shards in (1, 2, 4):
             cfg = config(stage, shards=shards, per_shard_batch=8 // shards, **overrides)
             grads, breakdown = compute_global_grads(enc, teacher, batch, cfg, progress)
+            grads = {n: T.dense_grad(g) for n, g in grads.items()}
             assert (breakdown["distill"] > 0.0) == (stage == 1)
             opt = OptimizerState.init(enc.params, cfg.lr)
             stepped, _, _ = train_step(enc, teacher, batch, cfg, opt, progress)
@@ -249,6 +428,32 @@ class TestTrainStep:
                 for n in ref_model.params
             )
             assert diff < 1e-10
+
+    @pytest.mark.parametrize("case", list(SHARD_CASES))
+    def test_steps_bitwise_equal_a_dense_reference_step(self, corpus, case, monkeypatch):
+        # densified shard gradients, summed densely in shard order, and the
+        # dense Adam formula: two steps on different batches, so the second
+        # starts from non-zero moments and adds table rows to the live set
+        stage, overrides, enc, teacher, batches, progress = shard_case(corpus, case)
+
+        def dense_reduce(shard_grads):
+            return {n: dense_shard_sum([g[n] for g in shard_grads]) for n in shard_grads[0]}
+
+        def two_steps(cfg):
+            model, opt = enc, OptimizerState.init(enc.params, cfg.lr)
+            for batch in batches:
+                model, opt, _ = train_step(model, teacher, batch, cfg, opt, progress)
+            return model.param_bytes(), [(opt.m[n].tobytes(), opt.v[n].tobytes()) for n in opt.m]
+
+        for shards in (1, 2, 4, 8):
+            cfg = config(stage, shards=shards, per_shard_batch=8 // shards, **overrides)
+            got = two_steps(cfg)
+            with monkeypatch.context() as patched:
+                patched.setattr(trainer, "all_reduce_grads", dense_reduce)
+                patched.setattr(trainer, "adam_update", dense_adam)
+                want = two_steps(cfg)
+            assert got[0] != enc.param_bytes()
+            assert got == want, shards
 
     def test_stage1_requires_teacher(self, corpus):
         cfg = config(1)
@@ -379,6 +584,7 @@ class TestBatchedEmbedding:
         monkeypatch.setattr(trainer, "_embed_block", per_prompt_block)
         ref_grads, ref_losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
         assert losses == ref_losses
+        grads, ref_grads = ({n: T.dense_grad(g) for n, g in gs.items()} for gs in (grads, ref_grads))
         # an absolute bound scaled to the step: some gradients, such as the
         # key bias's, are zero in exact arithmetic and pure roundoff here
         bound = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
@@ -418,7 +624,9 @@ class TestBatchedEmbedding:
             assert cache[key].flags.owndata
         second, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
         assert cache.gets == Counter(keys * 2)
-        assert all(first[n].tobytes() == second[n].tobytes() for n in first)
+        assert all(
+            T.dense_grad(first[n]).tobytes() == T.dense_grad(second[n]).tobytes() for n in first
+        )
 
 
 def plant_nan(encoder, name="layers.0.ffn.w1"):
