@@ -7,11 +7,16 @@ by construction, which is what makes teacher/student weight surgery exact.
 
 Every forward runs one block stack, :func:`_blocks`, over a batch of
 equal-length sequences stacked as rows, which shares each op's call cost
-across the batch. It picks its op set once per call: the taped
-:mod:`~umrlab.tensor` ops over the parameter tensors while tracing, and
-under ``no_grad`` the bare kernels of those same ops, ``tensor.bare``, over
-the parameters' arrays, which build no tape node and no Tensor. Both run
-the same arithmetic, so their hidden states are equal bit for bit.
+across the batch. It runs the array kernels of :mod:`~umrlab.tensor` on the
+parameters' arrays in both modes, one loop body for both. Under ``no_grad``
+it writes each temporary in place and returns an array. While tracing it
+keeps the activations the backward reads, writes over none of them, and
+returns one tape node for the whole stack: its inputs are the parameter
+tensors the stack read, and its vjp, :func:`_blocks_vjp`, is a hand-written
+backward through the blocks that replays the per-op vjps in reverse op
+order, so its gradients have the bytes of a tape of one node per op. Both
+modes run the same arithmetic, so their hidden states are equal bit for
+bit.
 :func:`embed_batch` is the one place that reads [RET] rows: one
 :func:`_blocks` call per prompt length. :func:`embed` (one sequence) and
 :func:`embed_raw` (tape-free, as an array) are calls of it.
@@ -75,6 +80,10 @@ def _layer_param_shapes(d: int) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+# one block's parameter names, in canonical order
+_LAYER_PARAMS = [name for name, _ in _layer_param_shapes(1)]
+
+
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Parameter shapes in canonical order; a checkpoint stores each tensor's
     data in exactly this order and names no tensor or shape itself."""
@@ -135,13 +144,6 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
-def _op_set(encoder: Encoder):
-    """The ops and weights a forward runs on: the taped tensor ops over
-    ``encoder.params`` while tracing, else ``tensor.bare`` over
-    ``encoder.arrays``, which records and wraps nothing."""
-    return (T, encoder.params) if T.tracing() else (T.bare, encoder.arrays)
-
-
 def _as_tensor(h: Tensor | np.ndarray) -> Tensor:
     """A forward's result as a Tensor; a tape-free one arrives as an array."""
     return h if isinstance(h, Tensor) else Tensor._wrap(h, False)
@@ -155,13 +157,12 @@ RET_TAIL_ROWS = 2
 
 
 # forward_raw and embed_batch call this, not forward, so profilers that
-# wrap forward see single-sequence calls of forward only. The op set is
-# chosen once, at entry; the loop body is the same for both.
+# wrap forward see single-sequence calls of forward only.
 def _blocks(
     encoder: Encoder, batch: Sequence[TokenSequence], upto: int, ret_tail: bool = False
 ) -> Tensor | np.ndarray:
     """Hidden states of B equal-length sequences stacked in order, (B*len, d_model),
-    as a Tensor while tracing and as an array under ``no_grad``.
+    as a Tensor of one tape node while tracing and as an array under ``no_grad``.
 
     The sequences share every op as rows of one 2-D array; only attention
     needs the sequence length, to keep each sequence to its own rows.
@@ -186,36 +187,114 @@ def _blocks(
         raise ContractError(f"batch sequence lengths differ: {sorted({len(t) for t in batch})}")
     if s > cfg.max_seq:
         raise LengthError(f"sequence of {s} tokens exceeds max_seq {cfg.max_seq}")
-    ids = [i for tokens in batch for i in tokens.ids]
-    if max(ids) >= cfg.vocab_size or min(ids) < 0:
+    ids = np.array([i for tokens in batch for i in tokens.ids], dtype=np.int64)
+    if ids.max() >= cfg.vocab_size or ids.min() < 0:
         raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
-    ops, p = _op_set(encoder)
-    positions = list(range(s)) * len(batch)
+    names = ["tok_emb", "pos_emb"]
+    names += [f"layers.{i}.{name}" for i in range(upto) for name in _LAYER_PARAMS]
+    weights = [encoder.arrays[name] for name in names]
+    positions = np.tile(np.arange(s), len(batch))
     tail_from = upto - 1 if ret_tail else upto
+    starts = np.arange(0, len(batch) * s, s)[:, None]
+    tail = (starts + np.arange(s - min(RET_TAIL_ROWS, s), s)).ravel()
+    taped = T.tracing()
+    saved = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            h = ops.add(ops.take_rows(p["tok_emb"], ids), ops.take_rows(p["pos_emb"], positions))
+            h = weights[1][positions]
+            h = np.add(weights[0][ids], h, out=h)
             for i in range(upto):
-                base = f"layers.{i}."
-                a = ops.layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
+                g1, c1, wq, bq, wk, bk, wv, bv, wo, bo, g2, c2, w1, b1, w2, b2 = weights[_layer(i)]
+                # a kernel's side outputs are what its vjp reads: kept only
+                # while tracing, so a tape-free block frees them at once
+                a, *ln1 = T._layer_norm(h, g1, c1)
+                ln1 = ln1 if taped else None
                 a_q = a
                 if i == tail_from:
-                    starts = np.arange(0, len(batch) * s, s)[:, None]
-                    tail = (starts + np.arange(s - min(RET_TAIL_ROWS, s), s)).ravel()
-                    h, a_q = ops.take_rows(h, tail), ops.take_rows(a, tail)
-                q = ops.affine(a_q, p[base + "attn.wq"], p[base + "attn.bq"])
-                k = ops.affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
-                v = ops.affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
-                mixed = ops.attention(q, k, v, cfg.n_heads, s)
-                h = ops.add(h, ops.affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
+                    h, a_q = h[tail], a[tail]
+                q = T._affine(a_q, wq, bq)
+                k = T._affine(a, wk, bk)
+                v = T._affine(a, wv, bv)
+                mixed, *attn = T._attention(q, k, v, cfg.n_heads, s)
+                attn = attn if taped else None
+                o = T._affine(mixed, wo, bo)
+                h = np.add(h, o, out=o)
+                if taped:
+                    saved.append((ln1, a, a_q, attn, mixed))
                 # free the attention's arrays before the FFN allocates its own
-                del a, a_q, q, k, v, mixed
-                f = ops.layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
-                f = ops.gelu(ops.affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
-                h = ops.add(h, ops.affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
+                del ln1, a, a_q, q, k, v, mixed, attn
+                f, *ln2 = T._layer_norm(h, g2, c2)
+                ln2 = ln2 if taped else None
+                u = T._affine(f, w1, b1)
+                if taped:
+                    # the vjp reads u and the tanh term, so GELU writes over neither
+                    t = T._gelu_tanh(u)
+                    g = T._gelu(u, 1.0 + t, np.empty(u.shape))
+                    saved[i] += (ln2, f, u, t, g)
+                else:
+                    g = T._bare_gelu(u)
+                o = T._affine(g, w2, b2)
+                h = np.add(h, o, out=o)
+                # and the FFN's before the next block allocates its own
+                del f, ln2, u, g
     except FloatingPointError as err:
         raise NumericDomainError(f"encoder forward left the finite range ({err})") from None
-    return h
+    if not taped:
+        return h
+
+    def vjp(dh):
+        return _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail)
+
+    return T._result("blocks", h, [encoder.params[name] for name in names], vjp)
+
+
+def _layer(i: int) -> slice:
+    """Where block i's parameters sit, in ``_LAYER_PARAMS`` order, in a list
+    of the block stack's inputs, which starts with the two tables."""
+    n = len(_LAYER_PARAMS)
+    return slice(2 + n * i, 2 + n * (i + 1))
+
+
+def _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail) -> list:
+    """The gradients of every input of a taped :func:`_blocks` call for the
+    gradient dh of its output, in input order.
+
+    Blocks run last to first, and within a block the ops' vjps in reverse
+    op order, each as its own taped op computed it. A tensor that feeds two
+    ops sums its gradients in the order the tape reached them: the block's
+    middle residual dh + d(ln2), the first layer norm's output
+    (dv Wv^T + dk Wk^T) + dq Wq^T, and the block input dh1 + d(ln1). In the
+    narrowed last block the query rows and the residual rows are gathers,
+    whose gradients are dense scatters of 0.0 + rows, taken before d(ln1)
+    is added. The tables get the one gather's rows each, as row gradients.
+    """
+    grads: list = [None] * len(weights)
+    for i in reversed(range(len(saved))):
+        g1, c1, wq, bq, wk, bk, wv, bv, wo, bo, g2, c2, w1, b1, w2, b2 = weights[_layer(i)]
+        ln1, a, a_q, attn, mixed, ln2, f, u, t, g = saved[i]
+        dg, dw2, db2 = T._affine_vjp(dh, g, w2)
+        df, dw1, db1 = T._affine_vjp(T._gelu_vjp(dg, u, t), f, w1)
+        dh1, dg2, dc2 = T._layer_norm_vjp(df, *ln2, g2)
+        dh1 += dh
+        dmixed, dwo, dbo = T._affine_vjp(dh1, mixed, wo)
+        dq, dk, dv = T._attention_vjp(dmixed, *attn)
+        da, dwv, dbv = T._affine_vjp(dv, a, wv)
+        da_k, dwk, dbk = T._affine_vjp(dk, a, wk)
+        da += da_k
+        da_q, dwq, dbq = T._affine_vjp(dq, a_q, wq)
+        if i == tail_from:
+            da += T.scatter_rows(a.shape, tail, da_q)
+            dh1 = T.scatter_rows(a.shape, tail, dh1)
+        else:
+            da += da_q
+        dh, dg1, dc1 = T._layer_norm_vjp(da, *ln1, g1)
+        dh += dh1
+        grads[_layer(i)] = (
+            dg1, dc1, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, dg2, dc2, dw1, db1, dw2, db2
+        )
+    grads[0] = T.RowGrad.scatter(weights[0].shape, ids, dh)
+    grads[1] = T.RowGrad.scatter(weights[1].shape, positions, dh)
+    return grads
 
 
 def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
@@ -258,7 +337,7 @@ def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> T
     """
     if not seqs:
         raise ContractError("no sequences to embed")
-    ops, _ = _op_set(encoder)
+    ops = T if T.tracing() else T.bare
     groups = length_groups(seqs)
     hidden = [_blocks(encoder, [seqs[i] for i in rows], upto, ret_tail=True) for rows in groups]
     ret_row = [0] * len(seqs)

@@ -1,27 +1,32 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records one node on an implicit tape. ``backward`` replays
-the tape for a scalar root in reverse record order, which fixes the gradient
-accumulation order and makes gradients bitwise reproducible. Tensor data is
-immutable after construction; training code produces new tensors instead of
-updating in place.
+Each taped operation records one node on an implicit tape; a node may stand
+for many array operations, as the encoder's block stack records one node
+for all of its blocks. ``backward`` replays the tape for a scalar root in
+reverse record order, which fixes the gradient accumulation order and makes
+gradients bitwise reproducible. Tensor data is immutable after
+construction; training code produces new tensors instead of updating in
+place.
 
-The forward arithmetic of the ops a transformer block uses lives in plain
-array kernels (``_affine``, ``_layer_norm``, ``_gelu``, ``_attention``). The
-taped ops call them, and ``bare`` exposes them under the ops' names for
-tape-free callers, so both compute the same bytes. Each kernel runs its
-elementwise steps in place, in buffers it allocated itself and in the
-operation order of the out-of-place formula it replaced, so it writes that
-formula's bytes through fewer fresh arrays. ``softmax_rows`` is an array
-kernel with no taped op: its one caller takes it of constant scores.
-Layer norm and the L2 row normalizers read their epsilons from module
-constants, not from callers.
+The arithmetic of a transformer block lives in plain array kernels, a
+forward and a vjp for each of affine, layer norm, GELU and attention
+(``_affine``/``_affine_vjp`` and so on). They take and return arrays and
+record nothing; the encoder's block stack runs them under one tape node.
+Each kernel runs its elementwise steps in place, in buffers it allocated
+itself and in the operation order of the out-of-place formula it replaced
+(up to swapping the two operands of one product or sum, which IEEE
+arithmetic ignores), so it writes that formula's bytes through fewer fresh
+arrays. ``softmax_rows`` is an array kernel with no taped op: its one
+caller takes it of constant scores. Layer norm and the L2 row normalizers
+read their epsilons from module constants, not from callers.
 
 ``backward`` returns an array for every tracked leaf but one reached only
 through ``take_rows``, such as an embedding table: that one gets a
 :class:`RowGrad`, the sorted rows it touched and their summed gradients,
 with the bytes of the dense gradient through ``dense()``. A step that reads
 a few hundred rows of a 5,400-row table then never builds the dense table.
+A gather of an intermediate tensor, whose gradient feeds a vjp at once,
+scatters densely instead (:func:`scatter_rows`).
 """
 
 from __future__ import annotations
@@ -229,6 +234,19 @@ def row_union(*ids: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A zero table of ``shape`` with ``rows[j]`` added to row ``idx[j]`` in
+    gather order, the bytes of ``np.add.at`` into zeros. Distinct ids take
+    one assignment of 0.0 + rows, which turns -0.0 into 0.0 as that sum does."""
+    out = np.zeros(shape)
+    ordered = np.sort(idx)
+    if (ordered[1:] != ordered[:-1]).all():
+        out[idx] = rows + 0.0
+    else:
+        np.add.at(out, idx, rows)
+    return out
+
+
 def dense_grad(g: np.ndarray | RowGrad) -> np.ndarray:
     """A gradient as an array: a :class:`RowGrad` densified, an array as is."""
     return g.dense() if isinstance(g, RowGrad) else g
@@ -244,8 +262,8 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
     rows by :meth:`RowGrad.sum`. That is bitwise the dense buffer of adding
     one dense scatter per gather, since rows a gather does not touch would
     only have 0.0 added. A tensor that also gets a dense contribution gets
-    an array, the dense sum of every contribution, and a gathered
-    intermediate is densified before its own vjp reads it.
+    an array, the dense sum of every contribution. A gathered intermediate
+    gets dense scatters, since its own vjp reads an array.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
@@ -295,17 +313,10 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with a broadcast bias row; one fused node."""
-    _require_2d("affine", x, w)
-    if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise DimensionError(f"affine shapes disagree: {x.shape} x {w.shape} + {b.shape}")
-    out = _affine(x.data, w.data, b.data)
-
-    def vjp(dy):
-        return dy @ w.data.T, x.data.T @ dy, dy.sum(axis=0)
-
-    return _result("affine", out, (x, w, b), vjp)
+def _affine_vjp(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """The gradients of ``_affine(x, w, b)`` for an output gradient dy: of
+    x, of w and of b."""
+    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -388,16 +399,25 @@ def _gelu(x: np.ndarray, one_plus_t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    t = _gelu_tanh(x.data)
-    out = _gelu(x.data, 1.0 + t, np.empty(x.shape))
-
-    def vjp(dy):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
-        return (dy * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du),)
-
-    return _result("gelu", out, (x,), vjp)
+def _gelu_vjp(dy: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The gradient of GELU at x for an output gradient dy, from its tanh
+    term t: dy * (0.5*(1 + t) + 0.5*x*(1 - t**2) * c*(1 + 3a*x**2)), in a
+    fresh buffer. Products and sums are taken in that expression's order,
+    up to the order of two operands, which IEEE rounding ignores."""
+    du = np.square(x)
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    out = np.square(t)
+    np.subtract(1.0, out, out=out)
+    half_x = 0.5 * x
+    half_x *= out
+    half_x *= du
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out += half_x
+    out *= dy
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +476,16 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError(f"take_rows index out of range for table {table.shape}")
 
-    def vjp(dy):
-        return (RowGrad.scatter(table.shape, idx, dy),)
+    if table._node is None:
+
+        def vjp(dy):
+            return (RowGrad.scatter(table.shape, idx, dy),)
+
+    else:
+
+        def vjp(dy):
+            # an intermediate's gradient is densified at once; build it dense
+            return (scatter_rows(table.shape, idx, dy),)
 
     return _result("take_rows", table.data[idx], (table,), vjp)
 
@@ -501,28 +529,27 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return out, xhat, inv
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row (x - mean)/sqrt(var + LAYER_NORM_EPS) * gain + bias, population variance."""
-    _require_2d("layer_norm_rows", x)
-    n = x.shape[1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise DimensionError(
-            f"layer_norm_rows gain/bias must be ({n},), got {gain.shape} and {bias.shape}"
-        )
-    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
-
-    def vjp(dy):
-        dgain = (dy * xhat).sum(axis=0)
-        dbias = dy.sum(axis=0)
-        dxhat = dy * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.sum(axis=1, keepdims=True) / n
-            - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / n)
-        )
-        return dx, dgain, dbias
-
-    return _result("layer_norm_rows", out, (x, gain, bias), vjp)
+def _layer_norm_vjp(dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
+    """The gradients of layer norm for an output gradient dy, from the
+    normalized rows and 1/sqrt(var + eps) of :func:`_layer_norm`: of x, of
+    the gain and of the bias. The x gradient is
+    inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = dy * gain, each mean a row sum divided by the width, written
+    in place into dxhat's buffer."""
+    n = xhat.shape[1]
+    dgain = (dy * xhat).sum(axis=0)
+    dbias = dy.sum(axis=0)
+    dx = dy * gain
+    centre = dx.sum(axis=1, keepdims=True)
+    centre /= n
+    prod = dx * xhat
+    along = prod.sum(axis=1, keepdims=True)
+    along /= n
+    np.multiply(xhat, along, out=prod)
+    dx -= centre
+    dx -= prod
+    dx *= inv
+    return dx, dgain, dbias
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -588,45 +615,26 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, seq_le
     return out, q4, k4, v4, a
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, seq_len: int) -> Tensor:
-    """Bidirectional multi-head scaled dot-product attention, one fused node.
+def _attention_vjp(dy: np.ndarray, q4: np.ndarray, k4: np.ndarray, v4: np.ndarray, a: np.ndarray):
+    """The gradients of q, k and v for an attention output gradient dy,
+    from the per-head q, k, v and weights of :func:`_attention`. The
+    softmax's vjp, (da - sum(da * a)) * a / sqrt(dh), is written in place
+    into da's buffer."""
+    batch, heads, m, dh = q4.shape
+    dy4 = dy.reshape(batch, m, heads, dh).transpose(0, 2, 1, 3)
+    dv4 = a.transpose(0, 1, 3, 2) @ dy4
+    da = dy4 @ v4.transpose(0, 1, 3, 2)
+    da -= (da * a).sum(axis=3, keepdims=True)
+    da *= a
+    da *= 1.0 / np.sqrt(dh)
+    dq4 = da @ k4
+    dk4 = da.transpose(0, 1, 3, 2) @ q4
 
-    k and v are (B*seq_len, d_model): B sequences of seq_len rows stacked in
-    order. q is (B*m, d_model), the query rows of each sequence in the same
-    order; m = seq_len attends from every row, a smaller m from only some.
-    Attention is block-diagonal, so each sequence attends only to its own
-    rows; columns are split into n_heads equal slices.
-    """
-    _require_2d("attention", q, k, v)
-    if not (k.shape == v.shape and q.shape[1] == k.shape[1]):
-        raise DimensionError(
-            f"attention operand shapes disagree: {q.shape}, {k.shape}, {v.shape}"
-        )
-    rows, d = k.shape
-    if n_heads < 1 or d % n_heads != 0:
-        raise ContractError(f"n_heads {n_heads} must divide d_model {d}")
-    if seq_len < 1 or rows % seq_len != 0:
-        raise ContractError(f"seq_len {seq_len} must divide the row count {rows}")
-    batch = rows // seq_len
-    if batch < 1 or q.shape[0] < 1 or q.shape[0] % batch != 0:
-        raise ContractError(f"{q.shape[0]} query rows do not split over {batch} sequences")
-    out, q4, k4, v4, a = _attention(q.data, k.data, v.data, n_heads, seq_len)
-    inv_scale = 1.0 / np.sqrt(q4.shape[3])
+    def merge(t4):
+        # (B, heads, rows, dh) -> (B*rows, d)
+        return t4.transpose(0, 2, 1, 3).reshape(-1, heads * dh)
 
-    def vjp(dy):
-        dy4 = dy.reshape(q4.shape[0], q4.shape[2], n_heads, -1).transpose(0, 2, 1, 3)
-        dv4 = a.transpose(0, 1, 3, 2) @ dy4
-        da = dy4 @ v4.transpose(0, 1, 3, 2)
-        dz = (da - (da * a).sum(axis=3, keepdims=True)) * a * inv_scale
-        dq4 = dz @ k4
-        dk4 = dz.transpose(0, 1, 3, 2) @ q4
-
-        def merge(t4, like):
-            return t4.transpose(0, 2, 1, 3).reshape(like.shape)
-
-        return merge(dq4, q), merge(dk4, k), merge(dv4, v)
-
-    return _result("attention", out, (q, k, v), vjp)
+    return merge(dq4), merge(dk4), merge(dv4)
 
 
 # ---------------------------------------------------------------------------
@@ -640,22 +648,10 @@ def _bare_gelu(x: np.ndarray) -> np.ndarray:
     return _gelu(x, t, x)
 
 
-# The forward kernels of the ops above, under the same names, on bare float64
-# arrays: no operand checks, no vjp and no Tensor. A caller that has checked
-# its operands runs these when not tracing; each returns the bytes of the
-# taped op of the same name. take_rows and concat_rows are the one numpy call
-# their taped op makes.
-#
-# Ownership: add(a, b) writes the sum into b and returns it, and gelu(x)
-# writes its output over x and returns x's buffer, so a caller passes as b
-# and x only arrays it made itself and reads nowhere else, such as the fresh
-# result of another entry here. Every other entry leaves its operands alone.
+# take_rows and concat_rows on bare float64 arrays: the one numpy call their
+# taped op makes, without operand checks, vjp or Tensor, for tape-free callers
+# that have checked their operands.
 bare = SimpleNamespace(
-    add=lambda a, b: np.add(a, b, out=b),
     take_rows=lambda table, ids: table[ids],
     concat_rows=lambda parts: np.concatenate(parts, axis=0),
-    affine=_affine,
-    gelu=_bare_gelu,
-    layer_norm_rows=lambda x, gain, bias: _layer_norm(x, gain, bias)[0],
-    attention=lambda q, k, v, n_heads, seq_len: _attention(q, k, v, n_heads, seq_len)[0],
 )

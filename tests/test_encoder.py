@@ -1,12 +1,17 @@
 import math
 import tracemalloc
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
+import per_op_reference as per_op
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umrlab import tensor as T
+from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
 from umrlab.encoder import (
     FFN_MULT,
     RET_TAIL_ROWS,
@@ -27,6 +32,7 @@ from umrlab.encoder import (
 )
 from umrlab.errors import ContractError, LengthError, NumericDomainError
 from umrlab.gradcheck import check_gradients
+from umrlab.losses import TemperatureSchedule
 from umrlab.prompts import (
     CANDIDATE_INSTR_ID,
     INSTRUCTION_IDS,
@@ -37,6 +43,7 @@ from umrlab.prompts import (
     TokenSequence,
     assemble_prompt,
 )
+from umrlab.trainer import TrainConfig, batch_from, compute_global_grads
 
 
 @dataclass
@@ -211,8 +218,6 @@ class TestRawForward:
                 assert a.tobytes() == b.tobytes()
 
     def test_builds_no_tape_on_tracked_params(self, monkeypatch):
-        from umrlab.encoder import forward_raw
-
         built = []
         node = T._Node
 
@@ -226,7 +231,22 @@ class TestRawForward:
         forward_raw(enc, small_tokens(), 2)
         assert built == []
         forward(enc, small_tokens(), 2)
-        assert "attention" in built
+        assert built == ["blocks"]
+        # one node per length group, then the groups' concat and the [RET] gather
+        built.clear()
+        seqs = [small_tokens((40,)), small_tokens((40, 41)), small_tokens((41,)), small_tokens(())]
+        embed_batch(enc, seqs, 2)
+        assert built == ["blocks"] * 3 + ["concat_rows", "take_rows"]
+        # a stage-2 step of 8 shards of 2 pairs over prompts of 8 and 11
+        # tokens: 4 shards hold one length and 4 both. Each shard records a
+        # node per length group, a concat of two groups, the [RET] gather
+        # and its query/positive split, and each shard's loss 2 gathers of
+        # the shards' rows and 6 nodes of similarity and MAC loss. A node per
+        # op recorded 440.
+        built.clear()
+        compute_global_grads(*toy_stage2_step())
+        assert Counter(built)["blocks"] == 4 * 1 + 4 * 2
+        assert len(built) == 12 + 4 + 8 * 3 + 8 * (2 + 6) == 104
 
     def test_embed_raw_matches_embed(self):
         from umrlab.encoder import embed_raw
@@ -264,8 +284,9 @@ class TestRawForward:
             embed_raw(Encoder.init(SMALL, seed=3), [], 2)
 
 
-# every op the block stack and embed_batch run, and the node maker they share
-TAPED_OPS = ("_result", "add", "take_rows", "concat_rows", "affine", "layer_norm_rows", "gelu", "attention")
+# the node maker, which the block stack's node and every taped op call, and
+# the taped ops a forward could reach for its sums, gathers and concats
+TAPED_OPS = ("_result", "add", "take_rows", "concat_rows")
 
 
 @pytest.fixture
@@ -363,7 +384,6 @@ class TestRetTail:
             return kernel(x, w, b)
 
         monkeypatch.setattr(T, "_affine", recording)
-        monkeypatch.setattr(T.bare, "affine", recording)
         enc = Encoder.init(WIDE, seed=1)
         batch = mixed_prompts(1)[:1] * 3  # three sequences of 13 rows
         with nullcontext() if taped else T.no_grad():
@@ -394,7 +414,8 @@ class TestTapeFreeBuffers:
         # one 32-prompt chunk of 21-token prompts at depth 3. The FFN's hidden
         # activation, rows x 4d float64, is the largest array a block makes;
         # out-of-place kernels peaked at 5.8 of them, in-place ones at 3.8,
-        # and 3.2 once a block drops its attention arrays before the FFN
+        # 3.2 once a block drops its attention arrays before the FFN, and
+        # 2.5 once it drops its FFN arrays before the next block
         enc = Encoder.init(replace(WIDE, n_layers=3), seed=1)
         seqs = [seq for seq in mixed_prompts(32) if len(seq) == 21]
         hidden_bytes = len(seqs) * 21 * FFN_MULT * WIDE.d_model * 8
@@ -408,7 +429,7 @@ class TestTapeFreeBuffers:
         finally:
             tracemalloc.stop()
         assert hidden_bytes == 688_128
-        assert peak < 3.5 * hidden_bytes
+        assert peak < 2.75 * hidden_bytes
 
 
 class TestBatchedEmbed:
@@ -568,3 +589,117 @@ def test_encoder_gradients_match_finite_differences():
 
     xs = [enc.params[n] for n in names]
     assert check_gradients(loss_fn, xs) < 1e-4
+
+
+TOY_SPEC = CorpusSpec(
+    n_concepts=8,
+    tasks=("t2t", "i2i", "t2it", "it2t"),
+    text_vocab_size=20,
+    image_vocab_size=20,
+    n_t=3,
+    n_i=3,
+    distractors=0,
+    test_fraction=0.25,
+)
+
+
+def toy_stage2_step():
+    """compute_global_grads' arguments for a stage-2 step of 8 shards of 2
+    (query, positive) pairs of mixed tasks."""
+    corpus = generate_corpus(TOY_SPEC, seed=4)
+    cfg = EncoderConfig(
+        vocab_size=vocab_size_for(TOY_SPEC), d_model=4, n_heads=2, n_layers=2, max_seq=16, k=2
+    )
+    train = TrainConfig(
+        stage=2, encoder=cfg, shards=8, per_shard_batch=2, epochs=1, lr=1e-3, seed=5, k=2,
+        temperature=TemperatureSchedule(tau0=0.1, lam=0.2, mode="mac"),
+    )
+    by_task = {task: [s for s in corpus.train if s.task == task] for task in TOY_SPEC.tasks}
+    # round-robin over the tasks, so each shard's prompts differ in length
+    samples = [s for four in zip(*by_task.values()) for s in four][:16]
+    return Encoder.init(cfg, seed=1), None, batch_from(corpus, samples), train, 0.5
+
+
+ORACLE = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=3, max_seq=5, k=1)
+
+
+def same_grads(got, want, params):
+    """Whether two gradient maps give ``params`` the same gradients: arrays
+    byte for byte, row gradients in ids, their dtype, and rows."""
+    for p in params:
+        assert (p in got) == (p in want)
+        if p not in got:
+            continue
+        g, ref = got[p], want[p]
+        assert type(g) is type(ref)
+        if isinstance(g, T.RowGrad):
+            assert g.ids.dtype == ref.ids.dtype and g.ids.tobytes() == ref.ids.tobytes()
+            g, ref = g.rows, ref.rows
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+    return True
+
+
+class TestBlockStackNode:
+    """A taped block stack is one tape node whose hand-written backward
+    gives the bytes of a tape of one node per op (``per_op_reference``)."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        depth=st.integers(1, 3),
+        ret_tail=st.booleans(),
+        lengths=st.lists(st.sampled_from([1, 2, 5]), min_size=2, max_size=2, unique=True),
+        batches=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+        reads=st.lists(st.integers(0, 14), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_the_per_op_tape(self, depth, ret_tail, lengths, batches, reads, seed):
+        rng = np.random.default_rng(seed)
+        shapes = {n: t.shape for n, t in Encoder.init(ORACLE, seed=0).params.items()}
+        params = {n: T.Tensor(rng.normal(0.0, 0.3, s), grad_tracked=True) for n, s in shapes.items()}
+        enc = Encoder(ORACLE, params)
+        groups = [
+            [TokenSequence((*rng.integers(2, 48, n - 1).tolist(), RET_TOKEN_ID)) for _ in range(b)]
+            for n, b in zip(lengths, batches)
+        ]
+        if ret_tail:
+            # two length groups in one embed_batch, in a drawn order
+            seqs = [seq for group in groups for seq in group]
+            seqs = [seqs[i] for i in rng.permutation(len(seqs))]
+            stacks = (embed_batch, per_op.embed_batch)
+        else:
+            seqs = groups[0]
+            stacks = (_blocks, per_op.blocks)
+        outs = [stack(enc, seqs, depth) for stack in stacks]
+        # the loss reads rows twice: a gather with repeats, then every row
+        ids = [i % outs[0].shape[0] for i in reads]
+        w1 = T.Tensor(rng.normal(size=(len(ids), 8)) * 10.0 ** rng.integers(-4, 5, (len(ids), 1)))
+        w2 = T.Tensor(rng.normal(size=outs[0].shape))
+        results = []
+        for out, take in zip(outs, (T.take_rows, per_op.take_rows)):
+            loss = T.add(T.mean(T.mul(take(out, ids), w1)), T.mean(T.mul(out, w2)))
+            results.append((out, T.backward(loss), T.backward(loss)))
+        (out, grads, again), (ref_out, ref_grads, _) = results
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert same_grads(grads, ref_grads, params.values())
+        # the vjp writes over nothing the forward saved
+        assert same_grads(again, grads, params.values())
+        assert isinstance(grads[params["tok_emb"]], T.RowGrad)
+        assert isinstance(grads[params["pos_emb"]], T.RowGrad)
+
+    def test_output_holds_the_last_residual_sum_uncopied(self, monkeypatch):
+        # Tensor._wrap copies an array that has a base, so the stack's last
+        # residual sum, written into the last affine's output, must own its
+        # data for the node to hold it as it is
+        made = []
+        kernel = T._affine
+
+        def recording(*args):
+            made.append(kernel(*args))
+            return made[-1]
+
+        monkeypatch.setattr(T, "_affine", recording)
+        enc = Encoder.init(SMALL, seed=3)
+        for ret_tail in (False, True):
+            out = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, ret_tail)
+            assert out._node is not None and made[-1].base is None
+            assert out.data is made[-1]

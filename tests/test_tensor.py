@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_op_reference as per_op
 from umrlab import tensor as T
+from umrlab.encoder import Encoder, EncoderConfig, _as_tensor, _blocks, embed_batch
 from umrlab.errors import ContractError, DimensionError, NumericDomainError
 from umrlab.gradcheck import check_gradients, finite_diff_grad, max_relative_error
+from umrlab.prompts import TokenSequence
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -79,14 +82,12 @@ class TestSoftmaxRows:
 
 class TestLayerNormRows:
     def test_constant_row_is_zero(self):
-        x = T.Tensor([[5.0, 5.0, 5.0]])
-        out = T.layer_norm_rows(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
-        assert np.abs(out.data).max() < 1e-6
+        out, _, _ = T._layer_norm(np.array([[5.0, 5.0, 5.0]]), np.ones(3), np.zeros(3))
+        assert np.abs(out).max() < 1e-6
 
     def test_unit_variance_row(self):
-        x = T.Tensor([[1.0, -1.0]])
-        out = T.layer_norm_rows(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)))
-        assert out.data == pytest.approx(np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5), abs=1e-12)
+        out, _, _ = T._layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
+        assert out == pytest.approx(np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5), abs=1e-12)
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(3)
@@ -97,9 +98,8 @@ class TestLayerNormRows:
         mu = sum(row) / 5
         var = sum((v - mu) ** 2 for v in row) / 5
         want = [(v - mu) / (var + eps) ** 0.5 * g + b for v, g, b in zip(row, gain, bias)]
-        out = T.layer_norm_rows(T.Tensor([row]), T.Tensor(gain), T.Tensor(bias))
-        assert np.abs(out.data[0] - np.array(want)).max() < 1e-14
-
+        out, _, _ = T._layer_norm(np.array([row]), gain, bias)
+        assert np.abs(out[0] - np.array(want)).max() < 1e-14
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(
@@ -131,11 +131,8 @@ class TestLayerNormRows:
             "gain": (dy * xhat).sum(axis=0),
             "bias": dy.sum(axis=0),
         }
-        leaves = {n: T.Tensor(v, grad_tracked=True) for n, v in (("x", x), ("gain", gain), ("bias", bias))}
-        out = T.layer_norm_rows(leaves["x"], leaves["gain"], leaves["bias"])
-        grads = T.backward(T.mean(T.mul(out, T.Tensor(w))))
-        got = {"out": out.data, **{n: grads[t] for n, t in leaves.items()}}
-        assert T.bare.layer_norm_rows(x, gain, bias).tobytes() == want["out"].tobytes()
+        out, xhat, inv = T._layer_norm(x, gain, bias)
+        got = dict(zip(("x", "gain", "bias"), T._layer_norm_vjp(dy, xhat, inv, gain)), out=out)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -182,15 +179,10 @@ class TestElementwise:
 
 
 class TestAttentionQueryRows:
-    def test_rows_must_split_over_the_sequences(self):
-        # k and v hold two sequences of three rows; three query rows do not split
-        with pytest.raises(ContractError, match="3 query rows do not split over 2 sequences"):
-            T.attention(rand((3, 4)), rand((6, 4)), rand((6, 4)), 2, 3)
-
     def test_tail_rows_attend_like_full_rows(self):
-        q, k, v = rand((6, 4), 1), rand((6, 4), 2), rand((6, 4), 3)
-        full = T.attention(q, k, v, 2, 3).data
-        tail = T.attention(T.take_rows(q, [1, 2, 4, 5]), k, v, 2, 3).data
+        q, k, v = (rand((6, 4), seed).data for seed in (1, 2, 3))
+        full = T._attention(q, k, v, 2, 3)[0]
+        tail = T._attention(q[[1, 2, 4, 5]], k, v, 2, 3)[0]
         assert tail.shape == (4, 4)
         np.testing.assert_allclose(tail, full[[1, 2, 4, 5]], rtol=1e-12, atol=1e-15)
 
@@ -203,9 +195,10 @@ KERNEL_DRAWS = settings(max_examples=150, derandomize=True, deadline=None, datab
 
 
 class TestKernelsKeepOutOfPlaceBytes:
-    """Each array kernel works in place in its own buffers; each must still
-    write the bytes of the out-of-place formula it replaced, written out
-    here, and the taped op and the ``bare`` entry must return them."""
+    """Each array kernel, forward and vjp, works in place in its own
+    buffers; each must still write the bytes of the out-of-place formula it
+    replaced, written out here, and the per-op taped reference, which the
+    block-stack tests hold the encoder to, must return them too."""
 
     @KERNEL_DRAWS
     @given(
@@ -219,10 +212,13 @@ class TestKernelsKeepOutOfPlaceBytes:
         rng = np.random.default_rng(seed)
         x = 10.0**log_scale * rng.normal(size=(rows, width))
         w, b = rng.normal(size=(width, out_width)), rng.normal(size=out_width)
+        dy = rng.normal(size=(rows, out_width))
         want = x @ w + b
         assert _same_bytes(T._affine(x, w, b), want)
-        assert _same_bytes(T.affine(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data, want)
-        assert _same_bytes(T.bare.affine(x, w, b), want)
+        assert _same_bytes(per_op.affine(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data, want)
+        got = T._affine_vjp(dy, x, w)
+        for g, ref in zip(got, (dy @ w.T, x.T @ dy, dy.sum(axis=0))):
+            assert _same_bytes(g, ref)
 
     @KERNEL_DRAWS
     @given(
@@ -232,13 +228,18 @@ class TestKernelsKeepOutOfPlaceBytes:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_gelu(self, rows, width, log_scale, seed):
-        x = 10.0**log_scale * np.random.default_rng(seed).normal(size=(rows, width))
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * rng.normal(size=(rows, width))
+        dy = rng.normal(size=(rows, width))
         t = np.tanh(T._GELU_C * (x + T._GELU_A * (x * x * x)))
         want = 0.5 * x * (1.0 + t)
+        du = T._GELU_C * (1.0 + 3.0 * T._GELU_A * x**2)
+        want_dx = dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
         assert _same_bytes(T._gelu_tanh(x), t)
         assert _same_bytes(T._gelu(x, 1.0 + t, np.empty(x.shape)), want)
-        assert _same_bytes(T.gelu(T.Tensor(x)).data, want)
-        assert _same_bytes(T.bare.gelu(x.copy()), want)
+        assert _same_bytes(per_op.gelu(T.Tensor(x)).data, want)
+        assert _same_bytes(T._bare_gelu(x.copy()), want)
+        assert _same_bytes(T._gelu_vjp(dy, x, t), want_dx)
 
     @KERNEL_DRAWS
     @given(
@@ -251,16 +252,25 @@ class TestKernelsKeepOutOfPlaceBytes:
         rng = np.random.default_rng(seed)
         x = 10.0**log_scale * (rng.normal(size=(rows, width)) + rng.normal(size=(rows, 1)))
         gain, bias = rng.normal(size=width), rng.normal(size=width)
+        dy = rng.normal(size=(rows, width))
         centred = x - x.sum(axis=1, keepdims=True) / width
         inv = 1.0 / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / width + T.LAYER_NORM_EPS)
         xhat = centred * inv
         want = xhat * gain + bias
+        dxhat = dy * gain
+        want_dx = inv * (
+            dxhat
+            - dxhat.sum(axis=1, keepdims=True) / width
+            - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / width)
+        )
         out, got_xhat, got_inv = T._layer_norm(x, gain, bias)
         assert _same_bytes(out, want)
         assert _same_bytes(got_xhat, xhat)
         assert _same_bytes(got_inv, inv)
-        assert _same_bytes(T.layer_norm_rows(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data, want)
-        assert _same_bytes(T.bare.layer_norm_rows(x, gain, bias), want)
+        assert _same_bytes(per_op.layer_norm_rows(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data, want)
+        got = T._layer_norm_vjp(dy, xhat, inv, gain)
+        for g, ref in zip(got, (want_dx, (dy * xhat).sum(axis=0), dy.sum(axis=0))):
+            assert _same_bytes(g, ref)
 
     @KERNEL_DRAWS
     @given(
@@ -279,6 +289,7 @@ class TestKernelsKeepOutOfPlaceBytes:
         k, v = (10.0**log_scale * rng.normal(size=(batch * seq_len, d)) for _ in range(2))
         m = min(tail, seq_len) or seq_len
         q = 10.0**log_scale * rng.normal(size=(batch * m, d))
+        dy = rng.normal(size=q.shape)
         shape = (batch, -1, heads, head_dim)
         q4, k4, v4 = (t.reshape(shape).transpose(0, 2, 1, 3) for t in (q, k, v))
         z = (q4 @ k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
@@ -286,18 +297,29 @@ class TestKernelsKeepOutOfPlaceBytes:
         e = np.exp(z)
         weights = e / e.sum(axis=3, keepdims=True)
         want = (weights @ v4).transpose(0, 2, 1, 3).reshape(q.shape)
-        out, _, _, _, got_weights = T._attention(q, k, v, heads, seq_len)
+        dy4 = dy.reshape(shape).transpose(0, 2, 1, 3)
+        da = dy4 @ v4.transpose(0, 1, 3, 2)
+        dz = (da - (da * weights).sum(axis=3, keepdims=True)) * weights * (1.0 / np.sqrt(head_dim))
+        want_grads = [
+            (t4).transpose(0, 2, 1, 3).reshape(like.shape)
+            for t4, like in (
+                (dz @ k4, q),
+                (dz.transpose(0, 1, 3, 2) @ q4, k),
+                (weights.transpose(0, 1, 3, 2) @ dy4, v),
+            )
+        ]
+        out, *saved = T._attention(q, k, v, heads, seq_len)
         assert _same_bytes(out, want)
-        assert _same_bytes(got_weights, weights)
-        taped = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, seq_len)
+        assert _same_bytes(saved[3], weights)
+        taped = per_op.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, seq_len)
         assert _same_bytes(taped.data, want)
-        assert _same_bytes(T.bare.attention(q, k, v, heads, seq_len), want)
+        for g, ref in zip(T._attention_vjp(dy, *saved), want_grads):
+            assert _same_bytes(g, ref)
 
     def test_bare_structure_ops_match_taped(self):
         rng = np.random.default_rng(3)
-        a, b, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+        a, c = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
         ids = [4, 0, 0, 2]
-        assert _same_bytes(T.bare.add(a, b.copy()), T.add(T.Tensor(a), T.Tensor(b)).data)
         assert _same_bytes(T.bare.take_rows(a, ids), T.take_rows(T.Tensor(a), ids).data)
         assert _same_bytes(
             T.bare.concat_rows([a, c]), T.concat_rows([T.Tensor(a), T.Tensor(c)]).data
@@ -305,49 +327,29 @@ class TestKernelsKeepOutOfPlaceBytes:
 
 
 class TestBareOwnership:
-    """``bare`` writes into the operands its contract names, and only those."""
-
-    def test_add_writes_into_its_second_operand_only(self):
-        rng = np.random.default_rng(4)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        a_bytes, want = a.tobytes(), a + b
-        out = T.bare.add(a, b)
-        assert out is b
-        assert a.tobytes() == a_bytes
-        assert _same_bytes(out, want)
+    """The in-place GELU writes over its input, and every other kernel,
+    forward or vjp, leaves its operands alone."""
 
     def test_gelu_returns_its_input_buffer(self):
         x = np.random.default_rng(5).normal(size=(3, 8))
-        assert T.bare.gelu(x) is x
+        assert T._bare_gelu(x) is x
 
     def test_other_entries_leave_their_operands(self):
         rng = np.random.default_rng(6)
         x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
         before = [t.tobytes() for t in (x, w, b)]
-        T.bare.affine(x, w, b)
-        T.bare.layer_norm_rows(x, b, b)
-        T.bare.attention(x, x, x, 2, 3)
+        T._affine(x, w, b)
+        T._affine_vjp(x, x, w)
+        _, xhat, inv = T._layer_norm(x, b, b)
+        T._layer_norm_vjp(x, xhat, inv, b)
+        _, *saved = T._attention(x, x, x, 2, 3)
+        T._attention_vjp(x, *saved)
+        T._gelu_vjp(x, x, np.tanh(x))
+        T._gelu_tanh(x)
+        T._gelu(x, np.tanh(x) + 1.0, np.empty(x.shape))
         T.bare.take_rows(x, [1, 2])
         T.bare.concat_rows([x, x])
         assert [t.tobytes() for t in (x, w, b)] == before
-
-    def test_taped_attention_keeps_the_kernel_output_uncopied(self, monkeypatch):
-        # Tensor._wrap copies an array that has a base, so the kernel's
-        # output must own its data for the taped op to hold it as it is
-        made = []
-        kernel = T._attention
-
-        def recording(*args):
-            result = kernel(*args)
-            made.append(result[0])
-            return result
-
-        monkeypatch.setattr(T, "_attention", recording)
-        q, k, v = rand((6, 4), 1), rand((6, 4), 2), rand((6, 4), 3)
-        for query in (q, T.take_rows(q, [1, 2, 4, 5])):
-            out = T.attention(query, k, v, 2, 3)
-            assert made[-1].base is None
-            assert out.data is made[-1]
 
 
 class TestBackward:
@@ -365,7 +367,7 @@ class TestBackward:
     def test_root_must_be_scalar(self):
         x = T.Tensor([[1.0, 2.0]], grad_tracked=True)
         with pytest.raises(ContractError):
-            T.backward(T.gelu(x))
+            T.backward(T.scale(x, 2.0))
 
     def test_fanout_accumulates(self):
         x = T.Tensor([[2.0]], grad_tracked=True)
@@ -377,7 +379,7 @@ class TestBackward:
         def build():
             x = T.Tensor(np.linspace(-1, 1, 12).reshape(3, 4), grad_tracked=True)
             w = T.Tensor(np.linspace(0.1, 0.9, 8).reshape(4, 2), grad_tracked=True)
-            y = T.cross_entropy_rows(T.matmul(T.gelu(x), w), np.full((3, 2), 0.5))
+            y = T.cross_entropy_rows(T.matmul(T.l2_normalize_rows(x), w), np.full((3, 2), 0.5))
             return T.backward(y), x, w
 
         (g1, x1, w1), (g2, x2, w2) = build(), build()
@@ -386,7 +388,7 @@ class TestBackward:
 
     def test_graph_topological_order(self):
         x = T.Tensor([[1.0, 2.0]], grad_tracked=True)
-        y = T.mean(T.gelu(T.scale(x, 2.0)))
+        y = T.mean(T.l2_normalize_rows(T.scale(x, 2.0)))
         graph = T.ComputeGraph.of(y)
         seen = set()
         for node in graph.nodes:
@@ -398,7 +400,7 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = T.Tensor([[1.0]], grad_tracked=True)
         with T.no_grad():
-            y = T.gelu(x)
+            y = T.scale(x, 2.0)
         assert y._node is None and not y.grad_tracked
 
 
@@ -440,6 +442,56 @@ class TestGatherGradients:
         want = np.full(w.shape, 1 / 12) * w
         want += scatter(table.shape, [2, 0, 2], np.full(rows.shape, 1 / 9) * rows)
         assert got.tobytes() == want.tobytes()
+
+
+class TestIntermediateGather:
+    """A gather of a tensor that has a node scatters its gradient densely;
+    one of a leaf keeps a RowGrad."""
+
+    def test_vjp_is_dense_for_an_intermediate_and_rows_for_a_leaf(self):
+        leaf = T.Tensor(np.ones((4, 2)), grad_tracked=True)
+        dy = np.array([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+        for ids in ([2, 0, 3], [2, 0, 2]):
+            got = T.take_rows(T.scale(leaf, 1.0), ids)._node.vjp(dy)[0]
+            assert isinstance(got, np.ndarray)
+            assert got.tobytes() == scatter(leaf.shape, ids, dy).tobytes()
+            # 0.0 + -0.0 is 0.0, as np.add.at into zeros sums it
+            assert not np.signbit(got).any()
+            assert isinstance(T.take_rows(leaf, ids)._node.vjp(dy)[0], T.RowGrad)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        n_rows=st.integers(1, 8),
+        width=st.integers(1, 4),
+        gathers=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=10), min_size=1, max_size=3),
+        dense_at=st.none() | st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_bytes_match_row_grad_gathers(self, n_rows, width, gathers, dense_at, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_rows, width))
+        uses = [[i % n_rows for i in ids] for ids in gathers]
+        if dense_at is not None:
+            uses.insert(min(dense_at, len(uses)), None)
+        weights = []
+        for ids in uses:
+            shape = data.shape if ids is None else (len(ids), width)
+            w = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            # a zero weight sends -0.0 or 0.0 to a row
+            w[rng.random(shape) < 0.25] = -0.0
+            weights.append(w)
+
+        def table_grad(take):
+            table = T.Tensor(data, grad_tracked=True)
+            inner = T.scale(table, 1.0)
+            root = None
+            for ids, w in zip(uses, weights):
+                x = inner if ids is None else take(inner, ids)
+                part = T.mean(T.mul(x, T.Tensor(w)))
+                root = part if root is None else T.add(root, part)
+            return T.backward(root)[table]
+
+        assert table_grad(T.take_rows).tobytes() == table_grad(per_op.take_rows).tobytes()
 
 
 class TestRowGrad:
@@ -506,7 +558,7 @@ class TestTapeLifetime:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            hidden = T.gelu(T.matmul(x, w))
+            hidden = T.l2_normalize_rows(T.matmul(x, w))
             probe = weakref.ref(hidden)
             root = T.mean(T.mul(hidden, hidden))
             del hidden
@@ -535,31 +587,58 @@ class TestFiniteDiff:
             finite_diff_grad(lambda t: T.mean(T.scale(t, np.inf)), T.Tensor([[-1.0]]))
 
 
+# The encoder runs affine, GELU, layer norm and attention under one tape
+# node for its whole block stack. Their rows keep their names but check that
+# node: the loss of a tiny encoder's block stack (d=4, 2 heads) over
+# sequences of 1 and 3 tokens, through the parameters the row names, at
+# depth 1 or 2 and with the [RET] tail on or off. The other parameters keep
+# Encoder.init's values.
+TINY = EncoderConfig(vocab_size=5, d_model=4, n_heads=2, n_layers=2, max_seq=3, k=1)
+TINY_SEQS = (TokenSequence((3, 4, 1)), TokenSequence((1,)), TokenSequence((4, 2, 1)))
+ATTENTION = ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo")
+LAYER_NORMS = ("ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias")
+TABLES = ("tok_emb", "pos_emb")
+
+
+def block_stack(depth, *, tail, batch, layer, checked):
+    """(f, shapes): a loss of a depth-``depth`` block stack as a function
+    of ``checked``, parameter names of layer ``layer`` or tables."""
+    cfg = EncoderConfig(**{**vars(TINY), "n_layers": depth})
+    names = [n if n in TABLES else f"layers.{layer}.{n}" for n in checked]
+    fixed = {n: T.Tensor(t.data) for n, t in Encoder.init(cfg, seed=depth).params.items()}
+    seqs = TINY_SEQS if batch == 2 else TINY_SEQS[:2]
+
+    def f(*xs):
+        # at Encoder.init's weight scale: with N(0, 1) weights, GELU inputs
+        # reach its flat tail and some gradients sink to 1e-8..1e-7, where
+        # central differences of a loss near 1 are roundoff
+        enc = Encoder(cfg, {**fixed, **{n: T.scale(x, 0.02) for n, x in zip(names, xs)}})
+        if tail:
+            outs = [embed_batch(enc, seqs, depth)]
+        else:
+            outs = [_as_tensor(_blocks(enc, rows, depth)) for rows in (seqs[::2], seqs[1:2])]
+        return T.mean(T.concat_rows([T.mul(h, h) for h in outs]))
+
+    return f, [fixed[n].shape for n in names]
+
+
 OPS_FOR_GRADCHECK = [
     ("matmul", lambda a, b: T.mean(T.matmul(a, b)), [(3, 4), (4, 2)]),
-    ("affine", lambda x, w, b: T.mean(T.affine(x, w, b)), [(3, 4), (4, 2), (2,)]),
+    ("affine", *block_stack(1, tail=False, batch=1, layer=0, checked=ATTENTION + ("ffn.w2", "ffn.b2"))),
     ("transpose", lambda x: T.mean(T.mul(T.transpose(x), T.transpose(x))), [(2, 3)]),
     ("add", lambda a, b: T.mean(T.add(a, b)), [(2, 3), (2, 3)]),
     ("sub", lambda a, b: T.mean(T.mul(T.sub(a, b), T.sub(a, b))), [(2, 3), (2, 3)]),
     ("mul", lambda a, b: T.mean(T.mul(a, b)), [(2, 3), (2, 3)]),
     ("scale", lambda x: T.mean(T.scale(x, -2.5)), [(2, 3)]),
-    ("gelu", lambda x: T.mean(T.gelu(x)), [(3, 3)]),
+    ("gelu", *block_stack(2, tail=False, batch=1, layer=0, checked=("ffn.w1", "ffn.b1"))),
     ("sum_rows", lambda x: T.mean(T.sum_rows(T.mul(x, x))), [(3, 4)]),
     ("concat", lambda a, b: T.mean(T.mul(T.concat_rows([a, b]), T.concat_rows([a, b]))), [(2, 3), (1, 3)]),
     ("take_rows", lambda x: T.mean(T.take_rows(x, [0, 2, 2, 1])), [(3, 3)]),
-    ("layer_norm", lambda x, g, b: T.mean(T.layer_norm_rows(x, g, b)), [(3, 4), (4,), (4,)]),
+    ("layer_norm", *block_stack(1, tail=True, batch=1, layer=0, checked=LAYER_NORMS + TABLES)),
     ("l2norm", lambda x: T.mean(T.mul(T.l2_normalize_rows(x), T.l2_normalize_rows(x))), [(3, 4)]),
-    ("attention", lambda q, k, v: T.mean(T.attention(q, k, v, 2, 3)), [(3, 4), (3, 4), (3, 4)]),
-    (
-        "attention-batch2",
-        lambda q, k, v: T.mean(T.mul(T.attention(q, k, v, 2, 3), T.attention(q, k, v, 2, 3))),
-        [(6, 4), (6, 4), (6, 4)],
-    ),
-    (
-        "attention-tail",
-        lambda q, k, v: T.mean(T.mul(T.attention(q, k, v, 2, 3), T.attention(q, k, v, 2, 3))),
-        [(4, 4), (6, 4), (6, 4)],
-    ),
+    ("attention", *block_stack(2, tail=True, batch=1, layer=0, checked=ATTENTION)),
+    ("attention-batch2", *block_stack(1, tail=False, batch=2, layer=0, checked=ATTENTION)),
+    ("attention-tail", *block_stack(2, tail=True, batch=2, layer=1, checked=ATTENTION + TABLES)),
     (
         "cross_entropy",
         lambda s: T.cross_entropy_rows(s, np.eye(3)),
