@@ -239,7 +239,7 @@ def cmd_eval(args) -> int:
     unknown = sorted(set(overrides) - set(corpus.pools))
     if unknown:
         raise ConfigurationError(f"--k-override names no dataset of the corpus: {', '.join(unknown)}")
-    check_eval(corpus, ks, overrides)
+    check_eval(corpus, ks, overrides, scopes)
     settings_dict = {
         # the model, not its file: the same weights hash alike with or without Adam state
         "encoder": encoder.config,

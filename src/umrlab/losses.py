@@ -100,7 +100,7 @@ def _check_square(s: Tensor) -> int:
 
 
 def _diag_target_loss(similarity: Tensor, temps: np.ndarray) -> Tensor:
-    scores = T.mul(similarity, Tensor(1.0 / temps))
+    scores = T.mul(similarity, Tensor._wrap(1.0 / temps, False))
     return T.cross_entropy_rows(scores, np.eye(similarity.shape[0]))
 
 

@@ -1,20 +1,20 @@
-"""Bias-corrected Adam over named parameter dicts, fully functional.
+"""Bias-corrected Adam over named parameter dicts, its moments kept in place.
 
-Updates never mutate: each step returns fresh parameter tensors and a fresh
-state, which keeps old weight versions (teachers, checkpoints) intact and
-makes runs bitwise reproducible.
+The params passed to ``OptimizerState.init`` or :func:`adam_update` are
+never written; each step returns fresh read-only parameter tensors, so old
+weight versions (teachers, checkpoints) stay intact. The state owns the m
+and v arrays ``init`` allocates; a step writes them, ``live`` and ``step``
+in place and returns that state, so after a step raises, its state is spent.
 
-A gradient given as a :class:`~umrlab.tensor.RowGrad` updates only the
-parameter's live rows: the rows any gradient so far has held, which
-``OptimizerState.live`` keeps, sorted. They start empty and only grow; a
-dense gradient makes every row live. Every other row is a fixed point of
-the dense formula. Its m and v are still +0.0 and its gradient is 0, so
-m' = v' = +0.0, the update is lr*0.0/(sqrt(0.0) + eps) = +0.0 and p - 0.0
-keeps p's bytes, -0.0 included. This holds for finite lr >= 0, betas in
-[0, 1) and eps > 0, which ``OptimizerState.init`` checks. So the live rows
-run the dense formula, in its operation order, and the other rows of p, m
-and v are copied: the same bytes as a dense step, at less cost while the
-live rows are a small share of the table.
+A step moves only a parameter's live rows: the rows any gradient so far has
+held, kept sorted in ``OptimizerState.live``. They start empty and only
+grow; a :class:`~umrlab.tensor.RowGrad` adds its rows and a dense gradient
+makes every row live. Every other row is a fixed point of the formula: its
+m and v are still +0.0 and its gradient is 0, so m' = v' = +0.0, the update
+is lr*0.0/(sqrt(0.0) + eps) = +0.0 and p - 0.0 keeps p's bytes, -0.0
+included. This holds for finite lr >= 0, betas in [0, 1) and eps > 0, which
+``init`` checks. So skipping those rows gives the bytes of a step over
+every row, at less cost while the live rows are a small share of a table.
 """
 
 from __future__ import annotations
@@ -62,7 +62,11 @@ def adam_update(
     grads: dict[str, np.ndarray | RowGrad],
     state: OptimizerState,
 ) -> tuple[dict[str, Tensor], OptimizerState]:
-    """One Adam step; returns (new params, new state)."""
+    """One Adam step; returns (new params, ``state`` updated in place).
+
+    On each live row, m' = beta1*m + (1 - beta1)*g, v' = beta2*v +
+    (1 - beta2)*(g*g) and p' = p - lr*(m'/bc1)/(sqrt(v'/bc2) + eps), in
+    place and in that operation order."""
     if set(grads) != set(params):
         missing = set(params) ^ set(grads)
         raise DimensionError(f"gradient keys do not match parameters: {sorted(missing)}")
@@ -70,36 +74,31 @@ def adam_update(
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     new_params: dict[str, Tensor] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    new_live: dict[str, np.ndarray] = {}
-
-    def formula(p, m, v, g):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        return p - update, m, v
-
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}"
             )
-        live = state.live[name]
         if isinstance(g, RowGrad):
-            live = row_union(live, g.ids)
+            live = row_union(state.live[name], g.ids)
             g_live = np.zeros((live.size,) + p.shape[1:])
             g_live[np.searchsorted(live, g.ids)] = g.rows
-            data, m, v = p.data.copy(), state.m[name].copy(), state.v[name].copy()
-            data[live], m[live], v[live] = formula(p.data[live], m[live], v[live], g_live)
-            new_params[name] = Tensor._wrap(data, p.grad_tracked)
-            new_m[name], new_v[name], new_live[name] = m, v, live
-            continue
-        data, new_m[name], new_v[name] = formula(p.data, state.m[name], state.v[name], g)
+        else:
+            live, g_live = np.arange(p.shape[0]), g
+        # a basic slice when every row moves, so m and v are views
+        rows = slice(None) if live.size == p.shape[0] else live
+        m, v = state.m[name][rows], state.v[name][rows]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g_live
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g_live * g_live)
+        state.m[name][rows], state.v[name][rows] = m, v
+        denom = np.sqrt(v / bc2)
+        denom += state.eps
+        data = p.data.copy()
+        data[rows] -= state.lr * (m / bc1) / denom
         new_params[name] = Tensor._wrap(data, p.grad_tracked)
-        new_live[name] = live if live.size == p.shape[0] else np.arange(p.shape[0])
-    return new_params, OptimizerState(
-        lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-        step=t, m=new_m, v=new_v, live=new_live,
-    )
+        state.live[name] = live
+    state.step = t
+    return new_params, state

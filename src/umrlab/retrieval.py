@@ -360,10 +360,22 @@ def config_fingerprint(settings: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def check_eval(corpus: Corpus, ks: Sequence[int], k_overrides: dict[str, int] | None = None) -> None:
-    """Raise ContractError unless ``corpus`` has test queries, ``ks`` is
-    non-empty and every k it and the overrides name is at least 1;
+def check_eval(
+    corpus: Corpus,
+    ks: Sequence[int],
+    k_overrides: dict[str, int] | None = None,
+    scopes: Sequence[str] = ("local",),
+) -> None:
+    """Raise ContractError unless every scope is 'local' or 'global',
+    ``corpus`` has test queries, ``ks`` is non-empty, every k it and the
+    overrides name is at least 1, and no scope or k repeats;
     :func:`evaluate` checks this before it builds an index."""
+    for scope in scopes:
+        if scope not in ("local", "global"):
+            raise ContractError(f"scope must be 'local' or 'global', got {scope!r}")
+    for name, values in (("scope", scopes), ("k", ks)):
+        if len(set(values)) < len(values):
+            raise ContractError(f"eval repeats a {name}: {', '.join(map(str, values))}")
     if not corpus.test:
         raise ContractError("corpus has no test queries")
     if not ks:
@@ -390,10 +402,7 @@ def evaluate(
     only change the search filter. ``k_overrides`` replaces the requested k
     values for a dataset tag (the Recall@10-style per-dataset convention).
     """
-    for scope in scopes:
-        if scope not in ("local", "global"):
-            raise ContractError(f"scope must be 'local' or 'global', got {scope!r}")
-    check_eval(corpus, ks, k_overrides)
+    check_eval(corpus, ks, k_overrides, scopes)
     overrides = k_overrides or {}
     if index is None:
         index = build_index(encoder, corpus.all_candidates())

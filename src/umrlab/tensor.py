@@ -20,13 +20,14 @@ arrays. ``softmax_rows`` is an array kernel with no taped op: its one
 caller takes it of constant scores. Layer norm and the L2 row normalizers
 read their epsilons from module constants, not from callers.
 
-``backward`` returns an array for every tracked leaf but one reached only
-through ``take_rows``, such as an embedding table: that one gets a
-:class:`RowGrad`, the sorted rows it touched and their summed gradients,
-with the bytes of the dense gradient through ``dense()``. A step that reads
-a few hundred rows of a 5,400-row table then never builds the dense table.
-A gather of an intermediate tensor, whose gradient feeds a vjp at once,
-scatters densely instead (:func:`scatter_rows`).
+``backward`` returns a gradient for every grad-tracked leaf it reached and
+none for an intermediate. A vjp may give a leaf a :class:`RowGrad`, the
+sorted rows it touched and their summed gradients, with the bytes of the
+dense gradient through ``dense()``. The encoder's block stack does so for
+the embedding tables it gathers, so a step that reads a few hundred rows of
+a 5,400-row table never builds the dense table. ``take_rows`` scatters
+densely (:func:`scatter_rows`): its callers gather intermediates, whose
+gradient feeds a vjp at once.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class ComputeGraph:
 
 
 class RowGrad:
-    """The gradient of a table reached only through ``take_rows``, as rows.
+    """The gradient of a table that only gathers read, as rows.
 
     ``ids`` holds the table rows with a gradient, sorted and unique, and
     ``rows[j]`` the gradient of row ``ids[j]``; every other row's is 0.0.
@@ -255,15 +256,16 @@ def dense_grad(g: np.ndarray | RowGrad) -> np.ndarray:
 def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
     """Accumulate d(root)/d(leaf) for every grad-tracked leaf under root.
 
-    Returns a map keyed by tensor identity. Contributions to a tensor are
-    summed in reverse tape order. A tensor reached only through gathers
-    gets a :class:`RowGrad`: its first gather sums its rows per distinct
-    row from 0.0, and each later gather's per-row sums are added into the
-    rows by :meth:`RowGrad.sum`. That is bitwise the dense buffer of adding
-    one dense scatter per gather, since rows a gather does not touch would
-    only have 0.0 added. A tensor that also gets a dense contribution gets
-    an array, the dense sum of every contribution. A gathered intermediate
-    gets dense scatters, since its own vjp reads an array.
+    Returns a map keyed by tensor identity that holds the grad-tracked
+    leaves reached, and a tracked root with no node, which maps to 1.0.
+    An intermediate's gradient is dropped once its node's vjp has read it.
+    Contributions to a tensor are summed in reverse tape order. A leaf
+    whose every contribution is a :class:`RowGrad` gets one: each later
+    contribution's rows are added in by :meth:`RowGrad.sum`. That is
+    bitwise the dense buffer of adding one dense scatter per gather, since
+    rows a gather does not touch would only have 0.0 added. A leaf that
+    also gets a dense contribution gets an array, the dense sum of every
+    contribution.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
@@ -273,11 +275,13 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
     grads: dict[int, np.ndarray | RowGrad] = {id(root): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(root): root}
     for node in reversed(graph.nodes):
-        out_grad = grads.get(node.output_id)
+        # every use of the output comes later on the tape, so its gradient
+        # is complete here and no later node adds to it
+        out_grad = grads.pop(node.output_id, None)
         if out_grad is None:
             continue
         for inp, g in zip(node.inputs, node.vjp(dense_grad(out_grad))):
-            if g is None or not (inp.grad_tracked or inp._node is not None):
+            if g is None or not inp.grad_tracked:
                 continue
             key = id(inp)
             holders[key] = inp
@@ -468,7 +472,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows by index; scatter-add on backward (embedding lookup)."""
+    """Gather rows by index; a dense scatter-add on backward."""
     _require_2d("take_rows", table)
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
@@ -476,16 +480,8 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError(f"take_rows index out of range for table {table.shape}")
 
-    if table._node is None:
-
-        def vjp(dy):
-            return (RowGrad.scatter(table.shape, idx, dy),)
-
-    else:
-
-        def vjp(dy):
-            # an intermediate's gradient is densified at once; build it dense
-            return (scatter_rows(table.shape, idx, dy),)
+    def vjp(dy):
+        return (scatter_rows(table.shape, idx, dy),)
 
     return _result("take_rows", table.data[idx], (table,), vjp)
 

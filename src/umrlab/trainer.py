@@ -236,7 +236,8 @@ def _embed_block(
         for i, key in enumerate(missing):
             cache[key] = fresh[i : i + 1].copy()
         rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
-    return Tensor(np.concatenate(rows[:n], axis=0)), Tensor(np.concatenate(rows[n:], axis=0))
+    queries, candidates = np.concatenate(rows[:n], axis=0), np.concatenate(rows[n:], axis=0)
+    return Tensor._wrap(queries, False), Tensor._wrap(candidates, False)
 
 
 def _schedule(config: TrainConfig, progress: float) -> tuple[float, tuple[float, float]]:

@@ -5,9 +5,10 @@ through it by hand. This module keeps the op-by-op form it replaced: a taped
 affine, layer norm, GELU and attention, each with its own vjp, built on the
 same array kernels and without operand checks, and the block stack and
 ``embed_batch`` written with them. Every gather here returns a
-:class:`~umrlab.tensor.RowGrad`, as every gather did before intermediates
-scattered densely. The bitwise tests require the block-stack node to give
-this tape's bytes.
+:class:`~umrlab.tensor.RowGrad`, as the block stack's table gathers do,
+where ``tensor.take_rows`` scatters densely; the tests of ``backward``'s
+row-gradient sums gather with it. The bitwise tests require the block-stack
+node to give this tape's bytes.
 """
 
 from __future__ import annotations

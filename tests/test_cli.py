@@ -632,6 +632,34 @@ class TestEval:
         assert capsys.readouterr().err == "error: --k-override names dataset 'ds-t2i' twice\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scope", "local", "--scope", "local"], "eval repeats a scope: local, local"),
+            (["--k", "5", "--k", "1", "--k", "5"], "eval repeats a k: 5, 1, 5"),
+        ],
+        ids=["scope", "k"],
+    )
+    def test_repeated_scope_or_k_is_diagnosed_before_any_build(self, workdir, monkeypatch, capsys, flags, message):
+        import umrlab.cli
+        import umrlab.retrieval
+
+        builds = []
+        build = umrlab.retrieval.build_index
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(umrlab.retrieval, "build_index", counting)
+        monkeypatch.setattr(umrlab.cli, "build_index", counting)
+        root, corpus, _, student = workdir
+        out = root / "repeat.csv"
+        code = main(["eval", "--checkpoint", str(student), "--corpus", str(corpus), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert builds == [] and not out.exists()
+
     def test_config_hash_names_checkpoint_content_and_corpus(self, workdir, tmp_path):
         root, corpus, teacher, student = workdir
         other_seed = tmp_path / "corpus-seed-4"

@@ -703,3 +703,18 @@ class TestBlockStackNode:
             out = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, ret_tail)
             assert out._node is not None and made[-1].base is None
             assert out.data is made[-1]
+
+    def test_backward_returns_only_the_leaves_it_reached(self):
+        # a depth-1 stack of a 2-layer encoder reads the tables and layer 0;
+        # its output, the product and the root are intermediates
+        cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=2, max_seq=16, k=1)
+        enc = Encoder.init(cfg, seed=5)
+        seq = TokenSequence((*range(2, 14), RET_TOKEN_ID))
+        assert len(seq) == 13
+        h = _blocks(enc, [seq], 1)
+        grads = T.backward(T.mean(T.mul(h, h)))
+        read = [n for n in enc.params if not n.startswith("layers.1.")]
+        assert len(read) == 18
+        assert {id(t) for t in grads} == {id(enc.params[n]) for n in read}
+        assert isinstance(grads[enc.params["tok_emb"]], T.RowGrad)
+        assert isinstance(grads[enc.params["pos_emb"]], T.RowGrad)

@@ -449,6 +449,25 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(encoder, corpus, scopes=("cosmic",))
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(scopes=("local", "local")), "eval repeats a scope: local, local"),
+            (dict(scopes=("global", "local", "global")), "eval repeats a scope: global, local, global"),
+            (dict(ks=(5, 1, 5)), "eval repeats a k: 5, 1, 5"),
+        ],
+        ids=["scope", "scope-apart", "k"],
+    )
+    def test_repeated_scope_or_k_refused_before_any_build(self, encoder, corpus, monkeypatch, kw, message):
+        import umrlab.retrieval
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built an index")
+
+        monkeypatch.setattr(umrlab.retrieval, "build_index", no_build)
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            evaluate(encoder, corpus, **kw)
+
     def test_local_dominates_global(self, encoder, corpus):
         report = evaluate(encoder, corpus, scopes=("local", "global"), ks=(5,))
         cells = {}

@@ -397,6 +397,15 @@ class TestBackward:
                     assert id(inp._node) in seen
             seen.add(id(node))
 
+    def test_map_holds_only_the_tracked_leaves_reached(self):
+        x = T.Tensor([[1.0, 2.0]], grad_tracked=True)
+        unused = T.Tensor([[1.0]], grad_tracked=True)
+        grads = T.backward(T.mean(T.mul(T.scale(x, 2.0), T.Tensor([[3.0, 4.0]]))))
+        assert list(grads) == [x] and unused not in grads
+        # a tracked scalar root with no node is its own leaf
+        root = T.Tensor(2.0, grad_tracked=True)
+        assert T.backward(root) == {root: 1.0}
+
     def test_no_grad_blocks_recording(self):
         x = T.Tensor([[1.0]], grad_tracked=True)
         with T.no_grad():
@@ -411,6 +420,9 @@ def scatter(shape, ids, rows):
 
 
 class TestGatherGradients:
+    """``backward``'s row-gradient sums, fed by ``per_op_reference``'s
+    gathers, whose every gradient is a RowGrad."""
+
     def test_two_gathers_match_dense_per_gather_sums(self):
         # rows 1 and 3 repeat inside each gather and across them; row 3's
         # terms 1e16, 1, -1e16, 1 sum to 0 per gather first, and to 1 in any
@@ -420,8 +432,8 @@ class TestGatherGradients:
         first, second = [1, 3, 1, 3], [3, 1, 3, 2]
         w1 = np.array([[1.0], [-1e16], [1e16], [1.0]]) * [1.0, -3.0]
         w2 = np.array([[1e16], [1.0], [1.0], [3.0]]) * [1.0, 0.5]
-        part1 = T.mean(T.mul(T.take_rows(table, first), T.Tensor(8 * w1)))
-        part2 = T.mean(T.mul(T.take_rows(table, second), T.Tensor(8 * w2)))
+        part1 = T.mean(T.mul(per_op.take_rows(table, first), T.Tensor(8 * w1)))
+        part2 = T.mean(T.mul(per_op.take_rows(table, second), T.Tensor(8 * w2)))
         got = T.backward(T.add(part1, part2))[table].dense()
         # one dense scatter per gather, added in reverse tape order
         want = scatter(table.shape, second, w2) + scatter(table.shape, first, w1)
@@ -435,7 +447,7 @@ class TestGatherGradients:
         table = T.Tensor(rng.normal(size=(4, 3)), grad_tracked=True)
         w = rng.normal(size=(4, 3))
         rows = rng.normal(size=(3, 3))
-        part1 = T.mean(T.mul(T.take_rows(table, [2, 0, 2]), T.Tensor(rows)))
+        part1 = T.mean(T.mul(per_op.take_rows(table, [2, 0, 2]), T.Tensor(rows)))
         part2 = T.mean(T.mul(table, T.Tensor(w)))
         got = T.backward(T.add(part1, part2))[table]
         # each part's gradient is its weights times the mean's 1/size
@@ -445,19 +457,20 @@ class TestGatherGradients:
 
 
 class TestIntermediateGather:
-    """A gather of a tensor that has a node scatters its gradient densely;
-    one of a leaf keeps a RowGrad."""
+    """``take_rows`` scatters its gradient densely, of a leaf or of a tensor
+    that has a node, and ``backward`` gives a gathered intermediate the
+    bytes it would get from row-gradient gathers."""
 
-    def test_vjp_is_dense_for_an_intermediate_and_rows_for_a_leaf(self):
+    def test_vjp_is_dense_for_an_intermediate_and_a_leaf(self):
         leaf = T.Tensor(np.ones((4, 2)), grad_tracked=True)
         dy = np.array([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
         for ids in ([2, 0, 3], [2, 0, 2]):
-            got = T.take_rows(T.scale(leaf, 1.0), ids)._node.vjp(dy)[0]
-            assert isinstance(got, np.ndarray)
-            assert got.tobytes() == scatter(leaf.shape, ids, dy).tobytes()
-            # 0.0 + -0.0 is 0.0, as np.add.at into zeros sums it
-            assert not np.signbit(got).any()
-            assert isinstance(T.take_rows(leaf, ids)._node.vjp(dy)[0], T.RowGrad)
+            for table in (T.scale(leaf, 1.0), leaf):
+                got = T.take_rows(table, ids)._node.vjp(dy)[0]
+                assert isinstance(got, np.ndarray)
+                assert got.tobytes() == scatter(leaf.shape, ids, dy).tobytes()
+                # 0.0 + -0.0 is 0.0, as np.add.at into zeros sums it
+                assert not np.signbit(got).any()
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(
@@ -495,6 +508,9 @@ class TestIntermediateGather:
 
 
 class TestRowGrad:
+    """Row gradients from ``per_op_reference``'s gathers, whose every
+    gradient is a RowGrad, as the block stack's table gathers give."""
+
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(
         n_rows=st.integers(1, 8),
@@ -514,7 +530,7 @@ class TestRowGrad:
             shape = table.shape if ids is None else (len(ids), width)
             # magnitudes 1e-8..1e8, so a change of summation order shows
             w = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
-            x = table if ids is None else T.take_rows(table, ids)
+            x = table if ids is None else per_op.take_rows(table, ids)
             parts.append(T.mean(T.mul(x, T.Tensor(w))))
             # what the mean's and mul's vjps send to x for a root gradient of 1
             flow = np.full(shape, 1.0 / w.size) * w
@@ -546,7 +562,7 @@ class TestRowGrad:
 
     def test_gradcheck_densifies_a_gathered_table(self):
         def f(table):
-            return T.mean(T.mul(T.take_rows(table, [0, 2, 0]), T.take_rows(table, [1, 1, 2])))
+            return T.mean(T.mul(per_op.take_rows(table, [0, 2, 0]), per_op.take_rows(table, [1, 1, 2])))
 
         assert check_gradients(f, [rand((3, 2), seed=5)]) < 1e-6
 

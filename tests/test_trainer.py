@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -273,7 +274,9 @@ class TestAdamRows:
 
     def run(self, steps, lr, betas, seed=0):
         params = ref_params = self.params()
-        state = ref_state = OptimizerState.init(params, lr, *betas)
+        state = OptimizerState.init(params, lr, *betas)
+        ref_state = OptimizerState.init(params, lr, *betas)
+        owned = {n: (state.m[n], state.v[n]) for n in params}
         live: set[int] = set()
         rng = np.random.default_rng(seed)
         for t, ids in enumerate(steps):
@@ -281,10 +284,13 @@ class TestAdamRows:
                 "tok_emb": scattered(self.SHAPE, ids, seed + t),
                 "bias": rng.normal(size=3),
             }
-            old_params, old = params, state_bytes(params, state)
+            old_params = params
+            old = [p.data.tobytes() for p in params.values()]
             params, new_state = adam_update(params, grads, state)
-            # the functional contract: the old params, m and v are never written
-            assert state_bytes(old_params, state) == old
+            # the old params are never written, and the state is updated in place
+            assert [p.data.tobytes() for p in old_params.values()] == old
+            assert new_state is state
+            assert all(state.m[n] is m and state.v[n] is v for n, (m, v) in owned.items())
             ref_params, ref_state = dense_adam(ref_params, grads, ref_state)
             assert state_bytes(params, new_state) == state_bytes(ref_params, ref_state)
             rows = new_state.live["tok_emb"]
@@ -297,7 +303,6 @@ class TestAdamRows:
             assert new_state.m["tok_emb"][untouched].tobytes() == bytes(8 * 3 * len(untouched))
             assert new_state.v["tok_emb"][untouched].tobytes() == bytes(8 * 3 * len(untouched))
             assert new_state.live["bias"].tolist() == [0, 1, 2]
-            state = new_state
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(
@@ -320,14 +325,35 @@ class TestAdamRows:
         zero = RowGrad.scatter(self.SHAPE, np.array([2, 2]), np.array([[1.5, -2.0, 3.0], [-1.5, 2.0, -3.0]]))
         assert zero.rows.tobytes() == bytes(8 * 3)
         grads = {"tok_emb": zero, "bias": np.zeros(3)}
-        new, new_state = adam_update(params, grads, state)
         ref, ref_state = dense_adam(params, grads, state)
+        new, new_state = adam_update(params, grads, state)
         assert new_state.live["tok_emb"].tolist() == [2]
         assert state_bytes(new, new_state) == state_bytes(ref, ref_state)
         assert new["tok_emb"].data.tobytes() == params["tok_emb"].data.tobytes()
 
     def test_every_row_live_equals_the_dense_formula(self):
         self.run([list(range(9)), [3], [9, 0]], 0.05, (0.9, 0.999))
+
+    def test_step_peak_stays_under_twice_the_table(self):
+        # the benchmark's k=3, d=32 student with its 5,400-row table and
+        # about 340 live rows: a step allocates the new table once, and
+        # rows, not tables, for everything else it computes
+        cfg = EncoderConfig(vocab_size=5400, d_model=32, n_heads=4, n_layers=3, max_seq=48, k=3)
+        params = Encoder.init(cfg, seed=0).params
+        rng = np.random.default_rng(0)
+        grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+        grads["tok_emb"] = scattered((5400, 32), rng.choice(5400, 340, replace=False), seed=1)
+        grads["pos_emb"] = scattered((48, 32), range(29), seed=2)
+        state = OptimizerState.init(params, 1e-3)
+        table_bytes = params["tok_emb"].data.nbytes
+        tracemalloc.start()
+        try:
+            new, _ = adam_update(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert new["tok_emb"].data.nbytes == table_bytes
+        assert peak < 2 * table_bytes
 
     @pytest.mark.parametrize(
         "setting",
