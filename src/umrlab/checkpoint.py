@@ -18,7 +18,6 @@ reported with the byte offset where parsing failed.
 
 from __future__ import annotations
 
-import math
 import struct
 from pathlib import Path
 
@@ -49,30 +48,33 @@ def save_checkpoint(path: str | Path, encoder: Encoder, optimizer: object = None
 
 
 def load_checkpoint(path: str | Path) -> tuple[Encoder, None]:
-    r = Reader(Path(path).read_bytes(), "checkpoint")
-    r.magic(MAGIC)
-    (version,) = r.unpack("<B", "version")
-    if version != VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}", r.offset - 1)
-    config_offset = r.offset
-    fields = r.unpack("<6I", "config")
-    try:
-        cfg = EncoderConfig(*fields)
-    except ContractError as err:
-        raise FormatError(f"invalid encoder config in checkpoint: {err}", config_offset)
-    # the shapes below cost memory in proportion to n_layers; a layer's 16
-    # tensors hold at least 16 float64s, so a larger count cannot fit the file
-    if 128 * cfg.n_layers > len(r.blob):
-        raise FormatError(
-            f"config's {cfg.n_layers} layers cannot fit a checkpoint of {len(r.blob)} bytes",
-            config_offset,
-        )
-    params: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(cfg).items():
-        offset = r.offset
-        data = np.frombuffer(r.take(8 * math.prod(shape), f"tensor {name} data"), dtype="<f8")
-        if not np.isfinite(data).all():
-            raise FormatError(f"tensor {name!r} holds a non-finite weight", offset)
-        params[name] = Tensor(data.reshape(shape), grad_tracked=True)
-    r.end()
+    """Read a checkpoint, each tensor straight from the file into its own
+    array, so a load holds about one file's worth of memory."""
+    with open(path, "rb") as f:
+        r = Reader(f, "checkpoint")
+        r.magic(MAGIC)
+        (version,) = r.unpack("<B", "version")
+        if version != VERSION:
+            raise VersionError(f"unsupported checkpoint version {version}", r.offset - 1)
+        config_offset = r.offset
+        fields = r.unpack("<6I", "config")
+        try:
+            cfg = EncoderConfig(*fields)
+        except ContractError as err:
+            raise FormatError(f"invalid encoder config in checkpoint: {err}", config_offset)
+        # the shapes below cost memory in proportion to n_layers; a layer's 16
+        # tensors hold at least 16 float64s, so a larger count cannot fit the file
+        if 128 * cfg.n_layers > r.size:
+            raise FormatError(
+                f"config's {cfg.n_layers} layers cannot fit a checkpoint of {r.size} bytes",
+                config_offset,
+            )
+        params: dict[str, Tensor] = {}
+        for name, shape in parameter_shapes(cfg).items():
+            offset = r.offset
+            data = r.floats(shape, f"tensor {name} data")
+            if not np.isfinite(data).all():
+                raise FormatError(f"tensor {name!r} holds a non-finite weight", offset)
+            params[name] = Tensor._wrap(data, grad_tracked=True)
+        r.end()
     return Encoder(cfg, params), None

@@ -101,10 +101,13 @@ def parameter_names(config: EncoderConfig) -> list[str]:
 
 
 class Encoder:
-    """Immutable weight bundle; training produces new Encoders.
+    """A weight bundle that only the owner of its tensors' data writes.
 
     ``params`` maps each name to its Tensor and ``arrays`` to that Tensor's
-    data; both are read-only views.
+    data; both are read-only views. An encoder from ``init``, :func:`prune`
+    or ``load_checkpoint`` owns its arrays, and they never change. One that
+    a training step returns is a view of its optimizer's parameter store
+    (:mod:`~umrlab.optim`): that optimizer's next step changes it in place.
     """
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):

@@ -285,15 +285,16 @@ def load_index(path: str | Path) -> EmbeddingIndex:
     allocating anything for the records. A task code outside ``TASKS``, a
     vector component that is not finite and an id that an earlier record
     holds raise FormatError at their byte."""
-    r = Reader(Path(path).read_bytes(), "index")
-    r.magic(INDEX_MAGIC)
-    count, dim = r.unpack("<II", "header")
-    record = 8 + 4 * dim
-    offset = r.records(count, record, "index record")
-    r.end()
+    with open(path, "rb") as f:
+        r = Reader(f, "index")
+        r.magic(INDEX_MAGIC)
+        count, dim = r.unpack("<II", "header")
+        record, offset = 8 + 4 * dim, r.offset
+        blob = r.records(count, record, "index record")
+        r.end()
     if record >= 2**31:  # numpy record sizes are C ints; only an empty index gets here
         raise FormatError(f"index dim {dim} too large", offset - 4)
-    records = np.frombuffer(r.blob, dtype=_record_dtype(dim), count=count, offset=offset)
+    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count)
     stray = records["task"] >= len(TASKS)
     if stray.any():
         i = int(stray.argmax())

@@ -4,9 +4,11 @@ Each taped operation records one node on an implicit tape; a node may stand
 for many array operations, as the encoder's block stack records one node
 for all of its blocks. ``backward`` replays the tape for a scalar root in
 reverse record order, which fixes the gradient accumulation order and makes
-gradients bitwise reproducible. Tensor data is immutable after
-construction; training code produces new tensors instead of updating in
-place.
+gradients bitwise reproducible. A tensor's data is read-only and never
+changes after construction, with one exception: a store view
+(``Tensor._store_view``) shows a slice of a buffer that its owner, the
+optimizer's parameter store (:mod:`~umrlab.optim`), updates in place at each
+step.
 
 The arithmetic of a transformer block lives in plain array kernels, a
 forward and a vjp for each of affine, layer norm, GELU and attention
@@ -89,7 +91,7 @@ class _Node:
 
 
 class Tensor:
-    """Immutable dense array, optionally tracked for gradients."""
+    """Read-only dense float64 array, optionally tracked for gradients."""
 
     __slots__ = ("_data", "grad_tracked", "_node", "__weakref__")
 
@@ -104,12 +106,26 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, grad_tracked: bool) -> "Tensor":
-        """Take ownership of a freshly allocated float64 array, no copy."""
+        """Take ownership of a freshly allocated float64 array, no copy. An
+        array of another dtype or with a base (any view) is copied."""
         t = cls.__new__(cls)
         if arr.dtype != np.float64 or arr.base is not None:
             arr = arr.astype(np.float64)
         arr.flags.writeable = False
         t._data = arr
+        t.grad_tracked = grad_tracked
+        t._node = None
+        return t
+
+    @classmethod
+    def _store_view(cls, view: np.ndarray, grad_tracked: bool) -> "Tensor":
+        """A read-only view of a float64 buffer that its owner updates in
+        place, no copy. ``view`` itself is made read-only; the owner writes
+        through its own array. :class:`~umrlab.optim.OptimizerState` alone
+        makes these, one per parameter of its store."""
+        t = cls.__new__(cls)
+        view.flags.writeable = False
+        t._data = view
         t.grad_tracked = grad_tracked
         t._node = None
         return t

@@ -23,6 +23,9 @@ global batch. The embedding tables' gradients stay rows from the backward
 through the all-reduce, which sums each row over the shards that touched
 it, in shard order, to Adam, which updates only the rows a gradient has
 held (:mod:`~umrlab.optim`); every step has the bytes of the dense one.
+Adam owns a stage's weights in one flat store that it updates in place, so
+the encoder each step returns is a view of that store, which the stage's
+next step changes; the encoder a stage starts from is never written.
 
 A shard embeds the queries and positives of its slice together, with one
 taped call per prompt length across both sides
@@ -337,8 +340,11 @@ def train_step(
 ) -> tuple[Encoder, OptimizerState, dict[str, float]]:
     """One global step: gradients via compute_global_grads, then Adam.
 
-    Raises NumericDomainError naming the first non-finite loss term or
-    updated parameter, so a diverged step never yields an encoder.
+    Returns an encoder of ``optimizer``'s parameter views, which its next
+    step updates in place (:mod:`~umrlab.optim`). Raises NumericDomainError
+    naming the first non-finite loss term, or, from Adam, the first
+    non-finite updated parameter, so a diverged step never yields an
+    encoder.
     """
     reduced, breakdown = compute_global_grads(
         student, teacher, batch, config, progress, teacher_cache
@@ -347,9 +353,6 @@ def train_step(
         if not math.isfinite(value):
             raise NumericDomainError(f"{term} loss is {value}")
     new_params, new_state = adam_update(student.params, reduced, optimizer)
-    for name, p in new_params.items():
-        if not np.isfinite(p.data).all():
-            raise NumericDomainError(f"parameter {name!r} is non-finite after the update")
     return student.with_params(new_params), new_state, breakdown
 
 

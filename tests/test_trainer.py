@@ -239,6 +239,68 @@ class TestAdam:
         with pytest.raises(DimensionError):
             adam_update(params, {"w": np.zeros(4)}, state)
 
+    def stepped_state(self):
+        """A state one step past init, so its moments are non-zero."""
+        params = {"w": Tensor(np.linspace(-1.0, 1.0, 3), grad_tracked=True)}
+        state = OptimizerState.init(params, lr=0.1)
+        adam_update(params, {"w": np.array([0.5, -2.0, 1.0])}, state)
+        return state
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [({"u": np.zeros(3)}, r"parameter keys do not match the optimizer state: \['u', 'w'\]"),
+         ({"w": np.zeros(4)}, r"parameter shape \(4,\) != optimizer state shape \(3,\) for 'w'")],
+        ids=["unknown-name", "wrong-shape"],
+    )
+    def test_params_that_do_not_match_the_state_refused_before_any_write(self, params, match):
+        state = self.stepped_state()
+        before = [state.weights.tobytes(), state.flat_m.tobytes(), state.flat_v.tobytes(), state.step]
+        params = {n: Tensor(a, grad_tracked=True) for n, a in params.items()}
+        given = [p.data.tobytes() for p in params.values()]
+        grads = {n: np.ones(p.shape) for n, p in params.items()}
+        with pytest.raises(DimensionError, match=match):
+            adam_update(params, grads, state)
+        assert [state.weights.tobytes(), state.flat_m.tobytes(), state.flat_v.tobytes(), state.step] == before
+        assert [p.data.tobytes() for p in params.values()] == given
+
+    def test_steps_return_the_same_views_and_change_them_in_place(self):
+        given = {
+            "a": Tensor(np.arange(6.0).reshape(2, 3), grad_tracked=True),
+            "b": Tensor(np.array([0.5, -0.5]), grad_tracked=True),
+        }
+        given_bytes = [p.data.tobytes() for p in given.values()]
+        state = OptimizerState.init(given, lr=0.1)
+        assert [p.data.tobytes() for p in state.params.values()] == given_bytes
+        first, _ = adam_update(given, {"a": np.ones((2, 3)), "b": np.ones(2)}, state)
+        assert_store_views(first, state)
+        after_first = [p.data.tobytes() for p in first.values()]
+        second, _ = adam_update(first, {"a": -np.ones((2, 3)), "b": np.ones(2)}, state)
+        assert all(second[n] is first[n] for n in given)
+        assert [p.data.tobytes() for p in first.values()] != after_first
+        assert state.weights.tobytes() == b"".join(p.data.tobytes() for p in first.values())
+        assert [p.data.tobytes() for p in given.values()] == given_bytes
+
+    def test_foreign_params_give_the_bytes_of_the_store_and_stay_unwritten(self):
+        rng = np.random.default_rng(3)
+        start = {"a": Tensor(rng.normal(size=(4, 2)), grad_tracked=True),
+                 "b": Tensor(rng.normal(size=2), grad_tracked=True)}
+        grads = [{"a": rng.normal(size=(4, 2)), "b": rng.normal(size=2)} for _ in range(3)]
+        own_state, foreign_state = (OptimizerState.init(start, lr=0.05) for _ in range(2))
+        own = start
+        for g in grads:
+            own, _ = adam_update(own, g, own_state)
+            # equal values held by other tensors: copied into the store, never written
+            foreign = {n: Tensor(p.data.copy(), grad_tracked=True) for n, p in foreign_state.params.items()}
+            foreign_bytes = [p.data.tobytes() for p in foreign.values()]
+            stepped, _ = adam_update(foreign, g, foreign_state)
+            assert [p.data.tobytes() for p in foreign.values()] == foreign_bytes
+            assert state_bytes(stepped, foreign_state) == state_bytes(own, own_state)
+        # other values: the step starts from them, as the dense formula does
+        other = {n: Tensor(p.data + 1.0, grad_tracked=True) for n, p in own.items()}
+        ref, ref_state = dense_adam(other, grads[0], foreign_state)
+        stepped, _ = adam_update(other, grads[0], foreign_state)
+        assert state_bytes(stepped, foreign_state) == state_bytes(ref, ref_state)
+
 
 def dense_adam(params, grads, state):
     """The dense reference step: Adam's formula on every row of densified
@@ -257,6 +319,17 @@ def dense_adam(params, grads, state):
     )
 
 
+def assert_store_views(params, state):
+    """``params`` are read-only views that tile the state's one weight
+    buffer in their order."""
+    offset = 0
+    for p in params.values():
+        assert not p.data.flags.writeable and p.data.flags.c_contiguous
+        assert p.data.ctypes.data == state.weights.ctypes.data + 8 * offset
+        offset += p.size
+    assert offset == state.weights.size
+
+
 def state_bytes(params, state):
     return [(params[n].data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n in params]
 
@@ -273,7 +346,8 @@ class TestAdamRows:
         }
 
     def run(self, steps, lr, betas, seed=0):
-        params = ref_params = self.params()
+        given = params = ref_params = self.params()
+        given_bytes = [p.data.tobytes() for p in given.values()]
         state = OptimizerState.init(params, lr, *betas)
         ref_state = OptimizerState.init(params, lr, *betas)
         owned = {n: (state.m[n], state.v[n]) for n in params}
@@ -284,11 +358,12 @@ class TestAdamRows:
                 "tok_emb": scattered(self.SHAPE, ids, seed + t),
                 "bias": rng.normal(size=3),
             }
-            old_params = params
-            old = [p.data.tobytes() for p in params.values()]
             params, new_state = adam_update(params, grads, state)
-            # the old params are never written, and the state is updated in place
-            assert [p.data.tobytes() for p in old_params.values()] == old
+            # the tensors given to init keep their bytes; each step returns
+            # the store's own views, the same objects, and the state itself
+            assert [p.data.tobytes() for p in given.values()] == given_bytes
+            assert_store_views(params, state)
+            assert all(params[n] is state.params[n] for n in params)
             assert new_state is state
             assert all(state.m[n] is m and state.v[n] is v for n, (m, v) in owned.items())
             ref_params, ref_state = dense_adam(ref_params, grads, ref_state)
@@ -334,26 +409,63 @@ class TestAdamRows:
     def test_every_row_live_equals_the_dense_formula(self):
         self.run([list(range(9)), [3], [9, 0]], 0.05, (0.9, 0.999))
 
-    def test_step_peak_stays_under_twice_the_table(self):
-        # the benchmark's k=3, d=32 student with its 5,400-row table and
-        # about 340 live rows: a step allocates the new table once, and
-        # rows, not tables, for everything else it computes
+    def test_table_between_dense_parameters_equals_the_dense_formula(self):
+        # dense, table, dense, dense: the two dense runs on either side of the
+        # table each take their own slice of the store
+        rng = np.random.default_rng(5)
+        params = ref_params = {
+            "first": Tensor(rng.normal(size=(2, 3)), grad_tracked=True),
+            "tok_emb": Tensor(rng.normal(size=self.SHAPE), grad_tracked=True),
+            "middle": Tensor(rng.normal(size=4), grad_tracked=True),
+            "last": Tensor(rng.normal(size=(3, 2)), grad_tracked=True),
+        }
+        state = OptimizerState.init(params, 0.05)
+        ref_state = OptimizerState.init(params, 0.05)
+        for t, ids in enumerate([[1, 4], [], [4, 9, 0], [2]]):
+            grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+            grads["tok_emb"] = scattered(self.SHAPE, ids, seed=t)
+            params, state = adam_update(params, grads, state)
+            ref_params, ref_state = dense_adam(ref_params, grads, ref_state)
+            assert state_bytes(params, state) == state_bytes(ref_params, ref_state)
+            assert_store_views(params, state)
+
+    def benchmark_student_step(self):
+        """The benchmark's k=3, d=32 student with its 5,400-row table and
+        340 live rows: its params, one step's gradients, and the table's bytes."""
         cfg = EncoderConfig(vocab_size=5400, d_model=32, n_heads=4, n_layers=3, max_seq=48, k=3)
         params = Encoder.init(cfg, seed=0).params
         rng = np.random.default_rng(0)
         grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
         grads["tok_emb"] = scattered((5400, 32), rng.choice(5400, 340, replace=False), seed=1)
         grads["pos_emb"] = scattered((48, 32), range(29), seed=2)
-        state = OptimizerState.init(params, 1e-3)
-        table_bytes = params["tok_emb"].data.nbytes
+        return params, grads, params["tok_emb"].data.nbytes
+
+    def step_peak(self, params, grads, state):
         tracemalloc.start()
         try:
             new, _ = adam_update(params, grads, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return new, peak
+
+    def test_step_peak_stays_under_twice_the_table(self):
+        # a first step copies the foreign params into the store, and
+        # allocates rows, not tables, for everything it computes
+        params, grads, table_bytes = self.benchmark_student_step()
+        state = OptimizerState.init(params, 1e-3)
+        new, peak = self.step_peak(params, grads, state)
         assert new["tok_emb"].data.nbytes == table_bytes
         assert peak < 2 * table_bytes
+
+    def test_steady_state_step_peak_stays_under_the_table(self):
+        # the state's own views passed back: no table is copied or allocated
+        params, grads, table_bytes = self.benchmark_student_step()
+        state = OptimizerState.init(params, 1e-3)
+        own, _ = adam_update(params, grads, state)
+        new, peak = self.step_peak(own, grads, state)
+        assert new["tok_emb"] is own["tok_emb"]
+        assert peak < table_bytes
 
     @pytest.mark.parametrize(
         "setting",
@@ -480,6 +592,30 @@ class TestTrainStep:
                 want = two_steps(cfg)
             assert got[0] != enc.param_bytes()
             assert got == want, shards
+
+    def test_units_from_one_start_are_identical_and_leave_the_start(self, corpus):
+        # as the benchmark harness runs its units: each from the same start
+        # encoder with a fresh state; one unit's store never writes another's
+        cfg = config(0)
+        start = Encoder.init(ENC, seed=7)
+        start_bytes = start.param_bytes()
+        t2t = [s for s in corpus.train if s.task == "t2t"]
+        batches = [batch_from(corpus, t2t[i * 4 : (i + 1) * 4]) for i in range(3)]
+
+        def unit():
+            model = start
+            opt = OptimizerState.init(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            for batch in batches:
+                model, opt, _ = train_step(model, None, batch, cfg, opt, 0.0)
+            return model
+
+        first = unit()
+        first_bytes = first.param_bytes()
+        second = unit()
+        assert first_bytes != start_bytes
+        assert second.param_bytes() == first_bytes
+        assert first.param_bytes() == first_bytes
+        assert start.param_bytes() == start_bytes
 
     def test_stage1_requires_teacher(self, corpus):
         cfg = config(1)
@@ -687,6 +823,19 @@ class TestNonFinite:
         with pytest.raises(NumericDomainError, match="'layers.1.attn.wq'"):
             train_step(enc, None, batch, cfg, OptimizerState.init(enc.params, cfg.lr), 0.0)
 
+    def test_non_finite_table_update_names_the_table(self, corpus, monkeypatch):
+        enc = Encoder.init(ENC, seed=13)
+        cfg = config(0)
+        batch = batch_from(corpus, [s for s in corpus.train if s.task == "t2t"][:4])
+        grads, losses = compute_global_grads(enc, None, batch, cfg, 0.0)
+        assert isinstance(grads["tok_emb"], RowGrad)
+        rows = grads["tok_emb"].rows.copy()
+        rows[-1, 0] = np.nan
+        grads = dict(grads, tok_emb=RowGrad(grads["tok_emb"].ids, rows, grads["tok_emb"].shape))
+        monkeypatch.setattr(trainer, "compute_global_grads", lambda *args: (grads, losses))
+        with pytest.raises(NumericDomainError, match="'tok_emb'"):
+            train_step(enc, None, batch, cfg, OptimizerState.init(enc.params, cfg.lr), 0.0)
+
 
 class TestRunStage:
     def test_zero_epochs_returns_initialization(self, corpus):
@@ -819,6 +968,23 @@ class TestCheckpoint:
         loaded, opt = load_checkpoint(with_opt)
         assert opt is None
         assert loaded.param_bytes() == result.encoder.param_bytes()
+
+    def test_load_peak_stays_near_the_file_size(self, tmp_path):
+        # the distill benchmark's teacher: a 5,400-row table, d=32, 8 layers
+        cfg = EncoderConfig(vocab_size=5400, d_model=32, n_heads=4, n_layers=8, max_seq=48, k=3)
+        path = tmp_path / "teacher.ckpt"
+        save_checkpoint(path, Encoder.init(cfg, seed=0))
+        size = path.stat().st_size
+        assert size == 2_207_777
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size
+        # each tensor is its own aligned array, taken uncopied
+        assert all(a.flags.owndata and a.flags.aligned for a in loaded.arrays.values())
 
     def test_version_1_file_rejected_at_version_byte(self, tmp_path):
         enc = Encoder.init(ENC, seed=10)
