@@ -36,15 +36,14 @@ VERSION = 3
 # element is always None: umrbench passes a stage's OptimizerState and
 # unpacks two names, and no stage reads Adam's state back
 def save_checkpoint(path: str | Path, encoder: Encoder, optimizer: object = None) -> None:
+    """Write the header, then each array as it is, in ``parameter_shapes``
+    order, straight to the open file, so a save holds no copy of the file."""
     cfg = encoder.config
-    out = bytearray(MAGIC)
-    out += struct.pack(
-        "<B6I", VERSION, cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k
-    )
-    # an Encoder holds its params in parameter_shapes order
-    for data in encoder.arrays.values():
-        out += data.astype("<f8").tobytes()
-    Path(path).write_bytes(out)
+    fields = (cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k)
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<B6I", VERSION, *fields))
+        for data in encoder.arrays.values():
+            f.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Encoder, None]:

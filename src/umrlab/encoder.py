@@ -104,10 +104,13 @@ class Encoder:
     """A weight bundle that only the owner of its tensors' data writes.
 
     ``params`` maps each name to its Tensor and ``arrays`` to that Tensor's
-    data; both are read-only views. An encoder from ``init``, :func:`prune`
-    or ``load_checkpoint`` owns its arrays, and they never change. One that
-    a training step returns is a view of its optimizer's parameter store
-    (:mod:`~umrlab.optim`): that optimizer's next step changes it in place.
+    data; both are read-only views, in :func:`parameter_shapes` order, which
+    the constructor enforces. The block stack takes its inputs as their
+    first entries, and ``save_checkpoint`` writes the arrays in that order.
+    An encoder from ``init``, :func:`prune` or ``load_checkpoint`` owns its
+    arrays, and they never change. One that a training step returns is a
+    view of its optimizer's parameter store (:mod:`~umrlab.optim`): that
+    optimizer's next step changes it in place.
     """
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
@@ -193,9 +196,10 @@ def _blocks(
     ids = np.array([i for tokens in batch for i in tokens.ids], dtype=np.int64)
     if ids.max() >= cfg.vocab_size or ids.min() < 0:
         raise ContractError(f"token id outside vocab of size {cfg.vocab_size}")
-    names = ["tok_emb", "pos_emb"]
-    names += [f"layers.{i}.{name}" for i in range(upto) for name in _LAYER_PARAMS]
-    weights = [encoder.arrays[name] for name in names]
+    # the two tables, then blocks 0..upto-1: the first entries of an
+    # encoder's params, which are in parameter_shapes order
+    n_inputs = _layer(upto - 1).stop
+    weights = list(encoder.arrays.values())[:n_inputs]
     positions = np.tile(np.arange(s), len(batch))
     tail_from = upto - 1 if ret_tail else upto
     starts = np.arange(0, len(batch) * s, s)[:, None]
@@ -248,7 +252,7 @@ def _blocks(
     def vjp(dh):
         return _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail)
 
-    return T._result("blocks", h, [encoder.params[name] for name in names], vjp)
+    return T._result("blocks", h, list(encoder.params.values())[:n_inputs], vjp)
 
 
 def _layer(i: int) -> slice:

@@ -4,8 +4,9 @@
 flat float64 buffer, in the dict's order (``parameter_shapes`` order for an
 encoder), with the flat first and second moments beside it. The state hands
 out one read-only :class:`~umrlab.tensor.Tensor` view of each parameter's
-slice, ``state.params``, and ``m`` and ``v`` map each name to its slice of
-the moments. The params passed to ``init`` are never written.
+slice, ``state.params``, wrapped uncopied (``Tensor._wrap``), and ``m`` and
+``v`` map each name to its slice of the moments. The params passed to
+``init`` are never written.
 
 A step, :func:`adam_update`, writes the buffer, the moments, ``live`` and
 ``step`` in place and returns the state's own views, the same tensors at
@@ -85,7 +86,7 @@ class OptimizerState:
             state.m[name] = state.flat_m[a:b].reshape(p.shape)
             state.v[name] = state.flat_v[a:b].reshape(p.shape)
             state.live[name] = np.empty(0, dtype=np.int64)
-            state.params[name] = Tensor._store_view(weights, p.grad_tracked)
+            state.params[name] = Tensor._wrap(weights, p.grad_tracked)
         return state
 
 
@@ -116,20 +117,23 @@ def _formula(m: np.ndarray, v: np.ndarray, g: np.ndarray, state: OptimizerState,
     and ``v`` and returns lr*(m'/bc1)/(sqrt(v'/bc2) + eps), what p' takes
     from p, in ``g``'s buffer, which it spends as scratch. It runs the
     operations of :func:`adam_update`'s formula in their order, up to the
-    operands of a product swapped, each into a buffer it already holds."""
-    scratch = np.multiply(g, 1.0 - state.beta1)
-    m *= state.beta1
-    m += scratch
-    np.multiply(g, g, out=g)
-    g *= 1.0 - state.beta2
-    v *= state.beta2
-    v += g
-    np.divide(v, bc2, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    np.divide(m, bc1, out=g)
-    g *= state.lr
-    g /= scratch
+    operands of a product swapped, each into a buffer it already holds.
+    numpy's invalid-value warning is off: an infinite gradient entry turns
+    its weight into NaN, inf/inf, which the step's finiteness check names."""
+    with np.errstate(invalid="ignore"):
+        scratch = np.multiply(g, 1.0 - state.beta1)
+        m *= state.beta1
+        m += scratch
+        np.multiply(g, g, out=g)
+        g *= 1.0 - state.beta2
+        v *= state.beta2
+        v += g
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        np.divide(m, bc1, out=g)
+        g *= state.lr
+        g /= scratch
     return g
 
 
@@ -180,7 +184,7 @@ def adam_update(
     that operation order. Raises DimensionError, before writing anything,
     for params or gradients whose names or shapes are not the store's, and
     NumericDomainError naming the first parameter that is non-finite after
-    the update."""
+    the update, as one is after an infinite or NaN gradient entry."""
     _check(params, grads, state)
     for name, p in params.items():
         own = state.params[name]

@@ -29,9 +29,6 @@ INSTRUCTION_IDS = {task: 8 + i for i, task in enumerate(TASKS)}
 MODALITY_MARKERS = {"text": 24, "image": 25, "image_text": 26}
 SUMMARY_MARKERS = {"text": 32, "image": 33, "image_text": 34}
 
-# framing adds instruction, modality marker, SEP, summary marker, RET
-FRAME_TOKENS = 5
-
 
 @dataclass(frozen=True)
 class TokenSequence:

@@ -4,11 +4,12 @@ Each taped operation records one node on an implicit tape; a node may stand
 for many array operations, as the encoder's block stack records one node
 for all of its blocks. ``backward`` replays the tape for a scalar root in
 reverse record order, which fixes the gradient accumulation order and makes
-gradients bitwise reproducible. A tensor's data is read-only and never
-changes after construction, with one exception: a store view
-(``Tensor._store_view``) shows a slice of a buffer that its owner, the
-optimizer's parameter store (:mod:`~umrlab.optim`), updates in place at each
-step.
+gradients bitwise reproducible. A tensor's data is read-only through the
+tensor. ``Tensor._wrap`` wraps a float64 array as it is, a view included, so
+a tensor may show a slice of a buffer that its owner writes through its own
+array: the optimizer's parameter store (:mod:`~umrlab.optim`) updates its
+parameters' slices in place at each step. Every other tensor's data never
+changes after construction.
 
 The arithmetic of a transformer block lives in plain array kernels, a
 forward and a vjp for each of affine, layer norm, GELU and attention
@@ -106,26 +107,15 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, grad_tracked: bool) -> "Tensor":
-        """Take ownership of a freshly allocated float64 array, no copy. An
-        array of another dtype or with a base (any view) is copied."""
+        """Wrap a float64 array as it is, a view included, no copy, and make
+        ``arr`` read-only. Whoever owns a writable base may still write
+        through it, as the optimizer's store does. An array of another dtype
+        is copied."""
         t = cls.__new__(cls)
-        if arr.dtype != np.float64 or arr.base is not None:
+        if arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         arr.flags.writeable = False
         t._data = arr
-        t.grad_tracked = grad_tracked
-        t._node = None
-        return t
-
-    @classmethod
-    def _store_view(cls, view: np.ndarray, grad_tracked: bool) -> "Tensor":
-        """A read-only view of a float64 buffer that its owner updates in
-        place, no copy. ``view`` itself is made read-only; the owner writes
-        through its own array. :class:`~umrlab.optim.OptimizerState` alone
-        makes these, one per parameter of its store."""
-        t = cls.__new__(cls)
-        view.flags.writeable = False
-        t._data = view
         t.grad_tracked = grad_tracked
         t._node = None
         return t
@@ -269,19 +259,35 @@ def dense_grad(g: np.ndarray | RowGrad) -> np.ndarray:
     return g.dense() if isinstance(g, RowGrad) else g
 
 
+def sum_grads(parts: Sequence[np.ndarray | RowGrad]) -> np.ndarray | RowGrad:
+    """The sum of one tensor's gradients, in the given order. One part is
+    returned as it is. Parts that are all :class:`RowGrad` sum row by row
+    (:meth:`RowGrad.sum`), which has the bytes of the dense sum, since a
+    row a part does not hold would only have 0.0 added. Any other mix sums
+    densely into a fresh array, first + second and then each later part
+    added in, and no part is written into."""
+    if len(parts) == 1:
+        return parts[0]
+    if all(isinstance(g, RowGrad) for g in parts):
+        return RowGrad.sum(parts)
+    first, second, *rest = (dense_grad(g) for g in parts)
+    total = first + second
+    for g in rest:
+        total += g
+    return total
+
+
 def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
     """Accumulate d(root)/d(leaf) for every grad-tracked leaf under root.
 
     Returns a map keyed by tensor identity that holds the grad-tracked
     leaves reached, and a tracked root with no node, which maps to 1.0.
     An intermediate's gradient is dropped once its node's vjp has read it.
-    Contributions to a tensor are summed in reverse tape order. A leaf
-    whose every contribution is a :class:`RowGrad` gets one: each later
-    contribution's rows are added in by :meth:`RowGrad.sum`. That is
-    bitwise the dense buffer of adding one dense scatter per gather, since
-    rows a gather does not touch would only have 0.0 added. A leaf that
-    also gets a dense contribution gets an array, the dense sum of every
-    contribution.
+    Contributions to a tensor are summed in reverse tape order by
+    :func:`sum_grads`. A leaf whose every contribution is a
+    :class:`RowGrad` gets one, bitwise the dense buffer of adding one dense
+    scatter per gather; a leaf that also gets a dense contribution gets an
+    array, the dense sum of every contribution.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
@@ -302,12 +308,7 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
             key = id(inp)
             holders[key] = inp
             prev = grads.get(key)
-            if prev is None:
-                grads[key] = g
-            elif isinstance(prev, RowGrad) and isinstance(g, RowGrad):
-                grads[key] = RowGrad.sum((prev, g))
-            else:
-                grads[key] = dense_grad(prev) + dense_grad(g)
+            grads[key] = g if prev is None else sum_grads((prev, g))
     return {holders[key]: g for key, g in grads.items() if holders[key].grad_tracked}
 
 

@@ -175,13 +175,13 @@ def gather_shards(locals_: Sequence[Tensor | None]) -> Tensor:
 def all_reduce_grads(
     shard_grads: Sequence[dict[str, np.ndarray | RowGrad]],
 ) -> dict[str, np.ndarray | RowGrad]:
-    """Elementwise sum over shards, in ascending shard-id order.
-
-    A parameter whose every shard gradient is a :class:`~umrlab.tensor.RowGrad`
-    is summed row by row over the union of the shards' rows, which has the
-    bytes of the dense sum (see ``RowGrad``); any other is summed densely.
-    One shard's gradients are returned as they are; otherwise every
-    gradient is a fresh one, and no shard's is written into.
+    """Elementwise sum over shards, in ascending shard-id order: one
+    :func:`~umrlab.tensor.sum_grads` per parameter, after every shard's keys
+    and shapes are checked against shard 0's. So a parameter whose every
+    shard gradient is a :class:`~umrlab.tensor.RowGrad` is summed row by
+    row, with the bytes of the dense sum, and any other densely. One
+    shard's gradients are returned as they are; otherwise every gradient is
+    a fresh one, and no shard's is written into.
     """
     if not shard_grads:
         raise AggregationError("no shard gradients to reduce")
@@ -192,19 +192,7 @@ def all_reduce_grads(
         for key in keys:
             if grads[key].shape != shard_grads[0][key].shape:
                 raise AggregationError(f"shard {i} gradient shape mismatch for {key!r}")
-    if len(shard_grads) == 1:
-        return dict(shard_grads[0])
-    total = {}
-    for key in keys:
-        parts = [grads[key] for grads in shard_grads]
-        if all(isinstance(g, RowGrad) for g in parts):
-            total[key] = RowGrad.sum(parts)
-            continue
-        first, second, *rest = (T.dense_grad(g) for g in parts)
-        total[key] = first + second
-        for g in rest:
-            total[key] += g
-    return total
+    return {key: T.sum_grads([grads[key] for grads in shard_grads]) for key in keys}
 
 
 def _embed_block(

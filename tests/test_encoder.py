@@ -687,9 +687,9 @@ class TestBlockStackNode:
         assert isinstance(grads[params["pos_emb"]], T.RowGrad)
 
     def test_output_holds_the_last_residual_sum_uncopied(self, monkeypatch):
-        # Tensor._wrap copies an array that has a base, so the stack's last
-        # residual sum, written into the last affine's output, must own its
-        # data for the node to hold it as it is
+        # the stack's last residual sum is written into the last affine's
+        # output, a fresh array that owns its data, and the node holds that
+        # array as it is (Tensor._wrap copies no float64 array)
         made = []
         kernel = T._affine
 

@@ -46,6 +46,13 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(rand((2, 3)), rand((2, 2)))
 
+    def test_of_a_transposed_view_equals_the_array_product(self):
+        a, b = rand((32, 32), seed=1), rand((32, 32), seed=2)
+        bt = T.transpose(b)
+        # transpose wraps b's data transposed, a view, not a copy
+        assert bt.data.base is b.data and np.shares_memory(bt.data, b.data)
+        assert T.matmul(a, bt).data.tobytes() == (a.data @ b.data.T).tobytes()
+
 
 class TestSoftmaxRows:
     def test_uniform(self):
@@ -567,6 +574,46 @@ class TestRowGrad:
         assert check_gradients(f, [rand((3, 2), seed=5)]) < 1e-6
 
 
+def grad_parts(kinds, seed):
+    """One gradient of a (6, 3) table per kind: a RowGrad over a few rows
+    ("rows") or a dense array ("dense"), with magnitudes 1e-8..1e8 so that
+    a change of summation order shows."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for kind in kinds:
+        size = (6, 3) if kind == "dense" else (int(rng.integers(0, 5)), 3)
+        rows = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+        if kind == "rows":
+            rows = T.RowGrad.scatter((6, 3), rng.integers(0, 6, size[0]), rows)
+        parts.append(rows)
+    return parts
+
+
+class TestSumGrads:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["rows", "dense"]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_in_order_dense_sum(self, kinds, seed):
+        parts = grad_parts(kinds, seed)
+        before = [T.dense_grad(g).tobytes() for g in parts]
+        dense = [T.dense_grad(g) for g in parts]
+        want = dense[0] if len(dense) == 1 else dense[0] + dense[1]
+        for g in dense[2:]:
+            want = want + g
+        got = T.sum_grads(parts)
+        assert isinstance(got, T.RowGrad) == all(kind == "rows" for kind in kinds)
+        assert T.dense_grad(got).tobytes() == want.tobytes()
+        # no part is written into
+        assert [T.dense_grad(g).tobytes() for g in parts] == before
+
+    @pytest.mark.parametrize("kind", ["rows", "dense"])
+    def test_one_part_is_returned_as_it_is(self, kind):
+        (part,) = grad_parts([kind], seed=4)
+        assert T.sum_grads([part]) is part
+
+
 class TestTapeLifetime:
     def test_tape_freed_without_cyclic_collector(self):
         x = T.Tensor(rand((3, 4), seed=1).data, grad_tracked=True)
@@ -675,6 +722,24 @@ def test_tensor_data_immutable():
     t = T.Tensor([[1.0, 2.0]])
     with pytest.raises(ValueError):
         t.data[0, 0] = 9.0
+
+
+def test_wrap_of_a_view_shares_its_buffer_read_only():
+    buf = np.arange(12.0)
+    t = T.Tensor._wrap(buf[2:8].reshape(2, 3), grad_tracked=False)
+    assert np.shares_memory(t.data, buf) and not t.data.flags.writeable
+    with pytest.raises(ValueError):
+        t.data[0, 0] = 9.0
+    # the buffer's owner still writes, and the tensor shows it
+    buf[2] = -1.0
+    assert t.data[0, 0] == -1.0
+
+
+def test_wrap_copies_another_dtype():
+    src = np.arange(3, dtype=np.float32)
+    t = T.Tensor._wrap(src, grad_tracked=False)
+    assert t.data.dtype == np.float64 and not np.shares_memory(t.data, src)
+    assert src.flags.writeable
 
 
 def test_tensor_shape_matches_data():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -186,6 +187,27 @@ class TestAllReduceRows:
     def test_any_shards_equal_dense_shard_order_sum(self, id_sets, dense_shard, seed):
         # one shard given as an array makes the reduce dense for every shard
         self.check(id_sets, [i == dense_shard for i in range(len(id_sets))], seed)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        kinds=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_sum_grads_per_key(self, kinds, seed):
+        # kinds[s] says whether shard s gives each of two tables as rows
+        shards = []
+        for s, row_kinds in enumerate(kinds):
+            grads = {}
+            for key, as_rows in zip(("tok_emb", "pos_emb"), row_kinds):
+                g = scattered(self.SHAPE, [s % 12, (5 * s) % 12], seed + s)
+                grads[key] = g if as_rows else g.dense()
+            shards.append(grads)
+        got = all_reduce_grads(shards)
+        assert list(got) == ["tok_emb", "pos_emb"]
+        for key, g in got.items():
+            want = T.sum_grads([grads[key] for grads in shards])
+            assert type(g) is type(want)
+            assert T.dense_grad(g).tobytes() == T.dense_grad(want).tobytes()
 
 
 class TestAdam:
@@ -836,6 +858,29 @@ class TestNonFinite:
         with pytest.raises(NumericDomainError, match="'tok_emb'"):
             train_step(enc, None, batch, cfg, OptimizerState.init(enc.params, cfg.lr), 0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("name", ["tok_emb", "layers.1.attn.wq"], ids=["table-row", "dense"])
+    def test_infinite_gradient_names_the_parameter_without_a_warning(self, corpus, name, value):
+        enc = Encoder.init(ENC, seed=13)
+        cfg = config(0)
+        batch = batch_from(corpus, [s for s in corpus.train if s.task == "t2t"][:4])
+        grads, _ = compute_global_grads(enc, None, batch, cfg, 0.0)
+        g = grads[name]
+        if isinstance(g, RowGrad):
+            rows = g.rows.copy()
+            rows[-1, 0] = value
+            grads = dict(grads, **{name: RowGrad(g.ids, rows, g.shape)})
+        else:
+            g = g.copy()
+            g[0, 0] = value
+            grads = dict(grads, **{name: g})
+        assert isinstance(grads["tok_emb"], RowGrad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericDomainError, match=f"'{name}'"):
+                adam_update(enc.params, grads, OptimizerState.init(enc.params, cfg.lr))
+        assert [str(w.message) for w in caught] == []
+
 
 class TestRunStage:
     def test_zero_epochs_returns_initialization(self, corpus):
@@ -985,6 +1030,25 @@ class TestCheckpoint:
         assert peak < 1.25 * size
         # each tensor is its own aligned array, taken uncopied
         assert all(a.flags.owndata and a.flags.aligned for a in loaded.arrays.values())
+
+    @pytest.mark.parametrize("backing", ["own-arrays", "optimizer-store"])
+    def test_save_peak_is_a_small_share_of_the_file(self, tmp_path, backing):
+        # the same encoder as above; a save writes each array as it is, so
+        # it holds no copy of the file, whoever owns the arrays
+        cfg = EncoderConfig(vocab_size=5400, d_model=32, n_heads=4, n_layers=8, max_seq=48, k=3)
+        enc = Encoder.init(cfg, seed=0)
+        if backing == "optimizer-store":
+            enc = enc.with_params(OptimizerState.init(enc.params, lr=1e-3).params)
+        path = tmp_path / "teacher.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 2_207_777
+        assert peak < 0.05 * 2_207_777
+        assert load_checkpoint(path)[0].param_bytes() == Encoder.init(cfg, seed=0).param_bytes()
 
     def test_version_1_file_rejected_at_version_byte(self, tmp_path):
         enc = Encoder.init(ENC, seed=10)
