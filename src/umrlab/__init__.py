@@ -1,10 +1,11 @@
 """Desk-scale unified multimodal retrieval lab.
 
 A complete pipeline over synthetic token corpora: a from-scratch autodiff
-core, a small transformer retriever with prefix layer pruning, contrastive
-and self-distillation objectives with a modality-adaptive temperature
-matrix, a deterministic simulated data-parallel trainer, and a flat cosine
-retrieval index with Recall@k evaluation.
+core whose ops tape exactly when an input is grad-tracked, a small
+transformer retriever with prefix layer pruning, contrastive and
+self-distillation objectives with a modality-adaptive temperature matrix, a
+deterministic simulated data-parallel trainer, and a flat cosine retrieval
+index with Recall@k evaluation.
 """
 
 from .encoder import Encoder, EncoderConfig, estimate_flops, prune
@@ -15,7 +16,7 @@ from .losses import (
     mac_loss,
     self_distill,
 )
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 from .trainer import TrainConfig, run_stage, train_step
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "generate_corpus",
     "infonce",
     "mac_loss",
-    "no_grad",
     "prune",
     "run_stage",
     "self_distill",

@@ -22,25 +22,12 @@ import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datagen import Corpus, CorpusSpec, generate_corpus, vocab_size_for
-from .encoder import Encoder, EncoderConfig, embed_flops, estimate_flops, layer_stack_ratio, prune
+from .encoder import EncoderConfig, embed_flops, estimate_flops, layer_stack_ratio, prune
 from .errors import ConfigurationError, UmrlabError
-from .gradcheck import check_gradients
-from .losses import (
-    ALPHA_MODES,
-    DISTILL_VARIANTS,
-    TEMPERATURE_MODES,
-    TemperatureSchedule,
-    cosine_similarity_matrix,
-    infonce,
-    mac_loss,
-    pretraining_loss,
-    self_distill,
-)
+from .gradcheck import check_gradients, gradient_suite
+from .losses import ALPHA_MODES, DISTILL_VARIANTS, TEMPERATURE_MODES, TemperatureSchedule
 from .prompts import assemble_prompt
 from .retrieval import (
     build_index,
@@ -226,7 +213,7 @@ def cmd_eval(args) -> int:
     overrides = {}
     for item in args.k_override or []:
         dataset, _, value = item.partition("=")
-        if not value:
+        if not dataset or not value:
             raise ConfigurationError(f"--k-override wants dataset=k, got {item!r}")
         if dataset in overrides:
             raise ConfigurationError(f"--k-override names dataset {dataset!r} twice")
@@ -277,8 +264,9 @@ def cmd_eval(args) -> int:
 def cmd_flops(args) -> int:
     cfg = EncoderConfig(
         vocab_size=1000, d_model=args.d_model, n_heads=1, n_layers=args.layers,
-        max_seq=max(args.seq, 1), k=min(args.k, args.layers) or 1,
+        max_seq=max(args.seq, 1), k=1,
     )
+    # estimate_flops checks args.k against 0..layers and never reads cfg.k
     pruned = estimate_flops(cfg, args.k, args.seq)
     full = estimate_flops(cfg, args.layers, args.seq)
     ratio = layer_stack_ratio(cfg, args.k, args.seq)
@@ -299,59 +287,11 @@ def cmd_flops(args) -> int:
     return 0
 
 
-def _grad_suite(seeds: int = 3) -> list[tuple[str, float]]:
-    from .encoder import embed_batch, parameter_names
-    from .prompts import TokenSequence
-
-    results: list[tuple[str, float]] = []
-
-    def rand(shape, seed):
-        return T.Tensor(np.random.default_rng(seed).normal(size=shape))
-
-    for seed in range(seeds):
-        f = lambda q, c: infonce(cosine_similarity_matrix(q, c), 0.2)
-        results.append((f"infonce[{seed}]", check_gradients(f, [rand((4, 5), seed), rand((4, 5), seed + 10)])))
-        for mode in TEMPERATURE_MODES:
-            tags = ["text", "image", "image_text", "text"]
-            g = lambda q, c: mac_loss(cosine_similarity_matrix(q, c), tags, 0.11, 0.3, mode)
-            results.append((f"mac-{mode}[{seed}]", check_gradients(g, [rand((4, 5), seed), rand((4, 5), seed + 20)])))
-        for variant in DISTILL_VARIANTS:
-            tq, tc = rand((3, 4), seed + 30), rand((3, 4), seed + 40)
-            h = lambda sq, sc: self_distill(tq, sq, tc, sc, variant, tau=0.8)
-            results.append((f"distill-{variant}[{seed}]", check_gradients(h, [rand((3, 4), seed + 50), rand((3, 4), seed + 60)])))
-        tq, tc = rand((4, 5), seed + 70), rand((4, 5), seed + 80)
-
-        def combined(q, c):
-            contrastive = infonce(cosine_similarity_matrix(q, c), 0.3)
-            distill = self_distill(tq, q, tc, c, "mse")
-            return pretraining_loss(contrastive, distill, (0.9, 0.1))
-
-        results.append((f"pretraining[{seed}]", check_gradients(combined, [rand((4, 5), seed), rand((4, 5), seed + 5)])))
-
-        cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=2, max_seq=8, k=2)
-        enc = Encoder.init(cfg, seed=seed)
-        ids = np.random.default_rng(seed).integers(36, 46, size=(2, 3))
-        seqs = [TokenSequence(tuple(int(t) for t in row) + (1,)) for row in ids]
-        names = parameter_names(cfg)
-
-        # one sequence, then two of equal length through one block stack
-        for name, batch in (("encoder", seqs[:1]), ("encoder-batch", seqs)):
-
-            def enc_loss(*tensors, batch=batch):
-                model = Encoder(cfg, dict(zip(names, tensors)))
-                emb = embed_batch(model, batch, 2)
-                return T.mean(T.mul(emb, emb))
-
-            results.append(
-                (f"{name}[{seed}]", check_gradients(enc_loss, [enc.params[n] for n in names]))
-            )
-    return results
-
-
 def cmd_grad_check(args) -> int:
     if args.seeds < 1:
         raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
-    results = _grad_suite(args.seeds)
+    cases = [case for seed in range(args.seeds) for case in gradient_suite(seed)]
+    results = [(name, check_gradients(f, xs)) for name, f, xs in cases]
     worst = 0.0
     for name, err in results:
         status = "ok" if err < 1e-4 else "FAIL"

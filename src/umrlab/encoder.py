@@ -8,20 +8,21 @@ by construction, which is what makes teacher/student weight surgery exact.
 Every forward runs one block stack, :func:`_blocks`, over a batch of
 equal-length sequences stacked as rows, which shares each op's call cost
 across the batch. It runs the array kernels of :mod:`~umrlab.tensor` on the
-parameters' arrays in both modes, one loop body for both. Under ``no_grad``
-it writes each temporary in place and returns an array. While tracing it
-keeps the activations the backward reads, writes over none of them, and
-returns one tape node for the whole stack: its inputs are the parameter
-tensors the stack read, and its vjp, :func:`_blocks_vjp`, is a hand-written
-backward through the blocks that replays the per-op vjps in reverse op
-order, so its gradients have the bytes of a tape of one node per op. Both
-modes run the same arithmetic, so their hidden states are equal bit for
-bit.
-:func:`embed_batch` is the one place that reads [RET] rows: one
-:func:`_blocks` call per prompt length. :func:`embed` (one sequence) and
-:func:`embed_raw` (tape-free, as an array) are calls of it.
-:func:`forward` and :func:`forward_raw` return every hidden state of one
-sequence, taped and tape-free.
+parameters' arrays in both modes, one loop body for both; the entry point
+that calls it picks the mode. Tape-free, it writes each temporary in place
+and returns an array. Taped, it keeps the activations the backward reads,
+writes over none of them, and returns a Tensor of one tape node for the
+whole stack: its inputs are the parameter tensors the stack read, and its
+vjp, :func:`_blocks_vjp`, is a hand-written backward through the blocks
+that replays the per-op vjps in reverse op order, so its gradients have the
+bytes of a tape of one node per op. Like any op, it records the node only
+when a parameter is grad-tracked. Both modes run the same arithmetic, so
+their hidden states are equal bit for bit.
+One private body, :func:`_embed`, is the one place that reads [RET] rows:
+one :func:`_blocks` call per prompt length. :func:`embed_batch` and
+:func:`embed` (one sequence) call it taped, :func:`embed_raw` tape-free, as
+a read-only array. :func:`forward` and :func:`forward_raw` return every
+hidden state of one sequence, taped and tape-free.
 
 A forward runs every block on every row. An embed reads only [RET], the
 last row of each sequence, so in its last block only the first layer norm
@@ -150,11 +151,6 @@ class Encoder:
         return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
 
 
-def _as_tensor(h: Tensor | np.ndarray) -> Tensor:
-    """A forward's result as a Tensor; a tape-free one arrives as an array."""
-    return h if isinstance(h, Tensor) else Tensor._wrap(h, False)
-
-
 # Rows per sequence the last block keeps when only the [RET] row is read.
 # One would do, but a one-row GEMM takes numpy's gemv path, whose sums round
 # differently from the gemm a full-sequence forward runs; with two rows every
@@ -162,13 +158,14 @@ def _as_tensor(h: Tensor | np.ndarray) -> Tensor:
 RET_TAIL_ROWS = 2
 
 
-# forward_raw and embed_batch call this, not forward, so profilers that
+# forward_raw and _embed call this, not forward, so profilers that
 # wrap forward see single-sequence calls of forward only.
 def _blocks(
-    encoder: Encoder, batch: Sequence[TokenSequence], upto: int, ret_tail: bool = False
+    encoder: Encoder, batch: Sequence[TokenSequence], upto: int, taped: bool, ret_tail: bool = False
 ) -> Tensor | np.ndarray:
-    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model),
-    as a Tensor of one tape node while tracing and as an array under ``no_grad``.
+    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model):
+    ``taped``, a Tensor of one tape node (none when no parameter is
+    grad-tracked); otherwise a read-only array.
 
     The sequences share every op as rows of one 2-D array; only attention
     needs the sequence length, to keep each sequence to its own rows.
@@ -204,7 +201,6 @@ def _blocks(
     tail_from = upto - 1 if ret_tail else upto
     starts = np.arange(0, len(batch) * s, s)[:, None]
     tail = (starts + np.arange(s - min(RET_TAIL_ROWS, s), s)).ravel()
-    taped = T.tracing()
     saved = []
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -213,7 +209,7 @@ def _blocks(
             for i in range(upto):
                 g1, c1, wq, bq, wk, bk, wv, bv, wo, bo, g2, c2, w1, b1, w2, b2 = weights[_layer(i)]
                 # a kernel's side outputs are what its vjp reads: kept only
-                # while tracing, so a tape-free block frees them at once
+                # when taped, so a tape-free block frees them at once
                 a, *ln1 = T._layer_norm(h, g1, c1)
                 ln1 = ln1 if taped else None
                 a_q = a
@@ -247,6 +243,7 @@ def _blocks(
     except FloatingPointError as err:
         raise NumericDomainError(f"encoder forward left the finite range ({err})") from None
     if not taped:
+        h.flags.writeable = False
         return h
 
     def vjp(dh):
@@ -310,14 +307,13 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     No final layer norm is applied: intermediate-depth extraction reads the
     residual stream directly.
     """
-    return _as_tensor(_blocks(encoder, [tokens], upto))
+    return _blocks(encoder, [tokens], upto, True)
 
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
     """:func:`forward` without a tape: the single-sequence hidden states,
     shape (len, d_model), as a read-only array."""
-    with T.no_grad():
-        return _as_tensor(_blocks(encoder, [tokens], upto)).data
+    return _blocks(encoder, [tokens], upto, False)
 
 
 def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
@@ -329,14 +325,17 @@ def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
     return list(groups.values())
 
 
-def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> Tensor:
-    """[RET] embeddings after ``upto`` blocks of sequences of any lengths,
-    shape (N, d_model), row i for ``seqs[i]``, un-normalized.
+def _embed(
+    encoder: Encoder, seqs: Sequence[TokenSequence], upto: int, taped: bool
+) -> Tensor | np.ndarray:
+    """[RET] rows after ``upto`` blocks of sequences of any lengths, shape
+    (N, d_model), row i for ``seqs[i]``, un-normalized: ``taped``, a Tensor;
+    otherwise a read-only array.
 
     One :func:`_blocks` call per length group; the [RET] rows are gathered
-    back into input order by one ``take_rows``. Taped, and tape-free under
-    ``no_grad``. Each group's last block computes only the last two rows of
-    each sequence. Row i is bitwise equal to the [RET] row of
+    back into input order by one gather, ``take_rows`` when taped and a
+    plain index otherwise. Each group's last block computes only the last
+    two rows of each sequence. Row i is bitwise equal to the [RET] row of
     ``forward(encoder, seqs[i], upto)``, since a batch only adds rows to each
     op and two rows keep every GEMM a gemm; gradients agree with
     per-sequence ones to roundoff, since weight-gradient row sums run over
@@ -344,9 +343,8 @@ def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> T
     """
     if not seqs:
         raise ContractError("no sequences to embed")
-    ops = T if T.tracing() else T.bare
     groups = length_groups(seqs)
-    hidden = [_blocks(encoder, [seqs[i] for i in rows], upto, ret_tail=True) for rows in groups]
+    hidden = [_blocks(encoder, [seqs[i] for i in rows], upto, taped, ret_tail=True) for rows in groups]
     ret_row = [0] * len(seqs)
     offset = 0
     for rows in groups:
@@ -354,19 +352,28 @@ def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> T
         for b, i in enumerate(rows):
             ret_row[i] = offset + b * m + m - 1
         offset += len(rows) * m
-    stacked = hidden[0] if len(hidden) == 1 else ops.concat_rows(hidden)
-    return _as_tensor(ops.take_rows(stacked, ret_row))
+    if taped:
+        stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
+        return T.take_rows(stacked, ret_row)
+    stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
+    out = stacked[ret_row]
+    out.flags.writeable = False
+    return out
+
+
+def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> Tensor:
+    """Taped [RET] embeddings of ``seqs``, shape (N, d_model); see :func:`_embed`."""
+    return _embed(encoder, seqs, upto, True)
 
 
 def embed(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     """Taped [RET] embedding of one sequence, shape (1, d_model)."""
-    return embed_batch(encoder, [tokens], upto)
+    return _embed(encoder, [tokens], upto, True)
 
 
 def embed_raw(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> np.ndarray:
     """Tape-free :func:`embed_batch` rows as a read-only array, shape (B, d_model)."""
-    with T.no_grad():
-        return embed_batch(encoder, batch, upto).data
+    return _embed(encoder, batch, upto, False)
 
 
 def prune(encoder: Encoder, k: int) -> Encoder:

@@ -2,17 +2,30 @@
 
 This is the oracle side of every gradient check in the package: it never
 touches the reverse-mode tape, so agreement between the two is evidence that
-both are right.
+both are right. :func:`gradient_suite` lists the checks of the losses and
+the encoder that ``umrlab grad-check`` and the loss tests run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
+from .encoder import Encoder, EncoderConfig, embed_batch, parameter_names
 from .errors import NumericDomainError
-from .tensor import Tensor, backward, dense_grad, no_grad
+from .losses import (
+    DISTILL_VARIANTS,
+    TEMPERATURE_MODES,
+    cosine_similarity_matrix,
+    infonce,
+    mac_loss,
+    pretraining_loss,
+    self_distill,
+)
+from .prompts import TokenSequence
+from .tensor import Tensor, backward, dense_grad, mean, mul
 
 # central-difference step; anything in [1e-6, 1e-4] is sensible at 64-bit
 FD_STEP = 1e-5
@@ -22,23 +35,24 @@ FD_FLOOR = 1e-8
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
     """Central-difference estimate of d f / d x, one coordinate at a time,
-    with step ``FD_STEP``. f must be a pure scalar function of x.
+    with step ``FD_STEP``. f must be a pure scalar function of x. Each
+    evaluation gets a fresh untracked Tensor, so f records no tape node
+    unless it closes over a tracked one.
     """
     base = x.data
     out = np.zeros(base.shape)
     flat = out.reshape(-1)
-    with no_grad():
-        for i in range(base.size):
-            bump = np.zeros(base.size)
-            bump[i] = FD_STEP
-            bump = bump.reshape(base.shape)
-            hi = _scalar(f(Tensor(base + bump)))
-            lo = _scalar(f(Tensor(base - bump)))
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericDomainError(
-                    f"finite_diff_grad: non-finite evaluation at coordinate {i}"
-                )
-            flat[i] = (hi - lo) / (2.0 * FD_STEP)
+    for i in range(base.size):
+        bump = np.zeros(base.size)
+        bump[i] = FD_STEP
+        bump = bump.reshape(base.shape)
+        hi = _scalar(f(Tensor(base + bump)))
+        lo = _scalar(f(Tensor(base - bump)))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NumericDomainError(
+                f"finite_diff_grad: non-finite evaluation at coordinate {i}"
+            )
+        flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return out
 
 
@@ -80,3 +94,58 @@ def check_gradients(f: Callable[..., Tensor], xs: Sequence[Tensor]) -> float:
         exact = np.zeros(t.shape) if exact is None else dense_grad(exact)
         worst = max(worst, max_relative_error(numeric, exact))
     return worst
+
+
+_SUITE_ENCODER = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=2, max_seq=8, k=2)
+
+
+def _infonce(q, c):
+    return infonce(cosine_similarity_matrix(q, c), 0.2)
+
+
+def _mac(mode, q, c):
+    tags = ["text", "image", "image_text", "text"]
+    return mac_loss(cosine_similarity_matrix(q, c), tags, 0.11, 0.3, mode)
+
+
+def _distill(tq, tc, variant, sq, sc):
+    return self_distill(tq, sq, tc, sc, variant, tau=0.8)
+
+
+def _pretraining(tq, tc, q, c):
+    contrastive = infonce(cosine_similarity_matrix(q, c), 0.3)
+    return pretraining_loss(contrastive, self_distill(tq, q, tc, c, "mse"), (0.9, 0.1))
+
+
+def _encoder_rows(batch, *weights):
+    model = Encoder(_SUITE_ENCODER, dict(zip(parameter_names(_SUITE_ENCODER), weights)))
+    emb = embed_batch(model, batch, _SUITE_ENCODER.n_layers)
+    return mean(mul(emb, emb))
+
+
+def gradient_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[Tensor]]]:
+    """The gradient checks at one seed, as (name, f, inputs) for
+    :func:`check_gradients`, each name ending in ``[seed]``: InfoNCE, the
+    MAC loss in each temperature mode, each distill variant, the stage-1
+    pretraining mix, and the [RET] rows of one sequence and of two
+    equal-length ones through one block stack, as functions of every weight
+    of a tiny encoder."""
+
+    def rand(shape, offset):
+        return Tensor(np.random.default_rng(seed + offset).normal(size=shape))
+
+    cases = [("infonce", _infonce, [rand((4, 5), 0), rand((4, 5), 10)])]
+    for mode in TEMPERATURE_MODES:
+        cases.append((f"mac-{mode}", partial(_mac, mode), [rand((4, 5), 0), rand((4, 5), 20)]))
+    for variant in DISTILL_VARIANTS:
+        teacher = partial(_distill, rand((3, 4), 30), rand((3, 4), 40), variant)
+        cases.append((f"distill-{variant}", teacher, [rand((3, 4), 50), rand((3, 4), 60)]))
+    mixed = partial(_pretraining, rand((4, 5), 70), rand((4, 5), 80))
+    cases.append(("pretraining", mixed, [rand((4, 5), 0), rand((4, 5), 5)]))
+    enc = Encoder.init(_SUITE_ENCODER, seed=seed)
+    ids = np.random.default_rng(seed).integers(36, 46, size=(2, 3))
+    seqs = [TokenSequence(tuple(int(t) for t in row) + (1,)) for row in ids]
+    weights = list(enc.params.values())
+    cases.append(("encoder", partial(_encoder_rows, seqs[:1]), weights))
+    cases.append(("encoder-batch", partial(_encoder_rows, seqs), weights))
+    return [(f"{name}[{seed}]", f, xs) for name, f, xs in cases]

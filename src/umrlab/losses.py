@@ -178,8 +178,7 @@ def self_distill(
     # kl: distill similarity scores
     if tau <= 0:
         raise ContractError(f"kl temperature must be positive, got {tau}")
-    with T.no_grad():
-        teacher_sim = cosine_similarity_matrix(tq, tc)
+    teacher_sim = cosine_similarity_matrix(tq, tc)
     teacher_probs = T.softmax_rows(teacher_sim.data * (1.0 / tau))
     student_scores = T.scale(cosine_similarity_matrix(student_q, student_c), 1.0 / tau)
     cross = T.cross_entropy_rows(student_scores, teacher_probs)

@@ -15,8 +15,8 @@ place. Params that are not the state's own tensors but carry its names and
 shapes are first copied into the buffer, and are never written; that
 happens on the first step of every stage. A step checks every name and
 shape before it writes anything, and the whole buffer for a non-finite
-weight after it writes. After a step raises, the state and every tensor it
-returned are spent.
+weight or second moment after it writes. After a step raises, the state
+and every tensor it returned are spent.
 
 A run of consecutive parameters with dense gradients takes one call of the
 formula over its slice of the buffer. A table whose gradient is a
@@ -118,9 +118,11 @@ def _formula(m: np.ndarray, v: np.ndarray, g: np.ndarray, state: OptimizerState,
     from p, in ``g``'s buffer, which it spends as scratch. It runs the
     operations of :func:`adam_update`'s formula in their order, up to the
     operands of a product swapped, each into a buffer it already holds.
-    numpy's invalid-value warning is off: an infinite gradient entry turns
-    its weight into NaN, inf/inf, which the step's finiteness check names."""
-    with np.errstate(invalid="ignore"):
+    numpy's invalid-value and overflow warnings are off: an infinite
+    gradient entry turns its weight into NaN, inf/inf, and a finite one
+    whose square overflows turns its v into inf, which would freeze the
+    weight (m/inf = 0); the step's finiteness check names either."""
+    with np.errstate(invalid="ignore", over="ignore"):
         scratch = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
         m += scratch
@@ -183,8 +185,9 @@ def adam_update(
     (1 - beta2)*(g*g) and p' = p - lr*(m'/bc1)/(sqrt(v'/bc2) + eps), in
     that operation order. Raises DimensionError, before writing anything,
     for params or gradients whose names or shapes are not the store's, and
-    NumericDomainError naming the first parameter that is non-finite after
-    the update, as one is after an infinite or NaN gradient entry."""
+    NumericDomainError naming the first parameter whose weight or second
+    moment is non-finite after the update, as one is after an infinite or
+    NaN gradient entry or one whose square overflows."""
     _check(params, grads, state)
     for name, p in params.items():
         own = state.params[name]
@@ -205,9 +208,13 @@ def adam_update(
             run.append(name)
     _dense_run(run, grads, state, bc1, bc2)
     state.step = t
+    # v is never negative, so its max is below inf exactly when every entry
+    # is finite; a max is one pass with no mask
     finite = np.isfinite(state.weights)
-    if not finite.all():
+    if not (finite.all() and state.flat_v.max(initial=0.0) < np.inf):
         for name, (a, b) in state.spans.items():
-            if not finite[a:b].all():
-                raise NumericDomainError(f"parameter {name!r} is non-finite after the update")
+            if not (finite[a:b].all() and state.flat_v[a:b].max(initial=0.0) < np.inf):
+                raise NumericDomainError(
+                    f"parameter {name!r} or its second moment is non-finite after the update"
+                )
     return dict(state.params), state

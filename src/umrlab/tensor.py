@@ -1,6 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Each taped operation records one node on an implicit tape; a node may stand
+An op records one node on an implicit tape exactly when one of its inputs
+is grad-tracked, and its output is then tracked too; an op of untracked
+inputs records nothing. There is no mode that switches recording off: a
+tape-free caller passes untracked inputs or calls a tape-free entry point,
+as the encoder's ``forward_raw`` and ``embed_raw`` are. A node may stand
 for many array operations, as the encoder's block stack records one node
 for all of its blocks. ``backward`` replays the tape for a scalar root in
 reverse record order, which fixes the gradient accumulation order and makes
@@ -36,17 +40,13 @@ gradient feeds a vjp at once.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections.abc import Sequence
-from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericDomainError
 
 _seq = itertools.count()
-_state = threading.local()
 
 # tanh-form GELU constant sqrt(2/pi)
 _GELU_C = 0.7978845608028654
@@ -54,22 +54,6 @@ _GELU_A = 0.044715
 # layer norm's variance offset, and the norm floor of every L2 row normalizer
 LAYER_NORM_EPS = 1e-5
 NORM_EPS = 1e-12
-
-
-def tracing() -> bool:
-    """Whether ops record tape nodes here: true unless inside ``no_grad``."""
-    return getattr(_state, "tracing", True)
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (teacher/eval forwards)."""
-    prev = tracing()
-    _state.tracing = False
-    try:
-        yield
-    finally:
-        _state.tracing = prev
 
 
 class _Node:
@@ -150,7 +134,7 @@ class Tensor:
 
 
 def _result(op, out_data, inputs, vjp) -> Tensor:
-    tracked = tracing() and any(t.grad_tracked for t in inputs)
+    tracked = any(t.grad_tracked for t in inputs)
     out = Tensor._wrap(np.asarray(out_data), tracked)
     if tracked:
         out._node = _Node(op, tuple(inputs), out, vjp)
@@ -233,7 +217,7 @@ class RowGrad:
 
 def row_union(*ids: np.ndarray) -> np.ndarray:
     """The distinct row ids of ``ids``, sorted. A sort and a neighbour
-    compare: numpy 2's ``np.unique`` of bare values takes a hash path that
+    compare: numpy 2's ``np.unique`` of plain values takes a hash path that
     costs several times more on a few thousand ids."""
     s = np.sort(np.concatenate(ids))
     keep = np.ones(s.size, dtype=bool)
@@ -659,12 +643,3 @@ def _bare_gelu(x: np.ndarray) -> np.ndarray:
     t = _gelu_tanh(x)
     t += 1.0
     return _gelu(x, t, x)
-
-
-# take_rows and concat_rows on bare float64 arrays: the one numpy call their
-# taped op makes, without operand checks, vjp or Tensor, for tape-free callers
-# that have checked their operands.
-bare = SimpleNamespace(
-    take_rows=lambda table, ids: table[ids],
-    concat_rows=lambda parts: np.concatenate(parts, axis=0),
-)

@@ -32,7 +32,7 @@ taped call per prompt length across both sides
 (:func:`~umrlab.encoder.embed_batch`), so a step's forward cost grows with
 the number of distinct prompt lengths, not the number of prompts or sides.
 Stage 1's frozen teacher embeds the batch's cache misses from both sides in
-one tape-free call.
+one tape-free call (:func:`~umrlab.encoder.embed_raw`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import tensor as T
 from .datagen import Corpus, Sample, Candidate
 # embed is unused here; the benchmark tracer wraps trainer.embed as a call site
-from .encoder import Encoder, EncoderConfig, embed, embed_batch, prune
+from .encoder import Encoder, EncoderConfig, embed, embed_batch, embed_raw, prune
 from .errors import AggregationError, ConfigurationError, ContractError, NumericDomainError
 from .losses import (
     ALPHA_MODES,
@@ -204,11 +204,12 @@ def _embed_block(
     """Full-depth [RET] states of queries and their positives, as
     (len(samples), d) and (len(positives), d).
 
-    Both sides go through one :func:`embed_batch` call, so prompts of equal
-    length share one forward whichever side they come from. Without a cache
-    the rows are taped. With one, each (side, id) is looked up once; the
-    misses of both sides are embedded in one tape-free call and stored, each
-    row as its own array so that no entry keeps the rest of the batch alive.
+    Both sides go through one embed call, so prompts of equal length share
+    one forward whichever side they come from. Without a cache the rows are
+    taped (:func:`embed_batch`). With one, each (side, id) is looked up once;
+    the misses of both sides are embedded tape-free in one :func:`embed_raw`
+    call and stored, each row as its own array so that no entry keeps the
+    rest of the batch alive.
     """
     max_seq, depth = encoder.config.max_seq, encoder.config.n_layers
     items = [("query", s) for s in samples] + [("candidate", c) for c in positives]
@@ -222,8 +223,7 @@ def _embed_block(
     missing = {key: pair for key, pair, row in zip(keys, items, rows) if row is None}
     if missing:
         seqs = [assemble_prompt(item, side, max_seq) for side, item in missing.values()]
-        with T.no_grad():
-            fresh = embed_batch(encoder, seqs, depth).data
+        fresh = embed_raw(encoder, seqs, depth)
         for i, key in enumerate(missing):
             cache[key] = fresh[i : i + 1].copy()
         rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]

@@ -621,6 +621,17 @@ class TestEval:
         assert capsys.readouterr().err == "error: --k-override names no dataset of the corpus: nosuch\n"
         assert not out.exists()
 
+    def test_k_override_without_a_dataset_is_diagnosed(self, workdir, capsys):
+        root, corpus, _, student = workdir
+        out = root / "nameless.csv"
+        code = main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--k-override", "=3", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --k-override wants dataset=k, got '=3'\n"
+        assert not out.exists()
+
     def test_k_override_naming_a_dataset_twice_is_diagnosed(self, workdir, capsys):
         root, corpus, _, student = workdir
         out = root / "twice.csv"
@@ -791,6 +802,13 @@ class TestFlops:
         out = capsys.readouterr().out
         assert f"flops(k=0, seq=8, d=16): {2 * 8 * 16}" in out
 
+    @pytest.mark.parametrize("k", ["-1", "4"])
+    def test_k_outside_zero_to_layers_is_diagnosed_by_the_estimate(self, capsys, k):
+        assert main(["flops", "--layers", "3", "--k", k, "--seq", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: k {k} outside 0..3\n"
+        assert captured.out == ""
+
 
 class TestGradCheck:
     def test_exits_zero(self, capsys):
@@ -802,7 +820,7 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_no_seeds_is_diagnosed(self, monkeypatch, capsys, seeds):
-        monkeypatch.setattr(cli, "_grad_suite", None)  # no check may run
+        monkeypatch.setattr(cli, "gradient_suite", None)  # no check may run
         assert main(["grad-check", "--seeds", seeds]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"

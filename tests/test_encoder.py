@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,9 +147,10 @@ class TestForward:
             {n: T.Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
         )
         assert all(np.isfinite(p.data).all() for p in blown.params.values())
-        with nullcontext() if taped else T.no_grad():
-            with pytest.raises(NumericDomainError, match="overflow"):
-                embed_batch(blown, [small_tokens(), small_tokens((40, 41, 42))], 2)
+        with pytest.raises(NumericDomainError, match="overflow"):
+            (embed_batch if taped else embed_raw)(
+                blown, [small_tokens(), small_tokens((40, 41, 42))], 2
+            )
 
     def test_single_layer_single_head_matches_scalar_oracle(self):
         cfg = EncoderConfig(vocab_size=8, d_model=2, n_heads=1, n_layers=1, max_seq=4, k=1)
@@ -275,7 +275,7 @@ class TestRawForward:
     def test_unequal_lengths_rejected(self):
         enc = Encoder.init(SMALL, seed=3)
         with pytest.raises(ContractError, match="lengths differ"):
-            _blocks(enc, [small_tokens((40,)), small_tokens((40, 41))], 2)
+            _blocks(enc, [small_tokens((40,)), small_tokens((40, 41))], 2, False)
 
     def test_empty_batch_rejected(self):
         from umrlab.encoder import embed_raw
@@ -386,14 +386,12 @@ class TestRetTail:
         monkeypatch.setattr(T, "_affine", recording)
         enc = Encoder.init(WIDE, seed=1)
         batch = mixed_prompts(1)[:1] * 3  # three sequences of 13 rows
-        with nullcontext() if taped else T.no_grad():
-            embed_batch(enc, batch, 3)
+        (embed_batch if taped else embed_raw)(enc, batch, 3)
         full, tail = 3 * 13, 3 * 2
         # q, k, v, output projection, then the FFN's two affines, per block
         assert rows == [full] * 12 + [tail, full, full, tail, tail, tail]
         rows.clear()
-        with nullcontext() if taped else T.no_grad():
-            forward(enc, batch[0], 3)
+        (forward if taped else forward_raw)(enc, batch[0], 3)
         assert rows == [13] * 18
 
 
@@ -432,6 +430,48 @@ class TestTapeFreeBuffers:
         assert peak < 2.75 * hidden_bytes
 
 
+def recorded_nodes(monkeypatch) -> list:
+    """Every tape node made from here on, by any op."""
+    made = []
+    node = T._Node
+
+    def recording(*args):
+        made.append(node(*args))
+        return made[-1]
+
+    monkeypatch.setattr(T, "_Node", recording)
+    return made
+
+
+class TestEntryPointDecidesTaping:
+    """The entry point, not a mode, decides whether a forward tapes, and an
+    op records a node only when one of its inputs is tracked."""
+
+    def test_raw_entry_points_record_nothing_on_tracked_weights(self, monkeypatch):
+        enc = Encoder.init(WIDE, seed=6)
+        assert all(p.grad_tracked for p in enc.params.values())
+        seqs = mixed_prompts(2, seed=6)
+        taped = [embed_batch(enc, seqs, 3), forward(enc, seqs[0], 3)]
+        assert all(t._node is not None for t in taped)
+        made = recorded_nodes(monkeypatch)
+        raw = [embed_raw(enc, seqs, 3), forward_raw(enc, seqs[0], 3)]
+        assert made == []
+        for got, want in zip(raw, taped):
+            assert type(got) is np.ndarray and not got.flags.writeable
+            assert got.tobytes() == want.data.tobytes()
+
+    def test_taped_entry_points_record_nothing_on_untracked_weights(self, monkeypatch):
+        tracked = Encoder.init(WIDE, seed=6)
+        enc = tracked.with_params({n: T.Tensor(p.data) for n, p in tracked.params.items()})
+        seqs = mixed_prompts(2, seed=6)
+        made = recorded_nodes(monkeypatch)
+        outs = [embed_batch(enc, seqs, 3), embed(enc, seqs[0], 3), forward(enc, seqs[0], 3)]
+        assert made == []
+        for out in outs:
+            assert type(out) is T.Tensor and not out.grad_tracked and out._node is None
+        assert outs[0].data.tobytes() == embed_raw(tracked, seqs, 3).tobytes()
+
+
 class TestBatchedEmbed:
     def test_length_groups_in_first_seen_order(self):
         seqs = [small_tokens(ids) for ids in ((40,), (40, 41), (41,), (40, 41, 42), (42, 43))]
@@ -444,11 +484,13 @@ class TestBatchedEmbed:
         rng = np.random.default_rng(3)
         seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (3, 6, 3, 1, 6, 6)]
         for upto in (1, 3):
-            with nullcontext() if taped else T.no_grad():
-                got = embed_batch(enc, seqs, upto)
+            got = embed_batch(enc, seqs, upto) if taped else embed_raw(enc, seqs, upto)
             assert got.shape == (len(seqs), cfg.d_model)
-            assert (got._node is not None) == taped
-            for row, seq in zip(got.data, seqs):
+            if taped:
+                assert got._node is not None
+                got = got.data
+            assert not got.flags.writeable
+            for row, seq in zip(got, seqs):
                 assert row.tobytes() == per_sequence_ret_row(enc, seq, upto).tobytes()
 
     def test_empty_list_rejected(self):
@@ -668,7 +710,7 @@ class TestBlockStackNode:
             stacks = (embed_batch, per_op.embed_batch)
         else:
             seqs = groups[0]
-            stacks = (_blocks, per_op.blocks)
+            stacks = (lambda *args: _blocks(*args, True), per_op.blocks)
         outs = [stack(enc, seqs, depth) for stack in stacks]
         # the loss reads rows twice: a gather with repeats, then every row
         ids = [i % outs[0].shape[0] for i in reads]
@@ -700,7 +742,7 @@ class TestBlockStackNode:
         monkeypatch.setattr(T, "_affine", recording)
         enc = Encoder.init(SMALL, seed=3)
         for ret_tail in (False, True):
-            out = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, ret_tail)
+            out = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, True, ret_tail)
             assert out._node is not None and made[-1].base is None
             assert out.data is made[-1]
 
@@ -711,7 +753,7 @@ class TestBlockStackNode:
         enc = Encoder.init(cfg, seed=5)
         seq = TokenSequence((*range(2, 14), RET_TOKEN_ID))
         assert len(seq) == 13
-        h = _blocks(enc, [seq], 1)
+        h = _blocks(enc, [seq], 1, True)
         grads = T.backward(T.mean(T.mul(h, h)))
         read = [n for n in enc.params if not n.startswith("layers.1.")]
         assert len(read) == 18

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from umrlab import losses as L
 from umrlab import tensor as T
 from umrlab.errors import ContractError, DimensionError
-from umrlab.gradcheck import check_gradients
+from umrlab.gradcheck import check_gradients, gradient_suite
 from umrlab.tasks import MODALITIES
 from umrlab.tensor import Tensor
 
@@ -291,9 +291,8 @@ class TestSelfDistill:
     def test_kl_finite_when_a_teacher_probability_underflows(self):
         tq, sq = rand_embeddings(8, 16, 0), rand_embeddings(8, 16, 1)
         tc, sc = rand_embeddings(8, 16, 2), rand_embeddings(8, 16, 3)
-        with T.no_grad():
-            sim = L.cosine_similarity_matrix(tq, tc)
-            assert (T.softmax_rows(sim.data * 1000.0) == 0).any()
+        sim = L.cosine_similarity_matrix(tq, tc)
+        assert (T.softmax_rows(sim.data * 1000.0) == 0).any()
         tracked = [Tensor(x.data, grad_tracked=True) for x in (sq, sc)]
         loss = L.self_distill(tq, tracked[0], tc, tracked[1], "kl", tau=0.001)
         assert math.isfinite(loss.item()) and loss.item() >= 0
@@ -373,48 +372,30 @@ class TestPretrainingLoss:
             L.pretraining_loss(lc, ld, (-0.1, 1.1))
 
 
+# every check of gradcheck.gradient_suite at seeds 0-4, by name
+SUITE = {name: (f, xs) for seed in range(5) for name, f, xs in gradient_suite(seed)}
+
+
 class TestLossGradients:
-    """Reverse-mode vs central finite differences, w.r.t. raw embeddings."""
+    """Reverse-mode vs central finite differences, w.r.t. raw embeddings: the
+    loss cases of ``gradient_suite``, which ``grad-check`` runs too. Its
+    encoder cases run in the ``grad-check`` CLI test, and ``test_encoder``
+    checks the encoder's gradients itself."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_infonce(self, seed):
-        f = lambda q, c: L.infonce(L.cosine_similarity_matrix(q, c), 0.2)
-        xs = [rand_embeddings(4, 5, seed), rand_embeddings(4, 5, seed + 10)]
-        assert check_gradients(f, xs) < 1e-4
+        assert check_gradients(*SUITE[f"infonce[{seed}]"]) < 1e-4
 
     @pytest.mark.parametrize("mode", L.TEMPERATURE_MODES)
     @pytest.mark.parametrize("seed", range(5))
     def test_mac_all_modes(self, mode, seed):
-        tags = ["text", "image", "image_text", "text"]
-
-        def f(q, c):
-            sim = L.cosine_similarity_matrix(q, c)
-            return L.mac_loss(sim, tags, 0.11, 0.27, mode)
-
-        xs = [rand_embeddings(4, 5, seed), rand_embeddings(4, 5, seed + 20)]
-        assert check_gradients(f, xs) < 1e-4
+        assert check_gradients(*SUITE[f"mac-{mode}[{seed}]"]) < 1e-4
 
     @pytest.mark.parametrize("variant", L.DISTILL_VARIANTS)
     @pytest.mark.parametrize("seed", range(5))
     def test_self_distill_variants(self, variant, seed):
-        tq = rand_embeddings(3, 4, seed + 40)
-        tc = rand_embeddings(3, 4, seed + 50)
-
-        def f(sq, sc):
-            return L.self_distill(tq, sq, tc, sc, variant=variant, tau=0.8)
-
-        xs = [rand_embeddings(3, 4, seed + 60), rand_embeddings(3, 4, seed + 70)]
-        assert check_gradients(f, xs) < 1e-4
+        assert check_gradients(*SUITE[f"distill-{variant}[{seed}]"]) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pretraining_loss_composite(self, seed):
-        tq = rand_embeddings(4, 5, seed + 80)
-        tc = rand_embeddings(4, 5, seed + 90)
-
-        def f(q, c):
-            contrastive = L.infonce(L.cosine_similarity_matrix(q, c), 0.3)
-            distill = L.self_distill(tq, q, tc, c, "mse")
-            return L.pretraining_loss(contrastive, distill, (0.9, 0.1))
-
-        xs = [rand_embeddings(4, 5, seed), rand_embeddings(4, 5, seed + 5)]
-        assert check_gradients(f, xs) < 1e-4
+        assert check_gradients(*SUITE[f"pretraining[{seed}]"]) < 1e-4

@@ -16,7 +16,7 @@ from umrlab import tensor as T
 from umrlab import trainer
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
-from umrlab.encoder import Encoder, EncoderConfig, forward, parameter_names, prune
+from umrlab.encoder import Encoder, EncoderConfig, forward, forward_raw, parameter_names, prune
 from umrlab.errors import (
     AggregationError,
     ConfigurationError,
@@ -254,6 +254,23 @@ class TestAdam:
                 vhat = v[i] / (1 - b2**t)
                 w[i] -= lr * mhat / (math.sqrt(vhat) + eps)
         assert np.abs(params["w"].data - np.array(w)).max() < 1e-12
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["dense", "table-row"])
+    def test_overflowing_gradient_square_names_the_parameter(self, rows):
+        # 1e200 * 1e200 overflows: v would read inf and the weight, moved by
+        # m / inf = 0, would never move again
+        params = {
+            "b": Tensor(np.ones(3), grad_tracked=True),
+            "w": Tensor(np.ones((4, 3)), grad_tracked=True),
+        }
+        g = np.zeros((4, 3))
+        g[1] = [1e200, 1.0, 1.0]
+        grads = {"b": np.ones(3), "w": RowGrad(np.array([1]), g[1:2], g.shape) if rows else g}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericDomainError, match="'w' or its second moment"):
+                adam_update(params, grads, OptimizerState.init(params, lr=0.1))
+        assert [str(w.message) for w in caught] == []
 
     def test_shape_mismatch(self):
         params = {"w": Tensor(np.zeros(3), grad_tracked=True)}
@@ -779,9 +796,9 @@ class TestBatchedEmbedding:
         lengths = []
         blocks = encoder_module._blocks
 
-        def counting(enc, batch, upto, ret_tail=False):
+        def counting(enc, batch, upto, *args, **kwargs):
             lengths.append(len(batch[0]))
-            return blocks(enc, batch, upto, ret_tail)
+            return blocks(enc, batch, upto, *args, **kwargs)
 
         monkeypatch.setattr(encoder_module, "_blocks", counting)
         enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
@@ -800,10 +817,8 @@ class TestBatchedEmbedding:
         first, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
         assert cache.gets == Counter(keys) and set(cache) == set(keys)
         for key, side, item in zip(keys, sides, items):
-            with T.no_grad():
-                prompt = assemble_prompt(item, side, MIXED_ENC.max_seq)
-                hidden = forward(teacher, prompt, MIXED_ENC.n_layers).data
-                want = hidden[-1:]
+            prompt = assemble_prompt(item, side, MIXED_ENC.max_seq)
+            want = forward_raw(teacher, prompt, MIXED_ENC.n_layers)[-1:]
             assert cache[key].shape == want.shape and cache[key].tobytes() == want.tobytes()
             assert cache[key].flags.owndata
         second, _ = compute_global_grads(student, teacher, mixed_batch, cfg, 0.5, cache)
