@@ -11,17 +11,26 @@ across the batch. It runs the array kernels of :mod:`~umrlab.tensor` on the
 parameters' arrays in both modes, one loop body for both; the entry point
 that calls it picks the mode. Tape-free, it writes each temporary in place
 and returns an array. Taped, it keeps the activations the backward reads,
-writes over none of them, and returns a Tensor of one tape node for the
-whole stack: its inputs are the parameter tensors the stack read, and its
-vjp, :func:`_blocks_vjp`, is a hand-written backward through the blocks
-that replays the per-op vjps in reverse op order, so its gradients have the
-bytes of a tape of one node per op. Like any op, it records the node only
-when a parameter is grad-tracked. Both modes run the same arithmetic, so
-their hidden states are equal bit for bit.
-One private body, :func:`_embed`, is the one place that reads [RET] rows:
-one :func:`_blocks` call per prompt length. :func:`embed_batch` and
-:func:`embed` (one sequence) call it taped, :func:`embed_raw` tape-free, as
-a read-only array. :func:`forward` and :func:`forward_raw` return every
+writes over none of them, and records one tape node for each run of
+consecutive sequences its caller asks for: the node's inputs are the
+parameter tensors the stack read, its output is those sequences' rows, and
+its vjp, :func:`_blocks_vjp`, is a hand-written backward through the blocks
+over those rows alone that replays the per-op vjps in reverse op order, so
+its gradients have the bytes of a tape of one node per op. Like any op, it
+records a node only when a parameter is grad-tracked. Both modes run the
+same arithmetic, so their hidden states are equal bit for bit.
+
+One private body, :func:`_embed`, is the one place that reads [RET] rows.
+It takes the sequences as parts, each a list of any lengths, and runs one
+:func:`_blocks` forward per prompt length over every part's sequences of
+that length, part by part. Taped, it then records for each part its own
+node per length group. So each part's gradients have the bytes of a
+forward of that part alone wherever a GEMM row does not depend on the rows
+beside it, as under OpenBLAS's SkylakeX kernel, and agree to roundoff
+elsewhere. :func:`embed_parts` calls it taped, as the trainer does with
+one part per shard; :func:`embed_batch` and :func:`embed` (one sequence)
+are its one-part case taped, and :func:`embed_raw` tape-free, as a
+read-only array. :func:`forward` and :func:`forward_raw` return every
 hidden state of one sequence, taped and tape-free.
 
 A forward runs every block on every row. An embed reads only [RET], the
@@ -36,7 +45,7 @@ With two rows it is bitwise equal to the [RET] row of :func:`forward`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -162,13 +171,19 @@ RET_TAIL_ROWS = 2
 # wrap forward see single-sequence calls of forward only.
 def _blocks(
     encoder: Encoder, batch: Sequence[TokenSequence], upto: int, taped: bool, ret_tail: bool = False
-) -> Tensor | np.ndarray:
+) -> Callable[[int, int], Tensor] | np.ndarray:
     """Hidden states of B equal-length sequences stacked in order, (B*len, d_model):
-    ``taped``, a Tensor of one tape node (none when no parameter is
-    grad-tracked); otherwise a read-only array.
+    tape-free, a read-only array; ``taped``, a function ``node(b0, b1)``
+    that records one tape node (none when no parameter is grad-tracked) for
+    sequences b0..b1-1 and returns its Tensor, their rows of the hidden
+    states as a view.
 
     The sequences share every op as rows of one 2-D array; only attention
-    needs the sequence length, to keep each sequence to its own rows.
+    needs the sequence length, to keep each sequence to its own rows. No op
+    mixes rows of two sequences, so a node's vjp runs :func:`_blocks_vjp`
+    on its sequences' rows of the saved activations, read as views, as a
+    forward of those sequences alone would save them wherever a GEMM row
+    does not depend on the rows beside it.
     With ``ret_tail`` the last block computes only the rows :func:`embed_batch`
     reads: its first layer norm and key and value projections still run on
     every row, but the query projection, attention, output projection,
@@ -245,11 +260,37 @@ def _blocks(
     if not taped:
         h.flags.writeable = False
         return h
+    params = list(encoder.params.values())[:n_inputs]
+    m = min(RET_TAIL_ROWS, s)
+    out_rows = m if ret_tail else s
 
-    def vjp(dh):
-        return _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail)
+    def node(b0: int, b1: int) -> Tensor:
+        full = slice(b0 * s, b1 * s)
 
-    return T._result("blocks", h, list(encoder.params.values())[:n_inputs], vjp)
+        def vjp(dh):
+            rows = _saved_rows(saved, tail_from, full, slice(b0 * m, b1 * m), slice(b0, b1))
+            return _blocks_vjp(
+                dh, weights, rows, ids[full], positions[full], tail_from, tail[: (b1 - b0) * m]
+            )
+
+        return T._result("blocks", h[b0 * out_rows : b1 * out_rows], params, vjp)
+
+    return node
+
+
+def _saved_rows(saved, tail_from, full, narrow, seqs) -> list:
+    """Views of some sequences' rows of a taped :func:`_blocks` forward's
+    saved activations: rows ``full`` of a block's every-row arrays, rows
+    ``narrow`` of the narrowed block's query-side arrays, and ``seqs`` on
+    the batch axis of the attention arrays."""
+    out = []
+    for i, (ln1, a, a_q, attn, mixed, ln2, f, u, t, g) in enumerate(saved):
+        r = narrow if i == tail_from else full
+        out.append((
+            [x[full] for x in ln1], a[full], a_q[r], [x[seqs] for x in attn], mixed[r],
+            [x[r] for x in ln2], f[r], u[r], t[r], g[r],
+        ))
+    return out
 
 
 def _layer(i: int) -> slice:
@@ -307,7 +348,7 @@ def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     No final layer norm is applied: intermediate-depth extraction reads the
     residual stream directly.
     """
-    return _blocks(encoder, [tokens], upto, True)
+    return _blocks(encoder, [tokens], upto, True)(0, 1)
 
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
@@ -326,54 +367,89 @@ def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
 
 
 def _embed(
-    encoder: Encoder, seqs: Sequence[TokenSequence], upto: int, taped: bool
-) -> Tensor | np.ndarray:
-    """[RET] rows after ``upto`` blocks of sequences of any lengths, shape
-    (N, d_model), row i for ``seqs[i]``, un-normalized: ``taped``, a Tensor;
-    otherwise a read-only array.
+    encoder: Encoder, parts: Sequence[Sequence[TokenSequence]], upto: int, taped: bool
+) -> list[Tensor] | list[np.ndarray]:
+    """[RET] rows after ``upto`` blocks of each part of ``parts``, lists of
+    sequences of any lengths: per part, shape (len(part), d_model), row i
+    for ``part[i]``, un-normalized; ``taped``, Tensors, otherwise read-only
+    arrays.
 
-    One :func:`_blocks` call per length group; the [RET] rows are gathered
-    back into input order by one gather, ``take_rows`` when taped and a
-    plain index otherwise. Each group's last block computes only the last
-    two rows of each sequence. Row i is bitwise equal to the [RET] row of
-    ``forward(encoder, seqs[i], upto)``, since a batch only adds rows to each
-    op and two rows keep every GEMM a gemm; gradients agree with
-    per-sequence ones to roundoff, since weight-gradient row sums run over
-    the group's rows in one order.
+    One :func:`_blocks` call per prompt length over every part's sequences
+    of that length, part-major, each part's in its own order. Each part
+    then reads its rows of each length group's stack, taped through a node
+    of its own and otherwise as a view, and gathers its [RET] rows back
+    into input order by one gather, ``take_rows`` when taped and a plain
+    index otherwise. Each group's last block computes only the last two
+    rows of each sequence. Row i is bitwise equal to the [RET] row of
+    ``forward(encoder, part[i], upto)`` wherever a GEMM row does not depend
+    on the rows beside it, since a batch only adds rows to each op and two
+    rows keep every GEMM a gemm; gradients agree with per-sequence ones to
+    roundoff, since weight-gradient row sums run over the group's rows in
+    one order.
     """
-    if not seqs:
+    if not parts or not all(parts):
         raise ContractError("no sequences to embed")
-    groups = length_groups(seqs)
-    hidden = [_blocks(encoder, [seqs[i] for i in rows], upto, taped, ret_tail=True) for rows in groups]
-    ret_row = [0] * len(seqs)
-    offset = 0
-    for rows in groups:
-        m = min(RET_TAIL_ROWS, len(seqs[rows[0]]))
-        for b, i in enumerate(rows):
-            ret_row[i] = offset + b * m + m - 1
-        offset += len(rows) * m
-    if taped:
-        stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
-        return T.take_rows(stacked, ret_row)
-    stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
-    out = stacked[ret_row]
-    out.flags.writeable = False
+    # (positions in the part, b0, b1) per length group of each part: the
+    # group is sequences b0..b1-1 of its length's batch
+    batches: dict[int, list[TokenSequence]] = {}
+    spans = []
+    for part in parts:
+        spans.append([])
+        for rows in length_groups(part):
+            batch = batches.setdefault(len(part[rows[0]]), [])
+            spans[-1].append((rows, len(batch), len(batch) + len(rows)))
+            batch.extend(part[i] for i in rows)
+    stacks = {s: _blocks(encoder, batch, upto, taped, ret_tail=True) for s, batch in batches.items()}
+    out = []
+    for part, groups in zip(parts, spans):
+        hidden, ret_row, offset = [], [0] * len(part), 0
+        for rows, b0, b1 in groups:
+            s = len(part[rows[0]])
+            m = min(RET_TAIL_ROWS, s)
+            # Nodes are recorded part by part, and within a part in the
+            # order it first meets each length: backward sums a weight's
+            # contributions in tape order, so this keeps the bytes of an
+            # embed of each part alone.
+            hidden.append(stacks[s](b0, b1) if taped else stacks[s][b0 * m : b1 * m])
+            for b, i in enumerate(rows):
+                ret_row[i] = offset + b * m + m - 1
+            offset += len(rows) * m
+        if taped:
+            stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
+            out.append(T.take_rows(stacked, ret_row))
+        else:
+            stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
+            ret = stacked[ret_row]
+            ret.flags.writeable = False
+            out.append(ret)
     return out
+
+
+def embed_parts(
+    encoder: Encoder, parts: Sequence[Sequence[TokenSequence]], upto: int
+) -> list[Tensor]:
+    """Taped [RET] embeddings of each part, one (len(part), d_model) Tensor
+    per part, from one block-stack forward per prompt length for all the
+    parts. Each part's rows and gradients have the bytes of
+    :func:`embed_batch` of that part alone wherever a GEMM row does not
+    depend on the rows beside it, and agree to roundoff elsewhere. See
+    :func:`_embed`."""
+    return _embed(encoder, parts, upto, True)
 
 
 def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> Tensor:
     """Taped [RET] embeddings of ``seqs``, shape (N, d_model); see :func:`_embed`."""
-    return _embed(encoder, seqs, upto, True)
+    return _embed(encoder, [seqs], upto, True)[0]
 
 
 def embed(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     """Taped [RET] embedding of one sequence, shape (1, d_model)."""
-    return _embed(encoder, [tokens], upto, True)
+    return _embed(encoder, [[tokens]], upto, True)[0]
 
 
 def embed_raw(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> np.ndarray:
     """Tape-free :func:`embed_batch` rows as a read-only array, shape (B, d_model)."""
-    return _embed(encoder, batch, upto, False)
+    return _embed(encoder, [batch], upto, False)[0]
 
 
 def prune(encoder: Encoder, k: int) -> Encoder:

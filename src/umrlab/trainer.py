@@ -27,10 +27,14 @@ Adam owns a stage's weights in one flat store that it updates in place, so
 the encoder each step returns is a view of that store, which the stage's
 next step changes; the encoder a stage starts from is never written.
 
-A shard embeds the queries and positives of its slice together, with one
-taped call per prompt length across both sides
-(:func:`~umrlab.encoder.embed_batch`), so a step's forward cost grows with
-the number of distinct prompt lengths, not the number of prompts or sides.
+A step embeds the queries and positives of every shard with one taped
+block-stack forward per prompt length for the whole batch
+(:func:`~umrlab.encoder.embed_parts`, one part per shard), so its forward
+cost grows with the number of distinct prompt lengths, not the number of
+prompts, sides or shards. Each shard still gets tape nodes of its own rows
+only, and its backward runs over those rows alone, so every gradient has
+the bytes of a forward per shard wherever a GEMM row does not depend on
+the rows beside it (:func:`~umrlab.encoder.embed_parts`).
 Stage 1's frozen teacher embeds the batch's cache misses from both sides in
 one tape-free call (:func:`~umrlab.encoder.embed_raw`).
 """
@@ -48,7 +52,7 @@ import numpy as np
 from . import tensor as T
 from .datagen import Corpus, Sample, Candidate
 # embed is unused here; the benchmark tracer wraps trainer.embed as a call site
-from .encoder import Encoder, EncoderConfig, embed, embed_batch, embed_raw, prune
+from .encoder import Encoder, EncoderConfig, embed, embed_parts, embed_raw, prune
 from .errors import AggregationError, ConfigurationError, ContractError, NumericDomainError
 from .losses import (
     ALPHA_MODES,
@@ -195,35 +199,46 @@ def all_reduce_grads(
     return {key: T.sum_grads([grads[key] for grads in shard_grads]) for key in keys}
 
 
-def _embed_block(
-    encoder: Encoder,
-    samples: Sequence[Sample],
-    positives: Sequence[Candidate],
-    cache: dict | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Full-depth [RET] states of queries and their positives, as
-    (len(samples), d) and (len(positives), d).
+def _shard_rows(encoder: Encoder, batch: GlobalBatch, shards: int) -> list[tuple[Tensor, Tensor]]:
+    """Taped full-depth [RET] states of each shard's queries and positives,
+    one (queries, positives) pair per shard, in shard order.
 
-    Both sides go through one embed call, so prompts of equal length share
-    one forward whichever side they come from. Without a cache the rows are
-    taped (:func:`embed_batch`). With one, each (side, id) is looked up once;
-    the misses of both sides are embedded tape-free in one :func:`embed_raw`
-    call and stored, each row as its own array so that no entry keeps the
-    rest of the batch alive.
+    A shard's part is its queries, then its positives, and one
+    :func:`embed_parts` call embeds every shard's part, so prompts of equal
+    length share one forward whichever shard and side they come from. Each
+    shard's rows are tensors of its own tape nodes.
     """
     max_seq, depth = encoder.config.max_seq, encoder.config.n_layers
-    items = [("query", s) for s in samples] + [("candidate", c) for c in positives]
-    n = len(samples)
-    if cache is None:
-        seqs = [assemble_prompt(item, side, max_seq) for side, item in items]
-        both = embed_batch(encoder, seqs, depth)
-        return T.take_rows(both, range(n)), T.take_rows(both, range(n, len(items)))
+    n = len(batch) // shards
+    parts = [
+        [assemble_prompt(s, "query", max_seq) for s in batch.samples[i * n : (i + 1) * n]]
+        + [assemble_prompt(c, "candidate", max_seq) for c in batch.positives[i * n : (i + 1) * n]]
+        for i in range(shards)
+    ]
+    return [
+        (T.take_rows(both, range(n)), T.take_rows(both, range(n, 2 * n)))
+        for both in embed_parts(encoder, parts, depth)
+    ]
+
+
+def _teacher_rows(teacher: Encoder, batch: GlobalBatch, cache: dict) -> tuple[Tensor, Tensor]:
+    """Full-depth [RET] states of the batch's queries and positives under the
+    frozen ``teacher``, as untracked (len(batch), d) Tensors.
+
+    Each (side, id) is looked up in ``cache`` once; the misses of both
+    sides are embedded tape-free in one :func:`embed_raw` call and stored,
+    each row as its own array so that no entry keeps the rest of the batch
+    alive.
+    """
+    max_seq, depth = teacher.config.max_seq, teacher.config.n_layers
+    items = [("query", s) for s in batch.samples] + [("candidate", c) for c in batch.positives]
+    n = len(batch)
     keys = [(side, item.id) for side, item in items]
     rows = [cache.get(key) for key in keys]
     missing = {key: pair for key, pair, row in zip(keys, items, rows) if row is None}
     if missing:
         seqs = [assemble_prompt(item, side, max_seq) for side, item in missing.values()]
-        fresh = embed_raw(encoder, seqs, depth)
+        fresh = embed_raw(teacher, seqs, depth)
         for i, key in enumerate(missing):
             cache[key] = fresh[i : i + 1].copy()
         rows = [cache[key] if row is None else row for key, row in zip(keys, rows)]
@@ -271,7 +286,9 @@ def compute_global_grads(
     progress: float,
     teacher_cache: dict | None = None,
 ) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
-    """Shard forwards, cross-shard gather, loss, backward, all-reduce.
+    """One forward per prompt length for every shard, then per shard a
+    cross-shard gather, the loss and a backward over that shard's rows, then
+    the all-reduce.
 
     Returns the shard-summed gradient map and the loss breakdown.
     """
@@ -283,16 +300,12 @@ def compute_global_grads(
         raise ConfigurationError(
             f"batch of {len(batch)} != shards*per_shard_batch = {config.global_batch}"
         )
-    n = config.per_shard_batch
-    locals_ = [
-        _embed_block(student, batch.samples[s * n : (s + 1) * n], batch.positives[s * n : (s + 1) * n])
-        for s in range(config.shards)
-    ]
+    locals_ = _shard_rows(student, batch, config.shards)
     tau_hard, alphas = _schedule(config, progress)
     tau0, tags = config.temperature.tau0, batch.tags
     if config.stage == 1:
         cache = teacher_cache if teacher_cache is not None else {}
-        teacher_q, teacher_c = _embed_block(teacher, batch.samples, batch.positives, cache)
+        teacher_q, teacher_c = _teacher_rows(teacher, batch, cache)
 
     def loss(q: Tensor, c: Tensor) -> tuple[Tensor, dict[str, float]]:
         similarity = cosine_similarity_matrix(q, c)

@@ -1,0 +1,72 @@
+"""One 8-shard stage-2 step of a d=8 encoder over prompts of 13, 21 and 29
+tokens, against an ``embed_batch`` of each shard alone.
+
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/kernel_probe.py
+
+Prints one JSON object: ``core``, the kernel numpy's OpenBLAS runs (null
+where numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS whose core name can be
+read), ``worst``, the largest gradient difference between the step's one
+forward per prompt length and the per-shard reference, and ``scale``, the
+largest reference gradient entry. OpenBLAS reads ``OPENBLAS_CORETYPE`` when
+it loads, so each kernel needs a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import json
+import os
+import sys
+
+import numpy as np
+
+
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled DYNAMIC_ARCH OpenBLAS picked, read with
+    ctypes, or None."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return None
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def main() -> None:
+    core = openblas_core()
+    worst = scale = None
+    if core is not None:
+        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+        from test_trainer import (
+            MIXED_ENC,
+            config,
+            embed_per_part,
+            mixed_corpus_by_task,
+            round_robin_batch,
+        )
+
+        from umrlab import tensor as T
+        from umrlab import trainer
+        from umrlab.encoder import Encoder, prune
+
+        enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
+        cfg = config(2, encoder=MIXED_ENC, shards=8, per_shard_batch=1)
+        args = (enc, None, round_robin_batch(*mixed_corpus_by_task()), cfg, 0.5)
+        grads, _ = trainer.compute_global_grads(*args)
+        trainer.embed_parts = embed_per_part
+        want, _ = trainer.compute_global_grads(*args)
+        grads, want = ({n: T.dense_grad(g) for n, g in gs.items()} for gs in (grads, want))
+        worst = max(float(np.abs(grads[n] - want[n]).max()) for n in want)
+        scale = max(float(np.abs(g).max()) for g in want.values())
+    print(json.dumps({"core": core, "worst": worst, "scale": scale}))
+
+
+if __name__ == "__main__":
+    main()

@@ -30,7 +30,7 @@ from umrlab.encoder import (
     prune,
 )
 from umrlab.errors import ContractError, LengthError, NumericDomainError
-from umrlab.gradcheck import check_gradients
+from umrlab.gradcheck import check_gradients, gradient_suite
 from umrlab.losses import TemperatureSchedule
 from umrlab.prompts import (
     CANDIDATE_INSTR_ID,
@@ -620,17 +620,10 @@ class TestFlops:
 
 
 def test_encoder_gradients_match_finite_differences():
-    enc = Encoder.init(SMALL, seed=11)
-    seq = small_tokens()
-    names = parameter_names(SMALL)
-
-    def loss_fn(*tensors):
-        model = Encoder(SMALL, dict(zip(names, tensors)))
-        emb = embed(model, seq, 2)
-        return T.mean(T.mul(emb, emb))
-
-    xs = [enc.params[n] for n in names]
-    assert check_gradients(loss_fn, xs) < 1e-4
+    # the [RET] row of one sequence as a function of every weight of a
+    # 2-layer encoder: the suite's check, which grad-check runs too
+    (f, xs), = [(f, xs) for name, f, xs in gradient_suite(0) if name == "encoder[0]"]
+    assert check_gradients(f, xs) < 1e-4
 
 
 TOY_SPEC = CorpusSpec(
@@ -710,7 +703,7 @@ class TestBlockStackNode:
             stacks = (embed_batch, per_op.embed_batch)
         else:
             seqs = groups[0]
-            stacks = (lambda *args: _blocks(*args, True), per_op.blocks)
+            stacks = (lambda enc, seqs, depth: _blocks(enc, seqs, depth, True)(0, len(seqs)), per_op.blocks)
         outs = [stack(enc, seqs, depth) for stack in stacks]
         # the loss reads rows twice: a gather with repeats, then every row
         ids = [i % outs[0].shape[0] for i in reads]
@@ -730,8 +723,9 @@ class TestBlockStackNode:
 
     def test_output_holds_the_last_residual_sum_uncopied(self, monkeypatch):
         # the stack's last residual sum is written into the last affine's
-        # output, a fresh array that owns its data, and the node holds that
-        # array as it is (Tensor._wrap copies no float64 array)
+        # output, a fresh array that owns its data, and a node holds its
+        # sequences' rows of that array as a view (Tensor._wrap copies no
+        # float64 array)
         made = []
         kernel = T._affine
 
@@ -742,9 +736,14 @@ class TestBlockStackNode:
         monkeypatch.setattr(T, "_affine", recording)
         enc = Encoder.init(SMALL, seed=3)
         for ret_tail in (False, True):
-            out = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, True, ret_tail)
-            assert out._node is not None and made[-1].base is None
-            assert out.data is made[-1]
+            node = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, True, ret_tail)
+            assert made[-1].base is None
+            per_seq = len(made[-1]) // 2
+            for b0, b1 in ((0, 2), (0, 1), (1, 2)):
+                out = node(b0, b1)
+                assert out._node is not None and out.data.base is made[-1]
+                assert np.shares_memory(out.data, made[-1][b0 * per_seq : b1 * per_seq])
+                assert out.shape == (len(out.data), SMALL.d_model) == ((b1 - b0) * per_seq, SMALL.d_model)
 
     def test_backward_returns_only_the_leaves_it_reached(self):
         # a depth-1 stack of a 2-layer encoder reads the tables and layer 0;
@@ -753,7 +752,7 @@ class TestBlockStackNode:
         enc = Encoder.init(cfg, seed=5)
         seq = TokenSequence((*range(2, 14), RET_TOKEN_ID))
         assert len(seq) == 13
-        h = _blocks(enc, [seq], 1, True)
+        h = _blocks(enc, [seq], 1, True)(0, 1)
         grads = T.backward(T.mean(T.mul(h, h)))
         read = [n for n in enc.params if not n.startswith("layers.1.")]
         assert len(read) == 18

@@ -379,8 +379,8 @@ SUITE = {name: (f, xs) for seed in range(5) for name, f, xs in gradient_suite(se
 class TestLossGradients:
     """Reverse-mode vs central finite differences, w.r.t. raw embeddings: the
     loss cases of ``gradient_suite``, which ``grad-check`` runs too. Its
-    encoder cases run in the ``grad-check`` CLI test, and ``test_encoder``
-    checks the encoder's gradients itself."""
+    encoder cases run in the ``grad-check`` CLI test, and its ``encoder[0]``
+    case in ``test_encoder``."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_infonce(self, seed):

@@ -670,7 +670,7 @@ def block_stack(depth, *, tail, batch, layer, checked):
         if tail:
             outs = [embed_batch(enc, seqs, depth)]
         else:
-            outs = [_blocks(enc, rows, depth, True) for rows in (seqs[::2], seqs[1:2])]
+            outs = [_blocks(enc, rows, depth, True)(0, len(rows)) for rows in (seqs[::2], seqs[1:2])]
         return T.mean(T.concat_rows([T.mul(h, h) for h in outs]))
 
     return f, [fixed[n].shape for n in names]

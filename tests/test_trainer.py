@@ -1,9 +1,14 @@
 import dataclasses
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,15 @@ from umrlab import tensor as T
 from umrlab import trainer
 from umrlab.checkpoint import load_checkpoint, save_checkpoint
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
-from umrlab.encoder import Encoder, EncoderConfig, forward, forward_raw, parameter_names, prune
+from umrlab.encoder import (
+    Encoder,
+    EncoderConfig,
+    embed_batch,
+    forward,
+    forward_raw,
+    parameter_names,
+    prune,
+)
 from umrlab.errors import (
     AggregationError,
     ConfigurationError,
@@ -55,6 +68,8 @@ SPEC = CorpusSpec(
 ENC = EncoderConfig(
     vocab_size=vocab_size_for(SPEC), d_model=8, n_heads=2, n_layers=4, max_seq=24, k=2
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # magic, version byte, six u32 config fields
 CKPT_HEADER_BYTES = 8 + 1 + 6 * 4
@@ -737,33 +752,76 @@ MIXED_ENC = EncoderConfig(
 )
 
 
-@pytest.fixture(scope="module")
-def mixed_batch():
+def mixed_corpus_by_task():
+    """The mixed corpus and its training samples by task."""
     corpus = generate_corpus(MIXED_SPEC, seed=4)
     by_task: dict[str, list] = {}
     for sample in corpus.train:
         by_task.setdefault(sample.task, []).append(sample)
-    # round-robin over the tasks, so neighbours differ in prompt length
+    return corpus, by_task
+
+
+@pytest.fixture(scope="module")
+def mixed_tasks():
+    return mixed_corpus_by_task()
+
+
+def round_robin_batch(corpus, by_task):
+    """8 pairs round-robin over the mixed tasks, so neighbours differ in
+    prompt length."""
     samples = [s for four in zip(*(by_task[t] for t in MIXED_SPEC.tasks)) for s in four]
-    batch = batch_from(corpus, samples[:8])
+    return batch_from(corpus, samples[:8])
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(mixed_tasks):
+    batch = round_robin_batch(*mixed_tasks)
     for side, items in (("query", batch.samples), ("candidate", batch.positives)):
         assert {len(assemble_prompt(item, side)) for item in items} == {13, 21, 29}
     return batch
 
 
-def per_prompt_block(encoder, samples, positives, cache=None):
-    """Reference for trainer._embed_block: one taped forward per prompt."""
-    assert cache is None
-    upto = encoder.config.n_layers
+def length_orders(batch, shards):
+    """Each shard's prompt lengths in the order it first meets them, its
+    queries before its positives."""
+    n = len(batch) // shards
+    orders = []
+    for i in range(shards):
+        prompts = [assemble_prompt(s, "query") for s in batch.samples[i * n : (i + 1) * n]]
+        prompts += [assemble_prompt(c, "candidate") for c in batch.positives[i * n : (i + 1) * n]]
+        orders.append(tuple(dict.fromkeys(len(p) for p in prompts)))
+    return orders
 
-    def side_rows(items, side):
-        rows = []
-        for item in items:
-            seq = assemble_prompt(item, side, encoder.config.max_seq)
-            rows.append(T.take_rows(forward(encoder, seq, upto), [len(seq) - 1]))
-        return T.concat_rows(rows)
 
-    return side_rows(samples, "query"), side_rows(positives, "candidate")
+@pytest.fixture(scope="module")
+def mixed_batches(mixed_tasks):
+    """Two batches of 8 distinct pairs, each a task order and its reverse,
+    so that at 2, 4 and 8 shards the shards meet their prompt lengths in
+    different orders."""
+    corpus, by_task = mixed_tasks
+    batches = []
+    for b, order in enumerate((("t2t", "i2i", "t2it", "it2t"), ("i2i", "it2t", "t2t", "t2it"))):
+        tasks = [*order, *reversed(order)]
+        samples = [by_task[t][2 * b + tasks[:i].count(t)] for i, t in enumerate(tasks)]
+        batches.append(batch_from(corpus, samples))
+    for batch in batches:
+        for shards in (2, 4, 8):
+            assert len(set(length_orders(batch, shards))) > 1
+    return batches
+
+
+def embed_per_part(encoder, parts, upto):
+    """Reference for encoder.embed_parts: an embed_batch of each part alone,
+    one forward per part and prompt length."""
+    return [embed_batch(encoder, part, upto) for part in parts]
+
+
+def per_prompt_parts(encoder, parts, upto):
+    """Reference for encoder.embed_parts: one taped forward per prompt."""
+    return [
+        T.concat_rows([T.take_rows(forward(encoder, seq, upto), [len(seq) - 1]) for seq in part])
+        for part in parts
+    ]
 
 
 class LookupCounter(dict):
@@ -782,7 +840,7 @@ class TestBatchedEmbedding:
         enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
         cfg = config(2, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards)
         grads, losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
-        monkeypatch.setattr(trainer, "_embed_block", per_prompt_block)
+        monkeypatch.setattr(trainer, "embed_parts", per_prompt_parts)
         ref_grads, ref_losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
         assert losses == ref_losses
         grads, ref_grads = ({n: T.dense_grad(g) for n, g in gs.items()} for gs in (grads, ref_grads))
@@ -793,18 +851,55 @@ class TestBatchedEmbedding:
             assert np.abs(grads[name] - g).max() <= bound, name
 
     def test_one_forward_per_prompt_length_across_both_sides(self, mixed_batch, monkeypatch):
-        lengths = []
+        # across both sides and every shard: one block stack per distinct
+        # prompt length in the step, over all of that length's prompts
+        stacks = []
         blocks = encoder_module._blocks
 
         def counting(enc, batch, upto, *args, **kwargs):
-            lengths.append(len(batch[0]))
+            stacks.append((len(batch[0]), len(batch)))
             return blocks(enc, batch, upto, *args, **kwargs)
 
         monkeypatch.setattr(encoder_module, "_blocks", counting)
         enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
-        cfg = config(2, encoder=MIXED_ENC, shards=1, per_shard_batch=8)
-        compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
-        assert sorted(lengths) == [13, 21, 29]
+        prompts = [assemble_prompt(s, "query") for s in mixed_batch.samples]
+        prompts += [assemble_prompt(c, "candidate") for c in mixed_batch.positives]
+        per_length = sorted(Counter(len(p) for p in prompts).items())
+        assert [n for n, _ in per_length] == [13, 21, 29]
+        for shards in (1, 2, 4, 8):
+            stacks.clear()
+            cfg = config(2, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards)
+            compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
+            assert sorted(stacks) == per_length, shards
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_steps_bitwise_equal_an_embed_per_shard(self, mixed_batches, stage, monkeypatch):
+        # one row across two compositions: one forward per prompt length for
+        # every shard, against an embed_batch of each shard alone, over two
+        # steps, so the second starts from non-zero moments; shards that
+        # meet their lengths in different orders catch a tape node order
+        # other than the per-shard one
+        full = Encoder.init(MIXED_ENC, seed=3)
+        enc = full if stage == 0 else prune(full, 2)
+        teacher = full if stage == 1 else None
+
+        def two_steps(cfg):
+            model, opt = enc, OptimizerState.init(enc.params, cfg.lr)
+            for batch in mixed_batches:
+                model, opt, _ = train_step(model, teacher, batch, cfg, opt, 0.5)
+            return model.param_bytes(), [(opt.m[n].tobytes(), opt.v[n].tobytes()) for n in opt.m]
+
+        for shards in (1, 2, 4, 8):
+            cfg = config(
+                stage, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards,
+                alpha_mode="dynamic",
+            )
+            got = two_steps(cfg)
+            with monkeypatch.context() as patched:
+                patched.setattr(trainer, "embed_parts", embed_per_part)
+                want = two_steps(cfg)
+            assert got[0] != enc.param_bytes()
+            assert got == want, shards
 
     def test_teacher_cache_one_lookup_per_item_and_rows_match_embed(self, mixed_batch):
         teacher = Encoder.init(MIXED_ENC, seed=5)
@@ -826,6 +921,23 @@ class TestBatchedEmbedding:
         assert all(
             T.dense_grad(first[n]).tobytes() == T.dense_grad(second[n]).tobytes() for n in first
         )
+
+
+def test_haswell_kernel_probe_step_gradients_match_an_embed_per_shard():
+    # under Haswell a GEMM row depends on how many rows share the call, so
+    # the one forward per prompt length and the per-shard reference differ
+    # in the last bits: they must stay within roundoff of each other
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "kernel_probe.py")],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["core"] != "Haswell":
+        pytest.skip(f"numpy's BLAS runs no Haswell OpenBLAS kernel here (core {result['core']})")
+    assert result["worst"] <= 1e-12 * result["scale"]
 
 
 def plant_nan(encoder, name="layers.0.ffn.w1"):
