@@ -51,12 +51,13 @@ FULL_PIPELINE_REFERENCE_RATIO = 0.473
 
 def read_config(path: str, settings: dict[str, argparse.Action]) -> dict[str, object]:
     """The ``key = value`` lines of ``path``, each cast by the type of the
-    setting flag whose dest is ``key``."""
+    setting flag whose dest is ``key``; a key may appear on one line only."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"{path}: not UTF-8 text (byte {err.start})") from None
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -66,6 +67,9 @@ def read_config(path: str, settings: dict[str, argparse.Action]) -> dict[str, ob
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in settings:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigurationError(f"{path}:{lineno}: {key} repeats line {lines[key]}")
+        lines[key] = lineno
         flag = settings[key]
         try:
             value = (flag.type or str)(raw)

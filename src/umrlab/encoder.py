@@ -9,29 +9,31 @@ Every forward runs one block stack, :func:`_blocks`, over a batch of
 equal-length sequences stacked as rows, which shares each op's call cost
 across the batch. It runs the array kernels of :mod:`~umrlab.tensor` on the
 parameters' arrays in both modes, one loop body for both; the entry point
-that calls it picks the mode. Tape-free, it writes each temporary in place
-and returns an array. Taped, it keeps the activations the backward reads,
-writes over none of them, and records one tape node for each run of
-consecutive sequences its caller asks for: the node's inputs are the
-parameter tensors the stack read, its output is those sequences' rows, and
-its vjp, :func:`_blocks_vjp`, is a hand-written backward through the blocks
-over those rows alone that replays the per-op vjps in reverse op order, so
-its gradients have the bytes of a tape of one node per op. Like any op, it
-records a node only when a parameter is grad-tracked. Both modes run the
-same arithmetic, so their hidden states are equal bit for bit.
+that calls it picks the mode. Tape-free, it writes each temporary in place.
+Taped, it keeps the activations the backward reads, writes over none of
+them, and returns with the hidden states a pullback: for a run of
+consecutive sequences and the gradient of their rows, the gradient of
+every parameter the stack read, from :func:`_blocks_vjp`, a hand-written
+backward through the blocks over those rows alone that replays the per-op
+vjps in reverse op order, so its gradients have the bytes of a tape of one
+node per op. The stack records no tape node. Both modes run the same
+arithmetic, so their hidden states are equal bit for bit.
 
 One private body, :func:`_embed`, is the one place that reads [RET] rows.
 It takes the sequences as parts, each a list of any lengths, and runs one
 :func:`_blocks` forward per prompt length over every part's sequences of
-that length, part by part. Taped, it then records for each part its own
-node per length group. So each part's gradients have the bytes of a
-forward of that part alone wherever a GEMM row does not depend on the rows
-beside it, as under OpenBLAS's SkylakeX kernel, and agree to roundoff
-elsewhere. :func:`embed_parts` calls it taped, as the trainer does with
-one part per shard; :func:`embed_batch` and :func:`embed` (one sequence)
-are its one-part case taped, and :func:`embed_raw` tape-free, as a
-read-only array. :func:`forward` and :func:`forward_raw` return every
-hidden state of one sequence, taped and tape-free.
+that length, part by part. Each part reads its [RET] rows out of its rows
+of those stacks by one concatenation and one index, in both modes; taped,
+it also gets a pullback of its own, which runs its length groups'
+pullbacks over its rows alone. So each part's gradients have the bytes of
+a forward of that part alone wherever a GEMM row does not depend on the
+rows beside it, as under OpenBLAS's SkylakeX kernel, and agree to roundoff
+elsewhere. :func:`embed_parts` returns the rows and pullbacks, and the
+trainer calls each shard's pullback itself; :func:`embed_batch` and
+:func:`embed` (one sequence) wrap the one-part case in one ``blocks`` tape
+node whose vjp is the pullback, and :func:`embed_raw` returns its rows
+tape-free. :func:`forward` and :func:`forward_raw` return every hidden
+state of one sequence, taped and tape-free.
 
 A forward runs every block on every row. An embed reads only [RET], the
 last row of each sequence, so in its last block only the first layer norm
@@ -167,20 +169,20 @@ class Encoder:
 RET_TAIL_ROWS = 2
 
 
-# forward_raw and _embed call this, not forward, so profilers that
-# wrap forward see single-sequence calls of forward only.
+# Profilers wrap forward and forward_raw, so nothing in this module calls
+# them: every other entry point calls this.
 def _blocks(
     encoder: Encoder, batch: Sequence[TokenSequence], upto: int, taped: bool, ret_tail: bool = False
-) -> Callable[[int, int], Tensor] | np.ndarray:
-    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model):
-    tape-free, a read-only array; ``taped``, a function ``node(b0, b1)``
-    that records one tape node (none when no parameter is grad-tracked) for
-    sequences b0..b1-1 and returns its Tensor, their rows of the hidden
-    states as a view.
+) -> tuple[np.ndarray, Callable] | np.ndarray:
+    """Hidden states of B equal-length sequences stacked in order, (B*len, d_model),
+    as a read-only array; ``taped``, with ``pullback(b0, b1, dh)``, the
+    gradients of the stack's inputs (the first entries of the encoder's
+    params, in order) for the gradient dh of sequences b0..b1-1's rows.
+    Nothing is recorded on the tape.
 
     The sequences share every op as rows of one 2-D array; only attention
     needs the sequence length, to keep each sequence to its own rows. No op
-    mixes rows of two sequences, so a node's vjp runs :func:`_blocks_vjp`
+    mixes rows of two sequences, so the pullback runs :func:`_blocks_vjp`
     on its sequences' rows of the saved activations, read as views, as a
     forward of those sequences alone would save them wherever a GEMM row
     does not depend on the rows beside it.
@@ -257,25 +259,19 @@ def _blocks(
                 del f, ln2, u, g
     except FloatingPointError as err:
         raise NumericDomainError(f"encoder forward left the finite range ({err})") from None
+    h.flags.writeable = False
     if not taped:
-        h.flags.writeable = False
         return h
-    params = list(encoder.params.values())[:n_inputs]
     m = min(RET_TAIL_ROWS, s)
-    out_rows = m if ret_tail else s
 
-    def node(b0: int, b1: int) -> Tensor:
+    def pullback(b0: int, b1: int, dh: np.ndarray) -> list:
         full = slice(b0 * s, b1 * s)
+        rows = _saved_rows(saved, tail_from, full, slice(b0 * m, b1 * m), slice(b0, b1))
+        return _blocks_vjp(
+            dh, weights, rows, ids[full], positions[full], tail_from, tail[: (b1 - b0) * m]
+        )
 
-        def vjp(dh):
-            rows = _saved_rows(saved, tail_from, full, slice(b0 * m, b1 * m), slice(b0, b1))
-            return _blocks_vjp(
-                dh, weights, rows, ids[full], positions[full], tail_from, tail[: (b1 - b0) * m]
-            )
-
-        return T._result("blocks", h[b0 * out_rows : b1 * out_rows], params, vjp)
-
-    return node
+    return h, pullback
 
 
 def _saved_rows(saved, tail_from, full, narrow, seqs) -> list:
@@ -342,13 +338,21 @@ def _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail) -> list:
     return grads
 
 
+def _node(encoder: Encoder, upto: int, rows: np.ndarray, pullback: Callable) -> Tensor:
+    """``rows`` as the output of one ``blocks`` tape node over the inputs of
+    an ``upto``-block stack, whose vjp is ``pullback(dy)``; no node when no
+    parameter is grad-tracked."""
+    return T._result("blocks", rows, list(encoder.params.values())[: _layer(upto - 1).stop], pullback)
+
+
 def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     """Hidden states after ``upto`` pre-norm blocks, shape (len, d_model).
 
     No final layer norm is applied: intermediate-depth extraction reads the
     residual stream directly.
     """
-    return _blocks(encoder, [tokens], upto, True)(0, 1)
+    h, pullback = _blocks(encoder, [tokens], upto, True)
+    return _node(encoder, upto, h, lambda dh: pullback(0, 1, dh))
 
 
 def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
@@ -368,19 +372,19 @@ def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
 
 def _embed(
     encoder: Encoder, parts: Sequence[Sequence[TokenSequence]], upto: int, taped: bool
-) -> list[Tensor] | list[np.ndarray]:
+) -> list[tuple[np.ndarray, Callable]] | list[np.ndarray]:
     """[RET] rows after ``upto`` blocks of each part of ``parts``, lists of
-    sequences of any lengths: per part, shape (len(part), d_model), row i
-    for ``part[i]``, un-normalized; ``taped``, Tensors, otherwise read-only
-    arrays.
+    sequences of any lengths: per part, a read-only array of shape
+    (len(part), d_model), row i for ``part[i]``, un-normalized; ``taped``,
+    with the part's pullback: ``pullback(dy)``, the gradients of the stack's
+    inputs for the gradient dy of those rows.
 
     One :func:`_blocks` call per prompt length over every part's sequences
     of that length, part-major, each part's in its own order. Each part
-    then reads its rows of each length group's stack, taped through a node
-    of its own and otherwise as a view, and gathers its [RET] rows back
-    into input order by one gather, ``take_rows`` when taped and a plain
-    index otherwise. Each group's last block computes only the last two
-    rows of each sequence. Row i is bitwise equal to the [RET] row of
+    then concatenates its rows of each length group's stack, in the order
+    it first meets each length, and reads its [RET] rows out by one index.
+    Each group's last block computes only the last two rows of each
+    sequence. Row i is bitwise equal to the [RET] row of
     ``forward(encoder, part[i], upto)`` wherever a GEMM row does not depend
     on the rows beside it, since a batch only adds rows to each op and two
     rows keep every GEMM a gemm; gradients agree with per-sequence ones to
@@ -402,35 +406,52 @@ def _embed(
     stacks = {s: _blocks(encoder, batch, upto, taped, ret_tail=True) for s, batch in batches.items()}
     out = []
     for part, groups in zip(parts, spans):
-        hidden, ret_row, offset = [], [0] * len(part), 0
+        # (stack pullback, b0, b1, first row, end row) per length group
+        hidden, pieces, ret_row, offset = [], [], np.empty(len(part), dtype=np.int64), 0
         for rows, b0, b1 in groups:
             s = len(part[rows[0]])
             m = min(RET_TAIL_ROWS, s)
-            # Nodes are recorded part by part, and within a part in the
-            # order it first meets each length: backward sums a weight's
-            # contributions in tape order, so this keeps the bytes of an
-            # embed of each part alone.
-            hidden.append(stacks[s](b0, b1) if taped else stacks[s][b0 * m : b1 * m])
-            for b, i in enumerate(rows):
-                ret_row[i] = offset + b * m + m - 1
-            offset += len(rows) * m
-        if taped:
-            stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
-            out.append(T.take_rows(stacked, ret_row))
-        else:
-            stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
-            ret = stacked[ret_row]
-            ret.flags.writeable = False
-            out.append(ret)
+            stack = stacks[s][0] if taped else stacks[s]
+            hidden.append(stack[b0 * m : b1 * m])
+            ret_row[rows] = offset + np.arange(len(rows)) * m + m - 1
+            end = offset + len(rows) * m
+            if taped:
+                pieces.append((stacks[s][1], b0, b1, offset, end))
+            offset = end
+        stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
+        ret = stacked[ret_row]
+        ret.flags.writeable = False
+        out.append((ret, _part_pullback(pieces, ret_row, stacked.shape)) if taped else ret)
     return out
+
+
+def _part_pullback(pieces: list, ret_row: np.ndarray, shape: tuple[int, int]) -> Callable:
+    """One part's pullback: dy scattered into its [RET] rows of its
+    concatenated tail rows ``shape``, then each length group's stack
+    pullback over its rows, last group first, each input's gradients summed
+    a pair at a time in that order. Those are the bytes, and the order of
+    sums, of a tape of one node per group behind a concatenation and a
+    dense-scatter gather of the [RET] rows."""
+
+    def pullback(dy: np.ndarray) -> list:
+        dh = T.scatter_rows(shape, ret_row, dy)
+        grads = None
+        for stack, b0, b1, first, end in reversed(pieces):
+            g = stack(b0, b1, dh[first:end])
+            grads = g if grads is None else [T.sum_grads(pair) for pair in zip(grads, g)]
+        return grads
+
+    return pullback
 
 
 def embed_parts(
     encoder: Encoder, parts: Sequence[Sequence[TokenSequence]], upto: int
-) -> list[Tensor]:
-    """Taped [RET] embeddings of each part, one (len(part), d_model) Tensor
-    per part, from one block-stack forward per prompt length for all the
-    parts. Each part's rows and gradients have the bytes of
+) -> list[tuple[np.ndarray, Callable]]:
+    """[RET] embeddings of each part with its pullback, one
+    ((len(part), d_model) read-only array, ``pullback(dy)``) pair per part,
+    from one block-stack forward per prompt length for all the parts.
+    Nothing is recorded on the tape: a caller backpropagates to the rows and
+    calls the pullback. Each part's rows and gradients have the bytes of an
     :func:`embed_batch` of that part alone wherever a GEMM row does not
     depend on the rows beside it, and agree to roundoff elsewhere. See
     :func:`_embed`."""
@@ -438,13 +459,14 @@ def embed_parts(
 
 
 def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> Tensor:
-    """Taped [RET] embeddings of ``seqs``, shape (N, d_model); see :func:`_embed`."""
-    return _embed(encoder, [seqs], upto, True)[0]
+    """Taped [RET] embeddings of ``seqs``, shape (N, d_model): one
+    ``blocks`` tape node; see :func:`_embed`."""
+    return _node(encoder, upto, *_embed(encoder, [seqs], upto, True)[0])
 
 
 def embed(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
     """Taped [RET] embedding of one sequence, shape (1, d_model)."""
-    return _embed(encoder, [[tokens]], upto, True)[0]
+    return embed_batch(encoder, [tokens], upto)
 
 
 def embed_raw(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> np.ndarray:

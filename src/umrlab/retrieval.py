@@ -269,6 +269,8 @@ def _record_dtype(dim: int) -> np.dtype:
 
 
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
+    """Write the header, then the record array straight to the open file,
+    so a save holds one copy of the records and none of the file."""
     wide = (index.ids < 0) | (index.ids > 0xFFFFFFFF)
     if wide.any():
         raise ContractError(f"candidate id {int(index.ids[wide][0])} does not fit the u32 id field")
@@ -276,8 +278,9 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
     records["id"] = index.ids
     records["task"] = index.dataset_codes
     records["vector"] = index.vectors
-    header = INDEX_MAGIC + struct.pack("<II", len(index), index.dim)
-    Path(path).write_bytes(header + records.tobytes())
+    with open(path, "wb") as f:
+        f.write(INDEX_MAGIC + struct.pack("<II", len(index), index.dim))
+        f.write(records)
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:

@@ -5,8 +5,11 @@ is grad-tracked, and its output is then tracked too; an op of untracked
 inputs records nothing. There is no mode that switches recording off: a
 tape-free caller passes untracked inputs or calls a tape-free entry point,
 as the encoder's ``forward_raw`` and ``embed_raw`` are. A node may stand
-for many array operations, as the encoder's block stack records one node
-for all of its blocks. ``backward`` replays the tape for a scalar root in
+for many array operations: the encoder's taped entry points record one
+node for a whole block stack, whose vjp is the stack's pullback. A
+training step records none for it: it backpropagates each loss to the
+gathered embeddings, two tracked leaves, and calls each shard's pullback
+itself. ``backward`` replays the tape for a scalar root in
 reverse record order, which fixes the gradient accumulation order and makes
 gradients bitwise reproducible. A tensor's data is read-only through the
 tensor. ``Tensor._wrap`` wraps a float64 array as it is, a view included, so
@@ -18,7 +21,7 @@ changes after construction.
 The arithmetic of a transformer block lives in plain array kernels, a
 forward and a vjp for each of affine, layer norm, GELU and attention
 (``_affine``/``_affine_vjp`` and so on). They take and return arrays and
-record nothing; the encoder's block stack runs them under one tape node.
+record nothing; the encoder's block stack and its pullback run them.
 Each kernel runs its elementwise steps in place, in buffers it allocated
 itself and in the operation order of the out-of-place formula it replaced
 (up to swapping the two operands of one product or sum, which IEEE
@@ -32,9 +35,9 @@ none for an intermediate. A vjp may give a leaf a :class:`RowGrad`, the
 sorted rows it touched and their summed gradients, with the bytes of the
 dense gradient through ``dense()``. The encoder's block stack does so for
 the embedding tables it gathers, so a step that reads a few hundred rows of
-a 5,400-row table never builds the dense table. ``take_rows`` scatters
-densely (:func:`scatter_rows`): its callers gather intermediates, whose
-gradient feeds a vjp at once.
+a 5,400-row table never builds the dense table. Its gathers of its own
+rows scatter densely (:func:`scatter_rows`), since their gradient feeds a
+vjp at once.
 """
 
 from __future__ import annotations
@@ -226,15 +229,13 @@ def row_union(*ids: np.ndarray) -> np.ndarray:
 
 
 def scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A zero table of ``shape`` with ``rows[j]`` added to row ``idx[j]`` in
-    gather order, the bytes of ``np.add.at`` into zeros. Distinct ids take
-    one assignment of 0.0 + rows, which turns -0.0 into 0.0 as that sum does."""
+    """A zero table of ``shape`` with ``rows[j]`` added to row ``idx[j]``,
+    for distinct ids: one assignment of 0.0 + rows, the bytes of
+    ``np.add.at`` into zeros, which also turns -0.0 into 0.0. Its callers,
+    in the block stack's backward, scatter into each sequence's tail rows
+    and [RET] row, which are distinct."""
     out = np.zeros(shape)
-    ordered = np.sort(idx)
-    if (ordered[1:] != ordered[:-1]).all():
-        out[idx] = rows + 0.0
-    else:
-        np.add.at(out, idx, rows)
+    out[idx] = rows + 0.0
     return out
 
 
@@ -447,44 +448,6 @@ def sum_rows(x: Tensor) -> Tensor:
         return (np.repeat(dy[:, None], x.shape[1], axis=1),)
 
     return _result("sum_rows", x.data.sum(axis=1), (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# structure
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_rows needs at least one part")
-    _require_2d("concat_rows", *parts)
-    width = parts[0].shape[1]
-    for p in parts:
-        if p.shape[1] != width:
-            raise DimensionError(
-                f"concat_rows widths disagree: {parts[0].shape} vs {p.shape}"
-            )
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(dy):
-        return tuple(dy[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-    return _result("concat_rows", np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
-
-
-def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows by index; a dense scatter-add on backward."""
-    _require_2d("take_rows", table)
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError(f"take_rows indices must be 1-D, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ContractError(f"take_rows index out of range for table {table.shape}")
-
-    def vjp(dy):
-        return (scatter_rows(table.shape, idx, dy),)
-
-    return _result("take_rows", table.data[idx], (table,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ shards so negatives span the global batch, and per-shard gradients are
 summed in shard-id order. A step decides its objective once: the
 temperature and alpha weights (:func:`_schedule`, which the loss curve also
 reads) and, at stage 1, the teacher rows. Each shard then evaluates that
-one loss of the gathered rows with only its own rows attached to the tape,
-so the shard-summed gradient equals the single-process gradient of the same
+one loss of the gathered rows, backpropagates it to them, and passes its
+own rows of that gradient to its own pullback through the block stack, so
+the shard-summed gradient equals the single-process gradient of the same
 global batch. The embedding tables' gradients stay rows from the backward
 through the all-reduce, which sums each row over the shards that touched
 it, in shard order, to Adam, which updates only the rows a gradient has
@@ -31,10 +32,11 @@ A step embeds the queries and positives of every shard with one taped
 block-stack forward per prompt length for the whole batch
 (:func:`~umrlab.encoder.embed_parts`, one part per shard), so its forward
 cost grows with the number of distinct prompt lengths, not the number of
-prompts, sides or shards. Each shard still gets tape nodes of its own rows
-only, and its backward runs over those rows alone, so every gradient has
-the bytes of a forward per shard wherever a GEMM row does not depend on
-the rows beside it (:func:`~umrlab.encoder.embed_parts`).
+prompts, sides or shards. Each shard's pullback runs over its own rows
+alone, so every gradient has the bytes of a forward per shard wherever a
+GEMM row does not depend on the rows beside it
+(:func:`~umrlab.encoder.embed_parts`). A shard's tape holds its loss only:
+the gathered rows are its two tracked leaves.
 Stage 1's frozen teacher embeds the batch's cache misses from both sides in
 one tape-free call (:func:`~umrlab.encoder.embed_raw`).
 """
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import ClassVar
 
 import numpy as np
@@ -168,12 +170,14 @@ def batch_from(corpus: Corpus, samples: Sequence[Sample]) -> GlobalBatch:
     )
 
 
-def gather_shards(locals_: Sequence[Tensor | None]) -> Tensor:
-    """Concatenate per-shard embedding blocks in ascending shard-id order."""
+def gather_shards(locals_: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Concatenate per-shard embedding rows in ascending shard-id order."""
+    if not locals_:
+        raise AggregationError("no shard rows to gather")
     for i, block in enumerate(locals_):
         if block is None:
             raise AggregationError(f"shard {i} missing from gather")
-    return T.concat_rows(list(locals_))
+    return np.concatenate(locals_, axis=0)
 
 
 def all_reduce_grads(
@@ -199,14 +203,13 @@ def all_reduce_grads(
     return {key: T.sum_grads([grads[key] for grads in shard_grads]) for key in keys}
 
 
-def _shard_rows(encoder: Encoder, batch: GlobalBatch, shards: int) -> list[tuple[Tensor, Tensor]]:
-    """Taped full-depth [RET] states of each shard's queries and positives,
-    one (queries, positives) pair per shard, in shard order.
+def _shard_rows(encoder: Encoder, batch: GlobalBatch, shards: int) -> list[tuple[np.ndarray, Callable]]:
+    """Full-depth [RET] states of each shard's queries, then its positives,
+    as one (rows, pullback) pair per shard, in shard order (see
+    :func:`embed_parts`).
 
-    A shard's part is its queries, then its positives, and one
-    :func:`embed_parts` call embeds every shard's part, so prompts of equal
-    length share one forward whichever shard and side they come from. Each
-    shard's rows are tensors of its own tape nodes.
+    One :func:`embed_parts` call embeds every shard's part, so prompts of
+    equal length share one forward whichever shard and side they come from.
     """
     max_seq, depth = encoder.config.max_seq, encoder.config.n_layers
     n = len(batch) // shards
@@ -215,10 +218,7 @@ def _shard_rows(encoder: Encoder, batch: GlobalBatch, shards: int) -> list[tuple
         + [assemble_prompt(c, "candidate", max_seq) for c in batch.positives[i * n : (i + 1) * n]]
         for i in range(shards)
     ]
-    return [
-        (T.take_rows(both, range(n)), T.take_rows(both, range(n, 2 * n)))
-        for both in embed_parts(encoder, parts, depth)
-    ]
+    return embed_parts(encoder, parts, depth)
 
 
 def _teacher_rows(teacher: Encoder, batch: GlobalBatch, cache: dict) -> tuple[Tensor, Tensor]:
@@ -259,23 +259,20 @@ def _schedule(config: TrainConfig, progress: float) -> tuple[float, tuple[float,
 
 
 def _shard_grads(
-    student: Encoder, loss, parts: list[tuple[Tensor, Tensor]]
+    student: Encoder, loss, q: Tensor, c: Tensor, own: slice, pullback: Callable
 ) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
-    """Gather the (query, positive) rows of every shard, evaluate ``loss`` on
-    them and backward; returns the named gradients and the loss terms.
+    """Evaluate ``loss`` on the gathered rows q and c, two tracked leaves,
+    backward to them, and pass the shard's ``own`` rows of their gradients,
+    queries then positives, to its ``pullback``; returns the named
+    gradients and the loss terms.
 
-    Only one shard's rows in ``parts`` are tracked. The loss's tape dies
-    with this call, before the next shard builds its own.
+    The loss's tape dies with this call, before the next shard builds its
+    own.
     """
-    q = gather_shards([q for q, _ in parts])
-    c = gather_shards([c for _, c in parts])
     total, terms = loss(q, c)
     grad_map = T.backward(total)
-    named = {}
-    for name, p in student.params.items():
-        g = grad_map.get(p)
-        named[name] = g if g is not None else np.zeros(p.shape)
-    return named, terms
+    dy = np.concatenate((grad_map[q][own], grad_map[c][own]), axis=0)
+    return dict(zip(student.params, pullback(dy))), terms
 
 
 def compute_global_grads(
@@ -286,9 +283,9 @@ def compute_global_grads(
     progress: float,
     teacher_cache: dict | None = None,
 ) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
-    """One forward per prompt length for every shard, then per shard a
-    cross-shard gather, the loss and a backward over that shard's rows, then
-    the all-reduce.
+    """One forward per prompt length for every shard and one cross-shard
+    gather, then per shard the loss, a backward to the gathered rows and
+    the shard's pullback, then the all-reduce.
 
     Returns the shard-summed gradient map and the loss breakdown.
     """
@@ -301,6 +298,9 @@ def compute_global_grads(
             f"batch of {len(batch)} != shards*per_shard_batch = {config.global_batch}"
         )
     locals_ = _shard_rows(student, batch, config.shards)
+    n = config.per_shard_batch
+    q = Tensor._wrap(gather_shards([rows[:n] for rows, _ in locals_]), True)
+    c = Tensor._wrap(gather_shards([rows[n:] for rows, _ in locals_]), True)
     tau_hard, alphas = _schedule(config, progress)
     tau0, tags = config.temperature.tau0, batch.tags
     if config.stage == 1:
@@ -321,10 +321,9 @@ def compute_global_grads(
             total, distill = pretraining_loss(contrastive, term, alphas), term.item()
         return total, {"contrastive": contrastive.item(), "distill": distill, "total": total.item()}
 
-    detached = [(q.detach(), c.detach()) for q, c in locals_]
     results = [
-        _shard_grads(student, loss, [own if j == s else rows for j, rows in enumerate(detached)])
-        for s, own in enumerate(locals_)
+        _shard_grads(student, loss, q, c, slice(s * n, (s + 1) * n), pullback)
+        for s, (_, pullback) in enumerate(locals_)
     ]
     reduced = all_reduce_grads([grads for grads, _ in results])
     return reduced, results[0][1]

@@ -1,13 +1,17 @@
-"""One 8-shard stage-2 step of a d=8 encoder over prompts of 13, 21 and 29
-tokens, against an ``embed_batch`` of each shard alone.
+"""Two compositions of the same rows under one BLAS kernel, on a d=8
+encoder over prompts of 13, 21 and 29 tokens: one 8-shard stage-2 step
+against an embedding of each shard alone, and an ``embed_raw`` of a
+64-prompt batch against each prompt embedded alone.
 
     OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/kernel_probe.py
 
 Prints one JSON object: ``core``, the kernel numpy's OpenBLAS runs (null
 where numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS whose core name can be
 read), ``worst``, the largest gradient difference between the step's one
-forward per prompt length and the per-shard reference, and ``scale``, the
-largest reference gradient entry. OpenBLAS reads ``OPENBLAS_CORETYPE`` when
+forward per prompt length and the per-shard reference, ``scale``, the
+largest reference gradient entry, and ``embed_worst``, the largest
+difference between a batch row and that prompt's row alone, relative to
+the largest entry of the latter. OpenBLAS reads ``OPENBLAS_CORETYPE`` when
 it loads, so each kernel needs a fresh interpreter.
 """
 
@@ -41,7 +45,7 @@ def openblas_core() -> str | None:
 
 def main() -> None:
     core = openblas_core()
-    worst = scale = None
+    worst = scale = embed_worst = None
     if core is not None:
         sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
         from test_trainer import (
@@ -54,18 +58,29 @@ def main() -> None:
 
         from umrlab import tensor as T
         from umrlab import trainer
-        from umrlab.encoder import Encoder, prune
+        from umrlab.encoder import Encoder, embed_raw, prune
+        from umrlab.prompts import assemble_prompt
 
         enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
         cfg = config(2, encoder=MIXED_ENC, shards=8, per_shard_batch=1)
-        args = (enc, None, round_robin_batch(*mixed_corpus_by_task()), cfg, 0.5)
+        corpus, by_task = mixed_corpus_by_task()
+        args = (enc, None, round_robin_batch(corpus, by_task), cfg, 0.5)
         grads, _ = trainer.compute_global_grads(*args)
         trainer.embed_parts = embed_per_part
         want, _ = trainer.compute_global_grads(*args)
         grads, want = ({n: T.dense_grad(g) for n, g in gs.items()} for gs in (grads, want))
         worst = max(float(np.abs(grads[n] - want[n]).max()) for n in want)
         scale = max(float(np.abs(g).max()) for g in want.values())
-    print(json.dumps({"core": core, "worst": worst, "scale": scale}))
+
+        # the corpus's 64 prompts, queries then candidates, in runs of each length
+        prompts = [assemble_prompt(s, "query") for s in corpus.train + corpus.test]
+        prompts += [assemble_prompt(c, "candidate") for c in corpus.all_candidates()]
+        batch = embed_raw(enc, prompts, 2)
+        embed_worst = max(
+            float(np.abs(row - alone).max() / np.abs(alone).max())
+            for row, alone in zip(batch, (embed_raw(enc, [p], 2)[0] for p in prompts))
+        )
+    print(json.dumps({"core": core, "worst": worst, "scale": scale, "embed_worst": embed_worst}))
 
 
 if __name__ == "__main__":

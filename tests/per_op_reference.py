@@ -4,11 +4,11 @@ The encoder records one node for a whole block stack and backpropagates
 through it by hand. This module keeps the op-by-op form it replaced: a taped
 affine, layer norm, GELU and attention, each with its own vjp, built on the
 same array kernels and without operand checks, and the block stack and
-``embed_batch`` written with them. Every gather here returns a
-:class:`~umrlab.tensor.RowGrad`, as the block stack's table gathers do,
-where ``tensor.take_rows`` scatters densely; the tests of ``backward``'s
-row-gradient sums gather with it. The bitwise tests require the block-stack
-node to give this tape's bytes.
+``embed_batch`` written with them, with a taped gather and concatenation of
+rows of their own. Every gather here returns a
+:class:`~umrlab.tensor.RowGrad`, as the block stack's table gathers do; the
+tests of ``backward``'s row-gradient sums gather with it. The bitwise tests
+require the block stack's pullback to give this tape's bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from umrlab import tensor as T
-from umrlab.encoder import RET_TAIL_ROWS, length_groups
+from umrlab.encoder import RET_TAIL_ROWS, _blocks, _node, length_groups
 
 
 def affine(x, w, b):
@@ -91,6 +91,30 @@ def take_rows(table, ids):
     return T._result("take_rows", table.data[idx], (table,), vjp)
 
 
+def seeded(out, dy):
+    """A scalar tape node over ``out`` whose vjp hands ``out`` the gradient
+    dy: ``backward`` of it is a backward seeded with dy."""
+    return T._result("seed", np.zeros(()), (out,), lambda _: (dy,))
+
+
+def concat_rows(parts):
+    """The rows of ``parts`` stacked in order; each part's gradient is its
+    slice of the output gradient."""
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def vjp(dy):
+        return tuple(dy[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+
+    return T._result("concat_rows", np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
+
+
+def stack_node(encoder, batch, upto, ret_tail=False):
+    """The encoder's own block stack over ``batch``, as the one tape node a
+    taped entry point records: the form :func:`blocks` is compared with."""
+    h, pullback = _blocks(encoder, batch, upto, True, ret_tail)
+    return _node(encoder, upto, h, lambda dh: pullback(0, len(batch), dh))
+
+
 def blocks(encoder, batch, upto, ret_tail=False):
     """The taped block stack, one node per op."""
     p, s = encoder.params, len(batch[0])
@@ -129,5 +153,5 @@ def embed_batch(encoder, seqs, upto):
         for b, i in enumerate(rows):
             ret_row[i] = offset + b * m + m - 1
         offset += len(rows) * m
-    stacked = hidden[0] if len(hidden) == 1 else T.concat_rows(hidden)
+    stacked = hidden[0] if len(hidden) == 1 else concat_rows(hidden)
     return take_rows(stacked, ret_row)

@@ -914,6 +914,15 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path, capsys):
+        # the last value used to win silently: 20 concepts, exit 0
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text("concepts = 12\n# more\nseed = 3\nconcepts = 20\n")
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: concepts repeats line 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["stage", "scope", "k_eval"])
     def test_keys_no_command_reads_are_rejected(self, workdir, tmp_path, capsys, key):
         root, corpus, _, _ = workdir

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from umrlab.encoder import (
     embed,
     embed_batch,
     embed_flops,
+    embed_parts,
     embed_raw,
     estimate_flops,
     forward,
@@ -232,21 +232,20 @@ class TestRawForward:
         assert built == []
         forward(enc, small_tokens(), 2)
         assert built == ["blocks"]
-        # one node per length group, then the groups' concat and the [RET] gather
+        # one node for three length groups, their concatenation and the
+        # [RET] gather
         built.clear()
         seqs = [small_tokens((40,)), small_tokens((40, 41)), small_tokens((41,)), small_tokens(())]
         embed_batch(enc, seqs, 2)
-        assert built == ["blocks"] * 3 + ["concat_rows", "take_rows"]
+        assert built == ["blocks"]
         # a stage-2 step of 8 shards of 2 pairs over prompts of 8 and 11
-        # tokens: 4 shards hold one length and 4 both. Each shard records a
-        # node per length group, a concat of two groups, the [RET] gather
-        # and its query/positive split, and each shard's loss 2 gathers of
-        # the shards' rows and 6 nodes of similarity and MAC loss. A node per
-        # op recorded 440.
+        # tokens records only each shard's 6 nodes of similarity and MAC
+        # loss. A node per op recorded 440, and a node per shard and length
+        # group, with its gathers and concatenations, 104.
         built.clear()
         compute_global_grads(*toy_stage2_step())
-        assert Counter(built)["blocks"] == 4 * 1 + 4 * 2
-        assert len(built) == 12 + 4 + 8 * 3 + 8 * (2 + 6) == 104
+        assert "blocks" not in built
+        assert len(built) == 8 * 6
 
     def test_embed_raw_matches_embed(self):
         from umrlab.encoder import embed_raw
@@ -285,8 +284,8 @@ class TestRawForward:
 
 
 # the node maker, which the block stack's node and every taped op call, and
-# the taped ops a forward could reach for its sums, gathers and concats
-TAPED_OPS = ("_result", "add", "take_rows", "concat_rows")
+# the taped op a forward could reach for its sums
+TAPED_OPS = ("_result", "add")
 
 
 @pytest.fixture
@@ -675,8 +674,9 @@ def same_grads(got, want, params):
 
 
 class TestBlockStackNode:
-    """A taped block stack is one tape node whose hand-written backward
-    gives the bytes of a tape of one node per op (``per_op_reference``)."""
+    """A taped block stack's hand-written pullback, alone or as the one tape
+    node a taped entry point wraps it in, gives the bytes of a tape of one
+    node per op (``per_op_reference``)."""
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(
@@ -703,15 +703,15 @@ class TestBlockStackNode:
             stacks = (embed_batch, per_op.embed_batch)
         else:
             seqs = groups[0]
-            stacks = (lambda enc, seqs, depth: _blocks(enc, seqs, depth, True)(0, len(seqs)), per_op.blocks)
+            stacks = (per_op.stack_node, per_op.blocks)
         outs = [stack(enc, seqs, depth) for stack in stacks]
         # the loss reads rows twice: a gather with repeats, then every row
         ids = [i % outs[0].shape[0] for i in reads]
         w1 = T.Tensor(rng.normal(size=(len(ids), 8)) * 10.0 ** rng.integers(-4, 5, (len(ids), 1)))
         w2 = T.Tensor(rng.normal(size=outs[0].shape))
         results = []
-        for out, take in zip(outs, (T.take_rows, per_op.take_rows)):
-            loss = T.add(T.mean(T.mul(take(out, ids), w1)), T.mean(T.mul(out, w2)))
+        for out in outs:
+            loss = T.add(T.mean(T.mul(per_op.take_rows(out, ids), w1)), T.mean(T.mul(out, w2)))
             results.append((out, T.backward(loss), T.backward(loss)))
         (out, grads, again), (ref_out, ref_grads, _) = results
         assert out.data.tobytes() == ref_out.data.tobytes()
@@ -721,11 +721,32 @@ class TestBlockStackNode:
         assert isinstance(grads[params["tok_emb"]], T.RowGrad)
         assert isinstance(grads[params["pos_emb"]], T.RowGrad)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_part_pullback_bytes_equal_the_per_op_tape(self, depth):
+        # a part of three prompt lengths, met out of order, so its pullback
+        # scatters into interleaved [RET] rows of three length groups
+        rng = np.random.default_rng(depth)
+        shapes = {n: t.shape for n, t in Encoder.init(ORACLE, seed=0).params.items()}
+        params = {n: T.Tensor(rng.normal(0.0, 0.3, s), grad_tracked=True) for n, s in shapes.items()}
+        enc = Encoder(ORACLE, params)
+        seqs = [
+            TokenSequence((*rng.integers(2, 48, n - 1).tolist(), RET_TOKEN_ID))
+            for n in (2, 5, 1, 5, 2, 2, 1)
+        ]
+        (rows, pullback), = embed_parts(enc, [seqs], depth)
+        ref = per_op.embed_batch(enc, seqs, depth)
+        assert rows.tobytes() == ref.data.tobytes()
+        dy = rng.normal(size=rows.shape) * 10.0 ** rng.integers(-4, 5, rows.shape)
+        dy[rng.random(rows.shape) < 0.2] = -0.0
+        got = dict(zip(params.values(), pullback(dy)))
+        assert len(got) == 2 + 16 * depth
+        assert same_grads(got, T.backward(per_op.seeded(ref, dy)), params.values())
+
     def test_output_holds_the_last_residual_sum_uncopied(self, monkeypatch):
         # the stack's last residual sum is written into the last affine's
-        # output, a fresh array that owns its data, and a node holds its
-        # sequences' rows of that array as a view (Tensor._wrap copies no
-        # float64 array)
+        # output, a fresh array that owns its data, which the stack returns
+        # read-only, and forward's node holds that array (Tensor._wrap
+        # copies no float64 array)
         made = []
         kernel = T._affine
 
@@ -736,14 +757,14 @@ class TestBlockStackNode:
         monkeypatch.setattr(T, "_affine", recording)
         enc = Encoder.init(SMALL, seed=3)
         for ret_tail in (False, True):
-            node = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, True, ret_tail)
-            assert made[-1].base is None
-            per_seq = len(made[-1]) // 2
-            for b0, b1 in ((0, 2), (0, 1), (1, 2)):
-                out = node(b0, b1)
-                assert out._node is not None and out.data.base is made[-1]
-                assert np.shares_memory(out.data, made[-1][b0 * per_seq : b1 * per_seq])
-                assert out.shape == (len(out.data), SMALL.d_model) == ((b1 - b0) * per_seq, SMALL.d_model)
+            for taped in (False, True):
+                out = _blocks(enc, [small_tokens(), small_tokens((41, 40))], 2, taped, ret_tail)
+                h = out[0] if taped else out
+                assert h is made[-1] and h.base is None and not h.flags.writeable
+                rows = 2 * (RET_TAIL_ROWS if ret_tail else len(small_tokens()))
+                assert h.shape == (rows, SMALL.d_model)
+        out = forward(enc, small_tokens(), 2)
+        assert out._node is not None and out.data is made[-1]
 
     def test_backward_returns_only_the_leaves_it_reached(self):
         # a depth-1 stack of a 2-layer encoder reads the tables and layer 0;
@@ -752,7 +773,7 @@ class TestBlockStackNode:
         enc = Encoder.init(cfg, seed=5)
         seq = TokenSequence((*range(2, 14), RET_TOKEN_ID))
         assert len(seq) == 13
-        h = _blocks(enc, [seq], 1, True)(0, 1)
+        h = forward(enc, seq, 1)
         grads = T.backward(T.mean(T.mul(h, h)))
         read = [n for n in enc.params if not n.startswith("layers.1.")]
         assert len(read) == 18

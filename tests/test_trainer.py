@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import per_op_reference as per_op
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
 from umrlab.encoder import (
     Encoder,
     EncoderConfig,
-    embed_batch,
+    embed_parts,
     forward,
     forward_raw,
     parameter_names,
@@ -92,18 +93,20 @@ def config(stage, **kw):
 
 class TestGather:
     def test_single_shard_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(gather_shards([x]).data, x.data)
+        x = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(gather_shards([x]), x)
 
     def test_shard_order(self):
-        a = Tensor([[0.0, 1.0]])
-        b = Tensor([[2.0, 3.0]])
-        out = gather_shards([a, b]).data
+        out = gather_shards([np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]])])
         assert np.array_equal(out, [[0.0, 1.0], [2.0, 3.0]])
 
     def test_missing_shard_named(self):
         with pytest.raises(AggregationError, match="shard 1"):
-            gather_shards([Tensor([[1.0]]), None])
+            gather_shards([np.array([[1.0]]), None])
+
+    def test_no_shards_refused(self):
+        with pytest.raises(AggregationError, match="no shard"):
+            gather_shards([])
 
 
 class TestAllReduce:
@@ -811,17 +814,36 @@ def mixed_batches(mixed_tasks):
 
 
 def embed_per_part(encoder, parts, upto):
-    """Reference for encoder.embed_parts: an embed_batch of each part alone,
+    """Reference for encoder.embed_parts: embed_parts of each part alone,
     one forward per part and prompt length."""
-    return [embed_batch(encoder, part, upto) for part in parts]
+    return [embed_parts(encoder, [part], upto)[0] for part in parts]
 
 
 def per_prompt_parts(encoder, parts, upto):
-    """Reference for encoder.embed_parts: one taped forward per prompt."""
-    return [
-        T.concat_rows([T.take_rows(forward(encoder, seq, upto), [len(seq) - 1]) for seq in part])
-        for part in parts
-    ]
+    """Reference for encoder.embed_parts: one taped forward per prompt, whose
+    last rows the per-op reference gathers and concatenates, and a pullback
+    that is a backward of that tape seeded with dy."""
+    params = list(encoder.params.values())
+
+    def part_rows(part):
+        rows = per_op.concat_rows(
+            [per_op.take_rows(forward(encoder, seq, upto), [len(seq) - 1]) for seq in part]
+        )
+
+        def pullback(dy):
+            grads = T.backward(per_op.seeded(rows, dy))
+            return [grads[p] for p in params]
+
+        return rows.data, pullback
+
+    return [part_rows(part) for part in parts]
+
+
+# the taped ops the losses are written with
+LOSS_OPS = {
+    "matmul", "transpose", "add", "sub", "mul", "scale", "add_scalar", "mean", "sum_rows",
+    "l2_normalize_rows", "cross_entropy_rows",
+}
 
 
 class LookupCounter(dict):
@@ -849,6 +871,31 @@ class TestBatchedEmbedding:
         bound = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
         for name, g in ref_grads.items():
             assert np.abs(grads[name] - g).max() <= bound, name
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_each_shard_tape_holds_only_its_loss(self, mixed_batch, stage, monkeypatch):
+        # the block stack records no node: each shard's backward walks the
+        # loss's ops back to the gathered rows, its only tracked leaves
+        full = Encoder.init(MIXED_ENC, seed=3)
+        enc = full if stage == 0 else prune(full, 2)
+        teacher = full if stage == 1 else None
+        graphs = []
+        backward = T.backward
+
+        def recording(root):
+            graphs.append(T.ComputeGraph.of(root))
+            return backward(root)
+
+        monkeypatch.setattr(T, "backward", recording)
+        cfg = config(stage, encoder=MIXED_ENC, shards=4, per_shard_batch=2)
+        compute_global_grads(enc, teacher, mixed_batch, cfg, 0.5)
+        assert len(graphs) == 4
+        for graph in graphs:
+            assert {node.op for node in graph.nodes} <= LOSS_OPS
+            leaves = {
+                id(t): t for node in graph.nodes for t in node.inputs if t.grad_tracked and t._node is None
+            }
+            assert sorted(t.shape for t in leaves.values()) == [(8, MIXED_ENC.d_model)] * 2
 
     def test_one_forward_per_prompt_length_across_both_sides(self, mixed_batch, monkeypatch):
         # across both sides and every shard: one block stack per distinct
@@ -923,10 +970,11 @@ class TestBatchedEmbedding:
         )
 
 
-def test_haswell_kernel_probe_step_gradients_match_an_embed_per_shard():
-    # under Haswell a GEMM row depends on how many rows share the call, so
-    # the one forward per prompt length and the per-shard reference differ
-    # in the last bits: they must stay within roundoff of each other
+@pytest.fixture(scope="module")
+def haswell_probe():
+    """``tests/kernel_probe.py``'s result under ``OPENBLAS_CORETYPE=Haswell``,
+    where a GEMM row depends on how many rows share the call; skips where
+    numpy's BLAS runs no Haswell OpenBLAS kernel."""
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -937,7 +985,17 @@ def test_haswell_kernel_probe_step_gradients_match_an_embed_per_shard():
     result = json.loads(proc.stdout.splitlines()[-1])
     if result["core"] != "Haswell":
         pytest.skip(f"numpy's BLAS runs no Haswell OpenBLAS kernel here (core {result['core']})")
-    assert result["worst"] <= 1e-12 * result["scale"]
+    return result
+
+
+def test_haswell_kernel_probe_step_gradients_match_an_embed_per_shard(haswell_probe):
+    # the one forward per prompt length and the per-shard reference differ
+    # in the last bits: they must stay within roundoff of each other
+    assert haswell_probe["worst"] <= 1e-12 * haswell_probe["scale"]
+
+
+def test_haswell_kernel_probe_batch_rows_match_single_embeds(haswell_probe):
+    assert haswell_probe["embed_worst"] <= 1e-12
 
 
 def plant_nan(encoder, name="layers.0.ffn.w1"):
