@@ -1,11 +1,12 @@
 """Desk-scale unified multimodal retrieval lab.
 
 A complete pipeline over synthetic token corpora: a from-scratch autodiff
-core whose ops tape exactly when an input is grad-tracked, a small
-transformer retriever with prefix layer pruning, contrastive and
-self-distillation objectives with a modality-adaptive temperature matrix, a
-deterministic simulated data-parallel trainer, and a flat cosine retrieval
-index with Recall@k evaluation.
+core for the objectives, whose ops tape exactly when an input is tracked; a
+small transformer retriever with prefix layer pruning and a hand-written
+backward through its block stack; contrastive and self-distillation
+objectives with a modality-adaptive temperature matrix; a deterministic
+simulated data-parallel trainer; and a flat cosine retrieval index with
+Recall@k evaluation.
 """
 
 from .encoder import Encoder, EncoderConfig, estimate_flops, prune

@@ -74,6 +74,6 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, None]:
             data = r.floats(shape, f"tensor {name} data")
             if not np.isfinite(data).all():
                 raise FormatError(f"tensor {name!r} holds a non-finite weight", offset)
-            params[name] = Tensor._wrap(data, grad_tracked=True)
+            params[name] = Tensor._wrap(data, grad_tracked=False)
         r.end()
     return Encoder(cfg, params), None

@@ -295,7 +295,7 @@ def cmd_grad_check(args) -> int:
     if args.seeds < 1:
         raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
     cases = [case for seed in range(args.seeds) for case in gradient_suite(seed)]
-    results = [(name, check_gradients(f, xs)) for name, f, xs in cases]
+    results = [(name, check_gradients(f, xs, exact)) for name, f, xs, exact in cases]
     worst = 0.0
     for name, err in results:
         status = "ok" if err < 1e-4 else "FAIL"

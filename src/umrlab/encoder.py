@@ -16,8 +16,9 @@ consecutive sequences and the gradient of their rows, the gradient of
 every parameter the stack read, from :func:`_blocks_vjp`, a hand-written
 backward through the blocks over those rows alone that replays the per-op
 vjps in reverse op order, so its gradients have the bytes of a tape of one
-node per op. The stack records no tape node. Both modes run the same
-arithmetic, so their hidden states are equal bit for bit.
+node per op. Both modes run the same arithmetic, so their hidden states are
+equal bit for bit. That pullback is the encoder's one gradient path: its
+weights are untracked, and nothing here records a tape node.
 
 One private body, :func:`_embed`, is the one place that reads [RET] rows.
 It takes the sequences as parts, each a list of any lengths, and runs one
@@ -29,11 +30,9 @@ pullbacks over its rows alone. So each part's gradients have the bytes of
 a forward of that part alone wherever a GEMM row does not depend on the
 rows beside it, as under OpenBLAS's SkylakeX kernel, and agree to roundoff
 elsewhere. :func:`embed_parts` returns the rows and pullbacks, and the
-trainer calls each shard's pullback itself; :func:`embed_batch` and
-:func:`embed` (one sequence) wrap the one-part case in one ``blocks`` tape
-node whose vjp is the pullback, and :func:`embed_raw` returns its rows
-tape-free. :func:`forward` and :func:`forward_raw` return every hidden
-state of one sequence, taped and tape-free.
+trainer calls each shard's pullback itself; :func:`embed_raw` returns one
+part's rows tape-free. :func:`forward` returns every hidden state of one
+sequence, tape-free; ``forward_raw`` is another name for it.
 
 A forward runs every block on every row. An embed reads only [RET], the
 last row of each sequence, so in its last block only the first layer norm
@@ -151,7 +150,7 @@ class Encoder:
                 data = np.ones(shape)
             else:
                 data = np.zeros(shape)
-            params[name] = Tensor._wrap(data, grad_tracked=True)
+            params[name] = Tensor._wrap(data, grad_tracked=False)
         return cls(config, params)
 
     def with_params(self, params: dict[str, Tensor]) -> "Encoder":
@@ -186,7 +185,7 @@ def _blocks(
     on its sequences' rows of the saved activations, read as views, as a
     forward of those sequences alone would save them wherever a GEMM row
     does not depend on the rows beside it.
-    With ``ret_tail`` the last block computes only the rows :func:`embed_batch`
+    With ``ret_tail`` the last block computes only the rows :func:`_embed`
     reads: its first layer norm and key and value projections still run on
     every row, but the query projection, attention, output projection,
     second layer norm and FFN run on the last m = min(RET_TAIL_ROWS, len)
@@ -338,27 +337,17 @@ def _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail) -> list:
     return grads
 
 
-def _node(encoder: Encoder, upto: int, rows: np.ndarray, pullback: Callable) -> Tensor:
-    """``rows`` as the output of one ``blocks`` tape node over the inputs of
-    an ``upto``-block stack, whose vjp is ``pullback(dy)``; no node when no
-    parameter is grad-tracked."""
-    return T._result("blocks", rows, list(encoder.params.values())[: _layer(upto - 1).stop], pullback)
-
-
-def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
-    """Hidden states after ``upto`` pre-norm blocks, shape (len, d_model).
+def forward(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
+    """Hidden states after ``upto`` pre-norm blocks, shape (len, d_model),
+    as a read-only array.
 
     No final layer norm is applied: intermediate-depth extraction reads the
     residual stream directly.
     """
-    h, pullback = _blocks(encoder, [tokens], upto, True)
-    return _node(encoder, upto, h, lambda dh: pullback(0, 1, dh))
-
-
-def forward_raw(encoder: Encoder, tokens: TokenSequence, upto: int) -> np.ndarray:
-    """:func:`forward` without a tape: the single-sequence hidden states,
-    shape (len, d_model), as a read-only array."""
     return _blocks(encoder, [tokens], upto, False)
+
+
+forward_raw = forward
 
 
 def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
@@ -451,26 +440,15 @@ def embed_parts(
     ((len(part), d_model) read-only array, ``pullback(dy)``) pair per part,
     from one block-stack forward per prompt length for all the parts.
     Nothing is recorded on the tape: a caller backpropagates to the rows and
-    calls the pullback. Each part's rows and gradients have the bytes of an
-    :func:`embed_batch` of that part alone wherever a GEMM row does not
-    depend on the rows beside it, and agree to roundoff elsewhere. See
-    :func:`_embed`."""
+    calls the pullback. Each part's rows and gradients have the bytes of a
+    call on that part alone wherever a GEMM row does not depend on the rows
+    beside it, and agree to roundoff elsewhere. See :func:`_embed`."""
     return _embed(encoder, parts, upto, True)
 
 
-def embed_batch(encoder: Encoder, seqs: Sequence[TokenSequence], upto: int) -> Tensor:
-    """Taped [RET] embeddings of ``seqs``, shape (N, d_model): one
-    ``blocks`` tape node; see :func:`_embed`."""
-    return _node(encoder, upto, *_embed(encoder, [seqs], upto, True)[0])
-
-
-def embed(encoder: Encoder, tokens: TokenSequence, upto: int) -> Tensor:
-    """Taped [RET] embedding of one sequence, shape (1, d_model)."""
-    return embed_batch(encoder, [tokens], upto)
-
-
 def embed_raw(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> np.ndarray:
-    """Tape-free :func:`embed_batch` rows as a read-only array, shape (B, d_model)."""
+    """Tape-free [RET] embeddings of ``batch`` as a read-only array, shape
+    (B, d_model), row i for ``batch[i]``, un-normalized; see :func:`_embed`."""
     return _embed(encoder, [batch], upto, False)[0]
 
 
@@ -483,7 +461,7 @@ def prune(encoder: Encoder, k: int) -> Encoder:
     params: dict[str, Tensor] = {}
     for name in parameter_names(new_cfg):
         src = encoder.params[name]
-        params[name] = Tensor._wrap(src.data.copy(), src.grad_tracked)
+        params[name] = Tensor._wrap(src.data.copy(), False)
     return Encoder(new_cfg, params)
 
 
@@ -507,7 +485,7 @@ def estimate_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
 
 
 def embed_flops(config: EncoderConfig, k: int, seq_len: int) -> int:
-    """Analytic FLOP count of one sequence's :func:`embed_batch` row through
+    """Analytic FLOP count of one sequence's [RET] row through
     k layers: :func:`estimate_flops`' count, less what the last block skips.
     That block runs its key and value projections on every row, but its
     query projection (2*d*d per row), attention (2*2*s*d per query row),

@@ -1,9 +1,11 @@
 """Independent gradient verification via central finite differences.
 
 This is the oracle side of every gradient check in the package: it never
-touches the reverse-mode tape, so agreement between the two is evidence that
-both are right. :func:`gradient_suite` lists the checks of the losses and
-the encoder that ``umrlab grad-check`` and the loss tests run.
+touches the reverse-mode tape or the block stack's pullback, so agreement
+between the two is evidence that both are right. :func:`gradient_suite`
+lists the checks of the losses and the encoder that ``umrlab grad-check``
+and the loss tests run; the encoder's exact gradient is taken as a training
+step takes it, through the pullback of the [RET] rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig, embed_batch, parameter_names
+from .encoder import Encoder, EncoderConfig, embed_parts, embed_raw, parameter_names
 from .errors import NumericDomainError
 from .losses import (
     DISTILL_VARIANTS,
@@ -74,25 +76,28 @@ def max_relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
     return float((np.abs(a - b)[keep] / denom).max())
 
 
-def check_gradients(f: Callable[..., Tensor], xs: Sequence[Tensor]) -> float:
-    """Compare reverse-mode gradients of f(*xs) against finite differences.
+def check_gradients(f: Callable[..., Tensor], xs: Sequence[Tensor], exact: Callable | None = None) -> float:
+    """Compare the exact gradients of f(*xs) against finite differences of
+    f: ``exact(xs)``, or by default a ``backward`` of f at tracked copies of
+    xs, zero for an input the tape never reached.
 
     Returns the worst relative error over all inputs.
     """
-    tracked = [Tensor(x.data, grad_tracked=True) for x in xs]
-    grads = backward(f(*tracked))
+    if exact is None:
+        tracked = [Tensor(x.data, grad_tracked=True) for x in xs]
+        taped = backward(f(*tracked))
+        grads = [taped.get(t, np.zeros(t.shape)) for t in tracked]
+    else:
+        grads = exact(xs)
     worst = 0.0
-    for i, t in enumerate(tracked):
+    for i, (x, g) in enumerate(zip(xs, grads)):
 
         def f_i(xi: Tensor, _i=i) -> Tensor:
-            args = [Tensor(u.data) for u in tracked]
+            args = [Tensor(u.data) for u in xs]
             args[_i] = xi
             return f(*args)
 
-        numeric = finite_diff_grad(f_i, t)
-        exact = grads.get(t)
-        exact = np.zeros(t.shape) if exact is None else dense_grad(exact)
-        worst = max(worst, max_relative_error(numeric, exact))
+        worst = max(worst, max_relative_error(finite_diff_grad(f_i, x), g))
     return worst
 
 
@@ -117,19 +122,33 @@ def _pretraining(tq, tc, q, c):
     return pretraining_loss(contrastive, self_distill(tq, q, tc, c, "mse"), (0.9, 0.1))
 
 
-def _encoder_rows(batch, *weights):
+def _ret_rows(batch, weights, taped: bool):
+    """The suite encoder's [RET] rows of ``batch``; ``taped``, with their pullback."""
     model = Encoder(_SUITE_ENCODER, dict(zip(parameter_names(_SUITE_ENCODER), weights)))
-    emb = embed_batch(model, batch, _SUITE_ENCODER.n_layers)
-    return mean(mul(emb, emb))
+    depth = _SUITE_ENCODER.n_layers
+    return embed_parts(model, [batch], depth)[0] if taped else embed_raw(model, batch, depth)
 
 
-def gradient_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[Tensor]]]:
-    """The gradient checks at one seed, as (name, f, inputs) for
+def _encoder_loss(batch, *weights):
+    rows = Tensor(_ret_rows(batch, weights, False))
+    return mean(mul(rows, rows))
+
+
+def _encoder_grads(batch, weights):
+    """The loss's gradient as a step takes it: a backward to the rows, then their pullback."""
+    rows, pullback = _ret_rows(batch, weights, True)
+    leaf = Tensor._wrap(rows, True)
+    return [dense_grad(g) for g in pullback(backward(mean(mul(leaf, leaf)))[leaf])]
+
+
+def gradient_suite(seed: int) -> list[tuple]:
+    """The gradient checks at one seed, as (name, f, inputs, exact) for
     :func:`check_gradients`, each name ending in ``[seed]``: InfoNCE, the
-    MAC loss in each temperature mode, each distill variant, the stage-1
-    pretraining mix, and the [RET] rows of one sequence and of two
-    equal-length ones through one block stack, as functions of every weight
-    of a tiny encoder."""
+    MAC loss in each temperature mode, each distill variant and the stage-1
+    pretraining mix, checked on the tape (``exact`` None), and the [RET]
+    rows of one sequence and of two equal-length ones through one block
+    stack, as functions of every weight of a tiny encoder, checked through
+    its pullback."""
 
     def rand(shape, offset):
         return Tensor(np.random.default_rng(seed + offset).normal(size=shape))
@@ -142,10 +161,11 @@ def gradient_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[Ten
         cases.append((f"distill-{variant}", teacher, [rand((3, 4), 50), rand((3, 4), 60)]))
     mixed = partial(_pretraining, rand((4, 5), 70), rand((4, 5), 80))
     cases.append(("pretraining", mixed, [rand((4, 5), 0), rand((4, 5), 5)]))
+    cases = [(name, f, xs, None) for name, f, xs in cases]
     enc = Encoder.init(_SUITE_ENCODER, seed=seed)
     ids = np.random.default_rng(seed).integers(36, 46, size=(2, 3))
     seqs = [TokenSequence(tuple(int(t) for t in row) + (1,)) for row in ids]
     weights = list(enc.params.values())
-    cases.append(("encoder", partial(_encoder_rows, seqs[:1]), weights))
-    cases.append(("encoder-batch", partial(_encoder_rows, seqs), weights))
-    return [(f"{name}[{seed}]", f, xs) for name, f, xs in cases]
+    for name, batch in (("encoder", seqs[:1]), ("encoder-batch", seqs)):
+        cases.append((name, partial(_encoder_loss, batch), weights, partial(_encoder_grads, batch)))
+    return [(f"{name}[{seed}]", *case) for name, *case in cases]

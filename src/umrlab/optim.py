@@ -86,7 +86,7 @@ class OptimizerState:
             state.m[name] = state.flat_m[a:b].reshape(p.shape)
             state.v[name] = state.flat_v[a:b].reshape(p.shape)
             state.live[name] = np.empty(0, dtype=np.int64)
-            state.params[name] = Tensor._wrap(weights, p.grad_tracked)
+            state.params[name] = Tensor._wrap(weights, False)
         return state
 
 

@@ -2,21 +2,19 @@
 
 An op records one node on an implicit tape exactly when one of its inputs
 is grad-tracked, and its output is then tracked too; an op of untracked
-inputs records nothing. There is no mode that switches recording off: a
-tape-free caller passes untracked inputs or calls a tape-free entry point,
-as the encoder's ``forward_raw`` and ``embed_raw`` are. A node may stand
-for many array operations: the encoder's taped entry points record one
-node for a whole block stack, whose vjp is the stack's pullback. A
-training step records none for it: it backpropagates each loss to the
-gathered embeddings, two tracked leaves, and calls each shard's pullback
-itself. ``backward`` replays the tape for a scalar root in
-reverse record order, which fixes the gradient accumulation order and makes
-gradients bitwise reproducible. A tensor's data is read-only through the
-tensor. ``Tensor._wrap`` wraps a float64 array as it is, a view included, so
-a tensor may show a slice of a buffer that its owner writes through its own
-array: the optimizer's parameter store (:mod:`~umrlab.optim`) updates its
-parameters' slices in place at each step. Every other tensor's data never
-changes after construction.
+inputs records nothing. Only the losses run on the tape: a training step
+backpropagates each loss to the gathered embeddings, its two tracked
+leaves, and hands their gradient to the encoder's block-stack pullback,
+which records nothing; no weight is tracked. ``backward`` replays the tape
+for a scalar root in reverse record order, which fixes the gradient
+accumulation order and makes gradients bitwise reproducible.
+
+A tensor's data is read-only through the tensor. ``Tensor._wrap`` wraps a
+float64 array as it is, a view included, so a tensor may show a slice of a
+buffer that its owner writes through its own array: the optimizer's
+parameter store (:mod:`~umrlab.optim`) updates its parameters' slices in
+place at each step. Every other tensor's data never changes after
+construction.
 
 The arithmetic of a transformer block lives in plain array kernels, a
 forward and a vjp for each of affine, layer norm, GELU and attention
@@ -30,14 +28,13 @@ arrays. ``softmax_rows`` is an array kernel with no taped op: its one
 caller takes it of constant scores. Layer norm and the L2 row normalizers
 read their epsilons from module constants, not from callers.
 
-``backward`` returns a gradient for every grad-tracked leaf it reached and
-none for an intermediate. A vjp may give a leaf a :class:`RowGrad`, the
-sorted rows it touched and their summed gradients, with the bytes of the
-dense gradient through ``dense()``. The encoder's block stack does so for
-the embedding tables it gathers, so a step that reads a few hundred rows of
-a 5,400-row table never builds the dense table. Its gathers of its own
-rows scatter densely (:func:`scatter_rows`), since their gradient feeds a
-vjp at once.
+``backward`` returns a dense gradient for every grad-tracked leaf it
+reached and none for an intermediate. The block stack's pullback gives each
+embedding table a :class:`RowGrad`, the sorted rows it touched and their
+summed gradients, with the dense gradient's bytes through ``dense()``, so a
+step never builds a dense 5,400-row table on its way to Adam. Its gathers
+of its own rows scatter densely (:func:`scatter_rows`), since their
+gradient feeds a vjp at once.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ NORM_EPS = 1e-12
 
 
 class _Node:
-    """One primitive application: op id, input refs, output id, vjp.
+    """One primitive application: input refs, output id, vjp.
 
     The node keeps only the id of its output, never a reference: the output
     owns the node, so a reference back would make every tape a reference
@@ -68,10 +65,9 @@ class _Node:
     then frees its whole tape at once.
     """
 
-    __slots__ = ("op", "inputs", "output_id", "vjp", "seq")
+    __slots__ = ("inputs", "output_id", "vjp", "seq")
 
-    def __init__(self, op, inputs, output, vjp):
-        self.op = op
+    def __init__(self, inputs, output, vjp):
         self.inputs = inputs
         self.output_id = id(output)
         self.vjp = vjp
@@ -136,11 +132,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
-def _result(op, out_data, inputs, vjp) -> Tensor:
+def _result(out_data, inputs, vjp) -> Tensor:
     tracked = any(t.grad_tracked for t in inputs)
     out = Tensor._wrap(np.asarray(out_data), tracked)
     if tracked:
-        out._node = _Node(op, tuple(inputs), out, vjp)
+        out._node = _Node(tuple(inputs), out, vjp)
     return out
 
 
@@ -262,24 +258,21 @@ def sum_grads(parts: Sequence[np.ndarray | RowGrad]) -> np.ndarray | RowGrad:
     return total
 
 
-def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
+def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(root)/d(leaf) for every grad-tracked leaf under root.
 
     Returns a map keyed by tensor identity that holds the grad-tracked
     leaves reached, and a tracked root with no node, which maps to 1.0.
     An intermediate's gradient is dropped once its node's vjp has read it.
-    Contributions to a tensor are summed in reverse tape order by
-    :func:`sum_grads`. A leaf whose every contribution is a
-    :class:`RowGrad` gets one, bitwise the dense buffer of adding one dense
-    scatter per gather; a leaf that also gets a dense contribution gets an
-    array, the dense sum of every contribution.
+    Contributions to a tensor are summed in reverse tape order, each added
+    to the sum so far into a fresh array.
     """
     if root.ndim != 0:
         raise ContractError(f"backward root must be a scalar, got shape {root.shape}")
     graph = ComputeGraph.of(root)
     # every node's output is alive here (the root, or an input of a later
     # node), so its id cannot have been reused
-    grads: dict[int, np.ndarray | RowGrad] = {id(root): np.ones((), dtype=np.float64)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(root): root}
     for node in reversed(graph.nodes):
         # every use of the output comes later on the tape, so its gradient
@@ -287,13 +280,13 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray | RowGrad]:
         out_grad = grads.pop(node.output_id, None)
         if out_grad is None:
             continue
-        for inp, g in zip(node.inputs, node.vjp(dense_grad(out_grad))):
+        for inp, g in zip(node.inputs, node.vjp(out_grad)):
             if g is None or not inp.grad_tracked:
                 continue
             key = id(inp)
             holders[key] = inp
             prev = grads.get(key)
-            grads[key] = g if prev is None else sum_grads((prev, g))
+            grads[key] = g if prev is None else prev + g
     return {holders[key]: g for key, g in grads.items() if holders[key].grad_tracked}
 
 
@@ -310,7 +303,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(dy):
         return dy @ b.data.T, a.data.T @ dy
 
-    return _result("matmul", out, (a, b), vjp)
+    return _result(out, (a, b), vjp)
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -331,7 +324,7 @@ def transpose(x: Tensor) -> Tensor:
     def vjp(dy):
         return (dy.T,)
 
-    return _result("transpose", x.data.T, (x,), vjp)
+    return _result(x.data.T, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +342,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(dy):
         return dy, dy
 
-    return _result("add", a.data + b.data, (a, b), vjp)
+    return _result(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -358,7 +351,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(dy):
         return dy, -dy
 
-    return _result("sub", a.data - b.data, (a, b), vjp)
+    return _result(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -367,7 +360,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(dy):
         return dy * b.data, dy * a.data
 
-    return _result("mul", a.data * b.data, (a, b), vjp)
+    return _result(a.data * b.data, (a, b), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -376,14 +369,14 @@ def scale(x: Tensor, c: float) -> Tensor:
     def vjp(dy):
         return (dy * c,)
 
-    return _result("scale", x.data * c, (x,), vjp)
+    return _result(x.data * c, (x,), vjp)
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
     def vjp(dy):
         return (dy,)
 
-    return _result("add_scalar", x.data + float(c), (x,), vjp)
+    return _result(x.data + float(c), (x,), vjp)
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -437,7 +430,7 @@ def mean(x: Tensor) -> Tensor:
     def vjp(dy):
         return (np.full(x.shape, float(dy) / n),)
 
-    return _result("mean", np.asarray(x.data.mean()), (x,), vjp)
+    return _result(np.asarray(x.data.mean()), (x,), vjp)
 
 
 def sum_rows(x: Tensor) -> Tensor:
@@ -447,7 +440,7 @@ def sum_rows(x: Tensor) -> Tensor:
     def vjp(dy):
         return (np.repeat(dy[:, None], x.shape[1], axis=1),)
 
-    return _result("sum_rows", x.data.sum(axis=1), (x,), vjp)
+    return _result(x.data.sum(axis=1), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +518,7 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
         dx = np.where(small, dy / NORM_EPS, (dy - out * inner) / denom)
         return (dx,)
 
-    return _result("l2_normalize_rows", out, (x,), vjp)
+    return _result(out, (x,), vjp)
 
 
 def cross_entropy_rows(scores: Tensor, target_probs: np.ndarray) -> Tensor:
@@ -550,7 +543,7 @@ def cross_entropy_rows(scores: Tensor, target_probs: np.ndarray) -> Tensor:
     def vjp(dy):
         return (float(dy) * (softmax - p) / m,)
 
-    return _result("cross_entropy_rows", np.asarray(loss), (scores,), vjp)
+    return _result(np.asarray(loss), (scores,), vjp)
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, seq_len: int):

@@ -54,7 +54,7 @@ import numpy as np
 from . import tensor as T
 from .datagen import Corpus, Sample, Candidate
 # embed is unused here; the benchmark tracer wraps trainer.embed as a call site
-from .encoder import Encoder, EncoderConfig, embed, embed_parts, embed_raw, prune
+from .encoder import Encoder, EncoderConfig, embed_parts, embed_raw, embed_raw as embed, prune
 from .errors import AggregationError, ConfigurationError, ContractError, NumericDomainError
 from .losses import (
     ALPHA_MODES,
@@ -118,6 +118,13 @@ class TrainConfig:
         if self.alpha_mode not in ALPHA_MODES:
             raise ConfigurationError(
                 f"alpha mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"
+            )
+        # the hard temperature only falls: the last epoch reads the least one
+        last = self.epochs - 1
+        if self.stage == 2 and last >= 0 and tau_hard_at(self.temperature, last / self.epochs) == 0.0:
+            raise ConfigurationError(
+                f"tau0 {self.temperature.tau0} and lambda {self.temperature.lam} round the "
+                f"hard temperature of epoch {last} of {self.epochs} to 0.0"
             )
 
     @property

@@ -1,14 +1,19 @@
 """A tape of one node per op through the encoder's blocks, for tests only.
 
-The encoder records one node for a whole block stack and backpropagates
-through it by hand. This module keeps the op-by-op form it replaced: a taped
-affine, layer norm, GELU and attention, each with its own vjp, built on the
-same array kernels and without operand checks, and the block stack and
-``embed_batch`` written with them, with a taped gather and concatenation of
-rows of their own. Every gather here returns a
-:class:`~umrlab.tensor.RowGrad`, as the block stack's table gathers do; the
-tests of ``backward``'s row-gradient sums gather with it. The bitwise tests
-require the block stack's pullback to give this tape's bytes.
+The encoder records no tape node: its block stack backpropagates by hand,
+through the pullback that ``embed_parts`` returns. This module keeps the
+op-by-op form it replaced: a taped affine, layer norm, GELU and attention,
+each with its own vjp, built on the same array kernels and without operand
+checks, and the block stack and an embed written with them, with a taped
+gather and concatenation of rows of their own. Every gather here scatters
+its gradient densely, as ``np.add.at`` into zeros, which has the bytes of
+the :class:`~umrlab.tensor.RowGrad` the block stack gives its tables. The
+bitwise tests require the block stack's pullback to give this tape's bytes.
+
+The encoder's weights are untracked, so a test that puts the block stack on
+a tape wraps tracked leaves of its own (:func:`tracked`), and
+:func:`stack_node` and :func:`embed_node` record the stack's pullback as one
+tape node over them.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from umrlab import tensor as T
-from umrlab.encoder import RET_TAIL_ROWS, _blocks, _node, length_groups
+from umrlab.encoder import RET_TAIL_ROWS, _blocks, _layer, embed_parts, length_groups
 
 
 def affine(x, w, b):
@@ -26,7 +31,7 @@ def affine(x, w, b):
     def vjp(dy):
         return dy @ w.data.T, x.data.T @ dy, dy.sum(axis=0)
 
-    return T._result("affine", out, (x, w, b), vjp)
+    return T._result(out, (x, w, b), vjp)
 
 
 def gelu(x):
@@ -38,7 +43,7 @@ def gelu(x):
         du = T._GELU_C * (1.0 + 3.0 * T._GELU_A * x.data**2)
         return (dy * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du),)
 
-    return T._result("gelu", out, (x,), vjp)
+    return T._result(out, (x,), vjp)
 
 
 def layer_norm_rows(x, gain, bias):
@@ -57,7 +62,7 @@ def layer_norm_rows(x, gain, bias):
         )
         return dx, dgain, dbias
 
-    return T._result("layer_norm_rows", out, (x, gain, bias), vjp)
+    return T._result(out, (x, gain, bias), vjp)
 
 
 def attention(q, k, v, n_heads, seq_len):
@@ -78,23 +83,26 @@ def attention(q, k, v, n_heads, seq_len):
 
         return merge(dq4, q), merge(dk4, k), merge(dv4, v)
 
-    return T._result("attention", out, (q, k, v), vjp)
+    return T._result(out, (q, k, v), vjp)
 
 
 def take_rows(table, ids):
-    """A gather whose gradient is a RowGrad, whatever the table."""
+    """A gather, repeats allowed, whose gradient is a dense scatter, the
+    rows added into zeros in gather order."""
     idx = np.asarray(ids, dtype=np.int64)
 
     def vjp(dy):
-        return (T.RowGrad.scatter(table.shape, idx, dy),)
+        out = np.zeros(table.shape)
+        np.add.at(out, idx, dy)
+        return (out,)
 
-    return T._result("take_rows", table.data[idx], (table,), vjp)
+    return T._result(table.data[idx], (table,), vjp)
 
 
 def seeded(out, dy):
     """A scalar tape node over ``out`` whose vjp hands ``out`` the gradient
     dy: ``backward`` of it is a backward seeded with dy."""
-    return T._result("seed", np.zeros(()), (out,), lambda _: (dy,))
+    return T._result(np.zeros(()), (out,), lambda _: (dy,))
 
 
 def concat_rows(parts):
@@ -105,14 +113,34 @@ def concat_rows(parts):
     def vjp(dy):
         return tuple(dy[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
-    return T._result("concat_rows", np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
+    return T._result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
+
+
+def tracked(encoder):
+    """``encoder`` with each weight a fresh grad-tracked leaf."""
+    return encoder.with_params({n: T.Tensor(p.data, grad_tracked=True) for n, p in encoder.params.items()})
+
+
+def _node(encoder, upto, rows, pullback):
+    """``rows`` as the output of one tape node over the inputs of an
+    ``upto``-block stack, whose vjp is ``pullback`` with its table rows
+    made dense, as ``backward`` sums them."""
+    inputs = list(encoder.params.values())[: _layer(upto - 1).stop]
+    return T._result(rows, inputs, lambda dy: [T.dense_grad(g) for g in pullback(dy)])
 
 
 def stack_node(encoder, batch, upto, ret_tail=False):
-    """The encoder's own block stack over ``batch``, as the one tape node a
-    taped entry point records: the form :func:`blocks` is compared with."""
+    """The encoder's own block stack over ``batch`` as one tape node: the
+    form :func:`blocks` is compared with."""
     h, pullback = _blocks(encoder, batch, upto, True, ret_tail)
     return _node(encoder, upto, h, lambda dh: pullback(0, len(batch), dh))
+
+
+def embed_node(encoder, seqs, upto):
+    """The [RET] rows of an ``embed_parts`` of ``seqs`` as one part, as one
+    tape node over its pullback: the form :func:`embed_batch` is compared
+    with."""
+    return _node(encoder, upto, *embed_parts(encoder, [seqs], upto)[0])
 
 
 def blocks(encoder, batch, upto, ret_tail=False):
@@ -142,7 +170,7 @@ def blocks(encoder, batch, upto, ret_tail=False):
 
 
 def embed_batch(encoder, seqs, upto):
-    """``encoder.embed_batch`` over :func:`blocks`: one stack per length
+    """The [RET] rows of ``seqs`` over :func:`blocks`: one stack per length
     group, concatenated, and the [RET] rows gathered in input order."""
     groups = length_groups(seqs)
     hidden = [blocks(encoder, [seqs[i] for i in rows], upto, ret_tail=True) for rows in groups]

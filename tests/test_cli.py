@@ -240,6 +240,32 @@ class TestTrainArtifacts:
         assert capsys.readouterr().err == "error: distill_tau must be finite and positive, got nan\n"
         assert not out.exists() and not curve.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--lambda", "10", "--epochs", "3"], "tau0 0.05 and lambda 10.0 round the hard temperature of epoch 2 of 3"),
+            (["--tau0", "0.0004", "--temp-mode", "off", "--epochs", "1"],
+             "tau0 0.0004 and lambda 0.2 round the hard temperature of epoch 0 of 1"),
+        ],
+        ids=["decayed", "tau0"],
+    )
+    def test_temperature_that_rounds_to_zero_is_refused_before_a_step(
+        self, workdir, capsys, monkeypatch, flags, message
+    ):
+        from umrlab import trainer
+
+        root, corpus, _, student = workdir
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *args: steps.append(args))
+        out, curve = root / "cold.ckpt", root / "cold.csv"
+        code = main([
+            "train", "2", "--corpus", str(corpus), "--init", str(student),
+            "--out", str(out), "--curve", str(curve), "--batch", "4", *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message} to 0.0\n"
+        assert steps == [] and not out.exists() and not curve.exists()
+
     def test_nan_weight_init_is_diagnosed(self, workdir, capsys):
         from umrlab.checkpoint import load_checkpoint, save_checkpoint
         from umrlab.tensor import Tensor
@@ -818,6 +844,24 @@ class TestGradCheck:
         assert "encoder-batch[0]" in out
         assert "FAIL" not in out
 
+    def test_broken_block_backward_fails_the_encoder_rows(self, monkeypatch, capsys):
+        from umrlab import encoder
+
+        vjp = encoder._blocks_vjp
+
+        def broken(*args):
+            grads = vjp(*args)
+            grads[-1] = grads[-1] * 1.5  # the last block's ffn.b2
+            return grads
+
+        monkeypatch.setattr(encoder, "_blocks_vjp", broken)
+        assert main(["grad-check", "--seeds", "1"]) == 1
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[:-1]]
+        status = {name: word for word, name, *_ in rows}
+        assert len(status) == 10
+        assert status == {name: "FAIL" if name.startswith("encoder") else "ok" for name in status}
+        assert status["encoder[0]"] == status["encoder-batch[0]"] == "FAIL"
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_no_seeds_is_diagnosed(self, monkeypatch, capsys, seeds):
         monkeypatch.setattr(cli, "gradient_suite", None)  # no check may run
@@ -865,6 +909,22 @@ class TestSweep:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: --lambdas repeats a value: {lambdas!r}\n"
+        assert not out_dir.exists()
+
+    def test_lambda_that_rounds_the_temperature_to_zero_is_refused_before_any_run(
+        self, workdir, capsys, monkeypatch
+    ):
+        root, corpus, _, student = workdir
+        out_dir = root / "cold-sweep"
+        monkeypatch.setattr(cli, "run_stage", None)  # no run may start
+        code = main([
+            "sweep", "--corpus", str(corpus), "--init", str(student),
+            "--lambdas", "0.2,10", "--out-dir", str(out_dir), "--epochs", "3", "--batch", "4",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: tau0 0.05 and lambda 10.0 round the hard temperature of epoch 2 of 3 to 0.0\n"
+        )
         assert not out_dir.exists()
 
     def test_nan_lambda_is_diagnosed(self, workdir, capsys):

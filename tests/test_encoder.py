@@ -16,8 +16,6 @@ from umrlab.encoder import (
     Encoder,
     EncoderConfig,
     _blocks,
-    embed,
-    embed_batch,
     embed_flops,
     embed_parts,
     embed_raw,
@@ -61,7 +59,7 @@ def small_tokens(ids=(40, 41)):
 
 def per_sequence_ret_row(encoder, seq, upto):
     """Reference [RET] row: one single-sequence forward, indexed in numpy."""
-    return forward(encoder, seq, upto).data[-1]
+    return forward(encoder, seq, upto)[-1]
 
 
 class TestAssemblePrompt:
@@ -128,7 +126,7 @@ class TestForward:
         seq = small_tokens()
         h1 = forward(enc, seq, 2)
         h2 = forward(enc, seq, 2)
-        assert h1.data.tobytes() == h2.data.tobytes()
+        assert h1.tobytes() == h2.tobytes()
 
     def test_hidden_shape(self):
         enc = Encoder.init(SMALL, seed=0)
@@ -144,20 +142,19 @@ class TestForward:
     def test_overflow_raises_numeric_domain_error(self, taped):
         enc = Encoder.init(SMALL, seed=0)
         blown = enc.with_params(
-            {n: T.Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
+            {n: T.Tensor(p.data * 1e300) for n, p in enc.params.items()}
         )
         assert all(np.isfinite(p.data).all() for p in blown.params.values())
+        seqs = [small_tokens(), small_tokens((40, 41, 42))]
         with pytest.raises(NumericDomainError, match="overflow"):
-            (embed_batch if taped else embed_raw)(
-                blown, [small_tokens(), small_tokens((40, 41, 42))], 2
-            )
+            embed_parts(blown, [seqs], 2) if taped else embed_raw(blown, seqs, 2)
 
     def test_single_layer_single_head_matches_scalar_oracle(self):
         cfg = EncoderConfig(vocab_size=8, d_model=2, n_heads=1, n_layers=1, max_seq=4, k=1)
         enc = Encoder.init(cfg, seed=42)
         ids = [3, 5, 1]
         seq = TokenSequence((3, 5, 1))
-        got = forward(enc, seq, 1).data
+        got = forward(enc, seq, 1)
 
         p = {k: v.data.tolist() for k, v in enc.params.items()}
         eps = 1e-5
@@ -204,8 +201,9 @@ class TestForward:
 
 class TestRawForward:
     def test_bitwise_identical_to_graph_forward(self):
-        from umrlab.encoder import forward_raw
-
+        # forward_raw is forward, and a taped stack's hidden states are the
+        # tape-free ones
+        assert forward_raw is forward
         for seed in range(5):
             cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=3, max_seq=12, k=2)
             enc = Encoder.init(cfg, seed=seed)
@@ -213,7 +211,7 @@ class TestRawForward:
             ids = tuple(int(t) for t in rng.integers(36, 46, size=5))
             seq = assemble_prompt(Item(tokens=ids, modality="text"), "candidate")
             for upto in (1, 2, 3):
-                a = forward(enc, seq, upto).data
+                a, _ = _blocks(enc, [seq], upto, True)
                 b = forward_raw(enc, seq, upto)
                 assert a.tobytes() == b.tobytes()
 
@@ -222,45 +220,36 @@ class TestRawForward:
         node = T._Node
 
         def counting(*args):
-            built.append(args[0])
-            return node(*args)
+            built.append(node(*args))
+            return built[-1]
 
         monkeypatch.setattr(T, "_Node", counting)
-        enc = Encoder.init(SMALL, seed=3)
+        enc = per_op.tracked(Encoder.init(SMALL, seed=3))
         assert all(t.grad_tracked for t in enc.params.values())
         forward_raw(enc, small_tokens(), 2)
-        assert built == []
-        forward(enc, small_tokens(), 2)
-        assert built == ["blocks"]
-        # one node for three length groups, their concatenation and the
-        # [RET] gather
-        built.clear()
+        # three length groups, their pullbacks included
         seqs = [small_tokens((40,)), small_tokens((40, 41)), small_tokens((41,)), small_tokens(())]
-        embed_batch(enc, seqs, 2)
-        assert built == ["blocks"]
+        (rows, pullback), = embed_parts(enc, [seqs], 2)
+        pullback(np.ones(rows.shape))
+        embed_raw(enc, seqs, 2)
+        assert built == []
         # a stage-2 step of 8 shards of 2 pairs over prompts of 8 and 11
         # tokens records only each shard's 6 nodes of similarity and MAC
         # loss. A node per op recorded 440, and a node per shard and length
         # group, with its gathers and concatenations, 104.
-        built.clear()
         compute_global_grads(*toy_stage2_step())
-        assert "blocks" not in built
         assert len(built) == 8 * 6
 
     def test_embed_raw_matches_embed(self):
-        from umrlab.encoder import embed_raw
-
         enc = Encoder.init(SMALL, seed=3)
         seq = small_tokens()
-        a = embed(enc, seq, 2).data[0]
+        a = embed_parts(enc, [[seq]], 2)[0][0][0]
         b = embed_raw(enc, [seq], 2)
         assert b.shape == (1, SMALL.d_model)
         assert a.tobytes() == b[0].tobytes()
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_batch_rows_match_single_embeds(self, batch):
-        from umrlab.encoder import embed_raw
-
         cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=3, max_seq=12, k=2)
         enc = Encoder.init(cfg, seed=7)
         rng = np.random.default_rng(batch)
@@ -277,8 +266,6 @@ class TestRawForward:
             _blocks(enc, [small_tokens((40,)), small_tokens((40, 41))], 2, False)
 
     def test_empty_batch_rejected(self):
-        from umrlab.encoder import embed_raw
-
         with pytest.raises(ContractError, match="no sequences"):
             embed_raw(Encoder.init(SMALL, seed=3), [], 2)
 
@@ -301,14 +288,14 @@ class TestTapeFree:
     def test_embed_raw_runs_no_taped_op(self, request):
         enc = Encoder.init(SMALL, seed=3)
         seqs = [small_tokens(), small_tokens((40, 41, 42)), small_tokens((41, 40))]
-        want = embed_batch(enc, seqs, 2).data
+        want = embed_parts(enc, [seqs], 2)[0][0]
         request.getfixturevalue("no_taped_ops")
         assert embed_raw(enc, seqs, 2).tobytes() == want.tobytes()
 
     def test_overflow_raises_without_taped_ops(self, no_taped_ops):
         enc = Encoder.init(SMALL, seed=0)
         blown = enc.with_params(
-            {n: T.Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
+            {n: T.Tensor(p.data * 1e300) for n, p in enc.params.items()}
         )
         with pytest.raises(NumericDomainError, match="overflow"):
             embed_raw(blown, [small_tokens(), small_tokens((40, 41, 42))], 2)
@@ -319,10 +306,10 @@ class TestTapeFree:
         rng = np.random.default_rng(5)
         seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (2, 5, 2, 7, 1, 5, 5)]
         for upto in range(1, cfg.n_layers + 1):
-            taped = embed_batch(enc, seqs, upto)
-            assert taped._node is not None
-            assert embed_raw(enc, seqs, upto).tobytes() == taped.data.tobytes()
-            assert forward_raw(enc, seqs[3], upto).tobytes() == forward(enc, seqs[3], upto).data.tobytes()
+            (taped, _), = embed_parts(enc, [seqs], upto)
+            assert embed_raw(enc, seqs, upto).tobytes() == taped.tobytes()
+            hidden, _ = _blocks(enc, [seqs[3]], upto, True)
+            assert forward_raw(enc, seqs[3], upto).tobytes() == hidden.tobytes()
 
     def test_outputs_are_read_only(self):
         enc = Encoder.init(SMALL, seed=3)
@@ -352,7 +339,7 @@ def mixed_prompts(per_length: int, seed: int = 0) -> list[TokenSequence]:
 
 
 class TestRetTail:
-    """embed_batch's last block computes only the last two rows of each sequence."""
+    """An embed's last block computes only the last two rows of each sequence."""
 
     @pytest.mark.parametrize("per_length", [1, 2, 3])
     def test_rows_byte_equal_full_forward_at_every_depth(self, per_length):
@@ -361,8 +348,8 @@ class TestRetTail:
         for upto in range(1, WIDE.n_layers + 1):
             want = b"".join(forward_raw(enc, seq, upto)[-1].tobytes() for seq in seqs)
             assert embed_raw(enc, seqs, upto).tobytes() == want
-            taped = embed_batch(enc, seqs, upto)
-            assert taped._node is not None and taped.data.tobytes() == want
+            (taped, _), = embed_parts(enc, [seqs], upto)
+            assert taped.tobytes() == want
 
     @pytest.mark.parametrize("ids", [(1,), (40, 1)])
     def test_sequences_shorter_than_the_tail(self, ids):
@@ -385,12 +372,12 @@ class TestRetTail:
         monkeypatch.setattr(T, "_affine", recording)
         enc = Encoder.init(WIDE, seed=1)
         batch = mixed_prompts(1)[:1] * 3  # three sequences of 13 rows
-        (embed_batch if taped else embed_raw)(enc, batch, 3)
+        embed_parts(enc, [batch], 3) if taped else embed_raw(enc, batch, 3)
         full, tail = 3 * 13, 3 * 2
         # q, k, v, output projection, then the FFN's two affines, per block
         assert rows == [full] * 12 + [tail, full, full, tail, tail, tail]
         rows.clear()
-        (forward if taped else forward_raw)(enc, batch[0], 3)
+        _blocks(enc, batch[:1], 3, taped)
         assert rows == [13] * 18
 
 
@@ -443,32 +430,32 @@ def recorded_nodes(monkeypatch) -> list:
 
 
 class TestEntryPointDecidesTaping:
-    """The entry point, not a mode, decides whether a forward tapes, and an
-    op records a node only when one of its inputs is tracked."""
+    """The entry point, not a mode, decides whether a forward keeps what its
+    pullback reads, and no entry point records a tape node, whether or not
+    the weights are tracked."""
 
     def test_raw_entry_points_record_nothing_on_tracked_weights(self, monkeypatch):
-        enc = Encoder.init(WIDE, seed=6)
+        enc = per_op.tracked(Encoder.init(WIDE, seed=6))
         assert all(p.grad_tracked for p in enc.params.values())
         seqs = mixed_prompts(2, seed=6)
-        taped = [embed_batch(enc, seqs, 3), forward(enc, seqs[0], 3)]
-        assert all(t._node is not None for t in taped)
+        taped = [embed_parts(enc, [seqs], 3)[0][0], _blocks(enc, seqs[:1], 3, True)[0]]
         made = recorded_nodes(monkeypatch)
         raw = [embed_raw(enc, seqs, 3), forward_raw(enc, seqs[0], 3)]
         assert made == []
         for got, want in zip(raw, taped):
             assert type(got) is np.ndarray and not got.flags.writeable
-            assert got.tobytes() == want.data.tobytes()
+            assert got.tobytes() == want.tobytes()
 
     def test_taped_entry_points_record_nothing_on_untracked_weights(self, monkeypatch):
-        tracked = Encoder.init(WIDE, seed=6)
-        enc = tracked.with_params({n: T.Tensor(p.data) for n, p in tracked.params.items()})
+        enc = Encoder.init(WIDE, seed=6)
         seqs = mixed_prompts(2, seed=6)
         made = recorded_nodes(monkeypatch)
-        outs = [embed_batch(enc, seqs, 3), embed(enc, seqs[0], 3), forward(enc, seqs[0], 3)]
+        (rows, pullback), = embed_parts(enc, [seqs], 3)
+        grads = pullback(np.ones(rows.shape))
         assert made == []
-        for out in outs:
-            assert type(out) is T.Tensor and not out.grad_tracked and out._node is None
-        assert outs[0].data.tobytes() == embed_raw(tracked, seqs, 3).tobytes()
+        assert type(rows) is np.ndarray and not rows.flags.writeable
+        assert all(type(g) in (np.ndarray, T.RowGrad) for g in grads)
+        assert rows.tobytes() == embed_raw(enc, seqs, 3).tobytes()
 
 
 class TestBatchedEmbed:
@@ -483,18 +470,16 @@ class TestBatchedEmbed:
         rng = np.random.default_rng(3)
         seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (3, 6, 3, 1, 6, 6)]
         for upto in (1, 3):
-            got = embed_batch(enc, seqs, upto) if taped else embed_raw(enc, seqs, upto)
+            got = embed_parts(enc, [seqs], upto)[0][0] if taped else embed_raw(enc, seqs, upto)
             assert got.shape == (len(seqs), cfg.d_model)
-            if taped:
-                assert got._node is not None
-                got = got.data
             assert not got.flags.writeable
             for row, seq in zip(got, seqs):
                 assert row.tobytes() == per_sequence_ret_row(enc, seq, upto).tobytes()
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ContractError, match="no sequences"):
-            embed_batch(Encoder.init(SMALL, seed=3), [], 2)
+        for parts in ([[]], [], [[small_tokens()], []]):
+            with pytest.raises(ContractError, match="no sequences"):
+                embed_parts(Encoder.init(SMALL, seed=3), parts, 2)
 
 
 class TestExtract:
@@ -502,15 +487,15 @@ class TestExtract:
         enc = Encoder.init(SMALL, seed=1)
         seq = small_tokens()
         hidden = forward(enc, seq, 2)
-        emb = embed(enc, seq, 2)
+        emb = embed_raw(enc, [seq], 2)
         assert emb.shape == (1, SMALL.d_model)
-        assert np.array_equal(emb.data[0], hidden.data[-1])
+        assert np.array_equal(emb[0], hidden[-1])
 
     def test_context_changes_embedding(self):
         enc = Encoder.init(SMALL, seed=2)
-        e1 = embed(enc, small_tokens((40, 41)), 2)
-        e2 = embed(enc, small_tokens((41, 41)), 2)
-        assert not np.array_equal(e1.data, e2.data)
+        e1 = embed_raw(enc, [small_tokens((40, 41))], 2)
+        e2 = embed_raw(enc, [small_tokens((41, 41))], 2)
+        assert not np.array_equal(e1, e2)
 
 
 class TestPrune:
@@ -518,7 +503,7 @@ class TestPrune:
         enc = Encoder.init(SMALL, seed=3)
         same = prune(enc, SMALL.n_layers)
         seq = small_tokens()
-        assert forward(enc, seq, 2).data.tobytes() == forward(same, seq, 2).data.tobytes()
+        assert forward(enc, seq, 2).tobytes() == forward(same, seq, 2).tobytes()
 
     def test_prefix_property_bitwise(self):
         cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=5, max_seq=8, k=2)
@@ -526,7 +511,7 @@ class TestPrune:
         seq = small_tokens()
         for k in (1, 2, 5):
             student = prune(enc, k)
-            assert forward(enc, seq, k).data.tobytes() == forward(student, seq, k).data.tobytes()
+            assert forward(enc, seq, k).tobytes() == forward(student, seq, k).tobytes()
 
     def test_parameter_count(self):
         cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=8, max_seq=8, k=3)
@@ -557,7 +542,7 @@ class TestPrune:
         for model in (enc, student):
             for name, t in model.params.items():
                 assert t.data.base is None and not t.data.flags.writeable, name
-                assert t.grad_tracked, name
+                assert not t.grad_tracked, name
         for name, t in student.params.items():
             assert not np.shares_memory(t.data, enc.params[name].data), name
             assert t.data.tobytes() == enc.params[name].data.tobytes(), name
@@ -621,8 +606,8 @@ class TestFlops:
 def test_encoder_gradients_match_finite_differences():
     # the [RET] row of one sequence as a function of every weight of a
     # 2-layer encoder: the suite's check, which grad-check runs too
-    (f, xs), = [(f, xs) for name, f, xs in gradient_suite(0) if name == "encoder[0]"]
-    assert check_gradients(f, xs) < 1e-4
+    (case,) = [case for name, *case in gradient_suite(0) if name == "encoder[0]"]
+    assert check_gradients(*case) < 1e-4
 
 
 TOY_SPEC = CorpusSpec(
@@ -658,24 +643,20 @@ ORACLE = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=3, max_seq=
 
 
 def same_grads(got, want, params):
-    """Whether two gradient maps give ``params`` the same gradients: arrays
-    byte for byte, row gradients in ids, their dtype, and rows."""
+    """Whether two gradient maps give ``params`` the same gradients byte
+    for byte, a row gradient as its dense array."""
     for p in params:
         assert (p in got) == (p in want)
         if p not in got:
             continue
-        g, ref = got[p], want[p]
-        assert type(g) is type(ref)
-        if isinstance(g, T.RowGrad):
-            assert g.ids.dtype == ref.ids.dtype and g.ids.tobytes() == ref.ids.tobytes()
-            g, ref = g.rows, ref.rows
+        g, ref = T.dense_grad(got[p]), T.dense_grad(want[p])
         assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
     return True
 
 
 class TestBlockStackNode:
     """A taped block stack's hand-written pullback, alone or as the one tape
-    node a taped entry point wraps it in, gives the bytes of a tape of one
+    node ``per_op_reference`` wraps it in, gives the bytes of a tape of one
     node per op (``per_op_reference``)."""
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -697,10 +678,10 @@ class TestBlockStackNode:
             for n, b in zip(lengths, batches)
         ]
         if ret_tail:
-            # two length groups in one embed_batch, in a drawn order
+            # two length groups in one part, in a drawn order
             seqs = [seq for group in groups for seq in group]
             seqs = [seqs[i] for i in rng.permutation(len(seqs))]
-            stacks = (embed_batch, per_op.embed_batch)
+            stacks = (per_op.embed_node, per_op.embed_batch)
         else:
             seqs = groups[0]
             stacks = (per_op.stack_node, per_op.blocks)
@@ -718,8 +699,6 @@ class TestBlockStackNode:
         assert same_grads(grads, ref_grads, params.values())
         # the vjp writes over nothing the forward saved
         assert same_grads(again, grads, params.values())
-        assert isinstance(grads[params["tok_emb"]], T.RowGrad)
-        assert isinstance(grads[params["pos_emb"]], T.RowGrad)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_part_pullback_bytes_equal_the_per_op_tape(self, depth):
@@ -741,12 +720,16 @@ class TestBlockStackNode:
         got = dict(zip(params.values(), pullback(dy)))
         assert len(got) == 2 + 16 * depth
         assert same_grads(got, T.backward(per_op.seeded(ref, dy)), params.values())
+        # the tables get the rows their gathers read, as row gradients
+        tok, pos = got[params["tok_emb"]], got[params["pos_emb"]]
+        assert isinstance(tok, T.RowGrad) and isinstance(pos, T.RowGrad)
+        assert tok.ids.tolist() == sorted({t for seq in seqs for t in seq.ids})
+        assert pos.ids.tolist() == list(range(5))
 
     def test_output_holds_the_last_residual_sum_uncopied(self, monkeypatch):
         # the stack's last residual sum is written into the last affine's
-        # output, a fresh array that owns its data, which the stack returns
-        # read-only, and forward's node holds that array (Tensor._wrap
-        # copies no float64 array)
+        # output, a fresh array that owns its data, which the stack and
+        # forward return read-only
         made = []
         kernel = T._affine
 
@@ -763,20 +746,18 @@ class TestBlockStackNode:
                 assert h is made[-1] and h.base is None and not h.flags.writeable
                 rows = 2 * (RET_TAIL_ROWS if ret_tail else len(small_tokens()))
                 assert h.shape == (rows, SMALL.d_model)
-        out = forward(enc, small_tokens(), 2)
-        assert out._node is not None and out.data is made[-1]
+        assert forward(enc, small_tokens(), 2) is made[-1]
 
     def test_backward_returns_only_the_leaves_it_reached(self):
         # a depth-1 stack of a 2-layer encoder reads the tables and layer 0;
         # its output, the product and the root are intermediates
         cfg = EncoderConfig(vocab_size=48, d_model=8, n_heads=2, n_layers=2, max_seq=16, k=1)
-        enc = Encoder.init(cfg, seed=5)
+        enc = per_op.tracked(Encoder.init(cfg, seed=5))
         seq = TokenSequence((*range(2, 14), RET_TOKEN_ID))
         assert len(seq) == 13
-        h = forward(enc, seq, 1)
+        h = per_op.stack_node(enc, [seq], 1)
         grads = T.backward(T.mean(T.mul(h, h)))
         read = [n for n in enc.params if not n.startswith("layers.1.")]
         assert len(read) == 18
         assert {id(t) for t in grads} == {id(enc.params[n]) for n in read}
-        assert isinstance(grads[enc.params["tok_emb"]], T.RowGrad)
-        assert isinstance(grads[enc.params["pos_emb"]], T.RowGrad)
+        assert all(type(g) is np.ndarray for g in grads.values())

@@ -373,7 +373,7 @@ class TestPretrainingLoss:
 
 
 # every check of gradcheck.gradient_suite at seeds 0-4, by name
-SUITE = {name: (f, xs) for seed in range(5) for name, f, xs in gradient_suite(seed)}
+SUITE = {name: case for seed in range(5) for name, *case in gradient_suite(seed)}
 
 
 class TestLossGradients:

@@ -7,7 +7,7 @@ import pytest
 from umrlab import retrieval
 from umrlab import tensor as T
 from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
-from umrlab.encoder import Encoder, EncoderConfig, embed, forward
+from umrlab.encoder import Encoder, EncoderConfig, forward
 from umrlab.errors import ContractError, FormatError
 from umrlab.prompts import assemble_prompt
 from umrlab.retrieval import (
@@ -102,8 +102,7 @@ class TestBuildIndex:
     def test_vector_matches_independent_recompute(self, encoder, corpus, index):
         cand = corpus.all_candidates()[5]
         seq = assemble_prompt(cand, "candidate", ENC.max_seq)
-        hidden = forward(encoder, seq, ENC.n_layers)
-        raw = hidden.data[-1]
+        raw = forward(encoder, seq, ENC.n_layers)[-1]
         want = (raw / np.linalg.norm(raw)).astype(np.float32)
         row = int(np.where(index.ids == cand.id)[0][0])
         assert index.vectors[row].tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import per_op_reference as per_op
 from umrlab import tensor as T
-from umrlab.encoder import Encoder, EncoderConfig, embed_batch
+from umrlab.encoder import Encoder, EncoderConfig
 from umrlab.errors import ContractError, DimensionError, NumericDomainError
 from umrlab.gradcheck import check_gradients, finite_diff_grad, max_relative_error
 from umrlab.prompts import TokenSequence
@@ -413,8 +413,8 @@ def scatter(shape, ids, rows):
 
 
 class TestGatherGradients:
-    """``backward``'s row-gradient sums, fed by ``per_op_reference``'s
-    gathers, whose every gradient is a RowGrad."""
+    """``backward``'s sums of gather gradients, fed by ``per_op_reference``'s
+    gathers, whose every gradient is a dense scatter of repeated rows."""
 
     def test_two_gathers_match_dense_per_gather_sums(self):
         # rows 1 and 3 repeat inside each gather and across them; row 3's
@@ -427,7 +427,7 @@ class TestGatherGradients:
         w2 = np.array([[1e16], [1.0], [1.0], [3.0]]) * [1.0, 0.5]
         part1 = T.mean(T.mul(per_op.take_rows(table, first), T.Tensor(8 * w1)))
         part2 = T.mean(T.mul(per_op.take_rows(table, second), T.Tensor(8 * w2)))
-        got = T.backward(T.add(part1, part2))[table].dense()
+        got = T.backward(T.add(part1, part2))[table]
         # one dense scatter per gather, added in reverse tape order
         want = scatter(table.shape, second, w2) + scatter(table.shape, first, w1)
         assert got.tobytes() == want.tobytes()
@@ -458,13 +458,14 @@ def dense_take_rows(table, ids):
     def vjp(dy):
         return (T.scatter_rows(table.shape, idx, dy),)
 
-    return T._result("take_rows", table.data[idx], (table,), vjp)
+    return T._result(table.data[idx], (table,), vjp)
 
 
 class TestIntermediateGather:
     """``scatter_rows`` has the bytes of ``np.add.at`` into zeros, and
-    ``backward`` gives an intermediate that a dense-scatter gather reads
-    the bytes it would get from row-gradient gathers."""
+    ``backward`` gives an intermediate that a ``scatter_rows`` gather reads
+    the bytes it would get from ``per_op_reference``'s gathers, which have
+    the bytes of row gradients."""
 
     def test_scatter_rows_equals_add_at_into_zeros(self):
         rng = np.random.default_rng(3)
@@ -515,8 +516,8 @@ class TestIntermediateGather:
 
 
 class TestRowGrad:
-    """Row gradients from ``per_op_reference``'s gathers, whose every
-    gradient is a RowGrad, as the block stack's table gathers give."""
+    """Row gradients, as the block stack's table gathers give, and the dense
+    scatters of ``per_op_reference``'s gathers, which have their bytes."""
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(
@@ -532,7 +533,7 @@ class TestRowGrad:
         uses = [[i % n_rows for i in ids] for ids in gathers]
         if dense_at is not None:
             uses.insert(min(dense_at, len(uses)), None)
-        parts, flows = [], []
+        parts, flows, row_grads = [], [], []
         for ids in uses:
             shape = table.shape if ids is None else (len(ids), width)
             # magnitudes 1e-8..1e8, so a change of summation order shows
@@ -542,6 +543,8 @@ class TestRowGrad:
             # what the mean's and mul's vjps send to x for a root gradient of 1
             flow = np.full(shape, 1.0 / w.size) * w
             flows.append(flow if ids is None else scatter(table.shape, ids, flow))
+            if ids is not None:
+                row_grads.append(T.RowGrad.scatter(table.shape, np.array(ids), flow))
         root = parts[0]
         for part in parts[1:]:
             root = T.add(root, part)
@@ -551,13 +554,14 @@ class TestRowGrad:
         want = flows[-1]
         for flow in reversed(flows[:-1]):
             want = want + flow
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
         if dense_at is None:
-            assert isinstance(got, T.RowGrad)
-            assert got.ids.tolist() == sorted({i for ids in uses for i in ids})
-            got = got.dense()
-        else:
-            assert isinstance(got, np.ndarray)
-        assert got.tobytes() == want.tobytes()
+            # the gathers' row gradients, summed in the same order, as the
+            # block stack's pullback sums its length groups', give those
+            # bytes too
+            summed = T.sum_grads(row_grads[::-1])
+            assert summed.ids.tolist() == sorted({i for ids in uses for i in ids})
+            assert T.dense_grad(summed).tobytes() == want.tobytes()
 
     def test_dense_is_a_fresh_table_of_zeros_and_rows(self):
         g = T.RowGrad.scatter((4, 2), np.array([3, 1, 3]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
@@ -651,7 +655,7 @@ class TestFiniteDiff:
 
 
 # The encoder runs affine, GELU, layer norm and attention in its block
-# stack, whose pullback a taped entry point records as one tape node, and
+# stack, whose pullback ``per_op_reference`` records as one tape node, and
 # concatenates an embed's length groups and gathers its [RET] rows inside
 # that pullback. Their rows keep their names but check that node: the loss
 # of a tiny encoder's block stack (d=4, 2 heads) over sequences of 1 and 3
@@ -678,7 +682,7 @@ def block_stack(depth, *, tail, batch, layer, checked):
         # central differences of a loss near 1 are roundoff
         enc = Encoder(cfg, {**fixed, **{n: T.scale(x, 0.02) for n, x in zip(names, xs)}})
         if tail:
-            outs = [embed_batch(enc, seqs, depth)]
+            outs = [per_op.embed_node(enc, seqs, depth)]
         else:
             outs = [per_op.stack_node(enc, rows, depth) for rows in (seqs[::2], seqs[1:2])]
         return T.mean(per_op.concat_rows([T.mul(h, h) for h in outs]))

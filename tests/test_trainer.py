@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -26,7 +27,6 @@ from umrlab.encoder import (
     Encoder,
     EncoderConfig,
     embed_parts,
-    forward,
     forward_raw,
     parameter_names,
     prune,
@@ -259,7 +259,7 @@ class TestAdam:
             update = lr * (old_m / (1.0 - b1**t)) / (np.sqrt(old_v / (1.0 - b2**t)) + eps)
             old_w = Tensor(old_w - update, grad_tracked=True).data
             assert params["w"].data.tobytes() == old_w.tobytes()
-            assert params["w"].grad_tracked and not params["w"].data.flags.writeable
+            assert not params["w"].grad_tracked and not params["w"].data.flags.writeable
 
         w = [1.0, 1.0, 1.0]
         m = [0.0] * 3
@@ -589,6 +589,19 @@ class TestTrainStep:
         with pytest.raises(ConfigurationError, match="alpha mode must be one of"):
             config(1, alpha_mode="linear")
 
+    def test_hard_temperature_that_rounds_to_zero_rejected_at_stage_2(self):
+        # 0.05 * exp(-10 * 2/3) rounds to 0.0 at the third of three epochs
+        cold = TemperatureSchedule(tau0=0.05, lam=10.0, mode="off")
+        assert tau_hard_at(cold, 1 / 3) == 0.002 and tau_hard_at(cold, 2 / 3) == 0.0
+        with pytest.raises(ConfigurationError, match=r"^tau0 0.05 and lambda 10.0 round .* epoch 2 of 3 to 0.0$"):
+            config(2, epochs=3, temperature=cold)
+        # one epoch reads only progress 0, at tau0
+        config(2, epochs=1, temperature=cold)
+        # stages 0 and 1 read tau0 unrounded, and a run of no epochs reads none
+        for stage in (0, 1):
+            config(stage, epochs=3, temperature=cold)
+        config(2, epochs=0, temperature=TemperatureSchedule(tau0=1e-4))
+
     def test_settings_are_the_fields(self):
         # Adam's constants are class attributes, not settings a caller passes
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
@@ -718,11 +731,13 @@ class TestTrainStep:
             losses.append(args)
             return mac_loss(*args)
 
+        # the config reads the last epoch's temperature once, when it is made
+        cfg = config(2, shards=4, per_shard_batch=2)
         monkeypatch.setattr(trainer, "tau_hard_at", counting_tau)
         monkeypatch.setattr(trainer, "mac_loss", counting_mac)
         enc = prune(Encoder.init(ENC, seed=6), 2)
         batch = batch_from(corpus, corpus.train[:8])
-        compute_global_grads(enc, None, batch, config(2, shards=4, per_shard_batch=2), 0.5)
+        compute_global_grads(enc, None, batch, cfg, 0.5)
         assert len(taus) == 1 and len(losses) == 4
 
     def test_stage1_step_schedules_once(self, corpus, monkeypatch):
@@ -820,14 +835,16 @@ def embed_per_part(encoder, parts, upto):
 
 
 def per_prompt_parts(encoder, parts, upto):
-    """Reference for encoder.embed_parts: one taped forward per prompt, whose
-    last rows the per-op reference gathers and concatenates, and a pullback
-    that is a backward of that tape seeded with dy."""
+    """Reference for encoder.embed_parts: one block-stack tape node per
+    prompt, over tracked copies of the weights, whose last rows the per-op
+    reference gathers and concatenates, and a pullback that is a backward
+    of that tape seeded with dy."""
+    encoder = per_op.tracked(encoder)
     params = list(encoder.params.values())
 
     def part_rows(part):
         rows = per_op.concat_rows(
-            [per_op.take_rows(forward(encoder, seq, upto), [len(seq) - 1]) for seq in part]
+            [per_op.take_rows(per_op.stack_node(encoder, [seq], upto), [len(seq) - 1]) for seq in part]
         )
 
         def pullback(dy):
@@ -839,11 +856,53 @@ def per_prompt_parts(encoder, parts, upto):
     return [part_rows(part) for part in parts]
 
 
-# the taped ops the losses are written with
-LOSS_OPS = {
-    "matmul", "transpose", "add", "sub", "mul", "scale", "add_scalar", "mean", "sum_rows",
-    "l2_normalize_rows", "cross_entropy_rows",
-}
+class TestWeightsLeaveTheTape:
+    """The block stack's pullback is the encoder's one gradient path: no
+    weight is tracked, nothing in the encoder returns a Tensor, and a step's
+    backward reaches only the gathered rows."""
+
+    def test_weights_are_untracked_wherever_they_come_from(self, corpus, tmp_path):
+        enc = Encoder.init(ENC, seed=3)
+        save_checkpoint(tmp_path / "w.ckpt", enc)
+        cfg = config(0)
+        opt = OptimizerState.init(enc.params, cfg.lr)
+        batch = batch_from(corpus, [s for s in corpus.train if s.task == "t2t"][:4])
+        stepped, opt, _ = train_step(enc, None, batch, cfg, opt, 0.0)
+        models = [enc, prune(enc, 2), load_checkpoint(tmp_path / "w.ckpt")[0], stepped]
+        for params in [*(model.params for model in models), opt.params]:
+            assert not any(p.grad_tracked for p in params.values())
+
+    def test_no_encoder_function_returns_a_tensor(self):
+        assert encoder_module.forward_raw is encoder_module.forward
+        tree = ast.parse(Path(encoder_module.__file__).read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert len(functions) > 10
+        for fn in functions:
+            assert fn.returns is None or "Tensor" not in ast.unparse(fn.returns), fn.name
+        # and nothing there can record a tape node
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"_result", "_Node"}
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_step_backward_maps_the_two_gathered_rows_to_arrays(self, mixed_batch, stage, monkeypatch):
+        full = Encoder.init(MIXED_ENC, seed=3)
+        enc, teacher = prune(full, 2), (full if stage == 1 else None)
+        results = []
+        backward = T.backward
+
+        def recording(root):
+            results.append(backward(root))
+            return results[-1]
+
+        monkeypatch.setattr(T, "backward", recording)
+        cfg = config(stage, encoder=MIXED_ENC, shards=2, per_shard_batch=4)
+        compute_global_grads(enc, teacher, mixed_batch, cfg, 0.5)
+        assert len(results) == 2
+        for grads in results:
+            assert [t.shape for t in grads] == [(8, MIXED_ENC.d_model)] * 2
+            for leaf, g in grads.items():
+                assert leaf.grad_tracked and leaf._node is None
+                assert type(g) is np.ndarray and g.shape == leaf.shape
 
 
 class LookupCounter(dict):
@@ -890,12 +949,12 @@ class TestBatchedEmbedding:
         cfg = config(stage, encoder=MIXED_ENC, shards=4, per_shard_batch=2)
         compute_global_grads(enc, teacher, mixed_batch, cfg, 0.5)
         assert len(graphs) == 4
+        weights = {id(p) for model in (enc, teacher) if model for p in model.params.values()}
         for graph in graphs:
-            assert {node.op for node in graph.nodes} <= LOSS_OPS
-            leaves = {
-                id(t): t for node in graph.nodes for t in node.inputs if t.grad_tracked and t._node is None
-            }
-            assert sorted(t.shape for t in leaves.values()) == [(8, MIXED_ENC.d_model)] * 2
+            inputs = {id(t): t for node in graph.nodes for t in node.inputs}
+            assert not weights & set(inputs)
+            leaves = [t for t in inputs.values() if t.grad_tracked and t._node is None]
+            assert sorted(t.shape for t in leaves) == [(8, MIXED_ENC.d_model)] * 2
 
     def test_one_forward_per_prompt_length_across_both_sides(self, mixed_batch, monkeypatch):
         # across both sides and every shard: one block stack per distinct
@@ -922,7 +981,7 @@ class TestBatchedEmbedding:
     @pytest.mark.parametrize("stage", [0, 1, 2])
     def test_steps_bitwise_equal_an_embed_per_shard(self, mixed_batches, stage, monkeypatch):
         # one row across two compositions: one forward per prompt length for
-        # every shard, against an embed_batch of each shard alone, over two
+        # every shard, against an embed_parts of each shard alone, over two
         # steps, so the second starts from non-zero moments; shards that
         # meet their lengths in different orders catch a tape node order
         # other than the per-shard one
