@@ -2,8 +2,8 @@
 
 A complete pipeline over synthetic token corpora: a from-scratch autodiff
 core for the objectives, whose ops tape exactly when an input is tracked; a
-small transformer retriever with prefix layer pruning and a hand-written
-backward through its block stack; contrastive and self-distillation
+small transformer retriever, its weights plain read-only arrays, with prefix
+layer pruning and a hand-written backward through its block stack; contrastive and self-distillation
 objectives with a modality-adaptive temperature matrix; a deterministic
 simulated data-parallel trainer; and a flat cosine retrieval index with
 Recall@k evaluation.

@@ -5,7 +5,7 @@ Layout (all integers little-endian):
     magic   8 bytes  b"PUMACKPT"
     version u8       currently 3
     config  6 x u32  vocab_size, d_model, n_heads, n_layers, max_seq, k
-    weights          each tensor's float64 data, in ``parameter_shapes(config)``
+    weights          each weight's float64 data, in ``parameter_shapes(config)``
                      order; the config alone sets every name and shape
 
 and nothing after the weights. A checkpoint holds no optimizer state: every
@@ -26,7 +26,6 @@ import numpy as np
 from .binfile import Reader
 from .encoder import Encoder, EncoderConfig, parameter_shapes
 from .errors import ContractError, FormatError, VersionError
-from .tensor import Tensor
 
 MAGIC = b"PUMACKPT"
 VERSION = 3
@@ -42,13 +41,13 @@ def save_checkpoint(path: str | Path, encoder: Encoder, optimizer: object = None
     fields = (cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k)
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<B6I", VERSION, *fields))
-        for data in encoder.arrays.values():
+        for data in encoder.params.values():
             f.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Encoder, None]:
-    """Read a checkpoint, each tensor straight from the file into its own
-    array, so a load holds about one file's worth of memory."""
+    """Read a checkpoint, each weight straight from the file into its own
+    read-only array, so a load holds about one file's worth of memory."""
     with open(path, "rb") as f:
         r = Reader(f, "checkpoint")
         r.magic(MAGIC)
@@ -68,12 +67,13 @@ def load_checkpoint(path: str | Path) -> tuple[Encoder, None]:
                 f"config's {cfg.n_layers} layers cannot fit a checkpoint of {r.size} bytes",
                 config_offset,
             )
-        params: dict[str, Tensor] = {}
+        params: dict[str, np.ndarray] = {}
         for name, shape in parameter_shapes(cfg).items():
             offset = r.offset
             data = r.floats(shape, f"tensor {name} data")
             if not np.isfinite(data).all():
                 raise FormatError(f"tensor {name!r} holds a non-finite weight", offset)
-            params[name] = Tensor._wrap(data, grad_tracked=False)
+            data.flags.writeable = False
+            params[name] = data
         r.end()
     return Encoder(cfg, params), None

@@ -266,9 +266,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    if args.seq < 1:
+        raise ConfigurationError(f"--seq must be >= 1, got {args.seq}")
     cfg = EncoderConfig(
         vocab_size=1000, d_model=args.d_model, n_heads=1, n_layers=args.layers,
-        max_seq=max(args.seq, 1), k=1,
+        max_seq=args.seq, k=1,
     )
     # estimate_flops checks args.k against 0..layers and never reads cfg.k
     pruned = estimate_flops(cfg, args.k, args.seq)

@@ -8,8 +8,8 @@ by construction, which is what makes teacher/student weight surgery exact.
 Every forward runs one block stack, :func:`_blocks`, over a batch of
 equal-length sequences stacked as rows, which shares each op's call cost
 across the batch. It runs the array kernels of :mod:`~umrlab.tensor` on the
-parameters' arrays in both modes, one loop body for both; the entry point
-that calls it picks the mode. Tape-free, it writes each temporary in place.
+weights in both modes, one loop body for both; the entry point that calls it
+picks the mode. Tape-free, it writes each temporary in place.
 Taped, it keeps the activations the backward reads, writes over none of
 them, and returns with the hidden states a pullback: for a run of
 consecutive sequences and the gradient of their rows, the gradient of
@@ -18,7 +18,7 @@ backward through the blocks over those rows alone that replays the per-op
 vjps in reverse op order, so its gradients have the bytes of a tape of one
 node per op. Both modes run the same arithmetic, so their hidden states are
 equal bit for bit. That pullback is the encoder's one gradient path: its
-weights are untracked, and nothing here records a tape node.
+weights are plain read-only arrays, and nothing here records a tape node.
 
 One private body, :func:`_embed`, is the one place that reads [RET] rows.
 It takes the sequences as parts, each a list of any lengths, and runs one
@@ -55,7 +55,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, LengthError, NumericDomainError
 from .prompts import TokenSequence
-from .tensor import Tensor
 
 FFN_MULT = 4
 
@@ -96,8 +95,8 @@ _LAYER_PARAMS = [name for name, _ in _layer_param_shapes(1)]
 
 
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Parameter shapes in canonical order; a checkpoint stores each tensor's
-    data in exactly this order and names no tensor or shape itself."""
+    """Parameter shapes in canonical order; a checkpoint stores each weight's
+    data in exactly this order and names no weight or shape itself."""
     d = config.d_model
     shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq, d)}
     for i in range(config.n_layers):
@@ -112,37 +111,36 @@ def parameter_names(config: EncoderConfig) -> list[str]:
 
 
 class Encoder:
-    """A weight bundle that only the owner of its tensors' data writes.
+    """A weight bundle that only the owner of its arrays writes.
 
-    ``params`` maps each name to its Tensor and ``arrays`` to that Tensor's
-    data; both are read-only views, in :func:`parameter_shapes` order, which
-    the constructor enforces. The block stack takes its inputs as their
-    first entries, and ``save_checkpoint`` writes the arrays in that order.
-    An encoder from ``init``, :func:`prune` or ``load_checkpoint`` owns its
-    arrays, and they never change. One that a training step returns is a
-    view of its optimizer's parameter store (:mod:`~umrlab.optim`): that
-    optimizer's next step changes it in place.
+    ``params`` maps each name to its weight, a read-only float64 array, in
+    :func:`parameter_shapes` order, as the constructor checks. The block
+    stack takes its inputs as the first entries, and ``save_checkpoint``
+    writes them all in that order. An encoder from ``init``, :func:`prune`
+    or ``load_checkpoint`` owns its arrays, and they never change. One that
+    a training step returns holds views of its optimizer's parameter store
+    (:mod:`~umrlab.optim`), which that optimizer's next step changes in place.
     """
 
-    def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
+    def __init__(self, config: EncoderConfig, params: dict[str, np.ndarray]):
         expected = parameter_shapes(config)
         if list(params) != list(expected):
             raise ContractError("encoder parameter names/order do not match config")
         for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ContractError(
-                    f"parameter {name!r} has shape {params[name].shape}, config implies {shape}"
-                )
+            p = params[name]
+            if not isinstance(p, np.ndarray) or p.dtype != np.float64 or p.flags.writeable:
+                raise ContractError(f"parameter {name!r} is not a read-only float64 array")
+            if p.shape != shape:
+                raise ContractError(f"parameter {name!r} has shape {p.shape}, config implies {shape}")
         self.config = config
         self.params = MappingProxyType(dict(params))
-        self.arrays = MappingProxyType({name: t.data for name, t in params.items()})
 
     @classmethod
     def init(cls, config: EncoderConfig, seed: int) -> "Encoder":
         """Matrices ~ N(0, 0.02^2), drawn in canonical order; gains one,
         biases zero."""
         rng = np.random.default_rng(seed)
-        params: dict[str, Tensor] = {}
+        params: dict[str, np.ndarray] = {}
         for name, shape in parameter_shapes(config).items():
             if len(shape) == 2:
                 data = rng.normal(0.0, 0.02, size=shape)
@@ -150,15 +148,16 @@ class Encoder:
                 data = np.ones(shape)
             else:
                 data = np.zeros(shape)
-            params[name] = Tensor._wrap(data, grad_tracked=False)
+            data.flags.writeable = False
+            params[name] = data
         return cls(config, params)
 
-    def with_params(self, params: dict[str, Tensor]) -> "Encoder":
+    def with_params(self, params: dict[str, np.ndarray]) -> "Encoder":
         return Encoder(self.config, params)
 
     def param_bytes(self) -> bytes:
         """Concatenated raw weight bytes, for bitwise comparisons."""
-        return b"".join(self.params[n].data.tobytes() for n in parameter_names(self.config))
+        return b"".join(self.params[n].tobytes() for n in parameter_names(self.config))
 
 
 # Rows per sequence the last block keeps when only the [RET] row is read.
@@ -212,7 +211,7 @@ def _blocks(
     # the two tables, then blocks 0..upto-1: the first entries of an
     # encoder's params, which are in parameter_shapes order
     n_inputs = _layer(upto - 1).stop
-    weights = list(encoder.arrays.values())[:n_inputs]
+    weights = list(encoder.params.values())[:n_inputs]
     positions = np.tile(np.arange(s), len(batch))
     tail_from = upto - 1 if ret_tail else upto
     starts = np.arange(0, len(batch) * s, s)[:, None]
@@ -458,10 +457,10 @@ def prune(encoder: Encoder, k: int) -> Encoder:
     if not 1 <= k <= cfg.n_layers:
         raise ContractError(f"prune depth {k} outside 1..{cfg.n_layers}")
     new_cfg = replace(cfg, n_layers=k, k=min(cfg.k, k))
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for name in parameter_names(new_cfg):
-        src = encoder.params[name]
-        params[name] = Tensor._wrap(src.data.copy(), False)
+        params[name] = encoder.params[name].copy()
+        params[name].flags.writeable = False
     return Encoder(new_cfg, params)
 
 

@@ -124,7 +124,8 @@ def _pretraining(tq, tc, q, c):
 
 def _ret_rows(batch, weights, taped: bool):
     """The suite encoder's [RET] rows of ``batch``; ``taped``, with their pullback."""
-    model = Encoder(_SUITE_ENCODER, dict(zip(parameter_names(_SUITE_ENCODER), weights)))
+    params = {name: w.data for name, w in zip(parameter_names(_SUITE_ENCODER), weights)}
+    model = Encoder(_SUITE_ENCODER, params)
     depth = _SUITE_ENCODER.n_layers
     return embed_parts(model, [batch], depth)[0] if taped else embed_raw(model, batch, depth)
 
@@ -165,7 +166,7 @@ def gradient_suite(seed: int) -> list[tuple]:
     enc = Encoder.init(_SUITE_ENCODER, seed=seed)
     ids = np.random.default_rng(seed).integers(36, 46, size=(2, 3))
     seqs = [TokenSequence(tuple(int(t) for t in row) + (1,)) for row in ids]
-    weights = list(enc.params.values())
+    weights = [Tensor(w) for w in enc.params.values()]
     for name, batch in (("encoder", seqs[:1]), ("encoder-batch", seqs)):
         cases.append((name, partial(_encoder_loss, batch), weights, partial(_encoder_grads, batch)))
     return [(f"{name}[{seed}]", *case) for name, *case in cases]

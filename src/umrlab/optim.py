@@ -1,22 +1,21 @@
 """Bias-corrected Adam over one owned parameter store, updated in place.
 
-``OptimizerState.init`` copies the parameters it is given once into one
-flat float64 buffer, in the dict's order (``parameter_shapes`` order for an
-encoder), with the flat first and second moments beside it. The state hands
-out one read-only :class:`~umrlab.tensor.Tensor` view of each parameter's
-slice, ``state.params``, wrapped uncopied (``Tensor._wrap``), and ``m`` and
-``v`` map each name to its slice of the moments. The params passed to
-``init`` are never written.
+``OptimizerState.init`` copies the weights it is given, float64 arrays,
+once into one flat float64 buffer, in the dict's order (``parameter_shapes``
+order for an encoder), with the flat first and second moments beside it.
+``state.params`` maps each name to a read-only view of its slice of that
+buffer, and ``m`` and ``v`` to its slices of the moments. The arrays passed
+to ``init`` are never written.
 
 A step, :func:`adam_update`, writes the buffer, the moments, ``live`` and
-``step`` in place and returns the state's own views, the same tensors at
+``step`` in place and returns the state's own views, the same arrays at
 every step: the next step changes them, and every encoder built on them, in
-place. Params that are not the state's own tensors but carry its names and
+place. Params that are not the state's own views but carry its names and
 shapes are first copied into the buffer, and are never written; that
 happens on the first step of every stage. A step checks every name and
 shape before it writes anything, and the whole buffer for a non-finite
 weight or second moment after it writes. After a step raises, the state
-and every tensor it returned are spent.
+and every view it returned are spent.
 
 A run of consecutive parameters with dense gradients takes one call of the
 formula over its slice of the buffer. A table whose gradient is a
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericDomainError
-from .tensor import RowGrad, Tensor, row_union
+from .tensor import RowGrad, row_union
 
 
 @dataclass
@@ -54,16 +53,16 @@ class OptimizerState:
     # sorted ids of the rows whose m and v may be non-zero
     live: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     # the store: every weight, m and v flat, in ``params`` order, and one
-    # read-only Tensor view of each parameter's slice of the weights
+    # read-only array view of each parameter's slice of the weights
     weights: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
     flat_m: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
     flat_v: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    params: dict[str, Tensor] = field(default_factory=dict, repr=False)
+    params: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     # each parameter's [start, stop) in the flat buffers
     spans: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def init(cls, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
+    def init(cls, params: dict[str, np.ndarray], lr: float, beta1: float = 0.9,
              beta2: float = 0.999, eps: float = 1e-8) -> "OptimizerState":
         if not (math.isfinite(lr) and lr >= 0):
             raise ConfigurationError(f"Adam lr must be finite and >= 0, got {lr}")
@@ -82,15 +81,16 @@ class OptimizerState:
         for name, p in params.items():
             a, b = spans[name]
             weights = state.weights[a:b].reshape(p.shape)
-            weights[...] = p.data
+            weights[...] = p
+            weights.flags.writeable = False
             state.m[name] = state.flat_m[a:b].reshape(p.shape)
             state.v[name] = state.flat_v[a:b].reshape(p.shape)
             state.live[name] = np.empty(0, dtype=np.int64)
-            state.params[name] = Tensor._wrap(weights, False)
+            state.params[name] = weights
         return state
 
 
-def _check(params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGrad],
+def _check(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | RowGrad],
            state: OptimizerState) -> None:
     """Refuse params or gradients whose names or shapes differ from the store's."""
     if set(params) != set(state.params):
@@ -174,10 +174,10 @@ def _table_rows(name: str, g: RowGrad, state: OptimizerState, bc1: float, bc2: f
 
 
 def adam_update(
-    params: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray | RowGrad],
     state: OptimizerState,
-) -> tuple[dict[str, Tensor], OptimizerState]:
+) -> tuple[dict[str, np.ndarray], OptimizerState]:
     """One Adam step on ``state``'s store, in place; returns (the state's own
     parameter views, ``state``).
 
@@ -193,7 +193,7 @@ def adam_update(
         own = state.params[name]
         if p is not own:
             a, b = state.spans[name]
-            state.weights[a:b].reshape(own.shape)[...] = p.data
+            state.weights[a:b].reshape(own.shape)[...] = p
     t = state.step + 1
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t

@@ -5,16 +5,14 @@ is grad-tracked, and its output is then tracked too; an op of untracked
 inputs records nothing. Only the losses run on the tape: a training step
 backpropagates each loss to the gathered embeddings, its two tracked
 leaves, and hands their gradient to the encoder's block-stack pullback,
-which records nothing; no weight is tracked. ``backward`` replays the tape
+which records nothing; no weight is a tensor. ``backward`` replays the tape
 for a scalar root in reverse record order, which fixes the gradient
 accumulation order and makes gradients bitwise reproducible.
 
-A tensor's data is read-only through the tensor. ``Tensor._wrap`` wraps a
-float64 array as it is, a view included, so a tensor may show a slice of a
-buffer that its owner writes through its own array: the optimizer's
-parameter store (:mod:`~umrlab.optim`) updates its parameters' slices in
-place at each step. Every other tensor's data never changes after
-construction.
+A tensor's data is a read-only float64 array that never changes after
+construction. Weights are not tensors: the encoder and the optimizer's
+parameter store (:mod:`~umrlab.optim`) hold them as read-only arrays, and
+the block stack's kernels read those arrays directly.
 
 The arithmetic of a transformer block lives in plain array kernels, a
 forward and a vjp for each of affine, layer norm, GELU and attention
@@ -90,13 +88,9 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, grad_tracked: bool) -> "Tensor":
-        """Wrap a float64 array as it is, a view included, no copy, and make
-        ``arr`` read-only. Whoever owns a writable base may still write
-        through it, as the optimizer's store does. An array of another dtype
-        is copied."""
+        """Wrap a float64 array that nothing else writes as it is, no copy,
+        and make ``arr`` read-only."""
         t = cls.__new__(cls)
-        if arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
         arr.flags.writeable = False
         t._data = arr
         t.grad_tracked = grad_tracked
@@ -241,17 +235,21 @@ def dense_grad(g: np.ndarray | RowGrad) -> np.ndarray:
 
 
 def sum_grads(parts: Sequence[np.ndarray | RowGrad]) -> np.ndarray | RowGrad:
-    """The sum of one tensor's gradients, in the given order. One part is
+    """The sum of one weight's gradients, in the given order. One part is
     returned as it is. Parts that are all :class:`RowGrad` sum row by row
     (:meth:`RowGrad.sum`), which has the bytes of the dense sum, since a
-    row a part does not hold would only have 0.0 added. Any other mix sums
-    densely into a fresh array, first + second and then each later part
-    added in, and no part is written into."""
+    row a part does not hold would only have 0.0 added. Arrays sum into a
+    fresh array, first + second and then each later part added in, and no
+    part is written into. A mix of the two kinds raises ContractError: one
+    weight's gradients are all rows (a table's) or all arrays."""
     if len(parts) == 1:
         return parts[0]
-    if all(isinstance(g, RowGrad) for g in parts):
+    rows = sum(isinstance(g, RowGrad) for g in parts)
+    if rows == len(parts):
         return RowGrad.sum(parts)
-    first, second, *rest = (dense_grad(g) for g in parts)
+    if rows:
+        raise ContractError(f"sum_grads got {rows} row gradients among {len(parts)} parts")
+    first, second, *rest = parts
     total = first + second
     for g in rest:
         total += g

@@ -10,8 +10,8 @@ its gradient densely, as ``np.add.at`` into zeros, which has the bytes of
 the :class:`~umrlab.tensor.RowGrad` the block stack gives its tables. The
 bitwise tests require the block stack's pullback to give this tape's bytes.
 
-The encoder's weights are untracked, so a test that puts the block stack on
-a tape wraps tracked leaves of its own (:func:`tracked`), and
+The encoder's weights are plain arrays, so a test that puts the block stack
+on a tape wraps tracked leaves of its own (:class:`Tracked`), and
 :func:`stack_node` and :func:`embed_node` record the stack's pullback as one
 tape node over them.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from umrlab import tensor as T
-from umrlab.encoder import RET_TAIL_ROWS, _blocks, _layer, embed_parts, length_groups
+from umrlab.encoder import RET_TAIL_ROWS, Encoder, _blocks, _layer, embed_parts, length_groups
 
 
 def affine(x, w, b):
@@ -116,36 +116,46 @@ def concat_rows(parts):
     return T._result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
 
 
+class Tracked:
+    """An encoder's weights as tape leaves: ``params`` maps each name to a
+    Tensor, in ``parameter_shapes`` order, and ``encoder`` is the encoder of
+    their data, whose block stack the nodes below run."""
+
+    def __init__(self, config, params):
+        self.config, self.params = config, dict(params)
+        self.encoder = Encoder(config, {n: t.data for n, t in self.params.items()})
+
+
 def tracked(encoder):
-    """``encoder`` with each weight a fresh grad-tracked leaf."""
-    return encoder.with_params({n: T.Tensor(p.data, grad_tracked=True) for n, p in encoder.params.items()})
+    """``encoder``'s weights as fresh grad-tracked leaves."""
+    return Tracked(encoder.config, {n: T.Tensor(p, grad_tracked=True) for n, p in encoder.params.items()})
 
 
-def _node(encoder, upto, rows, pullback):
+def _node(taped, upto, rows, pullback):
     """``rows`` as the output of one tape node over the inputs of an
     ``upto``-block stack, whose vjp is ``pullback`` with its table rows
     made dense, as ``backward`` sums them."""
-    inputs = list(encoder.params.values())[: _layer(upto - 1).stop]
+    inputs = list(taped.params.values())[: _layer(upto - 1).stop]
     return T._result(rows, inputs, lambda dy: [T.dense_grad(g) for g in pullback(dy)])
 
 
-def stack_node(encoder, batch, upto, ret_tail=False):
-    """The encoder's own block stack over ``batch`` as one tape node: the
-    form :func:`blocks` is compared with."""
-    h, pullback = _blocks(encoder, batch, upto, True, ret_tail)
-    return _node(encoder, upto, h, lambda dh: pullback(0, len(batch), dh))
+def stack_node(taped, batch, upto, ret_tail=False):
+    """The encoder's own block stack over ``batch`` as one tape node over
+    the :class:`Tracked` leaves: the form :func:`blocks` is compared with."""
+    h, pullback = _blocks(taped.encoder, batch, upto, True, ret_tail)
+    return _node(taped, upto, h, lambda dh: pullback(0, len(batch), dh))
 
 
-def embed_node(encoder, seqs, upto):
+def embed_node(taped, seqs, upto):
     """The [RET] rows of an ``embed_parts`` of ``seqs`` as one part, as one
     tape node over its pullback: the form :func:`embed_batch` is compared
     with."""
-    return _node(encoder, upto, *embed_parts(encoder, [seqs], upto)[0])
+    return _node(taped, upto, *embed_parts(taped.encoder, [seqs], upto)[0])
 
 
-def blocks(encoder, batch, upto, ret_tail=False):
-    """The taped block stack, one node per op."""
-    p, s = encoder.params, len(batch[0])
+def blocks(taped, batch, upto, ret_tail=False):
+    """The taped block stack over the :class:`Tracked` leaves, one node per op."""
+    p, s = taped.params, len(batch[0])
     ids = [i for tokens in batch for i in tokens.ids]
     positions = list(range(s)) * len(batch)
     tail_from = upto - 1 if ret_tail else upto
@@ -161,7 +171,7 @@ def blocks(encoder, batch, upto, ret_tail=False):
         q = affine(a_q, p[base + "attn.wq"], p[base + "attn.bq"])
         k = affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
         v = affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
-        mixed = attention(q, k, v, encoder.config.n_heads, s)
+        mixed = attention(q, k, v, taped.config.n_heads, s)
         h = T.add(h, affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
         f = layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
         f = gelu(affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
@@ -169,11 +179,11 @@ def blocks(encoder, batch, upto, ret_tail=False):
     return h
 
 
-def embed_batch(encoder, seqs, upto):
+def embed_batch(taped, seqs, upto):
     """The [RET] rows of ``seqs`` over :func:`blocks`: one stack per length
     group, concatenated, and the [RET] rows gathered in input order."""
     groups = length_groups(seqs)
-    hidden = [blocks(encoder, [seqs[i] for i in rows], upto, ret_tail=True) for rows in groups]
+    hidden = [blocks(taped, [seqs[i] for i in rows], upto, ret_tail=True) for rows in groups]
     ret_row = [0] * len(seqs)
     offset = 0
     for rows in groups:

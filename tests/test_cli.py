@@ -268,14 +268,14 @@ class TestTrainArtifacts:
 
     def test_nan_weight_init_is_diagnosed(self, workdir, capsys):
         from umrlab.checkpoint import load_checkpoint, save_checkpoint
-        from umrlab.tensor import Tensor
 
         root, corpus, _, student = workdir
         enc, _ = load_checkpoint(student)
         params = dict(enc.params)
-        w1 = params["layers.0.ffn.w1"].data.copy()
+        w1 = params["layers.0.ffn.w1"].copy()
         w1[0, 0] = float("nan")
-        params["layers.0.ffn.w1"] = Tensor(w1, grad_tracked=True)
+        w1.flags.writeable = False
+        params["layers.0.ffn.w1"] = w1
         init = root / "nan-init.ckpt"
         save_checkpoint(init, enc.with_params(params))
         out, curve = root / "from-nan.ckpt", root / "from-nan.csv"
@@ -520,11 +520,12 @@ def blown(workdir):
     """The student with every weight scaled by 1e300, as one update at a
     learning rate of 1e300 leaves it: finite, but its forward overflows."""
     from umrlab.checkpoint import load_checkpoint, save_checkpoint
-    from umrlab.tensor import Tensor
 
     root, _, _, student = workdir
     enc, _ = load_checkpoint(student)
-    params = {n: Tensor(p.data * 1e300, grad_tracked=True) for n, p in enc.params.items()}
+    params = {n: p * 1e300 for n, p in enc.params.items()}
+    for p in params.values():
+        p.flags.writeable = False
     path = root / "blown.ckpt"
     save_checkpoint(path, enc.with_params(params))
     return path
@@ -816,8 +817,20 @@ class TestFlops:
         assert "embed layer-stack ratio k/L: 0.3085\n" in out
 
     def test_zero_seq_is_diagnosed(self, capsys):
-        assert main(["flops", "--layers", "4", "--k", "2", "--seq", "0"]) == 1
-        assert capsys.readouterr().err.startswith("error: seq_len 0")
+        # refused as a flag, as --seeds and --limit are, not as a range of
+        # a config built to hold it
+        assert main(["flops", "--layers", "8", "--k", "3", "--seq", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seq must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_negative_seq_is_diagnosed(self, capsys):
+        assert main(["flops", "--layers", "4", "--k", "2", "--seq", "-2"]) == 1
+        assert capsys.readouterr().err == "error: --seq must be >= 1, got -2\n"
+
+    def test_seq_one_is_counted(self, capsys):
+        assert main(["flops", "--layers", "4", "--k", "2", "--seq", "1", "--d-model", "8"]) == 0
+        assert "flops(k=2, seq=1, d=8): " in capsys.readouterr().out
 
     def test_zero_d_model_is_diagnosed(self, capsys):
         assert main(["flops", "--layers", "4", "--k", "2", "--seq", "8", "--d-model", "0"]) == 1

@@ -53,6 +53,12 @@ class Item:
 SMALL = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=2, max_seq=8, k=1)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: the form every encoder weight takes."""
+    a.flags.writeable = False
+    return a
+
+
 def small_tokens(ids=(40, 41)):
     return assemble_prompt(Item(tokens=tuple(ids), modality="text"), "candidate")
 
@@ -115,8 +121,20 @@ class TestEncoderInit:
     def test_wrong_shape_rejected(self, name, shape):
         cfg = EncoderConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, max_seq=8, k=1)
         params = dict(Encoder.init(cfg, seed=0).params)
-        params[name] = T.Tensor(np.zeros(shape), grad_tracked=True)
+        params[name] = read_only(np.zeros(shape))
         with pytest.raises(ContractError, match=f"{name!r} has shape"):
+            Encoder(cfg, params)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [np.zeros((8,)), read_only(np.zeros((8,), dtype=np.float32)), T.Tensor(np.zeros((8,)))],
+        ids=["writable", "float32", "tensor"],
+    )
+    def test_weight_that_is_not_a_read_only_float64_array_rejected(self, weight):
+        cfg = EncoderConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, max_seq=8, k=1)
+        params = dict(Encoder.init(cfg, seed=0).params)
+        params["layers.0.ln1.bias"] = weight
+        with pytest.raises(ContractError, match="'layers.0.ln1.bias' is not a read-only float64"):
             Encoder(cfg, params)
 
 
@@ -141,10 +159,8 @@ class TestForward:
     @pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
     def test_overflow_raises_numeric_domain_error(self, taped):
         enc = Encoder.init(SMALL, seed=0)
-        blown = enc.with_params(
-            {n: T.Tensor(p.data * 1e300) for n, p in enc.params.items()}
-        )
-        assert all(np.isfinite(p.data).all() for p in blown.params.values())
+        blown = enc.with_params({n: read_only(p * 1e300) for n, p in enc.params.items()})
+        assert all(np.isfinite(p).all() for p in blown.params.values())
         seqs = [small_tokens(), small_tokens((40, 41, 42))]
         with pytest.raises(NumericDomainError, match="overflow"):
             embed_parts(blown, [seqs], 2) if taped else embed_raw(blown, seqs, 2)
@@ -156,7 +172,7 @@ class TestForward:
         seq = TokenSequence((3, 5, 1))
         got = forward(enc, seq, 1)
 
-        p = {k: v.data.tolist() for k, v in enc.params.items()}
+        p = {k: v.tolist() for k, v in enc.params.items()}
         eps = 1e-5
         n, d = len(ids), 2
 
@@ -224,8 +240,10 @@ class TestRawForward:
             return built[-1]
 
         monkeypatch.setattr(T, "_Node", counting)
-        enc = per_op.tracked(Encoder.init(SMALL, seed=3))
-        assert all(t.grad_tracked for t in enc.params.values())
+        # an encoder of the data of tracked leaves
+        leaves = per_op.tracked(Encoder.init(SMALL, seed=3))
+        assert all(t.grad_tracked for t in leaves.params.values())
+        enc = leaves.encoder
         forward_raw(enc, small_tokens(), 2)
         # three length groups, their pullbacks included
         seqs = [small_tokens((40,)), small_tokens((40, 41)), small_tokens((41,)), small_tokens(())]
@@ -294,9 +312,7 @@ class TestTapeFree:
 
     def test_overflow_raises_without_taped_ops(self, no_taped_ops):
         enc = Encoder.init(SMALL, seed=0)
-        blown = enc.with_params(
-            {n: T.Tensor(p.data * 1e300) for n, p in enc.params.items()}
-        )
+        blown = enc.with_params({n: read_only(p * 1e300) for n, p in enc.params.items()})
         with pytest.raises(NumericDomainError, match="overflow"):
             embed_raw(blown, [small_tokens(), small_tokens((40, 41, 42))], 2)
 
@@ -319,10 +335,11 @@ class TestTapeFree:
 
     def test_weights_cannot_be_swapped_in_place(self):
         enc = Encoder.init(SMALL, seed=3)
-        assert all(enc.arrays[n] is t.data for n, t in enc.params.items())
-        for table in (enc.params, enc.arrays):
-            with pytest.raises(TypeError):
-                table["tok_emb"] = None
+        assert all(type(w) is np.ndarray and not w.flags.writeable for w in enc.params.values())
+        with pytest.raises(TypeError):
+            enc.params["tok_emb"] = None
+        with pytest.raises(ValueError, match="read-only"):
+            enc.params["tok_emb"][0, 0] = 1.0
 
 
 # the benchmark's encoder shape, at its mixed prompt lengths
@@ -386,11 +403,11 @@ class TestTapeFreeBuffers:
 
     def test_embed_raw_leaves_every_weight_byte(self):
         enc = Encoder.init(WIDE, seed=4)
-        before = {name: a.tobytes() for name, a in enc.arrays.items()}
+        before = {name: a.tobytes() for name, a in enc.params.items()}
         seqs = mixed_prompts(2, seed=4)
         first = embed_raw(enc, seqs, 3)
         forward_raw(enc, seqs[0], 3)
-        assert {name: a.tobytes() for name, a in enc.arrays.items()} == before
+        assert {name: a.tobytes() for name, a in enc.params.items()} == before
         assert not first.flags.writeable
         assert embed_raw(enc, seqs, 3).tobytes() == first.tobytes()
 
@@ -435,8 +452,10 @@ class TestEntryPointDecidesTaping:
     the weights are tracked."""
 
     def test_raw_entry_points_record_nothing_on_tracked_weights(self, monkeypatch):
-        enc = per_op.tracked(Encoder.init(WIDE, seed=6))
-        assert all(p.grad_tracked for p in enc.params.values())
+        # an encoder of the data of tracked leaves
+        leaves = per_op.tracked(Encoder.init(WIDE, seed=6))
+        assert all(p.grad_tracked for p in leaves.params.values())
+        enc = leaves.encoder
         seqs = mixed_prompts(2, seed=6)
         taped = [embed_parts(enc, [seqs], 3)[0][0], _blocks(enc, seqs[:1], 3, True)[0]]
         made = recorded_nodes(monkeypatch)
@@ -533,19 +552,19 @@ class TestPrune:
         enc = Encoder.init(SMALL, seed=7)
         student = prune(enc, 1)
         assert student.params["tok_emb"] is not enc.params["tok_emb"]
-        assert np.array_equal(student.params["tok_emb"].data, enc.params["tok_emb"].data)
+        assert np.array_equal(student.params["tok_emb"], enc.params["tok_emb"])
 
     def test_parameters_own_read_only_data_shared_with_no_source(self):
         cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=4, max_seq=8, k=2)
         enc = Encoder.init(cfg, seed=9)
         student = prune(enc, 2)
         for model in (enc, student):
-            for name, t in model.params.items():
-                assert t.data.base is None and not t.data.flags.writeable, name
-                assert not t.grad_tracked, name
-        for name, t in student.params.items():
-            assert not np.shares_memory(t.data, enc.params[name].data), name
-            assert t.data.tobytes() == enc.params[name].data.tobytes(), name
+            for name, w in model.params.items():
+                assert type(w) is np.ndarray and w.dtype == np.float64, name
+                assert w.base is None and not w.flags.writeable, name
+        for name, w in student.params.items():
+            assert not np.shares_memory(w, enc.params[name]), name
+            assert w.tobytes() == enc.params[name].tobytes(), name
 
     def test_out_of_range(self):
         enc = Encoder.init(SMALL, seed=8)
@@ -672,7 +691,7 @@ class TestBlockStackNode:
         rng = np.random.default_rng(seed)
         shapes = {n: t.shape for n, t in Encoder.init(ORACLE, seed=0).params.items()}
         params = {n: T.Tensor(rng.normal(0.0, 0.3, s), grad_tracked=True) for n, s in shapes.items()}
-        enc = Encoder(ORACLE, params)
+        enc = per_op.Tracked(ORACLE, params)
         groups = [
             [TokenSequence((*rng.integers(2, 48, n - 1).tolist(), RET_TOKEN_ID)) for _ in range(b)]
             for n, b in zip(lengths, batches)
@@ -707,12 +726,12 @@ class TestBlockStackNode:
         rng = np.random.default_rng(depth)
         shapes = {n: t.shape for n, t in Encoder.init(ORACLE, seed=0).params.items()}
         params = {n: T.Tensor(rng.normal(0.0, 0.3, s), grad_tracked=True) for n, s in shapes.items()}
-        enc = Encoder(ORACLE, params)
+        enc = per_op.Tracked(ORACLE, params)
         seqs = [
             TokenSequence((*rng.integers(2, 48, n - 1).tolist(), RET_TOKEN_ID))
             for n in (2, 5, 1, 5, 2, 2, 1)
         ]
-        (rows, pullback), = embed_parts(enc, [seqs], depth)
+        (rows, pullback), = embed_parts(enc.encoder, [seqs], depth)
         ref = per_op.embed_batch(enc, seqs, depth)
         assert rows.tobytes() == ref.data.tobytes()
         dy = rng.normal(size=rows.shape) * 10.0 ** rng.integers(-4, 5, rows.shape)

@@ -601,13 +601,18 @@ class TestSumGrads:
     )
     def test_equals_the_in_order_dense_sum(self, kinds, seed):
         parts = grad_parts(kinds, seed)
+        if len(set(kinds)) > 1:
+            # one weight's gradients are all rows (a table's) or all arrays
+            with pytest.raises(ContractError, match="row gradients among"):
+                T.sum_grads(parts)
+            return
         before = [T.dense_grad(g).tobytes() for g in parts]
         dense = [T.dense_grad(g) for g in parts]
         want = dense[0] if len(dense) == 1 else dense[0] + dense[1]
         for g in dense[2:]:
             want = want + g
         got = T.sum_grads(parts)
-        assert isinstance(got, T.RowGrad) == all(kind == "rows" for kind in kinds)
+        assert isinstance(got, T.RowGrad) == (kinds[0] == "rows")
         assert T.dense_grad(got).tobytes() == want.tobytes()
         # no part is written into
         assert [T.dense_grad(g).tobytes() for g in parts] == before
@@ -673,14 +678,14 @@ def block_stack(depth, *, tail, batch, layer, checked):
     of ``checked``, parameter names of layer ``layer`` or tables."""
     cfg = EncoderConfig(**{**vars(TINY), "n_layers": depth})
     names = [n if n in TABLES else f"layers.{layer}.{n}" for n in checked]
-    fixed = {n: T.Tensor(t.data) for n, t in Encoder.init(cfg, seed=depth).params.items()}
+    fixed = {n: T.Tensor(w) for n, w in Encoder.init(cfg, seed=depth).params.items()}
     seqs = TINY_SEQS if batch == 2 else TINY_SEQS[:2]
 
     def f(*xs):
         # at Encoder.init's weight scale: with N(0, 1) weights, GELU inputs
         # reach its flat tail and some gradients sink to 1e-8..1e-7, where
         # central differences of a loss near 1 are roundoff
-        enc = Encoder(cfg, {**fixed, **{n: T.scale(x, 0.02) for n, x in zip(names, xs)}})
+        enc = per_op.Tracked(cfg, {**fixed, **{n: T.scale(x, 0.02) for n, x in zip(names, xs)}})
         if tail:
             outs = [per_op.embed_node(enc, seqs, depth)]
         else:
@@ -735,14 +740,11 @@ def test_wrap_of_a_view_shares_its_buffer_read_only():
     assert np.shares_memory(t.data, buf) and not t.data.flags.writeable
     with pytest.raises(ValueError):
         t.data[0, 0] = 9.0
-    # the buffer's owner still writes, and the tensor shows it
-    buf[2] = -1.0
-    assert t.data[0, 0] == -1.0
 
 
-def test_wrap_copies_another_dtype():
+def test_constructor_copies_another_dtype():
     src = np.arange(3, dtype=np.float32)
-    t = T.Tensor._wrap(src, grad_tracked=False)
+    t = T.Tensor(src)
     assert t.data.dtype == np.float64 and not np.shares_memory(t.data, src)
     assert src.flags.writeable
 

@@ -34,6 +34,7 @@ from umrlab.encoder import (
 from umrlab.errors import (
     AggregationError,
     ConfigurationError,
+    ContractError,
     DimensionError,
     FormatError,
     NumericDomainError,
@@ -42,7 +43,7 @@ from umrlab.errors import (
 from umrlab.losses import TemperatureSchedule, alpha_at, mac_loss, self_distill, tau_hard_at
 from umrlab.optim import OptimizerState, adam_update
 from umrlab.prompts import assemble_prompt
-from umrlab.tensor import RowGrad, Tensor
+from umrlab.tensor import RowGrad
 from umrlab.trainer import (
     GlobalBatch,
     TrainConfig,
@@ -171,6 +172,12 @@ class TestAllReduceRows:
             return [p.tobytes() if d else (p.ids.tobytes(), p.rows.tobytes()) for p, d in zip(parts, densified)]
 
         before = snapshot()
+        if any(densified) and not all(densified):
+            # a table's shard gradients are all rows or all arrays
+            with pytest.raises(ContractError, match="row gradients among"):
+                all_reduce_grads([{"tok_emb": p} for p in parts])
+            assert snapshot() == before
+            return
         got = all_reduce_grads([{"tok_emb": p} for p in parts])["tok_emb"]
         want = dense_shard_sum(parts)
         if any(densified):
@@ -203,7 +210,7 @@ class TestAllReduceRows:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_any_shards_equal_dense_shard_order_sum(self, id_sets, dense_shard, seed):
-        # one shard given as an array makes the reduce dense for every shard
+        # one shard given as an array among row gradients is refused
         self.check(id_sets, [i == dense_shard for i in range(len(id_sets))], seed)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -220,6 +227,11 @@ class TestAllReduceRows:
                 g = scattered(self.SHAPE, [s % 12, (5 * s) % 12], seed + s)
                 grads[key] = g if as_rows else g.dense()
             shards.append(grads)
+        if any(len({row_kinds[j] for row_kinds in kinds}) > 1 for j in range(2)):
+            # a table whose shards give rows and arrays both is refused
+            with pytest.raises(ContractError, match="row gradients among"):
+                all_reduce_grads(shards)
+            return
         got = all_reduce_grads(shards)
         assert list(got) == ["tok_emb", "pos_emb"]
         for key, g in got.items():
@@ -228,38 +240,45 @@ class TestAllReduceRows:
             assert T.dense_grad(g).tobytes() == T.dense_grad(want).tobytes()
 
 
+def weight(a) -> np.ndarray:
+    """``a`` as a weight: a read-only float64 array of its own."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 class TestAdam:
     def test_zero_grad_leaves_params_bitwise(self):
-        params = {"w": Tensor(np.linspace(0, 1, 4), grad_tracked=True)}
+        params = {"w": weight(np.linspace(0, 1, 4))}
         state = OptimizerState.init(params, lr=0.1)
         new, _ = adam_update(params, {"w": np.zeros(4)}, state)
-        assert new["w"].data.tobytes() == params["w"].data.tobytes()
+        assert new["w"].tobytes() == params["w"].tobytes()
 
     def test_moment_free_limit(self):
         g = np.array([0.5, -2.0, 0.0])
-        params = {"w": Tensor(np.zeros(3), grad_tracked=True)}
+        params = {"w": weight(np.zeros(3))}
         state = OptimizerState.init(params, lr=0.1, beta1=0.0, beta2=0.0)
         new, _ = adam_update(params, {"w": g}, state)
         want = -0.1 * g / (np.abs(g) + 1e-8)
-        assert np.abs(new["w"].data - want).max() < 1e-15
+        assert np.abs(new["w"] - want).max() < 1e-15
 
     def test_ten_steps_match_scalar_oracle(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(0)
         grads = [rng.normal(size=3) for _ in range(10)]
 
-        params = {"w": Tensor(np.ones(3), grad_tracked=True)}
+        params = {"w": weight(np.ones(3))}
         state = OptimizerState.init(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
         old_w, old_m, old_v = np.ones(3), np.zeros(3), np.zeros(3)
         for t, g in enumerate(grads, start=1):
             params, state = adam_update(params, {"w": g}, state)
-            # the update as a vectorized expression, wrapped by the copying constructor
+            # the update as a vectorized expression
             old_m = b1 * old_m + (1.0 - b1) * g
             old_v = b2 * old_v + (1.0 - b2) * (g * g)
             update = lr * (old_m / (1.0 - b1**t)) / (np.sqrt(old_v / (1.0 - b2**t)) + eps)
-            old_w = Tensor(old_w - update, grad_tracked=True).data
-            assert params["w"].data.tobytes() == old_w.tobytes()
-            assert not params["w"].grad_tracked and not params["w"].data.flags.writeable
+            old_w = old_w - update
+            assert params["w"].tobytes() == old_w.tobytes()
+            assert type(params["w"]) is np.ndarray and not params["w"].flags.writeable
 
         w = [1.0, 1.0, 1.0]
         m = [0.0] * 3
@@ -271,15 +290,15 @@ class TestAdam:
                 mhat = m[i] / (1 - b1**t)
                 vhat = v[i] / (1 - b2**t)
                 w[i] -= lr * mhat / (math.sqrt(vhat) + eps)
-        assert np.abs(params["w"].data - np.array(w)).max() < 1e-12
+        assert np.abs(params["w"] - np.array(w)).max() < 1e-12
 
     @pytest.mark.parametrize("rows", [False, True], ids=["dense", "table-row"])
     def test_overflowing_gradient_square_names_the_parameter(self, rows):
         # 1e200 * 1e200 overflows: v would read inf and the weight, moved by
         # m / inf = 0, would never move again
         params = {
-            "b": Tensor(np.ones(3), grad_tracked=True),
-            "w": Tensor(np.ones((4, 3)), grad_tracked=True),
+            "b": weight(np.ones(3)),
+            "w": weight(np.ones((4, 3))),
         }
         g = np.zeros((4, 3))
         g[1] = [1e200, 1.0, 1.0]
@@ -291,14 +310,14 @@ class TestAdam:
         assert [str(w.message) for w in caught] == []
 
     def test_shape_mismatch(self):
-        params = {"w": Tensor(np.zeros(3), grad_tracked=True)}
+        params = {"w": weight(np.zeros(3))}
         state = OptimizerState.init(params, lr=0.1)
         with pytest.raises(DimensionError):
             adam_update(params, {"w": np.zeros(4)}, state)
 
     def stepped_state(self):
         """A state one step past init, so its moments are non-zero."""
-        params = {"w": Tensor(np.linspace(-1.0, 1.0, 3), grad_tracked=True)}
+        params = {"w": weight(np.linspace(-1.0, 1.0, 3))}
         state = OptimizerState.init(params, lr=0.1)
         adam_update(params, {"w": np.array([0.5, -2.0, 1.0])}, state)
         return state
@@ -312,48 +331,48 @@ class TestAdam:
     def test_params_that_do_not_match_the_state_refused_before_any_write(self, params, match):
         state = self.stepped_state()
         before = [state.weights.tobytes(), state.flat_m.tobytes(), state.flat_v.tobytes(), state.step]
-        params = {n: Tensor(a, grad_tracked=True) for n, a in params.items()}
-        given = [p.data.tobytes() for p in params.values()]
+        params = {n: weight(a) for n, a in params.items()}
+        given = [p.tobytes() for p in params.values()]
         grads = {n: np.ones(p.shape) for n, p in params.items()}
         with pytest.raises(DimensionError, match=match):
             adam_update(params, grads, state)
         assert [state.weights.tobytes(), state.flat_m.tobytes(), state.flat_v.tobytes(), state.step] == before
-        assert [p.data.tobytes() for p in params.values()] == given
+        assert [p.tobytes() for p in params.values()] == given
 
     def test_steps_return_the_same_views_and_change_them_in_place(self):
         given = {
-            "a": Tensor(np.arange(6.0).reshape(2, 3), grad_tracked=True),
-            "b": Tensor(np.array([0.5, -0.5]), grad_tracked=True),
+            "a": weight(np.arange(6.0).reshape(2, 3)),
+            "b": weight(np.array([0.5, -0.5])),
         }
-        given_bytes = [p.data.tobytes() for p in given.values()]
+        given_bytes = [p.tobytes() for p in given.values()]
         state = OptimizerState.init(given, lr=0.1)
-        assert [p.data.tobytes() for p in state.params.values()] == given_bytes
+        assert [p.tobytes() for p in state.params.values()] == given_bytes
         first, _ = adam_update(given, {"a": np.ones((2, 3)), "b": np.ones(2)}, state)
         assert_store_views(first, state)
-        after_first = [p.data.tobytes() for p in first.values()]
+        after_first = [p.tobytes() for p in first.values()]
         second, _ = adam_update(first, {"a": -np.ones((2, 3)), "b": np.ones(2)}, state)
         assert all(second[n] is first[n] for n in given)
-        assert [p.data.tobytes() for p in first.values()] != after_first
-        assert state.weights.tobytes() == b"".join(p.data.tobytes() for p in first.values())
-        assert [p.data.tobytes() for p in given.values()] == given_bytes
+        assert [p.tobytes() for p in first.values()] != after_first
+        assert state.weights.tobytes() == b"".join(p.tobytes() for p in first.values())
+        assert [p.tobytes() for p in given.values()] == given_bytes
 
     def test_foreign_params_give_the_bytes_of_the_store_and_stay_unwritten(self):
         rng = np.random.default_rng(3)
-        start = {"a": Tensor(rng.normal(size=(4, 2)), grad_tracked=True),
-                 "b": Tensor(rng.normal(size=2), grad_tracked=True)}
+        start = {"a": weight(rng.normal(size=(4, 2))),
+                 "b": weight(rng.normal(size=2))}
         grads = [{"a": rng.normal(size=(4, 2)), "b": rng.normal(size=2)} for _ in range(3)]
         own_state, foreign_state = (OptimizerState.init(start, lr=0.05) for _ in range(2))
         own = start
         for g in grads:
             own, _ = adam_update(own, g, own_state)
-            # equal values held by other tensors: copied into the store, never written
-            foreign = {n: Tensor(p.data.copy(), grad_tracked=True) for n, p in foreign_state.params.items()}
-            foreign_bytes = [p.data.tobytes() for p in foreign.values()]
+            # equal values held by other arrays: copied into the store, never written
+            foreign = {n: weight(p) for n, p in foreign_state.params.items()}
+            foreign_bytes = [p.tobytes() for p in foreign.values()]
             stepped, _ = adam_update(foreign, g, foreign_state)
-            assert [p.data.tobytes() for p in foreign.values()] == foreign_bytes
+            assert [p.tobytes() for p in foreign.values()] == foreign_bytes
             assert state_bytes(stepped, foreign_state) == state_bytes(own, own_state)
         # other values: the step starts from them, as the dense formula does
-        other = {n: Tensor(p.data + 1.0, grad_tracked=True) for n, p in own.items()}
+        other = {n: weight(p + 1.0) for n, p in own.items()}
         ref, ref_state = dense_adam(other, grads[0], foreign_state)
         stepped, _ = adam_update(other, grads[0], foreign_state)
         assert state_bytes(stepped, foreign_state) == state_bytes(ref, ref_state)
@@ -370,7 +389,7 @@ def dense_adam(params, grads, state):
         m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
         update = state.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps)
-        new_params[name] = Tensor(p.data - update, grad_tracked=p.grad_tracked)
+        new_params[name] = weight(p - update)
     return new_params, OptimizerState(
         lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps, step=t, m=m, v=v
     )
@@ -381,14 +400,14 @@ def assert_store_views(params, state):
     buffer in their order."""
     offset = 0
     for p in params.values():
-        assert not p.data.flags.writeable and p.data.flags.c_contiguous
-        assert p.data.ctypes.data == state.weights.ctypes.data + 8 * offset
+        assert not p.flags.writeable and p.flags.c_contiguous
+        assert p.ctypes.data == state.weights.ctypes.data + 8 * offset
         offset += p.size
     assert offset == state.weights.size
 
 
 def state_bytes(params, state):
-    return [(params[n].data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n in params]
+    return [(params[n].tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n in params]
 
 
 class TestAdamRows:
@@ -398,13 +417,13 @@ class TestAdamRows:
         table = np.random.default_rng(1).normal(size=self.SHAPE)
         table[9] = -0.0  # row 9 is never touched, and keeps its -0.0
         return {
-            "tok_emb": Tensor(table, grad_tracked=True),
-            "bias": Tensor(np.linspace(-1.0, 1.0, 3), grad_tracked=True),
+            "tok_emb": weight(table),
+            "bias": weight(np.linspace(-1.0, 1.0, 3)),
         }
 
     def run(self, steps, lr, betas, seed=0):
         given = params = ref_params = self.params()
-        given_bytes = [p.data.tobytes() for p in given.values()]
+        given_bytes = [p.tobytes() for p in given.values()]
         state = OptimizerState.init(params, lr, *betas)
         ref_state = OptimizerState.init(params, lr, *betas)
         owned = {n: (state.m[n], state.v[n]) for n in params}
@@ -416,9 +435,9 @@ class TestAdamRows:
                 "bias": rng.normal(size=3),
             }
             params, new_state = adam_update(params, grads, state)
-            # the tensors given to init keep their bytes; each step returns
+            # the arrays given to init keep their bytes; each step returns
             # the store's own views, the same objects, and the state itself
-            assert [p.data.tobytes() for p in given.values()] == given_bytes
+            assert [p.tobytes() for p in given.values()] == given_bytes
             assert_store_views(params, state)
             assert all(params[n] is state.params[n] for n in params)
             assert new_state is state
@@ -430,8 +449,8 @@ class TestAdamRows:
             live |= set(ids)
             assert rows.tolist() == sorted(live)
             untouched = [r for r in range(self.SHAPE[0]) if r not in live]
-            table = params["tok_emb"].data
-            assert table[untouched].tobytes() == self.params()["tok_emb"].data[untouched].tobytes()
+            table = params["tok_emb"]
+            assert table[untouched].tobytes() == self.params()["tok_emb"][untouched].tobytes()
             assert new_state.m["tok_emb"][untouched].tobytes() == bytes(8 * 3 * len(untouched))
             assert new_state.v["tok_emb"][untouched].tobytes() == bytes(8 * 3 * len(untouched))
             assert new_state.live["bias"].tolist() == [0, 1, 2]
@@ -461,7 +480,7 @@ class TestAdamRows:
         new, new_state = adam_update(params, grads, state)
         assert new_state.live["tok_emb"].tolist() == [2]
         assert state_bytes(new, new_state) == state_bytes(ref, ref_state)
-        assert new["tok_emb"].data.tobytes() == params["tok_emb"].data.tobytes()
+        assert new["tok_emb"].tobytes() == params["tok_emb"].tobytes()
 
     def test_every_row_live_equals_the_dense_formula(self):
         self.run([list(range(9)), [3], [9, 0]], 0.05, (0.9, 0.999))
@@ -471,10 +490,10 @@ class TestAdamRows:
         # table each take their own slice of the store
         rng = np.random.default_rng(5)
         params = ref_params = {
-            "first": Tensor(rng.normal(size=(2, 3)), grad_tracked=True),
-            "tok_emb": Tensor(rng.normal(size=self.SHAPE), grad_tracked=True),
-            "middle": Tensor(rng.normal(size=4), grad_tracked=True),
-            "last": Tensor(rng.normal(size=(3, 2)), grad_tracked=True),
+            "first": weight(rng.normal(size=(2, 3))),
+            "tok_emb": weight(rng.normal(size=self.SHAPE)),
+            "middle": weight(rng.normal(size=4)),
+            "last": weight(rng.normal(size=(3, 2))),
         }
         state = OptimizerState.init(params, 0.05)
         ref_state = OptimizerState.init(params, 0.05)
@@ -495,7 +514,7 @@ class TestAdamRows:
         grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
         grads["tok_emb"] = scattered((5400, 32), rng.choice(5400, 340, replace=False), seed=1)
         grads["pos_emb"] = scattered((48, 32), range(29), seed=2)
-        return params, grads, params["tok_emb"].data.nbytes
+        return params, grads, params["tok_emb"].nbytes
 
     def step_peak(self, params, grads, state):
         tracemalloc.start()
@@ -512,7 +531,7 @@ class TestAdamRows:
         params, grads, table_bytes = self.benchmark_student_step()
         state = OptimizerState.init(params, 1e-3)
         new, peak = self.step_peak(params, grads, state)
-        assert new["tok_emb"].data.nbytes == table_bytes
+        assert new["tok_emb"].nbytes == table_bytes
         assert peak < 2 * table_bytes
 
     def test_steady_state_step_peak_stays_under_the_table(self):
@@ -632,7 +651,7 @@ class TestTrainStep:
             worst = max(np.abs(grads[n] - ref_grads[n]).max() for n in ref_grads)
             assert worst < 1e-10
             diff = max(
-                np.abs(model.params[n].data - ref_model.params[n].data).max()
+                np.abs(model.params[n] - ref_model.params[n]).max()
                 for n in ref_model.params
             )
             assert diff < 1e-10
@@ -857,11 +876,11 @@ def per_prompt_parts(encoder, parts, upto):
 
 
 class TestWeightsLeaveTheTape:
-    """The block stack's pullback is the encoder's one gradient path: no
-    weight is tracked, nothing in the encoder returns a Tensor, and a step's
-    backward reaches only the gathered rows."""
+    """The block stack's pullback is the encoder's one gradient path: every
+    weight is a plain read-only array, nothing in the encoder returns a
+    Tensor, and a step's backward reaches only the gathered rows."""
 
-    def test_weights_are_untracked_wherever_they_come_from(self, corpus, tmp_path):
+    def test_weights_are_read_only_float64_arrays_wherever_they_come_from(self, corpus, tmp_path):
         enc = Encoder.init(ENC, seed=3)
         save_checkpoint(tmp_path / "w.ckpt", enc)
         cfg = config(0)
@@ -870,7 +889,26 @@ class TestWeightsLeaveTheTape:
         stepped, opt, _ = train_step(enc, None, batch, cfg, opt, 0.0)
         models = [enc, prune(enc, 2), load_checkpoint(tmp_path / "w.ckpt")[0], stepped]
         for params in [*(model.params for model in models), opt.params]:
-            assert not any(p.grad_tracked for p in params.values())
+            for name, p in params.items():
+                assert type(p) is np.ndarray and p.dtype == np.float64, name
+                assert not p.flags.writeable, name
+
+    def test_the_benchmark_finite_check_reads_array_weights(self, corpus):
+        # the harness checks a trained encoder as
+        # all(np.isfinite(p.data).all() for p in params.values()); an
+        # array's .data is a memoryview, which isfinite reads with its shape
+        result = run_stage(corpus, config(0, epochs=1, steps_per_epoch=2))
+
+        def finite(model):
+            return all(np.isfinite(p.data).all() for p in model.params.values())
+
+        assert finite(result.encoder)
+        params = dict(result.encoder.params)
+        w = params["layers.0.attn.wq"].copy()
+        w[1, 2] = np.inf
+        params["layers.0.attn.wq"] = weight(w)
+        assert not finite(result.encoder.with_params(params))
+        assert finite(result.encoder)
 
     def test_no_encoder_function_returns_a_tensor(self):
         assert encoder_module.forward_raw is encoder_module.forward
@@ -1059,9 +1097,9 @@ def test_haswell_kernel_probe_batch_rows_match_single_embeds(haswell_probe):
 
 def plant_nan(encoder, name="layers.0.ffn.w1"):
     params = dict(encoder.params)
-    data = params[name].data.copy()
+    data = params[name].copy()
     data[0, 0] = np.nan
-    params[name] = Tensor(data, grad_tracked=True)
+    params[name] = weight(data)
     return encoder.with_params(params)
 
 
@@ -1245,7 +1283,7 @@ class TestCheckpoint:
         want += struct.pack("<6I", cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k)
         assert len(want) == CKPT_HEADER_BYTES
         # the weights, and nothing after them
-        want += b"".join(enc.params[n].data.astype("<f8").tobytes() for n in parameter_names(cfg))
+        want += b"".join(enc.params[n].astype("<f8").tobytes() for n in parameter_names(cfg))
         assert path.read_bytes() == bytes(want)
 
     def test_optimizer_argument_stores_nothing(self, corpus, tmp_path):
@@ -1272,8 +1310,8 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * size
-        # each tensor is its own aligned array, taken uncopied
-        assert all(a.flags.owndata and a.flags.aligned for a in loaded.arrays.values())
+        # each weight is its own aligned array, taken uncopied
+        assert all(a.flags.owndata and a.flags.aligned for a in loaded.params.values())
 
     @pytest.mark.parametrize("backing", ["own-arrays", "optimizer-store"])
     def test_save_peak_is_a_small_share_of_the_file(self, tmp_path, backing):
@@ -1300,8 +1338,8 @@ class TestCheckpoint:
         # the version-1 layout: a tensor count, then each tensor's name, rank and extents
         blob = bytearray(b"PUMACKPT" + struct.pack("<B", 1))
         blob += struct.pack("<6I", cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k)
-        blob += struct.pack("<I", len(enc.arrays))
-        for name, data in enc.arrays.items():
+        blob += struct.pack("<I", len(enc.params))
+        for name, data in enc.params.items():
             blob += struct.pack("<H", len(name)) + name.encode()
             blob += struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape) + data.astype("<f8").tobytes()
         blob += b"\x00"
@@ -1321,7 +1359,7 @@ class TestCheckpoint:
         blob = bytearray(v3[:8] + b"\x02" + v3[9:])
         if with_optimizer:
             blob += b"\x01" + struct.pack("<Q4d", 2, 1e-3, 0.9, 0.999, 1e-8)
-            blob += bytes(16 * sum(a.size for a in enc.arrays.values()))
+            blob += bytes(16 * sum(a.size for a in enc.params.values()))
         else:
             blob += b"\x00"
         path = tmp_path / "v2.ckpt"
@@ -1355,8 +1393,8 @@ class TestCheckpoint:
         enc = Encoder.init(ENC, seed=10)
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, enc)
-        names = list(enc.arrays)
-        data_at = CKPT_HEADER_BYTES + 8 * sum(enc.arrays[n].size for n in names[:3])
+        names = list(enc.params)
+        data_at = CKPT_HEADER_BYTES + 8 * sum(enc.params[n].size for n in names[:3])
         path.write_bytes(path.read_bytes()[: data_at + 8])
         with pytest.raises(FormatError, match=f"reading tensor {names[3]} data") as err:
             load_checkpoint(path)
@@ -1381,15 +1419,15 @@ class TestCheckpoint:
     def test_non_finite_weight_rejected_at_tensor_data(self, tmp_path, value):
         enc = Encoder.init(ENC, seed=10)
         params = dict(enc.params)
-        w1 = params["layers.0.ffn.w1"].data.copy()
+        w1 = params["layers.0.ffn.w1"].copy()
         w1[1, 2] = value
-        params["layers.0.ffn.w1"] = Tensor(w1, grad_tracked=True)
+        params["layers.0.ffn.w1"] = weight(w1)
         path = tmp_path / "n.ckpt"
         save_checkpoint(path, enc.with_params(params))
         # the header, then every tensor before layers.0.ffn.w1 in parameter_shapes order
-        names = list(enc.arrays)
+        names = list(enc.params)
         before = names[: names.index("layers.0.ffn.w1")]
-        data_at = CKPT_HEADER_BYTES + 8 * sum(enc.arrays[n].size for n in before)
+        data_at = CKPT_HEADER_BYTES + 8 * sum(enc.params[n].size for n in before)
         value_at = data_at + 8 * (w1.shape[1] + 2)
         assert path.read_bytes()[value_at : value_at + 8] == struct.pack("<d", value)
         with pytest.raises(FormatError, match="'layers.0.ffn.w1' holds a non-finite weight") as err:
