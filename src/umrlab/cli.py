@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -87,6 +88,19 @@ def _task_list(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
+def _check_out_paths(*paths: str | None) -> None:
+    """Refuse an output file that cannot be written where it is named, so
+    that a run finds it before it does the work the write would keep."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise ConfigurationError(f"{path}: directory {parent} does not exist")
+        if Path(path).is_dir() or not os.access(parent, os.W_OK):
+            raise ConfigurationError(f"{path}: cannot be written")
+
+
 def _train_config(args, stage: int, encoder_cfg: EncoderConfig, k: int, **only_stage) -> TrainConfig:
     """A TrainConfig from the settings every training run shares; settings
     that one stage reads come as keywords and default to TrainConfig's own."""
@@ -119,6 +133,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_paths(args.out, args.curve)
     corpus = Corpus.load(args.corpus)
     teacher = init = None
     if args.stage == 0:
@@ -165,6 +180,7 @@ def cmd_prune(args) -> int:
 def cmd_embed(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ConfigurationError(f"--limit must be >= 0, got {args.limit}")
+    _check_out_paths(args.out)
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
     items = corpus.all_candidates() if args.side == "candidate" else corpus.all_queries()
@@ -184,6 +200,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_index(args) -> int:
+    _check_out_paths(args.out)
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
     index = build_index(encoder, corpus.all_candidates())
@@ -210,6 +227,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_paths(args.out, args.pca_out)
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
     scopes = tuple(args.scope) if args.scope else ("local",)

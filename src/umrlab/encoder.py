@@ -11,28 +11,24 @@ across the batch. It runs the array kernels of :mod:`~umrlab.tensor` on the
 weights in both modes, one loop body for both; the entry point that calls it
 picks the mode. Tape-free, it writes each temporary in place.
 Taped, it keeps the activations the backward reads, writes over none of
-them, and returns with the hidden states a pullback: for a run of
-consecutive sequences and the gradient of their rows, the gradient of
-every parameter the stack read, from :func:`_blocks_vjp`, a hand-written
-backward through the blocks over those rows alone that replays the per-op
-vjps in reverse op order, so its gradients have the bytes of a tape of one
-node per op. Both modes run the same arithmetic, so their hidden states are
-equal bit for bit. That pullback is the encoder's one gradient path: its
-weights are plain read-only arrays, and nothing here records a tape node.
+them, and returns with the hidden states a pullback: for the gradient of
+its rows, the gradient of every parameter the stack read, from
+:func:`_blocks_vjp`, a hand-written backward through the blocks that
+replays the per-op vjps in reverse op order, so its gradients have the
+bytes of a tape of one node per op. Both modes run the same arithmetic, so
+their hidden states are equal bit for bit. That pullback is the encoder's
+one gradient path: its weights are plain read-only arrays, and nothing here
+records a tape node.
 
 One private body, :func:`_embed`, is the one place that reads [RET] rows.
-It takes the sequences as parts, each a list of any lengths, and runs one
-:func:`_blocks` forward per prompt length over every part's sequences of
-that length, part by part. Each part reads its [RET] rows out of its rows
-of those stacks by one concatenation and one index, in both modes; taped,
-it also gets a pullback of its own, which runs its length groups'
-pullbacks over its rows alone. So each part's gradients have the bytes of
-a forward of that part alone wherever a GEMM row does not depend on the
-rows beside it, as under OpenBLAS's SkylakeX kernel, and agree to roundoff
-elsewhere. :func:`embed_parts` returns the rows and pullbacks, and the
-trainer calls each shard's pullback itself; :func:`embed_raw` returns one
-part's rows tape-free. :func:`forward` returns every hidden state of one
-sequence, tape-free; ``forward_raw`` is another name for it.
+It takes a batch of sequences of any lengths and runs one :func:`_blocks`
+forward per prompt length over that length's sequences, then reads the
+[RET] rows out of those stacks by one concatenation and one index, in both
+modes. Taped, it also returns one pullback for the whole batch, which runs
+each length group's stack pullback once. :func:`embed_taped` returns the
+rows with that pullback, which a training step calls once;
+:func:`embed_raw` returns the rows tape-free. :func:`forward` returns every hidden state of
+one sequence, tape-free; ``forward_raw`` is another name for it.
 
 A forward runs every block on every row. An embed reads only [RET], the
 last row of each sequence, so in its last block only the first layer norm
@@ -173,17 +169,13 @@ def _blocks(
     encoder: Encoder, batch: Sequence[TokenSequence], upto: int, taped: bool, ret_tail: bool = False
 ) -> tuple[np.ndarray, Callable] | np.ndarray:
     """Hidden states of B equal-length sequences stacked in order, (B*len, d_model),
-    as a read-only array; ``taped``, with ``pullback(b0, b1, dh)``, the
-    gradients of the stack's inputs (the first entries of the encoder's
-    params, in order) for the gradient dh of sequences b0..b1-1's rows.
-    Nothing is recorded on the tape.
+    as a read-only array; ``taped``, with ``pullback(dh)``, the gradients
+    of the stack's inputs (the first entries of the encoder's params, in
+    order) for the gradient dh of those rows. Nothing is recorded on the
+    tape.
 
     The sequences share every op as rows of one 2-D array; only attention
-    needs the sequence length, to keep each sequence to its own rows. No op
-    mixes rows of two sequences, so the pullback runs :func:`_blocks_vjp`
-    on its sequences' rows of the saved activations, read as views, as a
-    forward of those sequences alone would save them wherever a GEMM row
-    does not depend on the rows beside it.
+    needs the sequence length, to keep each sequence to its own rows.
     With ``ret_tail`` the last block computes only the rows :func:`_embed`
     reads: its first layer norm and key and value projections still run on
     every row, but the query projection, attention, output projection,
@@ -260,31 +252,11 @@ def _blocks(
     h.flags.writeable = False
     if not taped:
         return h
-    m = min(RET_TAIL_ROWS, s)
 
-    def pullback(b0: int, b1: int, dh: np.ndarray) -> list:
-        full = slice(b0 * s, b1 * s)
-        rows = _saved_rows(saved, tail_from, full, slice(b0 * m, b1 * m), slice(b0, b1))
-        return _blocks_vjp(
-            dh, weights, rows, ids[full], positions[full], tail_from, tail[: (b1 - b0) * m]
-        )
+    def pullback(dh: np.ndarray) -> list:
+        return _blocks_vjp(dh, weights, saved, ids, positions, tail_from, tail)
 
     return h, pullback
-
-
-def _saved_rows(saved, tail_from, full, narrow, seqs) -> list:
-    """Views of some sequences' rows of a taped :func:`_blocks` forward's
-    saved activations: rows ``full`` of a block's every-row arrays, rows
-    ``narrow`` of the narrowed block's query-side arrays, and ``seqs`` on
-    the batch axis of the attention arrays."""
-    out = []
-    for i, (ln1, a, a_q, attn, mixed, ln2, f, u, t, g) in enumerate(saved):
-        r = narrow if i == tail_from else full
-        out.append((
-            [x[full] for x in ln1], a[full], a_q[r], [x[seqs] for x in attn], mixed[r],
-            [x[r] for x in ln2], f[r], u[r], t[r], g[r],
-        ))
-    return out
 
 
 def _layer(i: int) -> slice:
@@ -359,96 +331,75 @@ def length_groups(seqs: Sequence[TokenSequence]) -> list[list[int]]:
 
 
 def _embed(
-    encoder: Encoder, parts: Sequence[Sequence[TokenSequence]], upto: int, taped: bool
-) -> list[tuple[np.ndarray, Callable]] | list[np.ndarray]:
-    """[RET] rows after ``upto`` blocks of each part of ``parts``, lists of
-    sequences of any lengths: per part, a read-only array of shape
-    (len(part), d_model), row i for ``part[i]``, un-normalized; ``taped``,
-    with the part's pullback: ``pullback(dy)``, the gradients of the stack's
-    inputs for the gradient dy of those rows.
+    encoder: Encoder, batch: Sequence[TokenSequence], upto: int, taped: bool
+) -> tuple[np.ndarray, Callable] | np.ndarray:
+    """[RET] rows after ``upto`` blocks of ``batch``, sequences of any
+    lengths, as a read-only array of shape (len(batch), d_model), row i for
+    ``batch[i]``, un-normalized; ``taped``, with ``pullback(dy)``, the
+    gradients of the stack's inputs for the gradient dy of those rows.
 
-    One :func:`_blocks` call per prompt length over every part's sequences
-    of that length, part-major, each part's in its own order. Each part
-    then concatenates its rows of each length group's stack, in the order
-    it first meets each length, and reads its [RET] rows out by one index.
-    Each group's last block computes only the last two rows of each
-    sequence. Row i is bitwise equal to the [RET] row of
-    ``forward(encoder, part[i], upto)`` wherever a GEMM row does not depend
-    on the rows beside it, since a batch only adds rows to each op and two
-    rows keep every GEMM a gemm; gradients agree with per-sequence ones to
-    roundoff, since weight-gradient row sums run over the group's rows in
-    one order.
+    One :func:`_blocks` call per prompt length, over that length's
+    sequences in batch order, in the order of each length's first
+    appearance; each stack's last block computes only the last two rows of
+    each sequence. The stacks' rows are concatenated in that order and the
+    [RET] rows read out by one index. Row i is bitwise equal to the [RET]
+    row of ``forward(encoder, batch[i], upto)`` wherever a GEMM row does not
+    depend on the rows beside it, since a batch only adds rows to each op
+    and two rows keep every GEMM a gemm; gradients agree with per-sequence
+    ones to roundoff, since weight-gradient row sums run over a stack's
+    rows in one order.
+
+    The pullback scatters dy into the [RET] rows of the concatenation, then
+    runs each stack's pullback over its rows, last stack first, each
+    input's gradients summed a pair at a time in that order. Those are the
+    bytes, and the order of sums, of a tape of one node per stack behind a
+    concatenation and a dense-scatter gather of the [RET] rows.
     """
-    if not parts or not all(parts):
+    if not batch:
         raise ContractError("no sequences to embed")
-    # (positions in the part, b0, b1) per length group of each part: the
-    # group is sequences b0..b1-1 of its length's batch
-    batches: dict[int, list[TokenSequence]] = {}
-    spans = []
-    for part in parts:
-        spans.append([])
-        for rows in length_groups(part):
-            batch = batches.setdefault(len(part[rows[0]]), [])
-            spans[-1].append((rows, len(batch), len(batch) + len(rows)))
-            batch.extend(part[i] for i in rows)
-    stacks = {s: _blocks(encoder, batch, upto, taped, ret_tail=True) for s, batch in batches.items()}
-    out = []
-    for part, groups in zip(parts, spans):
-        # (stack pullback, b0, b1, first row, end row) per length group
-        hidden, pieces, ret_row, offset = [], [], np.empty(len(part), dtype=np.int64), 0
-        for rows, b0, b1 in groups:
-            s = len(part[rows[0]])
-            m = min(RET_TAIL_ROWS, s)
-            stack = stacks[s][0] if taped else stacks[s]
-            hidden.append(stack[b0 * m : b1 * m])
-            ret_row[rows] = offset + np.arange(len(rows)) * m + m - 1
-            end = offset + len(rows) * m
-            if taped:
-                pieces.append((stacks[s][1], b0, b1, offset, end))
-            offset = end
-        stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
-        ret = stacked[ret_row]
-        ret.flags.writeable = False
-        out.append((ret, _part_pullback(pieces, ret_row, stacked.shape)) if taped else ret)
-    return out
-
-
-def _part_pullback(pieces: list, ret_row: np.ndarray, shape: tuple[int, int]) -> Callable:
-    """One part's pullback: dy scattered into its [RET] rows of its
-    concatenated tail rows ``shape``, then each length group's stack
-    pullback over its rows, last group first, each input's gradients summed
-    a pair at a time in that order. Those are the bytes, and the order of
-    sums, of a tape of one node per group behind a concatenation and a
-    dense-scatter gather of the [RET] rows."""
+    groups = length_groups(batch)
+    stacks = [_blocks(encoder, [batch[i] for i in rows], upto, taped, ret_tail=True) for rows in groups]
+    hidden = [stack[0] for stack in stacks] if taped else stacks
+    ret_row, spans, offset = np.empty(len(batch), dtype=np.int64), [], 0
+    for rows, h in zip(groups, hidden):
+        m = min(RET_TAIL_ROWS, len(batch[rows[0]]))
+        ret_row[rows] = offset + np.arange(len(rows)) * m + m - 1
+        spans.append(slice(offset, offset + len(h)))
+        offset += len(h)
+    stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
+    ret = stacked[ret_row]
+    ret.flags.writeable = False
+    if not taped:
+        return ret
+    shape = stacked.shape
 
     def pullback(dy: np.ndarray) -> list:
         dh = T.scatter_rows(shape, ret_row, dy)
         grads = None
-        for stack, b0, b1, first, end in reversed(pieces):
-            g = stack(b0, b1, dh[first:end])
+        for (_, stack), span in zip(reversed(stacks), reversed(spans)):
+            g = stack(dh[span])
             grads = g if grads is None else [T.sum_grads(pair) for pair in zip(grads, g)]
         return grads
 
-    return pullback
+    return ret, pullback
 
 
-def embed_parts(
-    encoder: Encoder, parts: Sequence[Sequence[TokenSequence]], upto: int
-) -> list[tuple[np.ndarray, Callable]]:
-    """[RET] embeddings of each part with its pullback, one
-    ((len(part), d_model) read-only array, ``pullback(dy)``) pair per part,
-    from one block-stack forward per prompt length for all the parts.
-    Nothing is recorded on the tape: a caller backpropagates to the rows and
-    calls the pullback. Each part's rows and gradients have the bytes of a
-    call on that part alone wherever a GEMM row does not depend on the rows
-    beside it, and agree to roundoff elsewhere. See :func:`_embed`."""
-    return _embed(encoder, parts, upto, True)
+def embed_taped(
+    encoder: Encoder, batch: Sequence[TokenSequence], upto: int
+) -> tuple[np.ndarray, Callable]:
+    """[RET] embeddings of ``batch`` with their pullback: a (B, d_model)
+    read-only array, row i for ``batch[i]``, and ``pullback(dy)``, the
+    gradient of every input of the block stack, in the encoder's params
+    order, for the gradient dy of those rows; the taped twin of
+    :func:`embed_raw`. Nothing is recorded on the tape: a caller
+    backpropagates to the rows and calls the pullback. See :func:`_embed`."""
+    return _embed(encoder, batch, upto, True)
 
 
 def embed_raw(encoder: Encoder, batch: Sequence[TokenSequence], upto: int) -> np.ndarray:
     """Tape-free [RET] embeddings of ``batch`` as a read-only array, shape
     (B, d_model), row i for ``batch[i]``, un-normalized; see :func:`_embed`."""
-    return _embed(encoder, [batch], upto, False)[0]
+    return _embed(encoder, batch, upto, False)
 
 
 def prune(encoder: Encoder, k: int) -> Encoder:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig, embed_parts, embed_raw, parameter_names
+from .encoder import Encoder, EncoderConfig, embed_raw, embed_taped, parameter_names
 from .errors import NumericDomainError
 from .losses import (
     DISTILL_VARIANTS,
@@ -127,7 +127,7 @@ def _ret_rows(batch, weights, taped: bool):
     params = {name: w.data for name, w in zip(parameter_names(_SUITE_ENCODER), weights)}
     model = Encoder(_SUITE_ENCODER, params)
     depth = _SUITE_ENCODER.n_layers
-    return embed_parts(model, [batch], depth)[0] if taped else embed_raw(model, batch, depth)
+    return (embed_taped if taped else embed_raw)(model, batch, depth)
 
 
 def _encoder_loss(batch, *weights):

@@ -11,32 +11,31 @@ normalize each row themselves, and ``mse`` of unit rows would be twice the
 Stage 2 instruction-tunes on the mixed-task corpus under the
 modality-adaptive loss.
 
-Sharding is simulated in-process but honest about the math: every shard
-forwards only its slice of the global batch, embeddings are gathered across
-shards so negatives span the global batch, and per-shard gradients are
-summed in shard-id order. A step decides its objective once: the
-temperature and alpha weights (:func:`_schedule`, which the loss curve also
-reads) and, at stage 1, the teacher rows. Each shard then evaluates that
-one loss of the gathered rows, backpropagates it to them, and passes its
-own rows of that gradient to its own pullback through the block stack, so
-the shard-summed gradient equals the single-process gradient of the same
-global batch. The embedding tables' gradients stay rows from the backward
-through the all-reduce, which sums each row over the shards that touched
-it, in shard order, to Adam, which updates only the rows a gradient has
-held (:mod:`~umrlab.optim`); every step has the bytes of the dense one.
-Adam owns a stage's weights in one flat store that it updates in place, so
-the encoder each step returns is a view of that store, which the stage's
-next step changes; the encoder a stage starts from is never written.
+Sharding is simulated in-process but honest about the math: negatives
+span the global batch, and each shard owns its slice of it. A step decides
+its objective once: the temperature and alpha weights (:func:`_schedule`,
+which the loss curve also reads) and, at stage 1, the teacher rows. It
+embeds the whole global batch as one batch, every query and then every
+positive, in batch order, which is shard order, with one taped block-stack
+forward per prompt length (:func:`~umrlab.encoder.embed_taped`), and
+gathers each shard's rows of it. Each shard then evaluates that one loss of
+the gathered rows, backpropagates it to them, and keeps its own rows of
+that gradient. The shards' rows are gathered in shard order, queries then
+positives, and one pullback through the block stack turns them into the
+step's gradients. So the block stack's backward runs once per prompt
+length whatever the shard count: as in GradCache (arXiv 2101.06983), the
+representation gradients come first and one backward through the encoder
+follows. The forward, the loss, its gradient and the pullback see the same
+rows in the same order at every shard count, so a step's bytes do not
+depend on it. A shard's tape holds its loss only: the gathered rows are its
+two tracked leaves.
+The embedding tables' gradients stay rows from the pullback to Adam, which
+updates only the rows a gradient has held (:mod:`~umrlab.optim`); every
+step has the bytes of the dense one. Adam owns a stage's weights in one
+flat store that it updates in place, so the encoder each step returns is a
+view of that store, which the stage's next step changes; the encoder a
+stage starts from is never written.
 
-A step embeds the queries and positives of every shard with one taped
-block-stack forward per prompt length for the whole batch
-(:func:`~umrlab.encoder.embed_parts`, one part per shard), so its forward
-cost grows with the number of distinct prompt lengths, not the number of
-prompts, sides or shards. Each shard's pullback runs over its own rows
-alone, so every gradient has the bytes of a forward per shard wherever a
-GEMM row does not depend on the rows beside it
-(:func:`~umrlab.encoder.embed_parts`). A shard's tape holds its loss only:
-the gathered rows are its two tracked leaves.
 Stage 1's frozen teacher embeds the batch's cache misses from both sides in
 one tape-free call (:func:`~umrlab.encoder.embed_raw`).
 """
@@ -46,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import ClassVar
 
 import numpy as np
@@ -54,7 +53,7 @@ import numpy as np
 from . import tensor as T
 from .datagen import Corpus, Sample, Candidate
 # embed is unused here; the benchmark tracer wraps trainer.embed as a call site
-from .encoder import Encoder, EncoderConfig, embed_parts, embed_raw, embed_raw as embed, prune
+from .encoder import Encoder, EncoderConfig, embed_raw, embed_raw as embed, embed_taped, prune
 from .errors import AggregationError, ConfigurationError, ContractError, NumericDomainError
 from .losses import (
     ALPHA_MODES,
@@ -178,7 +177,8 @@ def batch_from(corpus: Corpus, samples: Sequence[Sample]) -> GlobalBatch:
 
 
 def gather_shards(locals_: Sequence[np.ndarray | None]) -> np.ndarray:
-    """Concatenate per-shard embedding rows in ascending shard-id order."""
+    """Concatenate per-shard rows, of embeddings or their gradients, in
+    ascending shard-id order."""
     if not locals_:
         raise AggregationError("no shard rows to gather")
     for i, block in enumerate(locals_):
@@ -197,6 +197,9 @@ def all_reduce_grads(
     row, with the bytes of the dense sum, and any other densely. One
     shard's gradients are returned as they are; otherwise every gradient is
     a fresh one, and no shard's is written into.
+
+    A step does not call it: its one pullback takes every shard's rows at
+    once (:func:`compute_global_grads`).
     """
     if not shard_grads:
         raise AggregationError("no shard gradients to reduce")
@@ -208,24 +211,6 @@ def all_reduce_grads(
             if grads[key].shape != shard_grads[0][key].shape:
                 raise AggregationError(f"shard {i} gradient shape mismatch for {key!r}")
     return {key: T.sum_grads([grads[key] for grads in shard_grads]) for key in keys}
-
-
-def _shard_rows(encoder: Encoder, batch: GlobalBatch, shards: int) -> list[tuple[np.ndarray, Callable]]:
-    """Full-depth [RET] states of each shard's queries, then its positives,
-    as one (rows, pullback) pair per shard, in shard order (see
-    :func:`embed_parts`).
-
-    One :func:`embed_parts` call embeds every shard's part, so prompts of
-    equal length share one forward whichever shard and side they come from.
-    """
-    max_seq, depth = encoder.config.max_seq, encoder.config.n_layers
-    n = len(batch) // shards
-    parts = [
-        [assemble_prompt(s, "query", max_seq) for s in batch.samples[i * n : (i + 1) * n]]
-        + [assemble_prompt(c, "candidate", max_seq) for c in batch.positives[i * n : (i + 1) * n]]
-        for i in range(shards)
-    ]
-    return embed_parts(encoder, parts, depth)
 
 
 def _teacher_rows(teacher: Encoder, batch: GlobalBatch, cache: dict) -> tuple[Tensor, Tensor]:
@@ -265,23 +250,6 @@ def _schedule(config: TrainConfig, progress: float) -> tuple[float, tuple[float,
     return tau_hard, alphas
 
 
-def _shard_grads(
-    student: Encoder, loss, q: Tensor, c: Tensor, own: slice, pullback: Callable
-) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
-    """Evaluate ``loss`` on the gathered rows q and c, two tracked leaves,
-    backward to them, and pass the shard's ``own`` rows of their gradients,
-    queries then positives, to its ``pullback``; returns the named
-    gradients and the loss terms.
-
-    The loss's tape dies with this call, before the next shard builds its
-    own.
-    """
-    total, terms = loss(q, c)
-    grad_map = T.backward(total)
-    dy = np.concatenate((grad_map[q][own], grad_map[c][own]), axis=0)
-    return dict(zip(student.params, pullback(dy))), terms
-
-
 def compute_global_grads(
     student: Encoder,
     teacher: Encoder | None,
@@ -290,11 +258,11 @@ def compute_global_grads(
     progress: float,
     teacher_cache: dict | None = None,
 ) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
-    """One forward per prompt length for every shard and one cross-shard
-    gather, then per shard the loss, a backward to the gathered rows and
-    the shard's pullback, then the all-reduce.
+    """One forward per prompt length for the global batch, then per shard
+    the loss of the gathered rows and a backward to them, then one pullback
+    of the shards' rows of that gradient.
 
-    Returns the shard-summed gradient map and the loss breakdown.
+    Returns the gradient map and the loss breakdown.
     """
     if config.stage == 1 and teacher is None:
         raise ConfigurationError("stage 1 requires a frozen teacher")
@@ -304,10 +272,14 @@ def compute_global_grads(
         raise ConfigurationError(
             f"batch of {len(batch)} != shards*per_shard_batch = {config.global_batch}"
         )
-    locals_ = _shard_rows(student, batch, config.shards)
-    n = config.per_shard_batch
-    q = Tensor._wrap(gather_shards([rows[:n] for rows, _ in locals_]), True)
-    c = Tensor._wrap(gather_shards([rows[n:] for rows, _ in locals_]), True)
+    max_seq, depth = student.config.max_seq, student.config.n_layers
+    prompts = [assemble_prompt(s, "query", max_seq) for s in batch.samples]
+    prompts += [assemble_prompt(c, "candidate", max_seq) for c in batch.positives]
+    rows, pullback = embed_taped(student, prompts, depth)
+    n, g = config.per_shard_batch, len(batch)
+    own = [slice(s * n, (s + 1) * n) for s in range(config.shards)]
+    q = Tensor._wrap(gather_shards([rows[:g][o] for o in own]), True)
+    c = Tensor._wrap(gather_shards([rows[g:][o] for o in own]), True)
     tau_hard, alphas = _schedule(config, progress)
     tau0, tags = config.temperature.tau0, batch.tags
     if config.stage == 1:
@@ -328,12 +300,15 @@ def compute_global_grads(
             total, distill = pretraining_loss(contrastive, term, alphas), term.item()
         return total, {"contrastive": contrastive.item(), "distill": distill, "total": total.item()}
 
-    results = [
-        _shard_grads(student, loss, q, c, slice(s * n, (s + 1) * n), pullback)
-        for s, (_, pullback) in enumerate(locals_)
-    ]
-    reduced = all_reduce_grads([grads for grads, _ in results])
-    return reduced, results[0][1]
+    def shard_rows_grad(mine: slice) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+        # the loss's tape dies with this call, before the next shard builds its own
+        total, terms = loss(q, c)
+        grad_map = T.backward(total)
+        return grad_map[q][mine], grad_map[c][mine], terms
+
+    results = [shard_rows_grad(mine) for mine in own]
+    dy = gather_shards([dq for dq, _, _ in results] + [dc for _, dc, _ in results])
+    return dict(zip(student.params, pullback(dy))), results[0][2]
 
 
 def train_step(

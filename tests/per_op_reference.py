@@ -1,7 +1,7 @@
 """A tape of one node per op through the encoder's blocks, for tests only.
 
 The encoder records no tape node: its block stack backpropagates by hand,
-through the pullback that ``embed_parts`` returns. This module keeps the
+through the pullback that ``embed_taped`` returns. This module keeps the
 op-by-op form it replaced: a taped affine, layer norm, GELU and attention,
 each with its own vjp, built on the same array kernels and without operand
 checks, and the block stack and an embed written with them, with a taped
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from umrlab import tensor as T
-from umrlab.encoder import RET_TAIL_ROWS, Encoder, _blocks, _layer, embed_parts, length_groups
+from umrlab.encoder import RET_TAIL_ROWS, Encoder, _blocks, _layer, embed_taped, length_groups
 
 
 def affine(x, w, b):
@@ -143,14 +143,13 @@ def stack_node(taped, batch, upto, ret_tail=False):
     """The encoder's own block stack over ``batch`` as one tape node over
     the :class:`Tracked` leaves: the form :func:`blocks` is compared with."""
     h, pullback = _blocks(taped.encoder, batch, upto, True, ret_tail)
-    return _node(taped, upto, h, lambda dh: pullback(0, len(batch), dh))
+    return _node(taped, upto, h, pullback)
 
 
 def embed_node(taped, seqs, upto):
-    """The [RET] rows of an ``embed_parts`` of ``seqs`` as one part, as one
-    tape node over its pullback: the form :func:`embed_batch` is compared
-    with."""
-    return _node(taped, upto, *embed_parts(taped.encoder, [seqs], upto)[0])
+    """The [RET] rows of an ``embed_taped`` of ``seqs``, as one tape node
+    over its pullback: the form :func:`embed_batch` is compared with."""
+    return _node(taped, upto, *embed_taped(taped.encoder, seqs, upto))
 
 
 def blocks(taped, batch, upto, ret_tail=False):

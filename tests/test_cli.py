@@ -266,6 +266,42 @@ class TestTrainArtifacts:
         assert capsys.readouterr().err == f"error: {message} to 0.0\n"
         assert steps == [] and not out.exists() and not curve.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--curve"])
+    def test_output_in_a_missing_directory_is_refused_before_a_step(
+        self, workdir, tmp_path, capsys, monkeypatch, flag
+    ):
+        from umrlab import trainer
+
+        _, corpus, _, student = workdir
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *args: steps.append(args))
+        paths = {"--out": tmp_path / "y.ckpt", "--curve": tmp_path / "c.csv"}
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        code = main([
+            "train", "2", "--corpus", str(corpus), "--init", str(student),
+            "--out", str(paths["--out"]), "--curve", str(paths["--curve"]), "--batch", "4",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[flag]}: directory {paths[flag].parent} does not exist\n"
+        assert steps == [] and list(tmp_path.iterdir()) == []
+
+    def test_output_that_is_a_directory_is_refused_before_a_step(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        from umrlab import trainer
+
+        _, corpus, _, student = workdir
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *args: steps.append(args))
+        code = main([
+            "train", "2", "--corpus", str(corpus), "--init", str(student),
+            "--out", str(tmp_path), "--batch", "4",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: cannot be written\n"
+        assert steps == [] and list(tmp_path.iterdir()) == []
+
     def test_nan_weight_init_is_diagnosed(self, workdir, capsys):
         from umrlab.checkpoint import load_checkpoint, save_checkpoint
 
@@ -446,6 +482,21 @@ class TestPruneEmbedIndexSearch:
                 writer.writerow([item.id, item.modality, item.dataset] + [f"{x:.8g}" for x in vec])
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("command", ["embed", "index"])
+    def test_output_in_a_missing_directory_is_refused_before_any_embed(
+        self, workdir, tmp_path, monkeypatch, capsys, command
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "embed_prompts", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "build_index", lambda *args: calls.append(args))
+        _, corpus, _, student = workdir
+        out = tmp_path / "missing" / "out"
+        side = ["--side", "query"] if command == "embed" else []
+        code = main([command, "--checkpoint", str(student), "--corpus", str(corpus), *side, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out}: directory {out.parent} does not exist\n"
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_index_and_search_agree(self, workdir, capsys):
         root, corpus, _, student = workdir
         idx = root / "pool.idx"
@@ -592,6 +643,28 @@ class TestEval:
         assert "Traceback" not in err
         # the PCA is refused before the report is written
         assert not pca.exists() and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--pca-out"])
+    def test_output_in_a_missing_directory_is_refused_before_any_build(
+        self, workdir, tmp_path, monkeypatch, capsys, flag
+    ):
+        import umrlab.cli
+        import umrlab.retrieval
+
+        builds = []
+        monkeypatch.setattr(umrlab.retrieval, "build_index", lambda *args, **kw: builds.append(args))
+        monkeypatch.setattr(umrlab.cli, "build_index", lambda *args, **kw: builds.append(args))
+        _, corpus, _, student = workdir
+        paths = {"--out": tmp_path / "report.csv", "--pca-out": tmp_path / "pca.csv"}
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        code = main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--out", str(paths["--out"]), "--pca-out", str(paths["--pca-out"]),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[flag]}: directory {paths[flag].parent} does not exist\n"
+        assert builds == [] and list(tmp_path.iterdir()) == []
 
     def test_separation_builds_the_index_once(self, workdir, monkeypatch, capsys):
         import umrlab.cli

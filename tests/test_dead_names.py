@@ -12,6 +12,7 @@ ALLOWED = {
     ("__init__", "__all__"): "the package's public names, read by star imports",
     ("__init__", "__version__"): "the package version, read by its users",
     ("encoder", "forward_raw"): "an alias of forward that umrbench's tracer wraps by attribute name",
+    ("trainer", "all_reduce_grads"): "a step no longer reduces shard gradients, but umrbench's tracer wraps it by attribute name",
 }
 
 

@@ -17,8 +17,8 @@ from umrlab.encoder import (
     EncoderConfig,
     _blocks,
     embed_flops,
-    embed_parts,
     embed_raw,
+    embed_taped,
     estimate_flops,
     forward,
     forward_raw,
@@ -163,7 +163,7 @@ class TestForward:
         assert all(np.isfinite(p).all() for p in blown.params.values())
         seqs = [small_tokens(), small_tokens((40, 41, 42))]
         with pytest.raises(NumericDomainError, match="overflow"):
-            embed_parts(blown, [seqs], 2) if taped else embed_raw(blown, seqs, 2)
+            embed_taped(blown, seqs, 2) if taped else embed_raw(blown, seqs, 2)
 
     def test_single_layer_single_head_matches_scalar_oracle(self):
         cfg = EncoderConfig(vocab_size=8, d_model=2, n_heads=1, n_layers=1, max_seq=4, k=1)
@@ -247,7 +247,7 @@ class TestRawForward:
         forward_raw(enc, small_tokens(), 2)
         # three length groups, their pullbacks included
         seqs = [small_tokens((40,)), small_tokens((40, 41)), small_tokens((41,)), small_tokens(())]
-        (rows, pullback), = embed_parts(enc, [seqs], 2)
+        rows, pullback = embed_taped(enc, seqs, 2)
         pullback(np.ones(rows.shape))
         embed_raw(enc, seqs, 2)
         assert built == []
@@ -261,7 +261,7 @@ class TestRawForward:
     def test_embed_raw_matches_embed(self):
         enc = Encoder.init(SMALL, seed=3)
         seq = small_tokens()
-        a = embed_parts(enc, [[seq]], 2)[0][0][0]
+        a = embed_taped(enc, [seq], 2)[0][0]
         b = embed_raw(enc, [seq], 2)
         assert b.shape == (1, SMALL.d_model)
         assert a.tobytes() == b[0].tobytes()
@@ -306,7 +306,7 @@ class TestTapeFree:
     def test_embed_raw_runs_no_taped_op(self, request):
         enc = Encoder.init(SMALL, seed=3)
         seqs = [small_tokens(), small_tokens((40, 41, 42)), small_tokens((41, 40))]
-        want = embed_parts(enc, [seqs], 2)[0][0]
+        want = embed_taped(enc, seqs, 2)[0]
         request.getfixturevalue("no_taped_ops")
         assert embed_raw(enc, seqs, 2).tobytes() == want.tobytes()
 
@@ -322,7 +322,7 @@ class TestTapeFree:
         rng = np.random.default_rng(5)
         seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (2, 5, 2, 7, 1, 5, 5)]
         for upto in range(1, cfg.n_layers + 1):
-            (taped, _), = embed_parts(enc, [seqs], upto)
+            taped, _ = embed_taped(enc, seqs, upto)
             assert embed_raw(enc, seqs, upto).tobytes() == taped.tobytes()
             hidden, _ = _blocks(enc, [seqs[3]], upto, True)
             assert forward_raw(enc, seqs[3], upto).tobytes() == hidden.tobytes()
@@ -365,7 +365,7 @@ class TestRetTail:
         for upto in range(1, WIDE.n_layers + 1):
             want = b"".join(forward_raw(enc, seq, upto)[-1].tobytes() for seq in seqs)
             assert embed_raw(enc, seqs, upto).tobytes() == want
-            (taped, _), = embed_parts(enc, [seqs], upto)
+            taped, _ = embed_taped(enc, seqs, upto)
             assert taped.tobytes() == want
 
     @pytest.mark.parametrize("ids", [(1,), (40, 1)])
@@ -389,7 +389,7 @@ class TestRetTail:
         monkeypatch.setattr(T, "_affine", recording)
         enc = Encoder.init(WIDE, seed=1)
         batch = mixed_prompts(1)[:1] * 3  # three sequences of 13 rows
-        embed_parts(enc, [batch], 3) if taped else embed_raw(enc, batch, 3)
+        embed_taped(enc, batch, 3) if taped else embed_raw(enc, batch, 3)
         full, tail = 3 * 13, 3 * 2
         # q, k, v, output projection, then the FFN's two affines, per block
         assert rows == [full] * 12 + [tail, full, full, tail, tail, tail]
@@ -457,7 +457,7 @@ class TestEntryPointDecidesTaping:
         assert all(p.grad_tracked for p in leaves.params.values())
         enc = leaves.encoder
         seqs = mixed_prompts(2, seed=6)
-        taped = [embed_parts(enc, [seqs], 3)[0][0], _blocks(enc, seqs[:1], 3, True)[0]]
+        taped = [embed_taped(enc, seqs, 3)[0], _blocks(enc, seqs[:1], 3, True)[0]]
         made = recorded_nodes(monkeypatch)
         raw = [embed_raw(enc, seqs, 3), forward_raw(enc, seqs[0], 3)]
         assert made == []
@@ -469,7 +469,7 @@ class TestEntryPointDecidesTaping:
         enc = Encoder.init(WIDE, seed=6)
         seqs = mixed_prompts(2, seed=6)
         made = recorded_nodes(monkeypatch)
-        (rows, pullback), = embed_parts(enc, [seqs], 3)
+        rows, pullback = embed_taped(enc, seqs, 3)
         grads = pullback(np.ones(rows.shape))
         assert made == []
         assert type(rows) is np.ndarray and not rows.flags.writeable
@@ -489,16 +489,16 @@ class TestBatchedEmbed:
         rng = np.random.default_rng(3)
         seqs = [small_tokens(int(t) for t in rng.integers(36, 46, size=n)) for n in (3, 6, 3, 1, 6, 6)]
         for upto in (1, 3):
-            got = embed_parts(enc, [seqs], upto)[0][0] if taped else embed_raw(enc, seqs, upto)
+            got = embed_taped(enc, seqs, upto)[0] if taped else embed_raw(enc, seqs, upto)
             assert got.shape == (len(seqs), cfg.d_model)
             assert not got.flags.writeable
             for row, seq in zip(got, seqs):
                 assert row.tobytes() == per_sequence_ret_row(enc, seq, upto).tobytes()
 
     def test_empty_list_rejected(self):
-        for parts in ([[]], [], [[small_tokens()], []]):
+        for embed in (embed_taped, embed_raw):
             with pytest.raises(ContractError, match="no sequences"):
-                embed_parts(Encoder.init(SMALL, seed=3), parts, 2)
+                embed(Encoder.init(SMALL, seed=3), [], 2)
 
 
 class TestExtract:
@@ -697,7 +697,7 @@ class TestBlockStackNode:
             for n, b in zip(lengths, batches)
         ]
         if ret_tail:
-            # two length groups in one part, in a drawn order
+            # two length groups in one batch, in a drawn order
             seqs = [seq for group in groups for seq in group]
             seqs = [seqs[i] for i in rng.permutation(len(seqs))]
             stacks = (per_op.embed_node, per_op.embed_batch)
@@ -721,7 +721,7 @@ class TestBlockStackNode:
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_part_pullback_bytes_equal_the_per_op_tape(self, depth):
-        # a part of three prompt lengths, met out of order, so its pullback
+        # a batch of three prompt lengths, met out of order, so its pullback
         # scatters into interleaved [RET] rows of three length groups
         rng = np.random.default_rng(depth)
         shapes = {n: t.shape for n, t in Encoder.init(ORACLE, seed=0).params.items()}
@@ -731,7 +731,7 @@ class TestBlockStackNode:
             TokenSequence((*rng.integers(2, 48, n - 1).tolist(), RET_TOKEN_ID))
             for n in (2, 5, 1, 5, 2, 2, 1)
         ]
-        (rows, pullback), = embed_parts(enc.encoder, [seqs], depth)
+        rows, pullback = embed_taped(enc.encoder, seqs, depth)
         ref = per_op.embed_batch(enc, seqs, depth)
         assert rows.tobytes() == ref.data.tobytes()
         dy = rng.normal(size=rows.shape) * 10.0 ** rng.integers(-4, 5, rows.shape)

@@ -26,7 +26,6 @@ from umrlab.datagen import CorpusSpec, generate_corpus, vocab_size_for
 from umrlab.encoder import (
     Encoder,
     EncoderConfig,
-    embed_parts,
     forward_raw,
     parameter_names,
     prune,
@@ -635,36 +634,31 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("case", list(SHARD_CASES))
     def test_shard_equivalence_gradients_and_weights(self, corpus, case):
+        # the shard count changes no byte: one embed and one pullback of the
+        # global batch, whatever its shards
         stage, overrides, enc, teacher, (batch, _), progress = shard_case(corpus, case)
         results = {}
         for shards in (1, 2, 4):
             cfg = config(stage, shards=shards, per_shard_batch=8 // shards, **overrides)
             grads, breakdown = compute_global_grads(enc, teacher, batch, cfg, progress)
-            grads = {n: T.dense_grad(g) for n, g in grads.items()}
             assert (breakdown["distill"] > 0.0) == (stage == 1)
             opt = OptimizerState.init(enc.params, cfg.lr)
             stepped, _, _ = train_step(enc, teacher, batch, cfg, opt, progress)
-            results[shards] = (grads, stepped)
-        ref_grads, ref_model = results[1]
-        for shards in (2, 4):
-            grads, model = results[shards]
-            worst = max(np.abs(grads[n] - ref_grads[n]).max() for n in ref_grads)
-            assert worst < 1e-10
-            diff = max(
-                np.abs(model.params[n] - ref_model.params[n]).max()
-                for n in ref_model.params
+            results[shards] = (
+                [(type(g), T.dense_grad(g).tobytes()) for g in grads.values()],
+                breakdown,
+                stepped.param_bytes(),
             )
-            assert diff < 1e-10
+        assert results[1][2] != enc.param_bytes()
+        for shards in (2, 4):
+            assert results[shards] == results[1], shards
 
     @pytest.mark.parametrize("case", list(SHARD_CASES))
     def test_steps_bitwise_equal_a_dense_reference_step(self, corpus, case, monkeypatch):
-        # densified shard gradients, summed densely in shard order, and the
-        # dense Adam formula: two steps on different batches, so the second
-        # starts from non-zero moments and adds table rows to the live set
+        # the dense Adam formula on densified gradients: two steps on
+        # different batches, so the second starts from non-zero moments and
+        # adds table rows to the live set
         stage, overrides, enc, teacher, batches, progress = shard_case(corpus, case)
-
-        def dense_reduce(shard_grads):
-            return {n: dense_shard_sum([g[n] for g in shard_grads]) for n in shard_grads[0]}
 
         def two_steps(cfg):
             model, opt = enc, OptimizerState.init(enc.params, cfg.lr)
@@ -676,7 +670,6 @@ class TestTrainStep:
             cfg = config(stage, shards=shards, per_shard_batch=8 // shards, **overrides)
             got = two_steps(cfg)
             with monkeypatch.context() as patched:
-                patched.setattr(trainer, "all_reduce_grads", dense_reduce)
                 patched.setattr(trainer, "adam_update", dense_adam)
                 want = two_steps(cfg)
             assert got[0] != enc.param_bytes()
@@ -847,32 +840,22 @@ def mixed_batches(mixed_tasks):
     return batches
 
 
-def embed_per_part(encoder, parts, upto):
-    """Reference for encoder.embed_parts: embed_parts of each part alone,
-    one forward per part and prompt length."""
-    return [embed_parts(encoder, [part], upto)[0] for part in parts]
-
-
-def per_prompt_parts(encoder, parts, upto):
-    """Reference for encoder.embed_parts: one block-stack tape node per
+def per_prompt_embed(encoder, seqs, upto):
+    """Reference for encoder.embed_taped: one block-stack tape node per
     prompt, over tracked copies of the weights, whose last rows the per-op
     reference gathers and concatenates, and a pullback that is a backward
     of that tape seeded with dy."""
     encoder = per_op.tracked(encoder)
     params = list(encoder.params.values())
+    rows = per_op.concat_rows(
+        [per_op.take_rows(per_op.stack_node(encoder, [seq], upto), [len(seq) - 1]) for seq in seqs]
+    )
 
-    def part_rows(part):
-        rows = per_op.concat_rows(
-            [per_op.take_rows(per_op.stack_node(encoder, [seq], upto), [len(seq) - 1]) for seq in part]
-        )
+    def pullback(dy):
+        grads = T.backward(per_op.seeded(rows, dy))
+        return [grads[p] for p in params]
 
-        def pullback(dy):
-            grads = T.backward(per_op.seeded(rows, dy))
-            return [grads[p] for p in params]
-
-        return rows.data, pullback
-
-    return [part_rows(part) for part in parts]
+    return rows.data, pullback
 
 
 class TestWeightsLeaveTheTape:
@@ -959,7 +942,7 @@ class TestBatchedEmbedding:
         enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
         cfg = config(2, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards)
         grads, losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
-        monkeypatch.setattr(trainer, "embed_parts", per_prompt_parts)
+        monkeypatch.setattr(trainer, "embed_taped", per_prompt_embed)
         ref_grads, ref_losses = compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
         assert losses == ref_losses
         grads, ref_grads = ({n: T.dense_grad(g) for n, g in gs.items()} for gs in (grads, ref_grads))
@@ -1016,13 +999,39 @@ class TestBatchedEmbedding:
             compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
             assert sorted(stacks) == per_length, shards
 
+    def test_one_pullback_per_prompt_length_at_every_shard_count(self, mixed_batch, monkeypatch):
+        # the step's one pullback runs the block stack's backward once per
+        # distinct prompt length, whatever the shard count, and no shard's
+        # gradients are reduced
+        vjps = []
+        blocks_vjp = encoder_module._blocks_vjp
+
+        def counting(*args):
+            vjps.append(len(args[3]))
+            return blocks_vjp(*args)
+
+        def refuse(*args):
+            raise AssertionError("a step reduced shard gradients")
+
+        monkeypatch.setattr(encoder_module, "_blocks_vjp", counting)
+        monkeypatch.setattr(trainer, "all_reduce_grads", refuse)
+        enc = prune(Encoder.init(MIXED_ENC, seed=3), 2)
+        prompts = [assemble_prompt(s, "query") for s in mixed_batch.samples]
+        prompts += [assemble_prompt(c, "candidate") for c in mixed_batch.positives]
+        # one per length, over every token row of that length in the step
+        per_length = sorted(n * count for n, count in Counter(len(p) for p in prompts).items())
+        assert len(per_length) == 3
+        for shards in (1, 2, 4, 8):
+            vjps.clear()
+            cfg = config(2, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards)
+            compute_global_grads(enc, None, mixed_batch, cfg, 0.5)
+            assert sorted(vjps) == per_length, shards
+
     @pytest.mark.parametrize("stage", [0, 1, 2])
-    def test_steps_bitwise_equal_an_embed_per_shard(self, mixed_batches, stage, monkeypatch):
-        # one row across two compositions: one forward per prompt length for
-        # every shard, against an embed_parts of each shard alone, over two
-        # steps, so the second starts from non-zero moments; shards that
-        # meet their lengths in different orders catch a tape node order
-        # other than the per-shard one
+    def test_steps_are_bitwise_equal_at_every_shard_count(self, mixed_batches, stage):
+        # two steps, so the second starts from non-zero moments, on batches
+        # whose shards meet their prompt lengths in different orders: the
+        # weights and Adam's moments have the same bytes at every shard count
         full = Encoder.init(MIXED_ENC, seed=3)
         enc = full if stage == 0 else prune(full, 2)
         teacher = full if stage == 1 else None
@@ -1033,17 +1042,16 @@ class TestBatchedEmbedding:
                 model, opt, _ = train_step(model, teacher, batch, cfg, opt, 0.5)
             return model.param_bytes(), [(opt.m[n].tobytes(), opt.v[n].tobytes()) for n in opt.m]
 
+        results = {}
         for shards in (1, 2, 4, 8):
             cfg = config(
                 stage, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards,
                 alpha_mode="dynamic",
             )
-            got = two_steps(cfg)
-            with monkeypatch.context() as patched:
-                patched.setattr(trainer, "embed_parts", embed_per_part)
-                want = two_steps(cfg)
-            assert got[0] != enc.param_bytes()
-            assert got == want, shards
+            results[shards] = two_steps(cfg)
+        assert results[1][0] != enc.param_bytes()
+        for shards in (2, 4, 8):
+            assert results[shards] == results[1], shards
 
     def test_teacher_cache_one_lookup_per_item_and_rows_match_embed(self, mixed_batch):
         teacher = Encoder.init(MIXED_ENC, seed=5)
@@ -1085,10 +1093,12 @@ def haswell_probe():
     return result
 
 
-def test_haswell_kernel_probe_step_gradients_match_an_embed_per_shard(haswell_probe):
-    # the one forward per prompt length and the per-shard reference differ
-    # in the last bits: they must stay within roundoff of each other
-    assert haswell_probe["worst"] <= 1e-12 * haswell_probe["scale"]
+def test_haswell_kernel_probe_step_gradients_match_one_shard_and_per_prompt(haswell_probe):
+    # the shard count changes no byte under any kernel; the one forward per
+    # prompt length and a forward per prompt differ in the last bits, and
+    # must stay within roundoff of each other
+    assert haswell_probe["worst"] == 0.0
+    assert haswell_probe["prompt_worst"] <= 1e-12 * haswell_probe["scale"]
 
 
 def test_haswell_kernel_probe_batch_rows_match_single_embeds(haswell_probe):
