@@ -1,10 +1,10 @@
 """Desk-scale unified multimodal retrieval lab.
 
-A complete pipeline over synthetic token corpora: a from-scratch autodiff
-core for the objectives, whose ops tape exactly when an input is tracked; a
-small transformer retriever, its weights plain read-only arrays, with prefix
-layer pruning and a hand-written backward through its block stack; contrastive and self-distillation
-objectives with a modality-adaptive temperature matrix; a deterministic
+A complete pipeline over synthetic token corpora: a small transformer
+retriever, its weights plain read-only arrays, with prefix layer pruning
+and a hand-written backward through its block stack; contrastive and
+self-distillation objectives with a modality-adaptive temperature matrix,
+each one node on a small loss tape with a hand-written vjp; a deterministic
 simulated data-parallel trainer; and a flat cosine retrieval index with
 Recall@k evaluation.
 """

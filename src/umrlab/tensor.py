@@ -1,13 +1,15 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""The loss tape, the gradient sums, and the block stack's array kernels.
 
-An op records one node on an implicit tape exactly when one of its inputs
-is grad-tracked, and its output is then tracked too; an op of untracked
-inputs records nothing. Only the losses run on the tape: a training step
-backpropagates each loss to the gathered embeddings, its two tracked
-leaves, and hands their gradient to the encoder's block-stack pullback,
-which records nothing; no weight is a tensor. ``backward`` replays the tape
-for a scalar root in reverse record order, which fixes the gradient
-accumulation order and makes gradients bitwise reproducible.
+This module defines no taped op. Each training objective in
+:mod:`~umrlab.losses` computes its value on arrays and records one node
+through :func:`_result`, with a vjp written out by hand; a node is recorded
+exactly when one of its inputs is grad-tracked, and its output is then
+tracked too. A training step backpropagates its loss to the gathered
+embeddings, its two tracked leaves, and hands their gradient to the
+encoder's block-stack pullback, which records nothing; no weight is a
+tensor. ``backward`` replays the tape for a scalar root in reverse record
+order, which fixes the gradient accumulation order and makes gradients
+bitwise reproducible.
 
 A tensor's data is a read-only float64 array that never changes after
 construction. Weights are not tensors: the encoder and the optimizer's
@@ -22,9 +24,9 @@ Each kernel runs its elementwise steps in place, in buffers it allocated
 itself and in the operation order of the out-of-place formula it replaced
 (up to swapping the two operands of one product or sum, which IEEE
 arithmetic ignores), so it writes that formula's bytes through fewer fresh
-arrays. ``softmax_rows`` is an array kernel with no taped op: its one
-caller takes it of constant scores. Layer norm and the L2 row normalizers
-read their epsilons from module constants, not from callers.
+arrays. ``softmax_rows`` is an array kernel: its one caller takes it of
+constant scores. Layer norm and the L2 row normalizers read their epsilons
+from module constants, not from callers.
 
 ``backward`` returns a dense gradient for every grad-tracked leaf it
 reached and none for an intermediate. The block stack's pullback gives each
@@ -118,9 +120,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self._data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self._data)
-
     def __repr__(self) -> str:
         tag = ", tracked" if self.grad_tracked else ""
         return f"Tensor(shape={self.shape}{tag})"
@@ -132,12 +131,6 @@ def _result(out_data, inputs, vjp) -> Tensor:
     if tracked:
         out._node = _Node(tuple(inputs), out, vjp)
     return out
-
-
-def _require_2d(op: str, *xs: Tensor) -> None:
-    for x in xs:
-        if x.ndim != 2:
-            raise DimensionError(f"{op} expects 2-D operands, got shape {x.shape}")
 
 
 class ComputeGraph:
@@ -292,18 +285,6 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d("matmul", a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(dy):
-        return dy @ b.data.T, a.data.T @ dy
-
-    return _result(out, (a, b), vjp)
-
-
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w
     out += b
@@ -316,65 +297,8 @@ def _affine_vjp(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
-def transpose(x: Tensor) -> Tensor:
-    _require_2d("transpose", x)
-
-    def vjp(dy):
-        return (dy.T,)
-
-    return _result(x.data.T, (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # elementwise kernels
-
-
-def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op} operand shapes disagree: {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("add", a, b)
-
-    def vjp(dy):
-        return dy, dy
-
-    return _result(a.data + b.data, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("sub", a, b)
-
-    def vjp(dy):
-        return dy, -dy
-
-    return _result(a.data - b.data, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("mul", a, b)
-
-    def vjp(dy):
-        return dy * b.data, dy * a.data
-
-    return _result(a.data * b.data, (a, b), vjp)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(dy):
-        return (dy * c,)
-
-    return _result(x.data * c, (x,), vjp)
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def vjp(dy):
-        return (dy,)
-
-    return _result(x.data + float(c), (x,), vjp)
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -415,30 +339,6 @@ def _gelu_vjp(dy: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     out += half_x
     out *= dy
     return out
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def mean(x: Tensor) -> Tensor:
-    """Mean over every element, as a scalar."""
-    n = x.size
-
-    def vjp(dy):
-        return (np.full(x.shape, float(dy) / n),)
-
-    return _result(np.asarray(x.data.mean()), (x,), vjp)
-
-
-def sum_rows(x: Tensor) -> Tensor:
-    """Row sums of a 2-D tensor, shape (m,)."""
-    _require_2d("sum_rows", x)
-
-    def vjp(dy):
-        return (np.repeat(dy[:, None], x.shape[1], axis=1),)
-
-    return _result(x.data.sum(axis=1), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -501,47 +401,6 @@ def _layer_norm_vjp(dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.
     dx -= prod
     dx *= inv
     return dx, dgain, dbias
-
-
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row to unit norm; rows with norm < NORM_EPS are scaled by 1/NORM_EPS."""
-    _require_2d("l2_normalize_rows", x)
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
-    denom = np.maximum(norms, NORM_EPS)
-    out = x.data / denom
-
-    def vjp(dy):
-        small = norms < NORM_EPS
-        inner = (dy * out).sum(axis=1, keepdims=True)
-        dx = np.where(small, dy / NORM_EPS, (dy - out * inner) / denom)
-        return (dx,)
-
-    return _result(out, (x,), vjp)
-
-
-def cross_entropy_rows(scores: Tensor, target_probs: np.ndarray) -> Tensor:
-    """Mean over rows of cross-entropy between row-softmaxed scores and targets.
-
-    ``target_probs`` is a constant row-stochastic matrix; the common case is
-    one-hot rows. Computed through a stable log-softmax.
-    """
-    _require_2d("cross_entropy_rows", scores)
-    p = np.asarray(target_probs, dtype=np.float64)
-    if p.shape != scores.shape:
-        raise DimensionError(
-            f"cross_entropy_rows target shape {p.shape} != scores shape {scores.shape}"
-        )
-    m = scores.shape[0]
-    row_max = scores.data.max(axis=1, keepdims=True)
-    shifted = scores.data - row_max
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + row_max
-    loss = float((lse[:, 0] - (p * scores.data).sum(axis=1)).mean())
-    softmax = np.exp(scores.data - lse)
-
-    def vjp(dy):
-        return (float(dy) * (softmax - p) / m,)
-
-    return _result(np.asarray(loss), (scores,), vjp)
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, seq_len: int):

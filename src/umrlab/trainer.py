@@ -27,8 +27,8 @@ length whatever the shard count: as in GradCache (arXiv 2101.06983), the
 representation gradients come first and one backward through the encoder
 follows. The forward, the loss, its gradient and the pullback see the same
 rows in the same order at every shard count, so a step's bytes do not
-depend on it. A shard's tape holds its loss only: the gathered rows are its
-two tracked leaves.
+depend on it. A shard's tape holds its loss only, one node per objective
+(:mod:`~umrlab.losses`): the gathered rows are its two tracked leaves.
 The embedding tables' gradients stay rows from the pullback to Adam, which
 updates only the rows a gradient has held (:mod:`~umrlab.optim`); every
 step has the bytes of the dense one. Adam owns a stage's weights in one

@@ -1,9 +1,19 @@
-"""A tape of one node per op through the encoder's blocks, for tests only.
+"""Tapes of one node per op, for tests only: the bitwise references of the
+closed-form objectives and of the encoder's block stack.
 
-The encoder records no tape node: its block stack backpropagates by hand,
-through the pullback that ``embed_taped`` returns. This module keeps the
-op-by-op form it replaced: a taped affine, layer norm, GELU and attention,
-each with its own vjp, built on the same array kernels and without operand
+The objectives in :mod:`umrlab.losses` each record one tape node whose vjp
+is written out by hand. This module keeps the op-by-op form they replaced:
+matmul, transpose, the elementwise ops, the reductions, the L2 row
+normalizer and the row cross-entropy, each a taped op with its own vjp and
+its operand checks, and the objectives written with them
+(:func:`cosine_similarity_matrix` to :func:`pretraining_loss`), without the
+public losses' contract checks. The bitwise tests require each closed-form
+objective to give this tape's value and gradient bytes.
+
+The encoder records no tape node either: its block stack backpropagates by
+hand, through the pullback that ``embed_taped`` returns. This module keeps
+its op-by-op form too: a taped affine, layer norm, GELU and attention, each
+with its own vjp, built on the same array kernels and without operand
 checks, and the block stack and an embed written with them, with a taped
 gather and concatenation of rows of their own. Every gather here scatters
 its gradient densely, as ``np.add.at`` into zeros, which has the bytes of
@@ -22,6 +32,203 @@ import numpy as np
 
 from umrlab import tensor as T
 from umrlab.encoder import RET_TAIL_ROWS, Encoder, _blocks, _layer, embed_taped, length_groups
+from umrlab.errors import DimensionError
+from umrlab.losses import modality_partition
+from umrlab.tensor import NORM_EPS
+
+
+def _require_2d(op, *xs):
+    for x in xs:
+        if x.ndim != 2:
+            raise DimensionError(f"{op} expects 2-D operands, got shape {x.shape}")
+
+
+def _same_shape(op, a, b):
+    if a.shape != b.shape:
+        raise DimensionError(f"{op} operand shapes disagree: {a.shape} vs {b.shape}")
+
+
+def detach(x):
+    return T.Tensor(x.data)
+
+
+def matmul(a, b):
+    _require_2d("matmul", a, b)
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    out = a.data @ b.data
+
+    def vjp(dy):
+        return dy @ b.data.T, a.data.T @ dy
+
+    return T._result(out, (a, b), vjp)
+
+
+def transpose(x):
+    _require_2d("transpose", x)
+
+    def vjp(dy):
+        return (dy.T,)
+
+    return T._result(x.data.T, (x,), vjp)
+
+
+def add(a, b):
+    _same_shape("add", a, b)
+
+    def vjp(dy):
+        return dy, dy
+
+    return T._result(a.data + b.data, (a, b), vjp)
+
+
+def sub(a, b):
+    _same_shape("sub", a, b)
+
+    def vjp(dy):
+        return dy, -dy
+
+    return T._result(a.data - b.data, (a, b), vjp)
+
+
+def mul(a, b):
+    _same_shape("mul", a, b)
+
+    def vjp(dy):
+        return dy * b.data, dy * a.data
+
+    return T._result(a.data * b.data, (a, b), vjp)
+
+
+def scale(x, c):
+    c = float(c)
+
+    def vjp(dy):
+        return (dy * c,)
+
+    return T._result(x.data * c, (x,), vjp)
+
+
+def add_scalar(x, c):
+    def vjp(dy):
+        return (dy,)
+
+    return T._result(x.data + float(c), (x,), vjp)
+
+
+def mean(x):
+    """Mean over every element, as a scalar."""
+    n = x.size
+
+    def vjp(dy):
+        return (np.full(x.shape, float(dy) / n),)
+
+    return T._result(np.asarray(x.data.mean()), (x,), vjp)
+
+
+def sum_rows(x):
+    """Row sums of a 2-D tensor, shape (m,)."""
+    _require_2d("sum_rows", x)
+
+    def vjp(dy):
+        return (np.repeat(dy[:, None], x.shape[1], axis=1),)
+
+    return T._result(x.data.sum(axis=1), (x,), vjp)
+
+
+def l2_normalize_rows(x):
+    """Scale each row to unit norm; rows with norm < NORM_EPS are scaled by 1/NORM_EPS."""
+    _require_2d("l2_normalize_rows", x)
+    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    denom = np.maximum(norms, NORM_EPS)
+    out = x.data / denom
+
+    def vjp(dy):
+        small = norms < NORM_EPS
+        inner = (dy * out).sum(axis=1, keepdims=True)
+        dx = np.where(small, dy / NORM_EPS, (dy - out * inner) / denom)
+        return (dx,)
+
+    return T._result(out, (x,), vjp)
+
+
+def cross_entropy_rows(scores, target_probs):
+    """Mean over rows of cross-entropy between row-softmaxed scores and targets,
+    through a stable log-softmax; ``target_probs`` is a constant
+    row-stochastic matrix."""
+    _require_2d("cross_entropy_rows", scores)
+    p = np.asarray(target_probs, dtype=np.float64)
+    if p.shape != scores.shape:
+        raise DimensionError(
+            f"cross_entropy_rows target shape {p.shape} != scores shape {scores.shape}"
+        )
+    m = scores.shape[0]
+    row_max = scores.data.max(axis=1, keepdims=True)
+    shifted = scores.data - row_max
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + row_max
+    loss = float((lse[:, 0] - (p * scores.data).sum(axis=1)).mean())
+    softmax = np.exp(scores.data - lse)
+
+    def vjp(dy):
+        return (float(dy) * (softmax - p) / m,)
+
+    return T._result(np.asarray(loss), (scores,), vjp)
+
+
+def cosine_similarity_matrix(queries, candidates):
+    if queries.shape != candidates.shape:
+        raise DimensionError(f"query/candidate shapes disagree: {queries.shape} vs {candidates.shape}")
+    qn = l2_normalize_rows(queries)
+    cn = l2_normalize_rows(candidates)
+    return matmul(qn, transpose(cn))
+
+
+def _diag_target_loss(similarity, temps):
+    scores = mul(similarity, T.Tensor._wrap(1.0 / temps, False))
+    return cross_entropy_rows(scores, np.eye(similarity.shape[0]))
+
+
+def infonce(similarity, tau):
+    g = similarity.shape[0]
+    return _diag_target_loss(similarity, np.full((g, g), float(tau)))
+
+
+def mac_loss(similarity, tags, tau_hard, tau_norm, mode="mac"):
+    g = similarity.shape[0]
+    if mode == "off":
+        temps = np.full((g, g), float(tau_norm))
+    else:
+        hard, norm = (tau_hard, tau_norm) if mode == "mac" else (tau_norm, tau_hard)
+        temps = np.where(modality_partition(tags), float(hard), float(norm))
+    return _diag_target_loss(similarity, temps)
+
+
+def self_distill(teacher_q, student_q, teacher_c, student_c, variant="mse", tau=1.0):
+    shapes = {teacher_q.shape, student_q.shape, teacher_c.shape, student_c.shape}
+    if len(shapes) != 1:
+        raise DimensionError(f"embedding shapes disagree: {sorted(shapes)}")
+    tq, tc = detach(teacher_q), detach(teacher_c)
+    if variant == "mse":
+        dq = sub(tq, student_q)
+        dc = sub(tc, student_c)
+        return add(mean(sum_rows(mul(dq, dq))), mean(sum_rows(mul(dc, dc))))
+    if variant == "cosine":
+        cos_q = sum_rows(mul(l2_normalize_rows(tq), l2_normalize_rows(student_q)))
+        cos_c = sum_rows(mul(l2_normalize_rows(tc), l2_normalize_rows(student_c)))
+        got = add(mean(cos_q), mean(cos_c))
+        return add_scalar(scale(got, -1.0), 2.0)
+    teacher_sim = cosine_similarity_matrix(tq, tc)
+    teacher_probs = T.softmax_rows(teacher_sim.data * (1.0 / tau))
+    student_scores = scale(cosine_similarity_matrix(student_q, student_c), 1.0 / tau)
+    cross = cross_entropy_rows(student_scores, teacher_probs)
+    logs = np.log(teacher_probs, out=np.zeros_like(teacher_probs), where=teacher_probs > 0)
+    entropy = float(-(teacher_probs * logs).sum(axis=1).mean())
+    return add_scalar(cross, -entropy)
+
+
+def pretraining_loss(contrastive, distill, alphas):
+    a1, a2 = alphas
+    return add(scale(contrastive, a1), scale(distill, a2))
 
 
 def affine(x, w, b):
@@ -158,7 +365,7 @@ def blocks(taped, batch, upto, ret_tail=False):
     ids = [i for tokens in batch for i in tokens.ids]
     positions = list(range(s)) * len(batch)
     tail_from = upto - 1 if ret_tail else upto
-    h = T.add(take_rows(p["tok_emb"], ids), take_rows(p["pos_emb"], positions))
+    h = add(take_rows(p["tok_emb"], ids), take_rows(p["pos_emb"], positions))
     for i in range(upto):
         base = f"layers.{i}."
         a = layer_norm_rows(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
@@ -171,10 +378,10 @@ def blocks(taped, batch, upto, ret_tail=False):
         k = affine(a, p[base + "attn.wk"], p[base + "attn.bk"])
         v = affine(a, p[base + "attn.wv"], p[base + "attn.bv"])
         mixed = attention(q, k, v, taped.config.n_heads, s)
-        h = T.add(h, affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
+        h = add(h, affine(mixed, p[base + "attn.wo"], p[base + "attn.bo"]))
         f = layer_norm_rows(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
         f = gelu(affine(f, p[base + "ffn.w1"], p[base + "ffn.b1"]))
-        h = T.add(h, affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
+        h = add(h, affine(f, p[base + "ffn.w2"], p[base + "ffn.b2"]))
     return h
 
 

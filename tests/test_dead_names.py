@@ -1,4 +1,5 @@
-"""Every top-level name in ``umrlab`` has a reader inside ``umrlab``."""
+"""Every top-level name in ``umrlab``, and every method, property and field
+of its classes, has a reader inside ``umrlab``."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,28 @@ def defined_names(tree: ast.Module) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
+    return names
+
+
+def member_names(tree: ast.Module) -> list[str]:
+    """The methods, properties and fields (class-level assignments and
+    ``__slots__`` entries) of a module's classes, as ``Class.name``, dunders
+    left out: Python itself calls those."""
+    names = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        members = []
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.append(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members.append(node.target.id)
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                if targets == ["__slots__"]:
+                    members += [e.value for e in node.value.elts]
+                else:
+                    members += targets
+        names += [f"{cls.name}.{m}" for m in members if not (m.startswith("__") and m.endswith("__"))]
     return names
 
 
@@ -60,3 +83,11 @@ def test_every_allowed_name_exists():
     for module, name in ALLOWED:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert name in defined_names(tree), f"{module}.{name}"
+
+
+def test_every_class_member_is_read():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    members = [f"{module}.{name}" for module, tree in trees.items() for name in member_names(tree)]
+    assert "tensor.Tensor.item" in members and "trainer.TrainConfig.stage" in members
+    assert [m for m in members if m.rsplit(".", 1)[1] not in read] == []

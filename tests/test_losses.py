@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import per_op_reference as per_op
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,7 +340,7 @@ class TestSelfDistillRowScale:
             leaves = [Tensor(x, grad_tracked=True) for x in rows]
             inputs = leaves
             if scaled:
-                inputs = [T.mul(x, Tensor(np.broadcast_to(s, x.shape))) for x, s in zip(leaves, scales)]
+                inputs = [per_op.mul(x, Tensor(np.broadcast_to(s, x.shape))) for x, s in zip(leaves, scales)]
             tq, sq, tc, sc = inputs
             loss = L.self_distill(tq, sq, tc, sc, variant, tau)
             grads = T.backward(loss)
@@ -399,3 +400,122 @@ class TestLossGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_pretraining_loss_composite(self, seed):
         assert check_gradients(*SUITE[f"pretraining[{seed}]"]) < 1e-4
+
+
+NAN, INF = math.nan, math.inf
+
+
+def unit_pair(g=3, d=4):
+    return rand_embeddings(g, d, 0), rand_embeddings(g, d, 1)
+
+
+class TestNonFiniteSettings:
+    """A temperature must be finite and > 0 and an alpha finite and >= 0:
+    a NaN or infinite one used to return NaN or ln G, or to fail later in
+    ``softmax_rows``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda q, c: L.infonce(L.cosine_similarity_matrix(q, c), NAN), id="infonce-nan"),
+            pytest.param(lambda q, c: L.infonce(L.cosine_similarity_matrix(q, c), INF), id="infonce-inf"),
+            pytest.param(lambda q, c: L.infonce(L.cosine_similarity_matrix(q, c), -INF), id="infonce-neg-inf"),
+            pytest.param(
+                lambda q, c: L.mac_loss(L.cosine_similarity_matrix(q, c), ["text"] * 3, NAN, 0.05),
+                id="mac-hard-nan",
+            ),
+            pytest.param(
+                lambda q, c: L.mac_loss(L.cosine_similarity_matrix(q, c), ["text"] * 3, 0.05, INF, "off"),
+                id="mac-norm-inf",
+            ),
+            pytest.param(lambda q, c: L.self_distill(q, q, c, c, "kl", tau=NAN), id="kl-tau-nan"),
+            pytest.param(lambda q, c: L.self_distill(q, q, c, c, "kl", tau=INF), id="kl-tau-inf"),
+            pytest.param(
+                lambda q, c: L.pretraining_loss(Tensor(1.0), Tensor(2.0), (NAN, 0.1)), id="alpha1-nan"
+            ),
+            pytest.param(
+                lambda q, c: L.pretraining_loss(Tensor(1.0), Tensor(2.0), (0.9, INF)), id="alpha2-inf"
+            ),
+        ],
+    )
+    def test_raises_contract_error(self, call):
+        with pytest.raises(ContractError, match="finite"):
+            call(*unit_pair())
+
+
+class TestOperandChecks:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), ()])
+    def test_non_2d_rows_rejected(self, shape):
+        x = Tensor(np.ones(shape))
+        with pytest.raises(DimensionError):
+            L.cosine_similarity_matrix(x, x)
+        for variant in L.DISTILL_VARIANTS:
+            with pytest.raises(DimensionError):
+                L.self_distill(x, x, x, x, variant)
+
+    def test_mismatched_rows_rejected(self):
+        a, b = rand_embeddings(3, 4, 0), rand_embeddings(3, 5, 1)
+        with pytest.raises(DimensionError):
+            L.cosine_similarity_matrix(a, b)
+        for variant in L.DISTILL_VARIANTS:
+            with pytest.raises(DimensionError):
+                L.self_distill(a, a, b, a, variant)
+
+    def test_mismatched_terms_rejected(self):
+        with pytest.raises(DimensionError):
+            L.pretraining_loss(Tensor(1.0), Tensor([1.0, 2.0]), (0.5, 0.5))
+
+
+def objective(losses, rows, setting):
+    """One step's objective over rows (q, c, teacher q, teacher c), as the
+    trainer composes it, with the given loss module's functions."""
+    q, c, tq, tc = rows
+    kind, arg, tags = setting
+    similarity = losses.cosine_similarity_matrix(q, c)
+    if kind == "mac":
+        return losses.mac_loss(similarity, tags, 0.041, 0.05, arg)
+    contrastive = losses.infonce(similarity, 0.05)
+    if kind == "infonce":
+        return contrastive
+    term = losses.self_distill(tq, q, tc, c, arg, tau=0.7)
+    return losses.pretraining_loss(contrastive, term, (0.7, 0.3))
+
+
+SETTINGS = [("infonce", None)] + [("mac", m) for m in L.TEMPERATURE_MODES]
+SETTINGS += [("distill", v) for v in L.DISTILL_VARIANTS]
+
+
+class TestClosedFormMatchesPerOpTape:
+    """Each objective records one tape node with a hand-written vjp; its
+    value and its gradients of q and c have the bytes of the per-op tape it
+    replaced (``per_op_reference``)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        setting=st.sampled_from(SETTINGS),
+        g=st.integers(1, 16),
+        d=st.integers(1, 12),
+        zero_rows=st.lists(st.integers(0, 63), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_and_gradient_bytes(self, setting, g, d, zero_rows, seed):
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=(g, d)) * 10.0 ** rng.uniform(-2, 2) for _ in range(4)]
+        # a zero row takes the unit-rows vjp's norm < NORM_EPS branch
+        for r in zero_rows:
+            data[r % 4][(r // 4) % g] = 0.0
+        tags = [MODALITIES[i] for i in rng.integers(0, 3, size=g)]
+        results = []
+        for losses in (L, per_op):
+            q, c = (Tensor(x, grad_tracked=True) for x in data[:2])
+            loss = objective(losses, (q, c, Tensor(data[2]), Tensor(data[3])), (*setting, tags))
+            grads = T.backward(loss)
+            results.append([loss.data.tobytes(), grads[q].tobytes(), grads[c].tobytes()])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=[f"{k}-{a}" for k, a in SETTINGS])
+    def test_one_node_per_objective(self, setting):
+        q, c, tq, tc = (rand_embeddings(4, 5, seed) for seed in range(4))
+        q, c = Tensor(q.data, grad_tracked=True), Tensor(c.data, grad_tracked=True)
+        loss = objective(L, (q, c, tq, tc), (*setting, ["text", "image", "text", "image_text"]))
+        assert len(T.ComputeGraph.of(loss).nodes) == (4 if setting[0] == "distill" else 2)

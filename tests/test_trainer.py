@@ -952,10 +952,16 @@ class TestBatchedEmbedding:
         for name, g in ref_grads.items():
             assert np.abs(grads[name] - g).max() <= bound, name
 
-    @pytest.mark.parametrize("stage", [0, 1, 2])
-    def test_each_shard_tape_holds_only_its_loss(self, mixed_batch, stage, monkeypatch):
+    @pytest.mark.parametrize(
+        "stage,variant",
+        [(0, "mse"), (1, "mse"), (2, "mse"), (1, "cosine"), (1, "kl")],
+        ids=["0", "1", "2", "1-cosine", "1-kl"],
+    )
+    def test_each_shard_tape_holds_only_its_loss(self, mixed_batch, stage, variant, monkeypatch):
         # the block stack records no node: each shard's backward walks the
-        # loss's ops back to the gathered rows, its only tracked leaves
+        # loss's nodes back to the gathered rows, its only tracked leaves.
+        # Each objective is one node: the similarity and the contrastive
+        # loss, and at stage 1 the distill term and the weighted sum
         full = Encoder.init(MIXED_ENC, seed=3)
         enc = full if stage == 0 else prune(full, 2)
         teacher = full if stage == 1 else None
@@ -967,11 +973,12 @@ class TestBatchedEmbedding:
             return backward(root)
 
         monkeypatch.setattr(T, "backward", recording)
-        cfg = config(stage, encoder=MIXED_ENC, shards=4, per_shard_batch=2)
+        cfg = config(stage, encoder=MIXED_ENC, shards=4, per_shard_batch=2, distill_variant=variant)
         compute_global_grads(enc, teacher, mixed_batch, cfg, 0.5)
         assert len(graphs) == 4
         weights = {id(p) for model in (enc, teacher) if model for p in model.params.values()}
         for graph in graphs:
+            assert len(graph.nodes) == (4 if stage == 1 else 2)
             inputs = {id(t): t for node in graph.nodes for t in node.inputs}
             assert not weights & set(inputs)
             leaves = [t for t in inputs.values() if t.grad_tracked and t._node is None]
@@ -1052,6 +1059,38 @@ class TestBatchedEmbedding:
         assert results[1][0] != enc.param_bytes()
         for shards in (2, 4, 8):
             assert results[shards] == results[1], shards
+
+    @pytest.mark.parametrize(
+        "stage,setting",
+        [pytest.param(0, {}, id="0")]
+        + [
+            pytest.param(1, {"distill_variant": v, "alpha_mode": a}, id=f"1-{v}-{a}")
+            for v in ("mse", "cosine", "kl")
+            for a in ("fixed", "dynamic", "reverse")
+        ]
+        + [
+            pytest.param(2, {"temperature": TemperatureSchedule(mode=m)}, id=f"2-{m}")
+            for m in ("mac", "reverse", "off")
+        ],
+    )
+    def test_gradients_equal_the_per_op_objectives_at_every_shard_count(self, mixed_batch, stage, setting, monkeypatch):
+        # the closed-form objectives give a step the loss and gradient
+        # bytes of the per-op tape they replaced, at every shard count
+        full = Encoder.init(MIXED_ENC, seed=3)
+        enc = full if stage == 0 else prune(full, 2)
+        teacher = full if stage == 1 else None
+        names = ("cosine_similarity_matrix", "infonce", "mac_loss", "self_distill", "pretraining_loss")
+
+        def step(shards):
+            cfg = config(stage, encoder=MIXED_ENC, shards=shards, per_shard_batch=8 // shards, **setting)
+            grads, terms = compute_global_grads(enc, teacher, mixed_batch, cfg, 0.5)
+            return terms, {n: T.dense_grad(g).tobytes() for n, g in grads.items()}
+
+        closed = {shards: step(shards) for shards in (1, 2, 4, 8)}
+        for name in names:
+            monkeypatch.setattr(trainer, name, getattr(per_op, name))
+        for shards in (1, 2, 4, 8):
+            assert step(shards) == closed[shards] == closed[1], shards
 
     def test_teacher_cache_one_lookup_per_item_and_rows_match_embed(self, mixed_batch):
         teacher = Encoder.init(MIXED_ENC, seed=5)
