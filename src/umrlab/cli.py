@@ -210,13 +210,16 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # both are refused before an index is loaded or built
+    if args.k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {args.k}")
     encoder, _ = load_checkpoint(args.checkpoint)
     corpus = Corpus.load(args.corpus)
-    index = load_index(args.index) if args.index else build_index(encoder, corpus.all_candidates())
     queries = {q.id: q for q in corpus.all_queries()}
     if args.query_id not in queries:
         raise ConfigurationError(f"query id {args.query_id} not in corpus")
     query = queries[args.query_id]
+    index = load_index(args.index) if args.index else build_index(encoder, corpus.all_candidates())
     datasets = [query.dataset] if args.scope == "local" else None
     hits = search_topk(index, embed_query(encoder, query), args.k, datasets)
     print(f"query {query.id} task={query.task} gold={query.gold} scope={args.scope}")
@@ -268,7 +271,12 @@ def cmd_eval(args) -> int:
     stats = modality_separation(index) if args.separation else None
     coords = pca_coords(index) if args.pca_out else None
     for scope in scopes:
-        print(f"mean recall ({scope}): {report.mean_recall(scope):.4f}")
+        for k in ks:
+            # a dataset with an override gives its override row at every k
+            recalls = [
+                r.recall for r in report.rows if r.scope == scope and r.k == overrides.get(r.dataset, k)
+            ]
+            print(f"mean recall@{k} ({scope}): {sum(recalls) / len(recalls):.4f}")
     if args.out:
         report.to_csv(args.out)
         print(f"wrote report to {args.out}")

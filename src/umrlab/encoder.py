@@ -22,10 +22,10 @@ records a tape node.
 
 One private body, :func:`_embed`, is the one place that reads [RET] rows.
 It takes a batch of sequences of any lengths and runs one :func:`_blocks`
-forward per prompt length over that length's sequences, then reads the
-[RET] rows out of those stacks by one concatenation and one index, in both
-modes. Taped, it also returns one pullback for the whole batch, which runs
-each length group's stack pullback once. :func:`embed_taped` returns the
+forward per prompt length over that length's sequences, then copies each
+stack's [RET] rows into their batch rows, in both modes. Taped, it also
+returns one pullback for the whole batch, which runs each length group's
+stack pullback once. :func:`embed_taped` returns the
 rows with that pullback, which a training step calls once;
 :func:`embed_raw` returns the rows tape-free. :func:`forward` returns every hidden state of
 one sequence, tape-free; ``forward_raw`` is another name for it.
@@ -101,11 +101,6 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def parameter_names(config: EncoderConfig) -> list[str]:
-    """Canonical parameter order, the order of :func:`parameter_shapes`."""
-    return list(parameter_shapes(config))
-
-
 class Encoder:
     """A weight bundle that only the owner of its arrays writes.
 
@@ -152,8 +147,8 @@ class Encoder:
         return Encoder(self.config, params)
 
     def param_bytes(self) -> bytes:
-        """Concatenated raw weight bytes, for bitwise comparisons."""
-        return b"".join(self.params[n].tobytes() for n in parameter_names(self.config))
+        """Concatenated raw weight bytes, in canonical order, for bitwise comparisons."""
+        return b"".join(p.tobytes() for p in self.params.values())
 
 
 # Rows per sequence the last block keeps when only the [RET] row is read.
@@ -341,44 +336,40 @@ def _embed(
     One :func:`_blocks` call per prompt length, over that length's
     sequences in batch order, in the order of each length's first
     appearance; each stack's last block computes only the last two rows of
-    each sequence. The stacks' rows are concatenated in that order and the
-    [RET] rows read out by one index. Row i is bitwise equal to the [RET]
-    row of ``forward(encoder, batch[i], upto)`` wherever a GEMM row does not
+    each sequence, and each group's [RET] rows are copied straight into
+    their rows of the result. Row i is bitwise equal to the [RET] row of
+    ``forward(encoder, batch[i], upto)`` wherever a GEMM row does not
     depend on the rows beside it, since a batch only adds rows to each op
     and two rows keep every GEMM a gemm; gradients agree with per-sequence
     ones to roundoff, since weight-gradient row sums run over a stack's
     rows in one order.
 
-    The pullback scatters dy into the [RET] rows of the concatenation, then
-    runs each stack's pullback over its rows, last stack first, each
-    input's gradients summed a pair at a time in that order. Those are the
-    bytes, and the order of sums, of a tape of one node per stack behind a
-    concatenation and a dense-scatter gather of the [RET] rows.
+    The pullback runs each stack's pullback, last stack first, on its
+    group's rows of dy scattered into its [RET] rows, and sums each input's
+    gradients a pair at a time in that order. Those are the bytes, and the
+    order of sums, of a tape of one node per stack behind a concatenation
+    and a dense-scatter gather of the [RET] rows.
     """
     if not batch:
         raise ContractError("no sequences to embed")
     groups = length_groups(batch)
     stacks = [_blocks(encoder, [batch[i] for i in rows], upto, taped, ret_tail=True) for rows in groups]
     hidden = [stack[0] for stack in stacks] if taped else stacks
-    ret_row, spans, offset = np.empty(len(batch), dtype=np.int64), [], 0
+    ret, tails = np.empty((len(batch), encoder.config.d_model)), []
     for rows, h in zip(groups, hidden):
+        # each sequence's [RET] row is the last of its m tail rows
         m = min(RET_TAIL_ROWS, len(batch[rows[0]]))
-        ret_row[rows] = offset + np.arange(len(rows)) * m + m - 1
-        spans.append(slice(offset, offset + len(h)))
-        offset += len(h)
-    stacked = hidden[0] if len(hidden) == 1 else np.concatenate(hidden, axis=0)
-    ret = stacked[ret_row]
+        tails.append(slice(m - 1, None, m))
+        ret[rows] = h[tails[-1]]
     ret.flags.writeable = False
     if not taped:
         return ret
-    shape = stacked.shape
 
     def pullback(dy: np.ndarray) -> list:
-        dh = T.scatter_rows(shape, ret_row, dy)
         grads = None
-        for (_, stack), span in zip(reversed(stacks), reversed(spans)):
-            g = stack(dh[span])
-            grads = g if grads is None else [T.sum_grads(pair) for pair in zip(grads, g)]
+        for rows, (h, stack), tail in zip(groups[::-1], stacks[::-1], tails[::-1]):
+            g = stack(T.scatter_rows(h.shape, tail, dy[rows]))
+            grads = g if grads is None else list(map(T.sum_grads, grads, g))
         return grads
 
     return ret, pullback
@@ -409,7 +400,7 @@ def prune(encoder: Encoder, k: int) -> Encoder:
         raise ContractError(f"prune depth {k} outside 1..{cfg.n_layers}")
     new_cfg = replace(cfg, n_layers=k, k=min(cfg.k, k))
     params: dict[str, np.ndarray] = {}
-    for name in parameter_names(new_cfg):
+    for name in parameter_shapes(new_cfg):
         params[name] = encoder.params[name].copy()
         params[name].flags.writeable = False
     return Encoder(new_cfg, params)

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig, embed_raw, embed_taped, parameter_names
+from .encoder import Encoder, EncoderConfig, embed_raw, embed_taped, parameter_shapes
 from .errors import NumericDomainError
 from .losses import (
     DISTILL_VARIANTS,
@@ -123,7 +123,7 @@ def _pretraining(tq, tc, q, c):
 
 def _ret_rows(batch, weights, taped: bool):
     """The suite encoder's [RET] rows of ``batch``; ``taped``, with their pullback."""
-    params = {name: w.data for name, w in zip(parameter_names(_SUITE_ENCODER), weights)}
+    params = {name: w.data for name, w in zip(parameter_shapes(_SUITE_ENCODER), weights)}
     model = Encoder(_SUITE_ENCODER, params)
     depth = _SUITE_ENCODER.n_layers
     return (embed_taped if taped else embed_raw)(model, batch, depth)

@@ -1,4 +1,4 @@
-"""The loss tape, the gradient sums, and the block stack's array kernels.
+"""The loss tape, the row gradients, and the block stack's array kernels.
 
 This module defines no taped op. Each training objective in
 :mod:`~umrlab.losses` computes its value on arrays and records one node
@@ -34,7 +34,8 @@ embedding table a :class:`RowGrad`, the sorted rows it touched and their
 summed gradients, with the dense gradient's bytes through ``dense()``, so a
 step never builds a dense 5,400-row table on its way to Adam. Its gathers
 of its own rows scatter densely (:func:`scatter_rows`), since their
-gradient feeds a vjp at once.
+gradient feeds a vjp at once. An embed's pullback adds its length groups'
+gradients of each weight a pair at a time (:func:`sum_grads`).
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def row_union(*ids: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-def scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def scatter_rows(shape: tuple[int, ...], idx: np.ndarray | slice, rows: np.ndarray) -> np.ndarray:
     """A zero table of ``shape`` with ``rows[j]`` added to row ``idx[j]``,
     for distinct ids: one assignment of 0.0 + rows, the bytes of
     ``np.add.at`` into zeros, which also turns -0.0 into 0.0. Its callers,
@@ -227,26 +228,11 @@ def dense_grad(g: np.ndarray | RowGrad) -> np.ndarray:
     return g.dense() if isinstance(g, RowGrad) else g
 
 
-def sum_grads(parts: Sequence[np.ndarray | RowGrad]) -> np.ndarray | RowGrad:
-    """The sum of one weight's gradients, in the given order. One part is
-    returned as it is. Parts that are all :class:`RowGrad` sum row by row
-    (:meth:`RowGrad.sum`), which has the bytes of the dense sum, since a
-    row a part does not hold would only have 0.0 added. Arrays sum into a
-    fresh array, first + second and then each later part added in, and no
-    part is written into. A mix of the two kinds raises ContractError: one
-    weight's gradients are all rows (a table's) or all arrays."""
-    if len(parts) == 1:
-        return parts[0]
-    rows = sum(isinstance(g, RowGrad) for g in parts)
-    if rows == len(parts):
-        return RowGrad.sum(parts)
-    if rows:
-        raise ContractError(f"sum_grads got {rows} row gradients among {len(parts)} parts")
-    first, second, *rest = parts
-    total = first + second
-    for g in rest:
-        total += g
-    return total
+def sum_grads(a: np.ndarray | RowGrad, b: np.ndarray | RowGrad) -> np.ndarray | RowGrad:
+    """a + b for two gradients of one weight, into a fresh one: row by row
+    for two :class:`RowGrad` (a table's), with the bytes of the dense sum
+    (:meth:`RowGrad.sum`), and elementwise for two arrays."""
+    return RowGrad.sum([a, b]) if isinstance(a, RowGrad) else a + b
 
 
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:

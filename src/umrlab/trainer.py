@@ -17,18 +17,19 @@ its objective once: the temperature and alpha weights (:func:`_schedule`,
 which the loss curve also reads) and, at stage 1, the teacher rows. It
 embeds the whole global batch as one batch, every query and then every
 positive, in batch order, which is shard order, with one taped block-stack
-forward per prompt length (:func:`~umrlab.encoder.embed_taped`), and
-gathers each shard's rows of it. Each shard then evaluates that one loss of
-the gathered rows, backpropagates it to them, and keeps its own rows of
-that gradient. The shards' rows are gathered in shard order, queries then
-positives, and one pullback through the block stack turns them into the
-step's gradients. So the block stack's backward runs once per prompt
-length whatever the shard count: as in GradCache (arXiv 2101.06983), the
-representation gradients come first and one backward through the encoder
-follows. The forward, the loss, its gradient and the pullback see the same
-rows in the same order at every shard count, so a step's bytes do not
-depend on it. A shard's tape holds its loss only, one node per objective
-(:mod:`~umrlab.losses`): the gathered rows are its two tracked leaves.
+forward per prompt length (:func:`~umrlab.encoder.embed_taped`). Its
+query rows and its positive rows, uncopied, are the loss's two inputs.
+Each shard then evaluates that one loss of those rows, backpropagates it
+to them, and keeps its own rows of that gradient. The shards' rows are
+gathered in shard order, queries then positives, and one pullback through
+the block stack turns them into the step's gradients. So the block stack's
+backward runs once per prompt length whatever the shard count: as in
+GradCache (arXiv 2101.06983), the representation gradients come first and
+one backward through the encoder follows. The forward, the loss, its
+gradient and the pullback see the same rows in the same order at every
+shard count, so a step's bytes do not depend on it. A shard's tape holds
+its loss only, one node per objective (:mod:`~umrlab.losses`): the
+embedded rows are its two tracked leaves.
 The embedding tables' gradients stay rows from the pullback to Adam, which
 updates only the rows a gradient has held (:mod:`~umrlab.optim`); every
 step has the bytes of the dense one. Adam owns a stage's weights in one
@@ -177,8 +178,8 @@ def batch_from(corpus: Corpus, samples: Sequence[Sample]) -> GlobalBatch:
 
 
 def gather_shards(locals_: Sequence[np.ndarray | None]) -> np.ndarray:
-    """Concatenate per-shard rows, of embeddings or their gradients, in
-    ascending shard-id order."""
+    """Concatenate per-shard rows of a gradient in ascending shard-id
+    order."""
     if not locals_:
         raise AggregationError("no shard rows to gather")
     for i, block in enumerate(locals_):
@@ -187,30 +188,8 @@ def gather_shards(locals_: Sequence[np.ndarray | None]) -> np.ndarray:
     return np.concatenate(locals_, axis=0)
 
 
-def all_reduce_grads(
-    shard_grads: Sequence[dict[str, np.ndarray | RowGrad]],
-) -> dict[str, np.ndarray | RowGrad]:
-    """Elementwise sum over shards, in ascending shard-id order: one
-    :func:`~umrlab.tensor.sum_grads` per parameter, after every shard's keys
-    and shapes are checked against shard 0's. So a parameter whose every
-    shard gradient is a :class:`~umrlab.tensor.RowGrad` is summed row by
-    row, with the bytes of the dense sum, and any other densely. One
-    shard's gradients are returned as they are; otherwise every gradient is
-    a fresh one, and no shard's is written into.
-
-    A step does not call it: its one pullback takes every shard's rows at
-    once (:func:`compute_global_grads`).
-    """
-    if not shard_grads:
-        raise AggregationError("no shard gradients to reduce")
-    keys = list(shard_grads[0])
-    for i, grads in enumerate(shard_grads):
-        if list(grads) != keys:
-            raise AggregationError(f"shard {i} gradient keys disagree with shard 0")
-        for key in keys:
-            if grads[key].shape != shard_grads[0][key].shape:
-                raise AggregationError(f"shard {i} gradient shape mismatch for {key!r}")
-    return {key: T.sum_grads([grads[key] for grads in shard_grads]) for key in keys}
+# no step reduces shard gradients; umrbench's tracer getattrs and wraps this name
+all_reduce_grads = None
 
 
 def _teacher_rows(teacher: Encoder, batch: GlobalBatch, cache: dict) -> tuple[Tensor, Tensor]:
@@ -259,8 +238,9 @@ def compute_global_grads(
     teacher_cache: dict | None = None,
 ) -> tuple[dict[str, np.ndarray | RowGrad], dict[str, float]]:
     """One forward per prompt length for the global batch, then per shard
-    the loss of the gathered rows and a backward to them, then one pullback
-    of the shards' rows of that gradient.
+    the loss of the batch's query and positive rows and a backward to
+    them, then one pullback of the shards' rows of that gradient, gathered
+    in shard order.
 
     Returns the gradient map and the loss breakdown.
     """
@@ -278,8 +258,7 @@ def compute_global_grads(
     rows, pullback = embed_taped(student, prompts, depth)
     n, g = config.per_shard_batch, len(batch)
     own = [slice(s * n, (s + 1) * n) for s in range(config.shards)]
-    q = Tensor._wrap(gather_shards([rows[:g][o] for o in own]), True)
-    c = Tensor._wrap(gather_shards([rows[g:][o] for o in own]), True)
+    q, c = Tensor._wrap(rows[:g], True), Tensor._wrap(rows[g:], True)
     tau_hard, alphas = _schedule(config, progress)
     tau0, tags = config.temperature.tau0, batch.tags
     if config.stage == 1:

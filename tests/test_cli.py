@@ -538,6 +538,28 @@ class TestPruneEmbedIndexSearch:
         assert captured.err == f"error: index record 2 has task code 200, outside 0..7 (at byte offset {at})\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("saved", [False, True], ids=["built", "loaded"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--query-id", "0", "--k", "0"], "k must be >= 1, got 0"),
+            (["--query-id", "9999"], "query id 9999 not in corpus"),
+        ],
+        ids=["k", "query-id"],
+    )
+    def test_bad_k_or_query_id_is_refused_before_any_index(
+        self, workdir, monkeypatch, capsys, flags, message, saved
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "build_index", lambda *args: calls.append(("build", args)))
+        monkeypatch.setattr(cli, "load_index", lambda *args: calls.append(("load", args)))
+        root, corpus, _, student = workdir
+        index = ["--index", str(root / "never-read.idx")] if saved else []
+        code = main(["search", "--checkpoint", str(student), "--corpus", str(corpus), *index, *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+
     @pytest.mark.parametrize("query_id,task", [(0, "t2i"), (8, "t2t")])
     def test_index_of_another_corpus_searches_only_the_query_task(
         self, workdir, tmp_path, capsys, query_id, task
@@ -709,6 +731,28 @@ class TestEval:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         ks = {row[1]: row[3] for row in rows}
         assert ks["ds-t2i"] == "10" and ks["ds-t2t"] == "5"
+
+    def test_prints_one_mean_per_scope_and_k(self, workdir, capsys):
+        from umrlab.checkpoint import load_checkpoint
+        from umrlab.datagen import Corpus
+        from umrlab.retrieval import evaluate
+
+        _, corpus, _, student = workdir
+        assert main([
+            "eval", "--checkpoint", str(student), "--corpus", str(corpus),
+            "--scope", "local", "--scope", "global", "--k", "1", "--k", "5",
+            "--k-override", "ds-t2i=3",
+        ]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("mean recall")]
+        enc, data = load_checkpoint(student)[0], Corpus.load(corpus)
+        want = []
+        for scope in ("local", "global"):
+            for k in (1, 5):
+                # one k at a time: one row per dataset, ds-t2i's at its override
+                report = evaluate(enc, data, scopes=(scope,), ks=(k,), k_overrides={"ds-t2i": 3})
+                assert sorted(r.k for r in report.rows) == sorted([3, k])
+                want.append(f"mean recall@{k} ({scope}): {report.mean_recall(scope):.4f}")
+        assert lines == want
 
     def test_k_override_of_unknown_dataset_is_diagnosed(self, workdir, capsys):
         root, corpus, _, student = workdir

@@ -24,7 +24,7 @@ from umrlab.encoder import (
     forward_raw,
     layer_stack_ratio,
     length_groups,
-    parameter_names,
+    parameter_shapes,
     prune,
 )
 from umrlab.errors import ContractError, LengthError, NumericDomainError
@@ -537,7 +537,7 @@ class TestPrune:
         cfg = EncoderConfig(vocab_size=48, d_model=4, n_heads=2, n_layers=8, max_seq=8, k=3)
         enc = Encoder.init(cfg, seed=5)
         student = prune(enc, 3)
-        per_layer = len(parameter_names(cfg)) - 2
+        per_layer = len(parameter_shapes(cfg)) - 2
         assert per_layer == 8 * 16
         assert len(student.params) == 2 + 3 * 16
         assert student.config.n_layers == 3

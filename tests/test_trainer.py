@@ -27,13 +27,12 @@ from umrlab.encoder import (
     Encoder,
     EncoderConfig,
     forward_raw,
-    parameter_names,
+    parameter_shapes,
     prune,
 )
 from umrlab.errors import (
     AggregationError,
     ConfigurationError,
-    ContractError,
     DimensionError,
     FormatError,
     NumericDomainError,
@@ -46,7 +45,6 @@ from umrlab.tensor import RowGrad
 from umrlab.trainer import (
     GlobalBatch,
     TrainConfig,
-    all_reduce_grads,
     batch_from,
     compute_global_grads,
     gather_shards,
@@ -109,36 +107,6 @@ class TestGather:
             gather_shards([])
 
 
-class TestAllReduce:
-    def test_single_shard_identity(self):
-        g = {"w": np.array([1.0, 2.0])}
-        out = all_reduce_grads([g])
-        assert np.array_equal(out["w"], g["w"])
-
-    def test_sums_in_shard_order_without_writing_a_shard(self):
-        rng = np.random.default_rng(0)
-        gs = [{"w": rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-8, 9, size=(3, 4))} for _ in range(4)]
-        before = [g["w"].copy() for g in gs]
-        for s in (2, 3, 4):
-            want = before[0] + before[1]
-            for b in before[2:s]:
-                want = want + b
-            assert all_reduce_grads(gs[:s])["w"].tobytes() == want.tobytes()
-        assert all(g["w"].tobytes() == b.tobytes() for g, b in zip(gs, before))
-
-    def test_zero_shards_sum_to_zero(self):
-        gs = [{"w": np.zeros(3)} for _ in range(4)]
-        assert np.array_equal(all_reduce_grads(gs)["w"], np.zeros(3))
-
-    def test_key_mismatch(self):
-        with pytest.raises(AggregationError):
-            all_reduce_grads([{"a": np.zeros(2)}, {"b": np.zeros(2)}])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(AggregationError):
-            all_reduce_grads([{"a": np.zeros(2)}, {"a": np.zeros(3)}])
-
-
 def scattered(shape, ids, seed):
     """A gather's row gradient over ``ids``, with magnitudes 1e-8..1e8 so
     that a change of summation order shows."""
@@ -149,9 +117,8 @@ def scattered(shape, ids, seed):
 
 
 def dense_shard_sum(parts):
-    """The dense reference reduce: densified shard gradients summed in
-    shard-id order."""
-    dense = [T.dense_grad(g) for g in parts]
+    """The dense reference sum: densified row gradients summed in order."""
+    dense = [g.dense() for g in parts]
     if len(dense) == 1:
         return dense[0]
     total = dense[0] + dense[1]
@@ -160,32 +127,23 @@ def dense_shard_sum(parts):
     return total
 
 
-class TestAllReduceRows:
+class TestRowSum:
+    """``RowGrad.sum`` of any number of a table's row gradients has the
+    bytes of their dense sum in the same order."""
+
     SHAPE = (12, 3)
 
-    def check(self, id_sets, densified, seed):
+    def check(self, id_sets, seed):
         parts = [scattered(self.SHAPE, ids, seed + i) for i, ids in enumerate(id_sets)]
-        parts = [p.dense() if d else p for p, d in zip(parts, densified)]
 
         def snapshot():
-            return [p.tobytes() if d else (p.ids.tobytes(), p.rows.tobytes()) for p, d in zip(parts, densified)]
+            return [(p.ids.tobytes(), p.rows.tobytes()) for p in parts]
 
         before = snapshot()
-        if any(densified) and not all(densified):
-            # a table's shard gradients are all rows or all arrays
-            with pytest.raises(ContractError, match="row gradients among"):
-                all_reduce_grads([{"tok_emb": p} for p in parts])
-            assert snapshot() == before
-            return
-        got = all_reduce_grads([{"tok_emb": p} for p in parts])["tok_emb"]
-        want = dense_shard_sum(parts)
-        if any(densified):
-            assert isinstance(got, np.ndarray)
-        else:
-            assert isinstance(got, RowGrad) and got.shape == self.SHAPE
-            assert got.ids.tolist() == sorted({i for ids in id_sets for i in ids})
-            got = got.dense()
-        assert got.tobytes() == want.tobytes()
+        got = RowGrad.sum(parts)
+        assert isinstance(got, RowGrad) and got.shape == self.SHAPE
+        assert got.ids.tolist() == sorted({i for ids in id_sets for i in ids})
+        assert got.dense().tobytes() == dense_shard_sum(parts).tobytes()
         assert snapshot() == before
 
     @pytest.mark.parametrize(
@@ -200,43 +158,15 @@ class TestAllReduceRows:
         ids=["disjoint", "overlapping", "all-empty", "some-empty", "eight-shards"],
     )
     def test_row_sum_equals_dense_shard_order_sum(self, id_sets):
-        self.check(id_sets, [False] * len(id_sets), seed=3)
+        self.check(id_sets, seed=3)
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(
         id_sets=st.lists(st.lists(st.integers(0, 11), max_size=8), min_size=1, max_size=8),
-        dense_shard=st.none() | st.integers(0, 7),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_shards_equal_dense_shard_order_sum(self, id_sets, dense_shard, seed):
-        # one shard given as an array among row gradients is refused
-        self.check(id_sets, [i == dense_shard for i in range(len(id_sets))], seed)
-
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    @given(
-        kinds=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=8),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_equals_one_sum_grads_per_key(self, kinds, seed):
-        # kinds[s] says whether shard s gives each of two tables as rows
-        shards = []
-        for s, row_kinds in enumerate(kinds):
-            grads = {}
-            for key, as_rows in zip(("tok_emb", "pos_emb"), row_kinds):
-                g = scattered(self.SHAPE, [s % 12, (5 * s) % 12], seed + s)
-                grads[key] = g if as_rows else g.dense()
-            shards.append(grads)
-        if any(len({row_kinds[j] for row_kinds in kinds}) > 1 for j in range(2)):
-            # a table whose shards give rows and arrays both is refused
-            with pytest.raises(ContractError, match="row gradients among"):
-                all_reduce_grads(shards)
-            return
-        got = all_reduce_grads(shards)
-        assert list(got) == ["tok_emb", "pos_emb"]
-        for key, g in got.items():
-            want = T.sum_grads([grads[key] for grads in shards])
-            assert type(g) is type(want)
-            assert T.dense_grad(g).tobytes() == T.dense_grad(want).tobytes()
+    def test_any_shards_equal_dense_shard_order_sum(self, id_sets, seed):
+        self.check(id_sets, seed)
 
 
 def weight(a) -> np.ndarray:
@@ -1332,7 +1262,7 @@ class TestCheckpoint:
         want += struct.pack("<6I", cfg.vocab_size, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.max_seq, cfg.k)
         assert len(want) == CKPT_HEADER_BYTES
         # the weights, and nothing after them
-        want += b"".join(enc.params[n].astype("<f8").tobytes() for n in parameter_names(cfg))
+        want += b"".join(enc.params[n].astype("<f8").tobytes() for n in parameter_shapes(cfg))
         assert path.read_bytes() == bytes(want)
 
     def test_optimizer_argument_stores_nothing(self, corpus, tmp_path):
