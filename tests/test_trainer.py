@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -127,9 +128,10 @@ def dense_shard_sum(parts):
     return total
 
 
-class TestRowSum:
-    """``RowGrad.sum`` of any number of a table's row gradients has the
-    bytes of their dense sum in the same order."""
+class TestAllReduceRows:
+    """The cross-shard sum of a table's row gradients, which
+    ``RowGrad.sum`` takes: any number of parts has the bytes of their dense
+    sum in the same order."""
 
     SHAPE = (12, 3)
 
@@ -167,6 +169,27 @@ class TestRowSum:
     )
     def test_any_shards_equal_dense_shard_order_sum(self, id_sets, seed):
         self.check(id_sets, seed)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        shards=st.integers(1, 8),
+        as_rows=st.tuples(st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_sum_grads_per_key(self, shards, as_rows, seed):
+        # as_rows[j] says whether every shard gives table j as rows or as an
+        # array; folding the shards' parts pair by pair with sum_grads has
+        # the bytes of one in-order sum of all of them
+        for key, rows in zip(("tok_emb", "pos_emb"), as_rows):
+            parts = [scattered(self.SHAPE, [s % 12, (5 * s) % 12], seed + s) for s in range(shards)]
+            want = dense_shard_sum(parts)
+            if rows:
+                assert RowGrad.sum(parts).dense().tobytes() == want.tobytes()
+            else:
+                parts = [p.dense() for p in parts]
+            got = functools.reduce(T.sum_grads, parts)
+            assert isinstance(got, RowGrad) == rows, key
+            assert T.dense_grad(got).tobytes() == want.tobytes(), key
 
 
 def weight(a) -> np.ndarray:
